@@ -19,12 +19,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import average_time, solve_so, solve_ue
+from .equilibrium import DEFAULT_TOL, average_time, solve_so, solve_ue
 from .network import enumerate_paths, parse_network
 from .scheme import (
     SchemeError,
@@ -289,22 +290,28 @@ def cmd_assign(args) -> int:
         reader = csv.DictReader(handle)
         required = {"user_id", "role", "vot"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            print(
-                f"roster needs columns user_id, role, vot (got {reader.fieldnames})",
-                file=sys.stderr,
+            raise ValueError(
+                f"roster needs columns user_id, role, vot (got {reader.fieldnames})"
             )
-            return 1
         for lineno, row in enumerate(reader, start=2):
             role = (row["role"] or "").strip().lower()
             vot_text = (row["vot"] or "").strip()
             if role == "subscriber":
+                where = f"line {lineno}: subscriber {row['user_id']!r}"
                 if not vot_text:
-                    print(
-                        f"line {lineno}: subscriber {row['user_id']!r} missing VOT",
-                        file=sys.stderr,
+                    raise ValueError(f"{where} missing VOT")
+                try:
+                    vot = float(vot_text)
+                except ValueError:
+                    vot = math.nan
+                if not math.isfinite(vot):
+                    raise ValueError(
+                        f"{where}: VOT {vot_text!r} is not a finite number"
                     )
-                    return 1
-                guidance = assign_subscriber(outcome, float(vot_text))
+                try:
+                    guidance = assign_subscriber(outcome, vot)
+                except SchemeError as exc:
+                    raise SchemeError(f"{where}: {exc}") from None
                 rows.append(
                     [
                         row["user_id"],
@@ -327,8 +334,7 @@ def cmd_assign(args) -> int:
                     ]
                 )
             else:
-                print(f"line {lineno}: unknown role {row['role']!r}", file=sys.stderr)
-                return 1
+                raise ValueError(f"line {lineno}: unknown role {row['role']!r}")
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -357,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--classes", type=int, default=None, help="override VOT class count"
             )
-        p.add_argument("--tol", type=float, default=1e-8, help="solver relative gap")
+        p.add_argument(
+            "--tol", type=float, default=DEFAULT_TOL, help="solver relative gap"
+        )
         p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("equilibria", help="UE and SO link flows and times")

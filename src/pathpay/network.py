@@ -2,13 +2,18 @@
 origin-destination demand record, and exhaustive simple-path enumeration.
 
 Networks are loaded from JSON (see :func:`parse_network` for the schema) and
-are immutable once built, so they can be shared freely between solvers.
+are immutable once built, so they can be shared freely between solvers. On
+first use a network compiles its links' cost functions into parameter
+arrays, so link times, marginals and integrals are each a few numpy
+expressions over all links.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,48 +87,96 @@ class LinkCostFn:
     def bpr(cls, t0: float, cap: float, alpha: float, power: float) -> LinkCostFn:
         return cls("bpr", (t0, cap, alpha, power))
 
+    @cached_property
+    def _arrays(self) -> _CostArrays:
+        return _CostArrays.compile((self,))
+
     def cost(self, flow):
         """Travel time t(q) at the given flow (scalar or array, flow >= 0)."""
         q = _check_flow(flow)
-        if self.kind == "linear":
-            a0, a1 = self.params
-            return a0 + a1 * q
-        if self.kind == "polynomial":
-            # highest-order coefficient first for polyval
-            return np.polyval(self.params[::-1], q)
-        t0, cap, alpha, power = self.params
-        return t0 * (1.0 + alpha * (q / cap) ** power)
+        return _shaped(self._arrays.times(q), q)
 
     def derivative(self, flow):
         """dt/dq at the given flow."""
         q = _check_flow(flow)
-        scalar = not isinstance(q, np.ndarray)
-        if self.kind == "linear":
-            return self.params[1] if scalar else np.full_like(q, self.params[1])
-        if self.kind == "polynomial":
-            deriv = [k * c for k, c in enumerate(self.params)][1:]
-            if not deriv:
-                return 0.0 if scalar else np.zeros_like(q)
-            return np.polyval(deriv[::-1], q)
-        t0, cap, alpha, power = self.params
-        return t0 * alpha * power * q ** (power - 1.0) / cap**power
+        return _shaped(self._arrays.slopes(q), q)
 
     def marginal(self, flow):
         """Marginal (system) cost t(q) + q * t'(q); always >= t(q)."""
         q = _check_flow(flow)
-        return self.cost(q) + q * self.derivative(q)
+        return _shaped(self._arrays.marginals(q), q)
 
     def cost_integral(self, flow):
         """Closed-form integral of t over [0, q]."""
         q = _check_flow(flow)
-        if self.kind == "linear":
-            a0, a1 = self.params
-            return a0 * q + 0.5 * a1 * q * q
-        if self.kind == "polynomial":
-            anti = [c / (k + 1) for k, c in enumerate(self.params)]
-            return np.polyval(anti[::-1] + [0.0], q)
-        t0, cap, alpha, power = self.params
-        return t0 * (q + alpha * q * (q / cap) ** power / (power + 1.0))
+        return _shaped(self._arrays.integrals(q), q)
+
+
+@dataclass(frozen=True, eq=False)
+class _CostArrays:
+    """Cost functions compiled into parameter arrays, one column per link.
+
+    Every cost is a polynomial part plus a BPR part, and each link zeroes the
+    part its kind does not use: ``coef[k]`` is the coefficient of ``q**k``
+    (all zero on BPR links; a linear cost is the polynomial ``(a0, a1)``) and
+    ``t0`` is zero on polynomial links. The arrays broadcast against the flow,
+    so the same formulas serve one link at many flows (:class:`LinkCostFn`)
+    and every link at one flow each (:class:`Network`).
+    """
+
+    coef: np.ndarray
+    slope_coef: np.ndarray
+    integral_coef: np.ndarray
+    t0: np.ndarray
+    cap: np.ndarray
+    alpha: np.ndarray
+    power: np.ndarray
+
+    @classmethod
+    def compile(cls, fns) -> _CostArrays:
+        terms = max((len(fn.params) for fn in fns if fn.kind != "bpr"), default=0)
+        coef = np.zeros((terms, len(fns)))
+        # t0 = 0 drops the BPR part; cap = power = 1 keep its terms finite
+        bpr = np.tile([[0.0], [1.0], [0.0], [1.0]], len(fns))
+        for i, fn in enumerate(fns):
+            if fn.kind == "bpr":
+                bpr[:, i] = fn.params
+            else:
+                coef[: len(fn.params), i] = fn.params
+        k = np.arange(terms)[:, None]
+        return cls(coef, (k * coef)[1:], coef / (k + 1), *bpr)
+
+    def times(self, q):
+        return _horner(self.coef, q) + self.t0 * (
+            1.0 + self.alpha * (q / self.cap) ** self.power
+        )
+
+    def slopes(self, q):
+        return _horner(self.slope_coef, q) + (
+            self.t0 * self.alpha * self.power * q ** (self.power - 1.0)
+            / self.cap**self.power
+        )
+
+    def marginals(self, q):
+        return self.times(q) + q * self.slopes(q)
+
+    def integrals(self, q):
+        return q * _horner(self.integral_coef, q) + self.t0 * (
+            q + self.alpha * q * (q / self.cap) ** self.power / (self.power + 1.0)
+        )
+
+
+def _horner(coef, q):
+    """``sum_k coef[k] * q**k``, coefficients lowest order first."""
+    out = np.zeros(np.shape(q))
+    for c in coef[::-1]:
+        out = out * q + c
+    return out
+
+
+def _shaped(values, q):
+    """One link's values in the shape of its flow ``q``; a scalar for a scalar."""
+    return values.reshape(np.shape(q))[()]
 
 
 def _check_flow(flow):
@@ -131,16 +184,6 @@ def _check_flow(flow):
     if np.any(q < 0):
         raise NetworkError("link flow must be non-negative")
     return q if q.ndim else float(q)
-
-
-def eval_cost(fn: LinkCostFn, flow: float) -> float:
-    """Functional form of :meth:`LinkCostFn.cost`."""
-    return float(fn.cost(flow))
-
-
-def eval_marginal(fn: LinkCostFn, flow: float) -> float:
-    """Functional form of :meth:`LinkCostFn.marginal`."""
-    return float(fn.marginal(flow))
 
 
 @dataclass(frozen=True)
@@ -218,17 +261,22 @@ class Network:
         """Map link id -> position in ``self.links``."""
         return {ln.id: pos for pos, ln in enumerate(self.links)}
 
+    @cached_property
+    def _costs(self) -> _CostArrays:
+        return _CostArrays.compile([ln.cost_fn for ln in self.links])
+
     def link_times(self, link_flows) -> np.ndarray:
         """Per-link travel times at the given flow vector."""
-        q = np.asarray(link_flows, dtype=float)
-        return np.array([ln.cost_fn.cost(q[i]) for i, ln in enumerate(self.links)])
+        return self._costs.times(_check_flow(link_flows))
 
     def link_marginals(self, link_flows) -> np.ndarray:
         """Per-link marginal costs at the given flow vector."""
-        q = np.asarray(link_flows, dtype=float)
-        return np.array(
-            [ln.cost_fn.marginal(q[i]) for i, ln in enumerate(self.links)]
-        )
+        return self._costs.marginals(_check_flow(link_flows))
+
+    def link_integrals(self, link_flows) -> np.ndarray:
+        """Per-link integrals of travel time over [0, flow]; their sum is the
+        Beckmann potential that the user equilibrium minimizes."""
+        return self._costs.integrals(_check_flow(link_flows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +366,7 @@ def parse_network(text: str) -> Network:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers too long to convert
         raise NetworkError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise NetworkError("top-level JSON value must be an object")
@@ -334,43 +382,84 @@ def parse_network(text: str) -> Network:
     links = []
     if not isinstance(raw["links"], list):
         raise NetworkError("'links' must be a list")
-    for entry in raw["links"]:
+    for i, entry in enumerate(raw["links"]):
+        where = f"links[{i}]"
         if not isinstance(entry, dict):
-            raise NetworkError("each link must be an object")
+            raise NetworkError(f"{where} must be an object")
+        _require(entry, ("id", "from", "to", "cost"), where)
+        cost = entry["cost"]
+        if not isinstance(cost, dict):
+            raise NetworkError(f"{where}.cost must be an object")
+        _require(cost, ("kind", "params"), f"{where}.cost")
+        kind = string_field(cost["kind"], f"{where}.cost.kind")
+        params = numbers_field(cost["params"], f"{where}.cost.params")
         try:
-            cost_entry = entry["cost"]
-            cost = LinkCostFn(str(cost_entry["kind"]), tuple(cost_entry["params"]))
-            links.append(
-                Link(
-                    id=int(entry["id"]),
-                    tail=str(entry["from"]),
-                    head=str(entry["to"]),
-                    cost_fn=cost,
-                )
+            cost_fn = LinkCostFn(kind, tuple(params))
+        except NetworkError as exc:
+            raise NetworkError(f"{where}.cost: {exc}") from None
+        links.append(
+            Link(
+                id=integer_field(entry["id"], f"{where}.id"),
+                tail=string_field(entry["from"], f"{where}.from"),
+                head=string_field(entry["to"], f"{where}.to"),
+                cost_fn=cost_fn,
             )
-        except KeyError as exc:
-            raise NetworkError(f"link entry missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, NetworkError):
-                raise
-            raise NetworkError(f"bad link entry: {exc}") from exc
+        )
 
     dem = raw["demand"]
     if not isinstance(dem, dict):
         raise NetworkError("'demand' must be an object")
-    try:
-        origin = str(dem["origin"])
-        destination = str(dem["destination"])
-        total = float(dem["total"])
-        subscribers = float(dem.get("subscribers", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NetworkError(f"bad demand record: {exc}") from exc
-
+    _require(dem, ("origin", "destination", "total"), "demand")
     return Network(
         nodes=tuple(nodes),
         links=tuple(links),
-        origin=origin,
-        destination=destination,
-        demand=total,
-        subscriber_demand=subscribers,
+        origin=string_field(dem["origin"], "demand.origin"),
+        destination=string_field(dem["destination"], "demand.destination"),
+        demand=number_field(dem["total"], "demand.total"),
+        subscriber_demand=number_field(
+            dem.get("subscribers", 0.0), "demand.subscribers"
+        ),
     )
+
+
+def _require(obj: dict, keys, where: str) -> None:
+    for key in keys:
+        if key not in obj:
+            raise NetworkError(f"{where} is missing key {key!r}")
+
+
+# Checks for values read from the JSON input files, shared by the network and
+# VOT parsers: each refuses what JSON can hold but the field cannot (bools,
+# strings, null, non-finite numbers) with a message that names the field.
+
+
+def number_field(value, name: str, error=NetworkError) -> float:
+    """A finite JSON number, as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise error(f"{name} must be a finite number, got {value!r:.40}")
+
+
+def numbers_field(value, name: str, error=NetworkError) -> list[float]:
+    """A JSON list of finite numbers, as floats."""
+    if not isinstance(value, list):
+        raise error(f"{name} must be a list of numbers, got {value!r:.40}")
+    return [number_field(v, f"{name}[{k}]", error) for k, v in enumerate(value)]
+
+
+def integer_field(value, name: str, error=NetworkError) -> int:
+    """A JSON integer (not a bool)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise error(f"{name} must be an integer, got {value!r:.40}")
+
+
+def string_field(value, name: str) -> str:
+    """A JSON string."""
+    if isinstance(value, str):
+        return value
+    raise NetworkError(f"{name} must be a string, got {value!r:.40}")

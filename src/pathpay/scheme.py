@@ -25,8 +25,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .equilibrium import FlowSolution, solve_so, solve_ue
-from .network import Network, PathSet, enumerate_paths
+from .equilibrium import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    FlowSolution,
+    solve_so,
+    solve_ue,
+)
+from .network import DEFAULT_MAX_PATHS, Network, PathSet, enumerate_paths
 from .simplex import StandardLp, solve_lp
 from .vot import VotClassTable, VotDistribution, discretize
 
@@ -339,9 +345,9 @@ def run_scheme(
     net: Network,
     dist: VotDistribution,
     M: int,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-    max_paths: int = 10_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    max_paths: int = DEFAULT_MAX_PATHS,
 ) -> PipelineResult:
     """End-to-end run: enumerate paths, solve both equilibria, route
     subscribers, and build the guidance outcome."""

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .network import integer_field, number_field, numbers_field
+
 DEFAULT_CLASS_COUNT = 100
 
 VOT_KINDS = ("uniform", "triangular", "piecewise_linear", "empirical")
@@ -334,7 +336,7 @@ def parse_vot(text: str) -> tuple[VotDistribution, int]:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers too long to convert
         raise VotError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise VotError("top-level JSON value must be an object")
@@ -347,7 +349,7 @@ def parse_vot(text: str) -> tuple[VotDistribution, int]:
     support = raw["support"]
     if not (isinstance(support, list) and len(support) == 2):
         raise VotError("'support' must be [lo, hi]")
-    lo, hi = float(support[0]), float(support[1])
+    lo, hi = numbers_field(support, "support", VotError)
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise VotError("'params' must be an object")
@@ -357,11 +359,12 @@ def parse_vot(text: str) -> tuple[VotDistribution, int]:
     elif kind == "triangular":
         if "mode" not in params:
             raise VotError("triangular distribution needs params.mode")
-        dist = VotDistribution.triangular(lo, float(params["mode"]), hi)
+        mode = number_field(params["mode"], "params.mode", VotError)
+        dist = VotDistribution.triangular(lo, mode, hi)
     elif kind == "piecewise_linear":
         try:
-            knots = params["knots"]
-            density = params["density"]
+            knots = numbers_field(params["knots"], "params.knots", VotError)
+            density = numbers_field(params["density"], "params.density", VotError)
         except KeyError as exc:
             raise VotError(f"piecewise_linear needs params.{exc.args[0]}") from exc
         dist = VotDistribution.piecewise_linear(knots, density)
@@ -370,10 +373,11 @@ def parse_vot(text: str) -> tuple[VotDistribution, int]:
     else:
         if "samples" not in params:
             raise VotError("empirical distribution needs params.samples")
-        dist = VotDistribution.empirical(params["samples"], support=(lo, hi))
+        samples = numbers_field(params["samples"], "params.samples", VotError)
+        dist = VotDistribution.empirical(samples, support=(lo, hi))
 
-    M = raw.get("M", DEFAULT_CLASS_COUNT)
-    if not isinstance(M, int) or M < 1:
+    M = integer_field(raw.get("M", DEFAULT_CLASS_COUNT), "M", VotError)
+    if M < 1:
         raise VotError("M must be a positive integer")
     return dist, M
 

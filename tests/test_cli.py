@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,15 @@ VOT = str(FIXTURE_DIR / "vot.json")
 
 def run(args):
     return main(args)
+
+
+def single_error_line(capsys) -> str:
+    """The one line of stderr, which must be an ``error:`` line."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
 
 
 class TestJsonWriter:
@@ -106,6 +116,38 @@ class TestScheme:
         assert data["vot_classes"] == 50
 
 
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "file, path, value, field",
+        [
+            ("network", ["demand", "total"], "nan", "demand.total"),
+            ("network", ["demand", "total"], True, "demand.total"),
+            ("network", ["demand", "subscribers"], None, "demand.subscribers"),
+            ("network", ["links", 1, "cost", "params"], ["1", 2],
+             "links[1].cost.params[0]"),
+            ("network", ["links", 0, "id"], False, "links[0].id"),
+            ("network", ["links", 2, "from"], 2, "links[2].from"),
+            ("vot", ["support"], [None, 5], "support[0]"),
+            ("vot", ["M"], True, "M"),
+            ("vot", ["M"], 2.5, "M"),
+            ("vot", ["params", "knots", 1], "x", "params.knots[1]"),
+            ("vot", ["params", "density"], 1.0, "params.density"),
+        ],
+    )
+    def test_bad_field_named(self, tmp_path, capsys, file, path, value, field):
+        inputs = {"network": NETWORK, "vot": VOT}
+        data = json.loads(Path(inputs[file]).read_text())
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        inputs[file] = tmp_path / f"{file}.json"
+        inputs[file].write_text(json.dumps(data))
+        assert run(["scheme", "--network", str(inputs["network"]),
+                    "--vot", str(inputs["vot"]), "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {field} must be" in single_error_line(capsys)
+
+
 class TestImprovement:
     def test_default_grid(self, tmp_path):
         out = tmp_path / "o"
@@ -182,3 +224,15 @@ class TestAssign:
         assert run(["assign", "--network", NETWORK, "--vot", VOT,
                     "--roster", str(roster), "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vot", ["abc", "nan", "99"])
+    def test_bad_vot_located(self, tmp_path, capsys, vot):
+        roster = tmp_path / "roster.csv"
+        self.write_roster(
+            roster, [("u1", "subscriber", "40"), ("u2", "subscriber", vot)]
+        )
+        assert run(["assign", "--network", NETWORK, "--vot", VOT,
+                    "--roster", str(roster), "--out", str(tmp_path / "o")]) == 1
+        line = single_error_line(capsys)
+        assert line.startswith("error: line 3: subscriber 'u2': ")
+        assert repr(vot) in line or "declared VOT 99" in line

@@ -12,6 +12,7 @@ from pathpay import (
     solve_so,
     solve_ue,
 )
+from pathpay.equilibrium import _line_search
 
 # closed-form optima for the bundled network: equal marginal costs (SO) and
 # equal travel times (UE) across each pair of parallel links
@@ -59,6 +60,11 @@ class TestFixtureSolutions:
         sol = solve_ue(demo_network, paths)
         assert sol.link_flows == pytest.approx(UE_FLOWS, abs=1e-3)
         assert sol.ue_time == pytest.approx(UE_TIME, abs=1e-5)
+
+    def test_iteration_counts(self, demo_network):
+        paths = enumerate_paths(demo_network)
+        assert solve_so(demo_network, paths).iterations == 15
+        assert solve_ue(demo_network, paths).iterations == 36
 
     def test_average_times(self, demo_network):
         paths = enumerate_paths(demo_network)
@@ -127,6 +133,33 @@ class TestEdgeCases:
         paths = enumerate_paths(demo_network)
         with pytest.raises(ValueError):
             solve_so(demo_network, paths, tol=0.0)
+
+
+class TestLineSearch:
+    # shift all 100 trips from link 1 (5 + 0.1 q) to link 2 (10 + 0.05 q)
+    net = two_link_net([5.0, 10.0], [0.1, 0.05], demand=100.0)
+    q = np.array([100.0, 0.0])
+    delta = np.array([-100.0, 100.0])
+
+    def slope(self, gradient, step):
+        return float(self.delta @ gradient(self.q + step * self.delta))
+
+    def test_step_zeroes_the_slope(self):
+        # times (UE) are equal at step 1/3, marginals (SO) at step 1/2
+        pairs = ((self.net.link_times, 1 / 3), (self.net.link_marginals, 1 / 2))
+        for gradient, root in pairs:
+            slope0 = self.slope(gradient, 0.0)
+            step = _line_search(gradient, self.q, self.delta, slope0, 1.0)
+            assert step == pytest.approx(root, rel=1e-14)
+            costs = gradient(self.q + step * self.delta)
+            rounding = 8 * np.finfo(float).eps * float(np.abs(self.delta) @ costs)
+            assert abs(self.slope(gradient, step)) <= rounding
+
+    def test_returns_step_max_when_still_descending(self):
+        gradient = self.net.link_times
+        slope0 = self.slope(gradient, 0.0)
+        assert self.slope(gradient, 0.25) <= 0
+        assert _line_search(gradient, self.q, self.delta, slope0, 0.25) == 0.25
 
 
 class TestInvariants:

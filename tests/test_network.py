@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pathpay import (
+    Link,
     LinkCostFn,
+    Network,
     NetworkError,
     PathCountError,
     enumerate_paths,
-    eval_cost,
-    eval_marginal,
     parse_network,
 )
 
@@ -65,6 +65,8 @@ class TestParse:
     def test_malformed_json(self):
         with pytest.raises(NetworkError):
             parse_network("{not json")
+        with pytest.raises(NetworkError, match="invalid JSON"):
+            parse_network('{"nodes": ' + "1" * 5000 + "}")
 
     def test_unknown_cost_kind(self):
         with pytest.raises(NetworkError):
@@ -185,7 +187,7 @@ class TestEnumerate:
 class TestCostFns:
     def test_table_value(self):
         fn = LinkCostFn.linear(10.0, 0.05)
-        assert eval_cost(fn, 250.0) == pytest.approx(22.5, abs=1e-12)
+        assert fn.cost(250.0) == pytest.approx(22.5, abs=1e-12)
 
     def test_zero_flow_marginal_equals_cost(self):
         fns = [
@@ -194,17 +196,17 @@ class TestCostFns:
             LinkCostFn.bpr(5.0, 100.0, 0.15, 4.0),
         ]
         for fn in fns:
-            assert eval_cost(fn, 0.0) == pytest.approx(fn.params[0], rel=1e-12)
-            assert eval_marginal(fn, 0.0) == pytest.approx(eval_cost(fn, 0.0))
+            assert fn.cost(0.0) == pytest.approx(fn.params[0], rel=1e-12)
+            assert fn.marginal(0.0) == pytest.approx(fn.cost(0.0))
 
     def test_hand_marginal(self):
         fn = LinkCostFn.linear(5.0, 0.02)
-        assert eval_cost(fn, 750.0) == pytest.approx(20.0)
-        assert eval_marginal(fn, 750.0) == pytest.approx(35.0)
+        assert fn.cost(750.0) == pytest.approx(20.0)
+        assert fn.marginal(750.0) == pytest.approx(35.0)
 
     def test_negative_flow_rejected(self):
         with pytest.raises(NetworkError):
-            eval_cost(LinkCostFn.linear(1.0, 1.0), -0.5)
+            LinkCostFn.linear(1.0, 1.0).cost(-0.5)
 
     def test_bad_params(self):
         with pytest.raises(NetworkError):
@@ -216,8 +218,8 @@ class TestCostFns:
 
     def test_bpr_shape(self):
         fn = LinkCostFn.bpr(10.0, 500.0, 0.15, 4.0)
-        assert eval_cost(fn, 500.0) == pytest.approx(11.5)
-        assert eval_cost(fn, 0.0) == pytest.approx(10.0)
+        assert fn.cost(500.0) == pytest.approx(11.5)
+        assert fn.cost(0.0) == pytest.approx(10.0)
 
 
 def cost_fn_strategy():
@@ -255,3 +257,66 @@ def test_derivative_matches_finite_difference(fn, q):
 @given(fn=cost_fn_strategy(), q=st.floats(0.0, 1000.0))
 def test_marginal_at_least_cost(fn, q):
     assert fn.marginal(q) >= fn.cost(q) - 1e-12
+
+
+def reference_values(fn, q):
+    """Time, marginal and integral of one link by the closed forms per kind."""
+    if fn.kind == "bpr":
+        t0, cap, alpha, power = fn.params
+        time = t0 * (1.0 + alpha * (q / cap) ** power)
+        slope = t0 * alpha * power * q ** (power - 1.0) / cap**power
+        integral = t0 * (q + alpha * q * (q / cap) ** power / (power + 1.0))
+    else:
+        c = fn.params
+        time = sum(ck * q**k for k, ck in enumerate(c))
+        slope = sum(k * ck * q ** (k - 1) for k, ck in enumerate(c) if k)
+        integral = sum(ck * q ** (k + 1) / (k + 1) for k, ck in enumerate(c))
+    return time, time + q * slope, integral
+
+
+def parallel_network(fns):
+    links = tuple(Link(i + 1, "A", "B", fn) for i, fn in enumerate(fns))
+    return Network(("A", "B"), links, "A", "B", demand=1.0, subscriber_demand=0.0)
+
+
+# linear, polynomials of degree 0-4 and BPR (its power drawn from [1, 6], so
+# mostly non-integer), each at zero flow or at a flow drawn from [0, 1000]
+mixed_link = st.tuples(
+    st.one_of(
+        cost_fn_strategy(),
+        st.lists(st.floats(0.0, 5.0), min_size=1, max_size=5).map(
+            LinkCostFn.polynomial
+        ),
+    ),
+    st.one_of(st.just(0.0), st.floats(0.0, 1000.0)),
+)
+
+
+@given(links=st.lists(mixed_link, min_size=1, max_size=8))
+def test_compiled_costs_match_per_link(links):
+    fns = [fn for fn, _ in links]
+    q = np.array([flow for _, flow in links])
+    net = parallel_network(fns)
+    per_link = {
+        net.link_times: [fn.cost(f) for fn, f in links],
+        net.link_marginals: [fn.marginal(f) for fn, f in links],
+        net.link_integrals: [fn.cost_integral(f) for fn, f in links],
+    }
+    # the same arithmetic link by link and all at once: equal up to rounding
+    rtol = 8 * np.finfo(float).eps
+    for compiled, values in per_link.items():
+        np.testing.assert_allclose(compiled(q), values, rtol=rtol, atol=0.0)
+    # and both agree with the closed forms, summed in another order
+    reference = np.array([reference_values(fn, f) for fn, f in links])
+    np.testing.assert_allclose(
+        np.array(list(per_link.values())).T, reference, rtol=1e-12, atol=1e-12
+    )
+
+
+def test_network_rejects_negative_flow():
+    net = parallel_network(
+        [LinkCostFn.linear(1.0, 0.5), LinkCostFn.bpr(2.0, 10.0, 0.15, 4.0)]
+    )
+    for evaluate in (net.link_times, net.link_marginals, net.link_integrals):
+        with pytest.raises(NetworkError, match="non-negative"):
+            evaluate([3.0, -1e-9])
