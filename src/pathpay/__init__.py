@@ -17,16 +17,7 @@ from .equilibrium import (
     solve_so,
     solve_ue,
 )
-from .vot import (
-    VotClassTable,
-    VotDistribution,
-    VotError,
-    cdf,
-    discretize,
-    inverse_cdf,
-    parse_vot,
-)
-from .simplex import LpSolution, SimplexError, StandardLp, solve_lp
+from .vot import VotClassTable, VotDistribution, VotError, discretize, parse_vot
 from .scheme import (
     CostReport,
     Guidance,
@@ -43,14 +34,10 @@ from .scheme import (
     solve_subscriber_lp,
 )
 from .verify import (
-    OracleError,
     VerificationReport,
-    brute_force_lp_oracle,
     check_pareto,
     check_revenue_neutral,
     check_strategy_proof,
-    greedy_weighted_cost,
-    reconstruct_payments,
     run_verification,
 )
 
@@ -73,14 +60,8 @@ __all__ = [
     "VotClassTable",
     "VotDistribution",
     "VotError",
-    "cdf",
     "discretize",
-    "inverse_cdf",
     "parse_vot",
-    "LpSolution",
-    "SimplexError",
-    "StandardLp",
-    "solve_lp",
     "CostReport",
     "Guidance",
     "PipelineResult",
@@ -94,14 +75,10 @@ __all__ = [
     "cost_report",
     "run_scheme",
     "solve_subscriber_lp",
-    "OracleError",
     "VerificationReport",
-    "brute_force_lp_oracle",
     "check_pareto",
     "check_revenue_neutral",
     "check_strategy_proof",
-    "greedy_weighted_cost",
-    "reconstruct_payments",
     "run_verification",
     "__version__",
 ]

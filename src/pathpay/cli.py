@@ -227,7 +227,8 @@ def cmd_scheme(args) -> int:
     _write(out / "verification.json", dumps_json(verification.to_dict()) + "\n")
     print(text, end="")
     if not verification.passed:
-        print("verification failed", file=sys.stderr)
+        print(f"error: verification failed; see {out / 'verification.json'}",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -270,7 +271,11 @@ def cmd_improvement(args) -> int:
         f"wrote {out / 'improvement.csv'} ({report.beta_grid.size} rows); "
         f"cost ordering {'PASS' if pareto.passed else 'FAIL'}"
     )
-    return 0 if pareto.passed else 1
+    if not pareto.passed:
+        print("error: cost ordering no-policy >= quitter >= subscriber failed",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 def _csv_float(value: float) -> str:

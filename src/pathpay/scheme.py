@@ -4,7 +4,10 @@ The pipeline, given a converged system optimum and a subscriber VOT
 distribution split into classes:
 
 1. route subscribers by a VOT-weighted linear program that keeps each link's
-   subscriber share proportional to the system-optimal link flow;
+   subscriber share proportional to the system-optimal link flow. Because
+   the highest VOTs always take the fastest paths, the program is solved
+   over path totals alone, by cutting planes on the concave VOT-mass
+   curve, and the class-by-path flows follow by sort-and-fill;
 2. scale subscriber path flows to outsiders, who hold the remaining share of
    every path;
 3. order paths from slowest to fastest and cut the VOT distribution into
@@ -113,6 +116,27 @@ def solve_subscriber_lp(
     add up to the class demand. The result's per-path totals also fix the
     outsider path flows, which mirror the subscriber split at outsider
     scale.
+
+    The class-by-path LP is solved exactly over the path totals ``T`` alone.
+    For fixed totals the cheapest coupling is sort-and-fill: the highest
+    VOTs take the fastest path. With paths sorted fastest first by
+    ``(time, index)``, cumulative totals ``C_k``, gaps
+    ``w_k = t_{k+1} - t_k >= 0`` and ``G(C)`` the VOT mass of the top ``C``
+    subscribers (concave, one linear piece per class, highest mean first),
+    the LP value is ``t_R G(D) - sum_k w_k G(C_k)`` minimised over
+    ``incidence @ T = share * q_SO``, ``T >= 0``. ``-G`` is the maximum of
+    its pieces, so Kelley's cutting-plane method solves it: a master LP in
+    ``T`` and free ``z_k`` minimises ``sum_k w_k z_k`` under the link rows
+    and the cuts ``z_k + v_m C_k >= v_m D_{m-1} - G(D_{m-1})`` gathered so
+    far. It starts from the piece holding each ``C_k`` at the SO path split
+    and adds the piece holding each new ``C_k`` until none is new; the
+    master value then equals the true objective at its solution, which
+    proves optimality. Gaps with ``w_k = 0`` need no cut.
+
+    Where the optimal totals are not unique, the result is the basic optimum
+    that Bland's rule reaches on the final cut set, with the master's path
+    columns slowest first, then the cut surpluses, then ``z``; so it is a
+    deterministic function of the inputs.
     """
     d_sub = net.subscriber_demand
     if d_sub <= 0:
@@ -120,52 +144,107 @@ def solve_subscriber_lp(
     d_out = net.outsider_demand
     n_paths = len(paths)
     M = classes.M
-
-    incidence = paths.incidence
-    n_links = incidence.shape[0]
     share = d_sub / net.demand
+    link_target = so.link_flows * share
+    times = so.path_times
 
-    # variables x[m*n_paths + r]: subscribers of class m on path r
-    n_vars = M * n_paths
-    A = np.zeros((n_links + M, n_vars))
-    b = np.zeros(n_links + M)
-    for a in range(n_links):
-        A[a] = np.tile(incidence[a], M)
-        b[a] = so.link_flows[a] * share
-    for m in range(M):
-        A[n_links + m, m * n_paths : (m + 1) * n_paths] = 1.0
-        b[n_links + m] = classes.class_demand[m]
-    c = (classes.class_mean[:, None] * so.path_times[None, :]).ravel()
+    # G's pieces, highest class mean first: piece m covers cumulative demand
+    # [bounds[m], bounds[m+1]] with slope vot[m]; its cut reads
+    # z + vot[m] * C >= rhs[m]
+    by_vot = np.lexsort((np.arange(M), -classes.class_mean))
+    vot = classes.class_mean[by_vot]
+    demand = classes.class_demand[by_vot]
+    bounds = np.concatenate([[0.0], np.cumsum(demand)])
+    mass = np.concatenate([[0.0], np.cumsum(vot * demand)])  # G at the bounds
+    rhs = vot * bounds[:-1] - mass[:-1]
 
-    sol = solve_lp(StandardLp(c=c, A=A, b=b))
-    if not sol.optimal:
-        raise SchemeError(
-            f"subscriber routing LP is {sol.status}; system-optimal link flows "
-            "and class demands are inconsistent"
+    fastest = np.lexsort((np.arange(n_paths), times))
+    gaps = np.diff(times[fastest])
+    ks = np.flatnonzero(gaps > 0)
+    # master path columns run slowest first: over relabelled chains this
+    # order kept Bland's pivot count steady, where index order varied 4x
+    columns = fastest[::-1]
+    incidence = paths.incidence[:, columns]
+    # prefix[j] @ T is the total on the ks[j] + 1 fastest paths
+    prefix = (np.arange(n_paths)[None, ::-1] <= ks[:, None]).astype(float)
+
+    def pieces(totals) -> list[tuple[int, int]]:
+        """(gap, piece of G holding C_k) for every gap with w_k > 0."""
+        held = np.minimum(np.searchsorted(bounds[1:], prefix @ totals), M - 1)
+        return list(enumerate(held.tolist()))
+
+    cuts = dict.fromkeys(pieces(share * so.path_flows[columns]))  # ordered set
+    while True:
+        sol = solve_lp(
+            _master_lp(incidence, link_target, prefix, gaps[ks], vot, rhs, cuts)
         )
+        if not sol.optimal:
+            raise SchemeError(
+                f"subscriber routing LP is {sol.status}; system-optimal link "
+                "flows and class demands are inconsistent"
+            )
+        new = [cut for cut in pieces(sol.x[:n_paths]) if cut not in cuts]
+        if not new:
+            break
+        cuts.update(dict.fromkeys(new))
 
-    flows = sol.x.reshape(M, n_paths)
-    if flows.min(initial=0.0) < -_FLOW_TOL:
+    slow_totals = sol.x[:n_paths]
+    if slow_totals.min(initial=0.0) < -_FLOW_TOL:
         raise SchemeError("LP produced a significantly negative flow")
-    tol = 1e-7 * (1.0 + np.abs(b).max(initial=0.0))
+    slow_totals = np.clip(slow_totals, 0.0, None)
+
+    # sort-and-fill coupling: overlap of each class's cumulative-demand
+    # interval with each path's cumulative-total interval
+    filled = np.concatenate([[0.0], np.cumsum(slow_totals[::-1])])
+    overlap = np.minimum(bounds[1:, None], filled[None, 1:]) - np.maximum(
+        bounds[:-1, None], filled[None, :-1]
+    )
+    flows = np.empty((M, n_paths))
+    flows[np.ix_(by_vot, fastest)] = np.clip(overlap, 0.0, None)
+
+    tol = 1e-7 * (
+        1.0 + np.abs(np.concatenate([link_target, classes.class_demand])).max()
+    )
     class_err = np.abs(flows.sum(axis=1) - classes.class_demand).max(initial=0.0)
-    link_err = np.abs(
-        incidence @ flows.sum(axis=0) - so.link_flows * share
-    ).max(initial=0.0)
+    path_totals = flows.sum(axis=0)
+    link_err = np.abs(paths.incidence @ path_totals - link_target).max(initial=0.0)
     if class_err > tol or link_err > tol:
         raise SchemeError(
             f"LP solution violates flow constraints (class {class_err:.3e}, "
             f"link {link_err:.3e})"
         )
 
-    flows = np.clip(flows, 0.0, None)
-    totals = flows.sum(axis=0)
     return SubscriberAssignment(
         class_path_flows=flows,
-        subscriber_path_flows=totals,
-        outsider_path_flows=(d_out / d_sub) * totals,
-        weighted_cost=float(sol.objective),
+        subscriber_path_flows=path_totals,
+        outsider_path_flows=(d_out / d_sub) * path_totals,
+        weighted_cost=float(classes.class_mean @ flows @ times),
     )
+
+
+def _master_lp(incidence, link_target, prefix, weight, vot, rhs, cuts) -> StandardLp:
+    """Equality form of the cutting-plane master over the cuts ``(j, m)``.
+
+    Columns are the path totals, one surplus per cut, then ``z+`` and
+    ``z-`` for each gap (``z = z+ - z-`` is free); rows are the links, then
+    the cuts. With ``z`` ahead of the surpluses the chains took 3-4x the
+    pivots.
+    """
+    n_links, n_paths = incidence.shape
+    K = prefix.shape[0]
+    j, m = np.array(list(cuts), dtype=int).reshape(-1, 2).T
+    n_cuts = j.size
+    rows = np.arange(n_cuts)
+    A = np.zeros((n_links + n_cuts, n_paths + n_cuts + 2 * K))
+    A[:n_links, :n_paths] = incidence
+    cut_rows = A[n_links:]
+    cut_rows[:, :n_paths] = vot[m, None] * prefix[j]
+    cut_rows[rows, n_paths + rows] = -1.0
+    cut_rows[rows, n_paths + n_cuts + j] = 1.0
+    cut_rows[rows, n_paths + n_cuts + K + j] = -1.0
+    b = np.concatenate([link_target, rhs[m]])
+    c = np.concatenate([np.zeros(n_paths + n_cuts), weight, -weight])
+    return StandardLp(c=c, A=A, b=b)
 
 
 def build_outcome(
@@ -215,12 +294,11 @@ def compute_payments(
 ) -> np.ndarray:
     """Payment per path position, slowest first, in dollars.
 
-    For position i the charge aggregates, over every slower position h, the
-    time saved moving from h to i priced at the partition VOT of each gap
-    crossed; the subsidy mirrors this over faster positions. The spread
-    between consecutive positions is pinned to the boundary VOT between
-    them (the declaration-indifference condition), and weighting by the path
-    shares makes charges and subsidies cancel in expectation.
+    Consecutive payments differ by the time drop between the two positions
+    priced at the boundary VOT that separates them (the declaration-
+    indifference condition), so the payments are a cumulative sum of those
+    gap values; subtracting their share-weighted mean makes expected
+    charges and subsidies cancel.
     """
     sorted_times = np.asarray(sorted_times, dtype=float)
     partition = np.asarray(partition, dtype=float)
@@ -236,17 +314,9 @@ def compute_payments(
     if abs(rho.sum() - 1.0) > 1e-9:
         raise SchemeError("rho must sum to one")
 
-    # gap_value[j]: dollar value of the time drop between positions j-1 and j,
-    # priced at the partition point separating them
     gap_value = drops * partition[1:n] / MINUTES_PER_HOUR
-
-    payments = np.zeros(n)
-    for i in range(n):
-        for h in range(i):
-            payments[i] += rho[h] * gap_value[h:i].sum()
-        for h in range(i + 1, n):
-            payments[i] -= rho[h] * gap_value[i:h].sum()
-    return payments
+    base = np.concatenate([[0.0], np.cumsum(gap_value)])
+    return base - float(rho @ base)
 
 
 def assign_subscriber(outcome: SchemeOutcome, declared_vot: float) -> Guidance:

@@ -155,9 +155,11 @@ def _pivot(T, obj, basis, row: int, col: int) -> None:
     if abs(piv) < PIVOT_TOL:
         raise SimplexError("numerically singular basis (pivot below tolerance)")
     T[row] /= piv
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
+    # only rows with a nonzero in the pivot column change
+    rows = np.flatnonzero(T[:, col])
+    rows = rows[rows != row]
+    if rows.size:
+        T[rows] -= np.outer(T[rows, col], T[row])
     if obj[col] != 0.0:
         obj -= obj[col] * T[row]
     basis[row] = col

@@ -12,14 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scheme import CostReport, SchemeOutcome, MINUTES_PER_HOUR
-from .vot import VotClassTable
 
 SP_DEFAULT_GRID = 201
 SP_TOL = 1e-9
-
-
-class OracleError(ValueError):
-    """Brute-force oracle cannot run on the given inputs."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,131 +205,3 @@ def run_verification(
         revenue_neutral=check_revenue_neutral(outcome),
         pareto=check_pareto(report),
     )
-
-
-def reconstruct_payments(
-    sorted_times: np.ndarray,
-    partition: np.ndarray,
-    rho: np.ndarray,
-) -> np.ndarray:
-    """Second, independent payment construction.
-
-    Builds payments from the two defining conditions directly: consecutive
-    payment differences equal the time drop priced at the boundary VOT, and
-    the share-weighted payments sum to zero. Agreement with
-    :func:`pathpay.scheme.compute_payments` pins down uniqueness.
-    """
-    sorted_times = np.asarray(sorted_times, dtype=float)
-    partition = np.asarray(partition, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    n = sorted_times.size
-    gap_value = (
-        (sorted_times[:-1] - sorted_times[1:]) * partition[1:n] / MINUTES_PER_HOUR
-    )
-    base = np.concatenate([[0.0], np.cumsum(gap_value)])
-    return base - float(rho @ base)
-
-
-def greedy_weighted_cost(
-    classes: VotClassTable,
-    subscriber_path_totals: np.ndarray,
-    times: np.ndarray,
-) -> float:
-    """Objective of the sort-and-fill assignment: given per-path subscriber
-    totals, fill the fastest paths with the highest-VOT classes.
-
-    This is the optimal class-to-path coupling for fixed totals, so it must
-    match the LP objective when fed the LP's own totals.
-    """
-    totals = np.asarray(subscriber_path_totals, dtype=float)
-    times = np.asarray(times, dtype=float)
-    path_order = sorted(range(times.size), key=lambda r: (times[r], r))
-    remaining = totals[path_order].copy()
-    cost = 0.0
-    pos = 0
-    for m in range(classes.M - 1, -1, -1):
-        demand = float(classes.class_demand[m])
-        while demand > 1e-12:
-            while pos < remaining.size and remaining[pos] <= 1e-12:
-                pos += 1
-            if pos >= remaining.size:
-                if demand > 1e-7 * (1.0 + totals.sum()):
-                    raise OracleError("path totals cannot absorb class demands")
-                break
-            take = min(demand, remaining[pos])
-            cost += classes.class_mean[m] * times[path_order[pos]] * take
-            remaining[pos] -= take
-            demand -= take
-    return cost
-
-
-def brute_force_lp_oracle(
-    classes: VotClassTable,
-    subscriber_path_totals: np.ndarray,
-    times: np.ndarray,
-    step: float,
-) -> float:
-    """Exhaustive lattice minimum of the VOT-weighted routing cost.
-
-    Enumerates every class-by-path flow matrix on a lattice of resolution
-    ``step`` whose row sums hit the class demands and column sums hit the
-    per-path totals, and returns the smallest weighted cost. Feasibility on
-    the lattice requires every demand and total to be a multiple of
-    ``step``. Exponential in the instance size, hence the small-instance
-    guard.
-    """
-    totals = np.asarray(subscriber_path_totals, dtype=float)
-    times = np.asarray(times, dtype=float)
-    M, R = classes.M, totals.size
-    if M > 5 or R > 4:
-        raise OracleError("oracle is limited to M <= 5 and at most 4 paths")
-    if step <= 0:
-        raise OracleError("step must be positive")
-
-    def to_units(values):
-        units = np.rint(values / step).astype(int)
-        if np.abs(units * step - values).max(initial=0.0) > 1e-9 * step * max(
-            1.0, np.abs(values).max(initial=0.0)
-        ):
-            raise OracleError("lattice infeasible at given step")
-        return units
-
-    row_units = to_units(classes.class_demand)
-    col_units = to_units(totals)
-    if row_units.sum() != col_units.sum():
-        raise OracleError("lattice infeasible at given step")
-
-    weights = classes.class_mean[:, None] * times[None, :] * step
-    best = np.inf
-
-    def compositions(total: int, caps: list[int]):
-        if len(caps) == 1:
-            if total <= caps[0]:
-                yield (total,)
-            return
-        for first in range(min(total, caps[0]) + 1):
-            for rest in compositions(total - first, caps[1:]):
-                yield (first, *rest)
-
-    def recurse(m: int, caps: list[int], cost: float):
-        nonlocal best
-        if cost >= best:
-            return
-        if m == M:
-            if all(c == 0 for c in caps):
-                best = cost
-            return
-        if sum(caps) < row_units[m:].sum():
-            return
-        for combo in compositions(int(row_units[m]), caps):
-            extra = sum(weights[m, r] * combo[r] for r in range(R))
-            recurse(
-                m + 1,
-                [caps[r] - combo[r] for r in range(R)],
-                cost + extra,
-            )
-
-    recurse(0, [int(u) for u in col_units], 0.0)
-    if not np.isfinite(best):
-        raise OracleError("lattice infeasible at given step")
-    return float(best)

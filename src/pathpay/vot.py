@@ -266,14 +266,6 @@ class VotClassTable:
         return float(self.class_demand.sum())
 
 
-def cdf(dist: VotDistribution, b: float) -> float:
-    return dist.cdf(b)
-
-
-def inverse_cdf(dist: VotDistribution, u: float) -> float:
-    return dist.inverse_cdf(u)
-
-
 def discretize(dist: VotDistribution, subscriber_demand: float, M: int) -> VotClassTable:
     """Split subscriber demand into M equal-width VOT classes.
 

@@ -14,10 +14,10 @@ from pathpay import (
     Link,
     LinkCostFn,
     Network,
-    StandardLp,
     VotClassTable,
     VotDistribution,
 )
+from pathpay.simplex import StandardLp
 
 SEGMENT_SHAPES = [(2,), (3,), (4,), (2, 2), (1, 3), (1, 2)]
 

@@ -15,10 +15,10 @@ from _instances import (
     random_vot,
     transportation_lp,
 )
+from _oracles import brute_force_lp_oracle
 from conftest import FIXTURE_DIR
 from pathpay import (
     average_time,
-    brute_force_lp_oracle,
     build_outcome,
     check_pareto,
     check_revenue_neutral,
@@ -28,12 +28,12 @@ from pathpay import (
     discretize,
     enumerate_paths,
     run_scheme,
-    solve_lp,
     solve_so,
     solve_subscriber_lp,
     solve_ue,
 )
 from pathpay.cli import main as cli_main
+from pathpay.simplex import solve_lp
 
 N_RANDOM_INSTANCES = 100
 

@@ -1,7 +1,11 @@
+import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURE_DIR
 from pathpay.cli import dumps_json, main
@@ -148,6 +152,17 @@ class TestInputBoundary:
         assert f"error: {field} must be" in single_error_line(capsys)
 
 
+    def test_failed_verification_is_one_error_line(self, tmp_path, capsys):
+        # path times near 1e300 leave the misreport margins to rounding
+        data = json.loads(Path(NETWORK).read_text())
+        data["links"][0]["cost"]["params"] = [1e300, 1e300]
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(data))
+        assert run(["scheme", "--network", str(network), "--vot", VOT,
+                    "--out", str(tmp_path / "o")]) == 1
+        assert "verification failed" in single_error_line(capsys)
+
+
 class TestImprovement:
     def test_default_grid(self, tmp_path):
         out = tmp_path / "o"
@@ -236,3 +251,114 @@ class TestAssign:
         line = single_error_line(capsys)
         assert line.startswith("error: line 3: subscriber 'u2': ")
         assert repr(vot) in line or "declared VOT 99" in line
+
+
+ROSTER_ROWS = [
+    ["user_id", "role", "vot"],
+    ["u1", "subscriber", "40"],
+    ["u2", "outsider", ""],
+    ["u3", "subscriber", "10"],
+]
+
+FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 300),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.floats(-5.0, 60.0), max_size=4),
+    st.just({}),
+)
+
+
+def json_paths(obj, path=()):
+    """Every position in a parsed JSON document, the root last."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ()
+    )
+    for key, value in items:
+        yield from json_paths(value, (*path, key))
+    yield path
+
+
+@st.composite
+def mutated_json(draw, text: str) -> str:
+    """The document with one value replaced or deleted, or cut short."""
+    doc = json.loads(text)
+    op = draw(st.sampled_from(["replace", "delete", "truncate"]))
+    if op == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    path = draw(st.sampled_from(list(json_paths(doc))))
+    if not path:
+        return json.dumps(draw(FUZZ_VALUES))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(FUZZ_VALUES)
+    return json.dumps(doc)
+
+
+@st.composite
+def mutated_roster(draw) -> str:
+    """The roster with one cell changed, a row cut or padded, or the text
+    cut short or given a stray character."""
+    rows = [list(row) for row in ROSTER_ROWS]
+    op = draw(st.sampled_from(["cell", "short_row", "long_row", "truncate", "insert"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if op == "cell":
+        rows[i][draw(st.integers(0, 2))] = draw(st.text(max_size=6))
+    elif op == "short_row":
+        rows[i] = rows[i][: draw(st.integers(0, 2))]
+    elif op == "long_row":
+        rows[i].append(draw(st.text(max_size=3)))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    text = buf.getvalue()
+    if op == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif op == "insert":
+        at = draw(st.integers(0, len(text)))
+        stray = draw(st.sampled_from(['"', "\x00", ",", "\n", "\r"]))
+        text = text[:at] + stray + text[at:]
+    return text
+
+
+class TestInputFuzz:
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_mutated_inputs_exit_cleanly(self, tmp_path_factory, data):
+        command = data.draw(
+            st.sampled_from(["equilibria", "scheme", "improvement", "assign"])
+        )
+        targets = {"equilibria": ["network"], "assign": ["network", "vot", "roster"]}
+        target = data.draw(st.sampled_from(targets.get(command, ["network", "vot"])))
+        work = tmp_path_factory.mktemp("fuzz")
+        files = {"network": Path(NETWORK), "vot": Path(VOT)}
+        if command == "assign":
+            files["roster"] = work / "roster.csv"
+            files["roster"].write_text(
+                "".join(",".join(row) + "\n" for row in ROSTER_ROWS)
+            )
+        if target == "roster":
+            text = data.draw(mutated_roster())
+        else:
+            text = data.draw(mutated_json(files[target].read_text()))
+        files[target] = work / f"mutated-{target}"
+        files[target].write_text(text)
+
+        argv = [command, "--network", str(files["network"]), "--out", str(work / "o")]
+        if command != "equilibria":
+            argv += ["--vot", str(files["vot"])]
+        if command == "assign":
+            argv += ["--roster", str(files["roster"])]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert "Traceback" not in err.getvalue()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -1,12 +1,18 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pathpay.scheme
 from _instances import random_network, random_vot
+from _oracles import class_path_lp, greedy_weighted_cost
 from pathpay import (
     FlowSolution,
+    Link,
+    LinkCostFn,
+    Network,
     SchemeError,
     SchemeOutcome,
     VotDistribution,
@@ -17,13 +23,13 @@ from pathpay import (
     cost_report,
     discretize,
     enumerate_paths,
-    greedy_weighted_cost,
     parse_network,
     run_scheme,
     solve_so,
     solve_subscriber_lp,
     solve_ue,
 )
+from pathpay.simplex import solve_lp
 
 # hand-computed payments for the reference scenario: sorted times
 # (43, 40.5, 39.5, 37) min, shares (0.25, 0.30, 0, 0.45), partition
@@ -124,6 +130,116 @@ class TestSubscriberLp:
         assert demo_run.assignment.weighted_cost == pytest.approx(
             cost, rel=1e-7
         )
+
+
+def clustered_empirical(rng, dist):
+    """Samples bunched at both ends of the support, so middle classes are
+    empty."""
+    lo, hi = dist.support
+    width = hi - lo
+    samples = np.concatenate(
+        [rng.uniform(lo, lo + 0.2 * width, 40), rng.uniform(hi - 0.1 * width, hi, 25)]
+    )
+    return VotDistribution.empirical(samples, support=(lo, hi))
+
+
+def chain_network(widths, rng) -> Network:
+    """Series of parallel-link segments with linear costs."""
+    nodes = [f"N{k}" for k in range(len(widths) + 1)]
+    links = []
+    for seg, width in enumerate(widths):
+        for _ in range(width):
+            cost = LinkCostFn.linear(
+                float(rng.uniform(2.0, 20.0)), float(rng.uniform(0.005, 0.05))
+            )
+            links.append(Link(len(links) + 1, nodes[seg], nodes[seg + 1], cost))
+    return Network(
+        nodes=tuple(nodes), links=tuple(links), origin=nodes[0],
+        destination=nodes[-1], demand=1500.0, subscriber_demand=1100.0,
+    )
+
+
+def assert_matches_class_path_lp(so, classes, net, paths):
+    full = solve_lp(class_path_lp(so, classes, net, paths))
+    assert full.optimal
+    assign = solve_subscriber_lp(so, classes, net, paths)
+    assert assign.weighted_cost == pytest.approx(full.objective, rel=1e-9)
+
+
+class TestPathTotalRouting:
+    def test_objective_matches_class_path_lp(self):
+        rng = np.random.default_rng(31)
+        null_dims = set()
+        for _ in range(12):
+            net = random_network(rng)
+            paths = enumerate_paths(net)
+            so = solve_so(net, paths)
+            null_dims.add(len(paths) - np.linalg.matrix_rank(paths.incidence))
+            times = so.path_times.copy()
+            times[-1] = times[0]
+            # the LP is exact for any path costs, not only sums of link
+            # times; with arbitrary ones the first master is often not optimal
+            variants = [
+                so,
+                replace(so, path_times=times),
+                replace(so, path_times=np.full_like(times, times[0])),
+                replace(so, path_times=rng.uniform(20.0, 60.0, times.size)),
+            ]
+            smooth = random_vot(rng)
+            for dist in (smooth, clustered_empirical(rng, smooth)):
+                for M in (1, 2, 15, 60):
+                    classes = discretize(dist, net.subscriber_demand, M)
+                    for flows in variants:
+                        assert_matches_class_path_lp(flows, classes, net, paths)
+        assert null_dims == {0, 1}
+
+    @pytest.mark.parametrize("widths", [(3, 3, 3), (2, 3), (3, 3), (2, 2, 2)])
+    def test_chain_matches_class_path_lp(self, widths):
+        rng = np.random.default_rng(8)
+        smooth = VotDistribution.triangular(4.0, 30.0, 50.0)
+        for _ in range(4):
+            net = chain_network(widths, rng)
+            paths = enumerate_paths(net)
+            so = solve_so(net, paths)
+            arbitrary = replace(so, path_times=rng.uniform(20.0, 60.0, len(paths)))
+            for dist in (smooth, clustered_empirical(rng, smooth)):
+                for M in (3, 10):
+                    classes = discretize(dist, net.subscriber_demand, M)
+                    for flows in (so, arbitrary):
+                        assert_matches_class_path_lp(flows, classes, net, paths)
+
+    def test_fixture_master_stays_small(self, demo_network, demo_vot, monkeypatch):
+        dist, _ = demo_vot
+        paths = enumerate_paths(demo_network)
+        so = solve_so(demo_network, paths)
+        classes = discretize(dist, demo_network.subscriber_demand, 400)
+        shapes = []
+
+        def recording(lp):
+            shapes.append(lp.A.shape)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(pathpay.scheme, "solve_lp", recording)
+        assign = solve_subscriber_lp(so, classes, demo_network, paths)
+        assert assign.subscriber_path_flows == pytest.approx(
+            [0.0, 200.0, 360.0, 240.0], abs=1e-4
+        )
+        assert shapes and all(rows < classes.M for rows, _ in shapes)
+
+    def test_bit_identical_reruns(self):
+        rng = np.random.default_rng(8)
+        net = chain_network((3, 3, 3), rng)
+        paths = enumerate_paths(net)
+        so = solve_so(net, paths)
+        classes = discretize(VotDistribution.uniform(5.0, 45.0),
+                             net.subscriber_demand, 30)
+        first = solve_subscriber_lp(so, classes, net, paths)
+        second = solve_subscriber_lp(so, classes, net, paths)
+        assert np.array_equal(first.class_path_flows, second.class_path_flows)
+        assert np.array_equal(
+            first.subscriber_path_flows, second.subscriber_path_flows
+        )
+        assert first.weighted_cost == second.weighted_cost
 
 
 class TestBuildOutcome:

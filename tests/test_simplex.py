@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pathpay import StandardLp, solve_lp
+from pathpay.simplex import StandardLp, solve_lp
 
 
 def vertex_oracle(lp):

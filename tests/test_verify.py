@@ -4,22 +4,24 @@ import numpy as np
 import pytest
 
 from _instances import make_table, random_network, random_vot, transportation_lp
+from _oracles import (
+    OracleError,
+    brute_force_lp_oracle,
+    greedy_weighted_cost,
+    loop_payments,
+)
 from pathpay import (
     FlowSolution,
-    OracleError,
     SchemeOutcome,
-    brute_force_lp_oracle,
     check_pareto,
     check_revenue_neutral,
     check_strategy_proof,
     compute_payments,
     cost_report,
-    greedy_weighted_cost,
-    reconstruct_payments,
     run_scheme,
     run_verification,
-    solve_lp,
 )
+from pathpay.simplex import solve_lp
 
 
 class TestStrategyProof:
@@ -153,8 +155,8 @@ class TestPareto:
 class TestPaymentReconstruction:
     def test_fixture_uniqueness(self, demo_run):
         o = demo_run.outcome
-        rebuilt = reconstruct_payments(o.sorted_times, o.partition, o.rho)
-        assert rebuilt == pytest.approx(o.payments, abs=1e-12)
+        looped = loop_payments(o.sorted_times, o.partition, o.rho)
+        assert looped == pytest.approx(o.payments, abs=1e-12)
 
     def test_random_outcomes(self):
         rng = np.random.default_rng(11)
@@ -165,8 +167,8 @@ class TestPaymentReconstruction:
             rho /= rho.sum()
             partition = np.sort(rng.uniform(1.0, 50.0, n + 1))
             direct = compute_payments(times, partition, rho)
-            rebuilt = reconstruct_payments(times, partition, rho)
-            assert rebuilt == pytest.approx(direct, abs=1e-12)
+            looped = loop_payments(times, partition, rho)
+            assert looped == pytest.approx(direct, abs=1e-12)
 
 
 class TestBruteForceOracle:

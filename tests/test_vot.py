@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pathpay import VotDistribution, VotError, cdf, discretize, inverse_cdf, parse_vot
+from pathpay import VotDistribution, VotError, discretize, parse_vot
 
 
 def dist_strategy():
@@ -35,19 +35,19 @@ def _build_pl(args):
 class TestCdf:
     def test_uniform_identity(self):
         d = VotDistribution.uniform(0.0, 1.0)
-        assert cdf(d, 0.25) == pytest.approx(0.25, abs=1e-12)
+        assert d.cdf(0.25) == pytest.approx(0.25, abs=1e-12)
 
     def test_triangular_endpoints(self):
         d = VotDistribution.triangular(5.0, 20.0, 45.0)
-        assert cdf(d, 5.0) == 0.0
-        assert cdf(d, 45.0) == 1.0
-        assert cdf(d, 4.0) == 0.0
-        assert cdf(d, 50.0) == 1.0
+        assert d.cdf(5.0) == 0.0
+        assert d.cdf(45.0) == 1.0
+        assert d.cdf(4.0) == 0.0
+        assert d.cdf(50.0) == 1.0
 
     def test_calibrated_fixture_quantiles(self, demo_vot):
         dist, _ = demo_vot
-        assert cdf(dist, 17.2) == pytest.approx(0.25, abs=1e-12)
-        assert cdf(dist, 31.6) == pytest.approx(0.55, abs=1e-12)
+        assert dist.cdf(17.2) == pytest.approx(0.25, abs=1e-12)
+        assert dist.cdf(31.6) == pytest.approx(0.55, abs=1e-12)
 
     def test_pdf_normalized(self, demo_vot):
         dist, _ = demo_vot
@@ -58,30 +58,30 @@ class TestCdf:
 class TestInverseCdf:
     def test_uniform_midpoint(self):
         d = VotDistribution.uniform(5.0, 45.0)
-        assert inverse_cdf(d, 0.5) == pytest.approx(25.0, abs=1e-12)
+        assert d.inverse_cdf(0.5) == pytest.approx(25.0, abs=1e-12)
 
     def test_fixture_quantile(self, demo_vot):
         dist, _ = demo_vot
-        assert inverse_cdf(dist, 0.25) == pytest.approx(17.2, abs=1e-9)
-        assert inverse_cdf(dist, 0.55) == pytest.approx(31.6, abs=1e-9)
+        assert dist.inverse_cdf(0.25) == pytest.approx(17.2, abs=1e-9)
+        assert dist.inverse_cdf(0.55) == pytest.approx(31.6, abs=1e-9)
 
     def test_endpoints(self, demo_vot):
         dist, _ = demo_vot
-        assert inverse_cdf(dist, 0.0) == dist.support[0]
-        assert inverse_cdf(dist, 1.0) == dist.support[1]
+        assert dist.inverse_cdf(0.0) == dist.support[0]
+        assert dist.inverse_cdf(1.0) == dist.support[1]
 
     def test_out_of_range(self, demo_vot):
         dist, _ = demo_vot
         with pytest.raises(VotError):
-            inverse_cdf(dist, -0.01)
+            dist.inverse_cdf(-0.01)
         with pytest.raises(VotError):
-            inverse_cdf(dist, 1.01)
+            dist.inverse_cdf(1.01)
 
     @given(dist=dist_strategy(), frac=st.floats(0.001, 0.999))
     def test_round_trip(self, dist, frac):
         lo, hi = dist.support
         x = lo + frac * (hi - lo)
-        assert inverse_cdf(dist, cdf(dist, x)) == pytest.approx(
+        assert dist.inverse_cdf(dist.cdf(x)) == pytest.approx(
             x, abs=1e-9 * (hi - lo)
         )
 
@@ -91,11 +91,11 @@ class TestInverseCdf:
         a, b = lo, hi
         for _ in range(80):
             mid = 0.5 * (a + b)
-            if cdf(dist, mid) >= u:
+            if dist.cdf(mid) >= u:
                 b = mid
             else:
                 a = mid
-        assert inverse_cdf(dist, u) == pytest.approx(b, abs=1e-8 * (hi - lo))
+        assert dist.inverse_cdf(u) == pytest.approx(b, abs=1e-8 * (hi - lo))
 
 
 class TestDiscretize:
