@@ -30,9 +30,10 @@ from .network import enumerate_paths, parse_network
 from .scheme import (
     SchemeError,
     assign_outsider,
-    assign_subscriber,
+    check_declared_vot,
     cost_report,
     run_scheme,
+    vot_ranks,
 )
 from .verify import check_pareto, run_verification
 from .vot import parse_vot
@@ -287,22 +288,72 @@ def cmd_assign(args) -> int:
     dist, M = _load_vot(args)
     result = run_scheme(net, dist, M, tol=args.tol)
     outcome = result.outcome
-    labels = result.paths.labels()
-    rng = np.random.default_rng(args.seed)
+    user_ids, subscriber, vots = _read_roster(args.roster, outcome)
 
-    rows = []
-    with open(args.roster, newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"user_id", "role", "vot"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(
-                f"roster needs columns user_id, role, vot (got {reader.fieldnames})"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            role = (row["role"] or "").strip().lower()
-            vot_text = (row["vot"] or "").strip()
-            if role == "subscriber":
-                where = f"line {lineno}: subscriber {row['user_id']!r}"
+    order = np.asarray(outcome.order)
+    user_paths = np.empty(len(user_ids), dtype=int)
+    is_subscriber = np.array(subscriber, dtype=bool)
+    user_paths[is_subscriber] = order[vot_ranks(outcome, np.array(vots, dtype=float))]
+    user_paths[~is_subscriber] = assign_outsider(
+        outcome, args.seed, size=len(user_ids) - len(vots)
+    )
+
+    # cells are formatted once per path, indexed by original path index
+    rank_of = np.argsort(order)
+    labels = result.paths.labels()
+    times = [f"{outcome.sorted_times[rank]:.1f}" for rank in rank_of]
+    payments = [f"{outcome.payments[rank]:.2f}" for rank in rank_of]
+    rows = (
+        (user, "subscriber", labels[p], times[p], payments[p]) if sub
+        else (user, "outsider", labels[p], times[p], "")
+        for user, sub, p in zip(user_ids, subscriber, user_paths.tolist())
+    )
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "assignments.csv", "w", newline="\n") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["user_id", "role", "path", "time_min", "payment_usd"])
+        writer.writerows(rows)
+    print(f"wrote {out / 'assignments.csv'} ({len(user_ids)} users)")
+    return 0
+
+
+def _read_roster(path, outcome) -> tuple[list, list[bool], list[float]]:
+    """User ids, subscriber flags and subscriber VOTs of a roster, in file
+    order, read in one pass.
+
+    As with ``csv.DictReader``, blank lines are skipped, a repeated column
+    name resolves to its last occurrence and a missing cell reads as None.
+    The first bad row in file order raises, located by ``reader.line_num``:
+    the line on which the row ends.
+    """
+    user_ids, subscriber, vots = [], [], []
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None or not {"user_id", "role", "vot"}.issubset(header):
+                raise ValueError(
+                    f"roster needs columns user_id, role, vot (got {header})"
+                )
+            column = {name: i for i, name in enumerate(header)}
+            at_user, at_role, at_vot = column["user_id"], column["role"], column["vot"]
+            for row in reader:
+                if not row:
+                    continue
+                n = len(row)
+                user = row[at_user] if at_user < n else None
+                role = row[at_role].strip().lower() if at_role < n else ""
+                if role == "outsider":
+                    user_ids.append(user)
+                    subscriber.append(False)
+                    continue
+                if role != "subscriber":
+                    raw = row[at_role] if at_role < n else None
+                    raise ValueError(f"line {reader.line_num}: unknown role {raw!r}")
+                where = f"line {reader.line_num}: subscriber {user!r}"
+                vot_text = row[at_vot].strip() if at_vot < n else ""
                 if not vot_text:
                     raise ValueError(f"{where} missing VOT")
                 try:
@@ -310,45 +361,17 @@ def cmd_assign(args) -> int:
                 except ValueError:
                     vot = math.nan
                 if not math.isfinite(vot):
-                    raise ValueError(
-                        f"{where}: VOT {vot_text!r} is not a finite number"
-                    )
+                    raise ValueError(f"{where}: VOT {vot_text!r} is not a finite number")
                 try:
-                    guidance = assign_subscriber(outcome, vot)
+                    check_declared_vot(outcome, vot)
                 except SchemeError as exc:
                     raise SchemeError(f"{where}: {exc}") from None
-                rows.append(
-                    [
-                        row["user_id"],
-                        "subscriber",
-                        labels[guidance.path],
-                        f"{guidance.time_min:.1f}",
-                        f"{guidance.payment:.2f}",
-                    ]
-                )
-            elif role == "outsider":
-                path = assign_outsider(outcome, rng)
-                rank = outcome.order.index(path)
-                rows.append(
-                    [
-                        row["user_id"],
-                        "outsider",
-                        labels[path],
-                        f"{outcome.sorted_times[rank]:.1f}",
-                        "",
-                    ]
-                )
-            else:
-                raise ValueError(f"line {lineno}: unknown role {row['role']!r}")
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["user_id", "role", "path", "time_min", "payment_usd"])
-    writer.writerows(rows)
-    out = Path(args.out)
-    _write(out / "assignments.csv", buf.getvalue())
-    print(f"wrote {out / 'assignments.csv'} ({len(rows)} users)")
-    return 0
+                user_ids.append(user)
+                subscriber.append(True)
+                vots.append(vot)
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+    return user_ids, subscriber, vots
 
 
 # -- argument parsing --------------------------------------------------------

@@ -23,6 +23,7 @@ rerunning a solve reproduces bit-identical flows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +131,8 @@ def average_time(sol: FlowSolution) -> float:
     return sol.total_time / sol.demand
 
 
+# overflow is detected from the iterates, so numpy need not warn about it
+@np.errstate(over="ignore", invalid="ignore")
 def _frank_wolfe(net, paths, objective, gradient, tol, max_iter):
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -153,6 +156,15 @@ def _frank_wolfe(net, paths, objective, gradient, tol, max_iter):
         carried = float(path_costs @ f)
         fw_gap = carried - d * path_costs[cheapest]
         value = objective(q)
+        # a non-finite path cost reaches fw_gap through path_costs @ f,
+        # since 0 * inf is nan
+        if not (math.isfinite(value) and math.isfinite(fw_gap)):
+            raise ConvergenceError(
+                f"link costs overflow at demand {d:g} (non-finite path cost or "
+                f"gap at iteration {iteration}); scale the demand or the link "
+                "cost parameters down",
+                achieved_gap=float("nan"),
+            )
         scale = max(abs(value), np.finfo(float).tiny)
         gap_rel = fw_gap / scale
         if gap_rel <= tol and _certificate_ok(f, path_costs, d, tol):

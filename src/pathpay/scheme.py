@@ -319,24 +319,32 @@ def compute_payments(
     return base - float(rho @ base)
 
 
-def assign_subscriber(outcome: SchemeOutcome, declared_vot: float) -> Guidance:
-    """Path and payment for a subscriber declaring the given VOT.
+def vot_ranks(outcome: SchemeOutcome, vots):
+    """Slow-to-fast path position for each declared VOT (scalar or array).
 
-    Intervals are open below and closed above; the support minimum itself
-    maps to the first path carrying subscribers. Declarations outside the
-    support are rejected.
+    Intervals are open below and closed above; the support minimum maps to
+    the first path carrying subscribers. The support is not checked.
     """
+    nonempty = np.flatnonzero(outcome.rho > 0)
+    ks = np.searchsorted(outcome.partition[1:][nonempty], vots, side="left")
+    return nonempty[np.minimum(ks, nonempty.size - 1)]
+
+
+def check_declared_vot(outcome: SchemeOutcome, declared_vot: float) -> None:
+    """Reject a declaration outside the VOT support."""
     lo, hi = outcome.support
     if not lo <= declared_vot <= hi:
         raise SchemeError(
             f"declared VOT {declared_vot:g} outside [{lo:g}, {hi:g}]; "
             "clamp it to the support or re-declare"
         )
-    nonempty = np.flatnonzero(outcome.rho > 0)
-    uppers = outcome.partition[1:][nonempty]
-    k = int(np.searchsorted(uppers, declared_vot, side="left"))
-    k = min(k, len(nonempty) - 1)
-    rank = int(nonempty[k])
+
+
+def assign_subscriber(outcome: SchemeOutcome, declared_vot: float) -> Guidance:
+    """Path and payment for one declared VOT: the scalar view of
+    :func:`vot_ranks`, after :func:`check_declared_vot`."""
+    check_declared_vot(outcome, declared_vot)
+    rank = int(vot_ranks(outcome, declared_vot))
     return Guidance(
         rank=rank,
         path=outcome.order[rank],
@@ -350,7 +358,9 @@ def assign_outsider(outcome: SchemeOutcome, rng, size: int | None = None):
 
     ``rng`` is a seed or a ``numpy.random.Generator``; the same seed always
     reproduces the same draws. Returns original path indices (an array when
-    ``size`` is given).
+    ``size`` is given). One draw of size ``k`` equals ``k`` single draws from
+    the same generator, so ``pathpay assign`` draws a whole roster's
+    outsiders at once and its output matches per-user draws byte for byte.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     ranks = gen.choice(len(outcome.rho), size=size, p=outcome.rho)
@@ -372,13 +382,7 @@ def cost_report(
     lo, hi = outcome.support
     beta = np.linspace(lo, hi, grid_size)
 
-    nonempty = np.flatnonzero(outcome.rho > 0)
-    uppers = outcome.partition[1:][nonempty]
-    ks = np.minimum(
-        np.searchsorted(uppers, beta, side="left"), len(nonempty) - 1
-    )
-    ranks = nonempty[ks]
-
+    ranks = vot_ranks(outcome, beta)
     hours = beta / MINUTES_PER_HOUR
     sub_cost = outcome.sorted_times[ranks] * hours + outcome.payments[ranks]
     expected_time = float(outcome.rho @ outcome.sorted_times)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheme import CostReport, SchemeOutcome, MINUTES_PER_HOUR
+from .scheme import CostReport, SchemeOutcome, MINUTES_PER_HOUR, vot_ranks
 
 SP_DEFAULT_GRID = 201
 SP_TOL = 1e-9
@@ -99,14 +99,6 @@ class VerificationReport:
         }
 
 
-def _lattice_assignment(outcome: SchemeOutcome, values: np.ndarray) -> np.ndarray:
-    """Rank (slow-to-fast position) each VOT in ``values`` maps to."""
-    nonempty = np.flatnonzero(outcome.rho > 0)
-    uppers = outcome.partition[1:][nonempty]
-    ks = np.minimum(np.searchsorted(uppers, values, side="left"), len(nonempty) - 1)
-    return nonempty[ks]
-
-
 def check_strategy_proof(
     outcome: SchemeOutcome, grid: int = SP_DEFAULT_GRID
 ) -> StrategyProofResult:
@@ -122,7 +114,7 @@ def check_strategy_proof(
     lattice = np.unique(
         np.concatenate([np.linspace(lo, hi, grid), outcome.partition])
     )
-    ranks = _lattice_assignment(outcome, lattice)
+    ranks = vot_ranks(outcome, lattice)
     times = outcome.sorted_times[ranks]
     pays = outcome.payments[ranks]
 
@@ -142,7 +134,7 @@ def check_strategy_proof(
         point = outcome.partition[b]
         if not lo < point < hi:
             continue
-        true_rank = int(_lattice_assignment(outcome, np.array([point]))[0])
+        true_rank = int(vot_ranks(outcome, point))
         higher = np.flatnonzero((outcome.rho > 0) & (np.arange(n) > true_rank))
         if higher.size == 0:
             continue

@@ -25,6 +25,10 @@ DEFAULT_CLASS_COUNT = 100
 VOT_KINDS = ("uniform", "triangular", "piecewise_linear", "empirical")
 
 _EMPTY_CLASS_MASS = 1e-12
+# largest accepted VOT ($/h): the closed-form class moments cube the support
+# bound, and the subscriber LP multiplies VOTs by demands, so a wider support
+# overflows double precision
+MAX_VOT = 1e100
 
 
 class VotError(ValueError):
@@ -342,6 +346,7 @@ def parse_vot(text: str) -> tuple[VotDistribution, int]:
     if not (isinstance(support, list) and len(support) == 2):
         raise VotError("'support' must be [lo, hi]")
     lo, hi = numbers_field(support, "support", VotError)
+    _check_support(lo, hi)
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise VotError("'params' must be an object")
@@ -379,3 +384,5 @@ def _check_support(lo: float, hi: float) -> None:
         raise VotError("support bounds must be finite")
     if not 0 <= lo < hi:
         raise VotError("support must satisfy 0 <= lo < hi")
+    if hi > MAX_VOT:
+        raise VotError(f"support must be within [0, {MAX_VOT:g}] $/h")

@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURE_DIR
+from pathpay import assign_outsider, assign_subscriber
 from pathpay.cli import dumps_json, main
 
 NETWORK = str(FIXTURE_DIR / "network.json")
@@ -136,6 +139,7 @@ class TestInputBoundary:
             ("vot", ["M"], 2.5, "M"),
             ("vot", ["params", "knots", 1], "x", "params.knots[1]"),
             ("vot", ["params", "density"], 1.0, "params.density"),
+            ("vot", ["support"], [0, 1e308], "support"),
         ],
     )
     def test_bad_field_named(self, tmp_path, capsys, file, path, value, field):
@@ -161,6 +165,18 @@ class TestInputBoundary:
         assert run(["scheme", "--network", str(network), "--vot", VOT,
                     "--out", str(tmp_path / "o")]) == 1
         assert "verification failed" in single_error_line(capsys)
+
+    def test_cost_overflow_stops_at_once(self, tmp_path, capsys):
+        data = json.loads(Path(NETWORK).read_text())
+        data["demand"]["total"] = 1e308
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(data))
+        start = time.perf_counter()
+        assert run(["equilibria", "--network", str(network),
+                    "--out", str(tmp_path / "o")]) == 1
+        assert time.perf_counter() - start < 1.0
+        line = single_error_line(capsys)
+        assert "overflow" in line and "demand" in line
 
 
 class TestImprovement:
@@ -252,6 +268,98 @@ class TestAssign:
         assert line.startswith("error: line 3: subscriber 'u2': ")
         assert repr(vot) in line or "declared VOT 99" in line
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "user_id,role,vot\nu1,subscriber,40\n\nu2,driver,10\n",
+            'user_id,role,vot\n"u\n1",subscriber,40\nu2,driver,10\n',
+        ],
+        ids=["blank_line", "quoted_newline"],
+    )
+    def test_line_number_counts_physical_lines(self, tmp_path, capsys, text):
+        roster = tmp_path / "roster.csv"
+        roster.write_text(text)
+        assert run(["assign", "--network", NETWORK, "--vot", VOT,
+                    "--roster", str(roster), "--out", str(tmp_path / "o")]) == 1
+        assert single_error_line(capsys) == "error: line 4: unknown role 'driver'"
+
+    def test_oversized_field_located(self, tmp_path, capsys):
+        roster = tmp_path / "roster.csv"
+        limit = csv.field_size_limit()
+        self.write_roster(roster, [("u1", "outsider", ""), ("x" * (limit + 1), "outsider", "")])
+        assert run(["assign", "--network", NETWORK, "--vot", VOT,
+                    "--roster", str(roster), "--out", str(tmp_path / "o")]) == 1
+        assert single_error_line(capsys) == (
+            f"error: line 3: field larger than field limit ({limit})"
+        )
+
+    FAULTS = [
+        (("u2", "subscriber", "99"),
+         "line 3: subscriber 'u2': declared VOT 99 outside [5, 45]; "
+         "clamp it to the support or re-declare"),
+        (("u3", "driver", "10"), "line 3: unknown role 'driver'"),
+        (("u4", "subscriber", ""), "line 3: subscriber 'u4' missing VOT"),
+        (("u5", "subscriber", "abc"),
+         "line 3: subscriber 'u5': VOT 'abc' is not a finite number"),
+    ]
+
+    @pytest.mark.parametrize("first", range(len(FAULTS)))
+    def test_earliest_fault_reported(self, tmp_path, capsys, first):
+        faults = self.FAULTS[first:] + self.FAULTS[:first]
+        roster = tmp_path / "roster.csv"
+        self.write_roster(
+            roster, [("u1", "outsider", "")] + [row for row, _ in faults]
+        )
+        assert run(["assign", "--network", NETWORK, "--vot", VOT,
+                    "--roster", str(roster), "--out", str(tmp_path / "o")]) == 1
+        assert single_error_line(capsys) == f"error: {faults[0][1]}"
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_batch_matches_per_user_answers(self, demo_run, tmp_path_factory, data):
+        outcome = demo_run.outcome
+        labels = demo_run.paths.labels()
+        lo, hi = outcome.support
+        vot = st.one_of(
+            st.sampled_from([lo, hi, *outcome.partition.tolist()]),
+            st.floats(lo, hi),
+        )
+        user = st.text(alphabet='u1 ,"\n', max_size=4)
+        users = data.draw(st.lists(
+            st.tuples(user, st.sampled_from(["subscriber", " Outsider"]), vot),
+            max_size=60,
+        ))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+
+        roster, expected = io.StringIO(), io.StringIO()
+        csv.writer(roster, lineterminator="\n").writerows(
+            [("user_id", "role", "vot")]
+            + [(u, role, repr(v) if role == "subscriber" else "") for u, role, v in users]
+        )
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["user_id", "role", "path", "time_min", "payment_usd"])
+        gen = np.random.default_rng(seed)
+        for u, role, v in users:
+            if role == "subscriber":
+                g = assign_subscriber(outcome, v)
+                writer.writerow([u, role, labels[g.path], f"{g.time_min:.1f}",
+                                 f"{g.payment:.2f}"])
+            else:
+                path = assign_outsider(outcome, gen)
+                rank = outcome.order.index(path)
+                writer.writerow([u, "outsider", labels[path],
+                                 f"{outcome.sorted_times[rank]:.1f}", ""])
+
+        work = tmp_path_factory.mktemp("batch")
+        (work / "roster.csv").write_text(roster.getvalue(), newline="")
+        with redirect_stdout(io.StringIO()):
+            assert main(["assign", "--network", NETWORK, "--vot", VOT,
+                         "--roster", str(work / "roster.csv"), "--seed", str(seed),
+                         "--out", str(work / "o")]) == 0
+        assert (work / "o" / "assignments.csv").read_bytes() == (
+            expected.getvalue().encode()
+        )
+
 
 ROSTER_ROWS = [
     ["user_id", "role", "vot"],
@@ -303,10 +411,14 @@ def mutated_json(draw, text: str) -> str:
 
 @st.composite
 def mutated_roster(draw) -> str:
-    """The roster with one cell changed, a row cut or padded, or the text
-    cut short or given a stray character."""
+    """The roster with one cell changed, a row cut or padded, a blank row
+    inserted, a newline quoted into a cell, or the text cut short or given
+    a stray character."""
     rows = [list(row) for row in ROSTER_ROWS]
-    op = draw(st.sampled_from(["cell", "short_row", "long_row", "truncate", "insert"]))
+    op = draw(st.sampled_from([
+        "cell", "short_row", "long_row", "blank_row", "quoted_newline",
+        "truncate", "insert",
+    ]))
     i = draw(st.integers(0, len(rows) - 1))
     if op == "cell":
         rows[i][draw(st.integers(0, 2))] = draw(st.text(max_size=6))
@@ -314,6 +426,12 @@ def mutated_roster(draw) -> str:
         rows[i] = rows[i][: draw(st.integers(0, 2))]
     elif op == "long_row":
         rows[i].append(draw(st.text(max_size=3)))
+    elif op == "blank_row":
+        rows.insert(i, [])
+    elif op == "quoted_newline":  # the writer quotes a cell holding a newline
+        j = draw(st.integers(0, 2))
+        at = draw(st.integers(0, len(rows[i][j])))
+        rows[i][j] = rows[i][j][:at] + "\n" + rows[i][j][at:]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     text = buf.getvalue()

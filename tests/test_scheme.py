@@ -28,8 +28,10 @@ from pathpay import (
     solve_so,
     solve_subscriber_lp,
     solve_ue,
+    vot_ranks,
 )
 from pathpay.simplex import solve_lp
+from pathpay.verify import SP_DEFAULT_GRID
 
 # hand-computed payments for the reference scenario: sorted times
 # (43, 40.5, 39.5, 37) min, shares (0.25, 0.30, 0, 0.45), partition
@@ -377,6 +379,33 @@ class TestAssignSubscriber:
             assign_subscriber(demo_run.outcome, 4.9)
 
 
+def searchsorted_ranks(outcome, vots):
+    """The per-caller lookup that ``vot_ranks`` replaced, kept as reference."""
+    nonempty = np.flatnonzero(outcome.rho > 0)
+    uppers = outcome.partition[1:][nonempty]
+    ks = np.minimum(np.searchsorted(uppers, vots, side="left"), len(nonempty) - 1)
+    return nonempty[ks]
+
+
+class TestVotRanks:
+    def test_matches_searchsorted_on_report_grid_and_lattice(self, demo_run):
+        rng = np.random.default_rng(31)
+        outcomes = [demo_run.outcome] + [
+            run_scheme(random_network(rng), random_vot(rng), 15).outcome
+            for _ in range(10)
+        ]
+        for o in outcomes:
+            lo, hi = o.support
+            report_grid = np.linspace(lo, hi, 401)
+            lattice = np.unique(
+                np.concatenate([np.linspace(lo, hi, SP_DEFAULT_GRID), o.partition])
+            )
+            for vots in (report_grid, lattice):
+                ranks = vot_ranks(o, vots)
+                assert np.array_equal(ranks, searchsorted_ranks(o, vots))
+                assert [assign_subscriber(o, v).rank for v in vots] == ranks.tolist()
+
+
 class TestAssignOutsider:
     def test_degenerate_distribution(self):
         outcome = SchemeOutcome(
@@ -404,6 +433,13 @@ class TestAssignOutsider:
         seq1 = [assign_outsider(demo_run.outcome, gen1) for _ in range(20)]
         seq2 = [assign_outsider(demo_run.outcome, gen2) for _ in range(20)]
         assert seq1 == seq2
+
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 300))
+    def test_one_draw_equals_single_draws(self, demo_run, seed, size):
+        gen = np.random.default_rng(seed)
+        singles = [assign_outsider(demo_run.outcome, gen) for _ in range(size)]
+        batch = assign_outsider(demo_run.outcome, seed, size=size)
+        assert batch.tolist() == singles
 
 
 class TestCostReport:
