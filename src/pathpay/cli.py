@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import sys
 from pathlib import Path
@@ -35,10 +34,10 @@ from .scheme import (
     run_scheme,
     vot_ranks,
 )
+from .verify import SP_DEFAULT_GRID as DEFAULT_SP_GRID
 from .verify import check_pareto, run_verification
-from .vot import parse_vot
+from .vot import check_class_count, parse_vot
 
-DEFAULT_SP_GRID = 201
 DEFAULT_REPORT_GRID = 401
 
 
@@ -86,18 +85,26 @@ def _write(path: Path, text: str) -> None:
         handle.write(text)
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # -- shared loading ----------------------------------------------------------
 
 
-def _load_network(args):
-    return parse_network(Path(args.network).read_text())
-
-
-def _load_vot(args):
+def _run_scheme(args):
+    """Read the network and VOT files, apply ``--classes`` and run the
+    pipeline; returns the network and the result."""
+    net = parse_network(Path(args.network).read_text())
     dist, M = parse_vot(Path(args.vot).read_text())
     if args.classes is not None:
+        check_class_count(args.classes, "--classes")
         M = args.classes
-    return dist, M
+    return net, run_scheme(net, dist, M, tol=args.tol)
 
 
 def _row(label: str, cells, width: int = 12) -> str:
@@ -108,7 +115,7 @@ def _row(label: str, cells, width: int = 12) -> str:
 
 
 def cmd_equilibria(args) -> int:
-    net = _load_network(args)
+    net = parse_network(Path(args.network).read_text())
     paths = enumerate_paths(net)
     so = solve_so(net, paths, tol=args.tol)
     ue = solve_ue(net, paths, tol=args.tol)
@@ -158,26 +165,23 @@ def _solution_dict(sol, net) -> dict:
 
 
 def cmd_scheme(args) -> int:
-    net = _load_network(args)
-    dist, M = _load_vot(args)
-    result = run_scheme(net, dist, M, tol=args.tol)
+    net, result = _run_scheme(args)
     outcome = result.outcome
     paths = result.paths
 
-    sp_grid = args.grid if args.grid is not None else DEFAULT_SP_GRID
     report = cost_report(outcome, result.ue, DEFAULT_REPORT_GRID)
-    verification = run_verification(outcome, report, sp_grid=sp_grid)
+    verification = run_verification(outcome, report, sp_grid=args.grid)
 
     # per-path rows in enumeration order
-    n = len(paths)
+    labels = paths.labels()
     rank_of = {path: rank for rank, path in enumerate(outcome.order)}
     entries = []
-    for r in range(n):
+    for r in range(len(paths)):
         rank = rank_of[r]
         entries.append(
             {
                 "path": list(paths.paths[r]),
-                "label": paths.labels()[r],
+                "label": labels[r],
                 "time_min": float(outcome.sorted_times[rank]),
                 "subscribers": float(result.assignment.subscriber_path_flows[r]),
                 "outsiders": float(result.assignment.outsider_path_flows[r]),
@@ -188,7 +192,6 @@ def cmd_scheme(args) -> int:
             }
         )
 
-    labels = paths.labels()
     width = max(12, max(len(s) for s in labels) + 2)
 
     def vot_cell(e):
@@ -220,7 +223,7 @@ def cmd_scheme(args) -> int:
         "weighted_cost": result.assignment.weighted_cost,
         "so_relative_gap": result.so.relative_gap,
         "ue_relative_gap": result.ue.relative_gap,
-        "vot_classes": M,
+        "vot_classes": result.classes.M,
     }
     out = Path(args.out)
     _write(out / "scheme.txt", text)
@@ -235,37 +238,21 @@ def cmd_scheme(args) -> int:
 
 
 def cmd_improvement(args) -> int:
-    net = _load_network(args)
-    dist, M = _load_vot(args)
-    result = run_scheme(net, dist, M, tol=args.tol)
-    grid = args.grid if args.grid is not None else DEFAULT_REPORT_GRID
-    report = cost_report(result.outcome, result.ue, grid)
+    _, result = _run_scheme(args)
+    report = cost_report(result.outcome, result.ue, args.grid)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "beta",
-            "subscriber_cost",
-            "quitter_cost",
-            "ue_cost",
-            "improvement_subscriber_pct",
-            "improvement_outsider_pct",
-        ]
-    )
-    for i in range(report.beta_grid.size):
-        writer.writerow(
-            [
-                _format_float(report.beta_grid[i]),
-                _format_float(report.subscriber_cost[i]),
-                _format_float(report.quitter_cost[i]),
-                _format_float(report.ue_cost[i]),
-                _csv_float(report.improvement_subscriber_pct[i]),
-                _csv_float(report.improvement_outsider_pct[i]),
-            ]
-        )
     out = Path(args.out)
-    _write(out / "improvement.csv", buf.getvalue())
+    header = ["beta", "subscriber_cost", "quitter_cost", "ue_cost",
+              "improvement_subscriber_pct", "improvement_outsider_pct"]
+    rows = zip(
+        map(_format_float, report.beta_grid),
+        map(_format_float, report.subscriber_cost),
+        map(_format_float, report.quitter_cost),
+        map(_format_float, report.ue_cost),
+        map(_csv_float, report.improvement_subscriber_pct),
+        map(_csv_float, report.improvement_outsider_pct),
+    )
+    _write_csv(out / "improvement.csv", header, rows)
 
     pareto = check_pareto(report)
     print(
@@ -284,9 +271,7 @@ def _csv_float(value: float) -> str:
 
 
 def cmd_assign(args) -> int:
-    net = _load_network(args)
-    dist, M = _load_vot(args)
-    result = run_scheme(net, dist, M, tol=args.tol)
+    _, result = _run_scheme(args)
     outcome = result.outcome
     user_ids, subscriber, vots = _read_roster(args.roster, outcome)
 
@@ -310,11 +295,8 @@ def cmd_assign(args) -> int:
     )
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "assignments.csv", "w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["user_id", "role", "path", "time_min", "payment_usd"])
-        writer.writerows(rows)
+    _write_csv(out / "assignments.csv",
+               ["user_id", "role", "path", "time_min", "payment_usd"], rows)
     print(f"wrote {out / 'assignments.csv'} ({len(user_ids)} users)")
     return 0
 
@@ -402,12 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scheme", help="full pipeline plus verification")
     common(p, vot=True)
-    p.add_argument("--grid", type=int, default=None, help="misreport lattice size")
+    p.add_argument("--grid", type=int, default=DEFAULT_SP_GRID,
+                   help="misreport lattice size")
     p.set_defaults(func=cmd_scheme)
 
     p = sub.add_parser("improvement", help="per-VOT cost comparison CSV")
     common(p, vot=True)
-    p.add_argument("--grid", type=int, default=None, help="VOT grid size")
+    p.add_argument("--grid", type=int, default=DEFAULT_REPORT_GRID, help="VOT grid size")
     p.set_defaults(func=cmd_improvement)
 
     p = sub.add_parser("assign", help="guidance for a user roster CSV")

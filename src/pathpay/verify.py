@@ -115,18 +115,18 @@ def check_strategy_proof(
         np.concatenate([np.linspace(lo, hi, grid), outcome.partition])
     )
     ranks = vot_ranks(outcome, lattice)
-    times = outcome.sorted_times[ranks]
-    pays = outcome.payments[ranks]
-
     hours = lattice / MINUTES_PER_HOUR
-    # cost[i, j]: true VOT lattice[i], declared VOT lattice[j]
-    cost = hours[:, None] * times[None, :] + pays[None, :]
-    truthful = hours * times + pays
+    truthful = hours * outcome.sorted_times[ranks] + outcome.payments[ranks]
+    # margins[i, c]: true VOT lattice[i] declares into the c-th used rank. A
+    # declared VOT matters only through its rank, and ranks rise along the
+    # lattice, so the first declared VOT of a rank stands for all of them and
+    # the first-occurrence argmin is that of the full lattice x lattice search
+    used, first = np.unique(ranks, return_index=True)
+    cost = hours[:, None] * outcome.sorted_times[used] + outcome.payments[used]
     margins = cost - truthful[:, None]
 
-    flat = int(np.argmin(margins))
-    i, j = divmod(flat, margins.shape[1])
-    worst = float(margins[i, j])
+    i, c = np.unravel_index(np.argmin(margins), margins.shape)
+    worst = float(margins[i, c])
 
     boundary_worst = 0.0
     n = len(outcome.rho)
@@ -153,7 +153,7 @@ def check_strategy_proof(
         passed=worst >= -SP_TOL,
         worst_margin=worst,
         worst_true=float(lattice[i]),
-        worst_declared=float(lattice[j]),
+        worst_declared=float(lattice[first[c]]),
         boundary_worst_abs=boundary_worst,
         grid=grid,
     )

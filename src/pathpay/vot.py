@@ -5,10 +5,14 @@ below a VOT, the quantile (inverse cdf) of a mass, and the split of the
 subscriber population into equal-width VOT classes with per-class demand and
 mean VOT.
 
-Continuous kinds (``uniform``, ``triangular``, ``piecewise_linear``) share a
-single representation: a piecewise-linear pdf given by knot positions and
-densities. ``empirical`` distributions interpolate the cdf of a finite
-sample instead.
+Every kind shares one representation: a piecewise-linear pdf given by knot
+positions, the density at the knots, the cdf at the knots and one density
+slope per segment. ``uniform``, ``triangular`` and ``piecewise_linear``
+densities are continuous. An ``empirical`` sample becomes the density whose
+cdf runs linearly between the distinct sample values: its segments are flat
+(slope 0) and each knot holds the density of the segment to its right. The
+queries are array formulas over this representation; only the mean and the
+class table of an empirical distribution come from the sample itself.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ import numpy as np
 from .network import integer_field, number_field, numbers_field
 
 DEFAULT_CLASS_COUNT = 100
+# largest accepted class count: payments are stable by M = 50-200, and the
+# class table and class-by-path flows are M-long and M x paths arrays
+MAX_CLASS_COUNT = 10_000
 
 VOT_KINDS = ("uniform", "triangular", "piecewise_linear", "empirical")
 
@@ -48,6 +55,7 @@ class VotDistribution:
     knots: np.ndarray = field(repr=False)       # pdf knot positions
     density: np.ndarray = field(repr=False)     # pdf values at knots
     cum: np.ndarray = field(repr=False)         # cdf values at knots
+    slope: np.ndarray = field(repr=False)       # pdf slope on each segment
     samples: np.ndarray | None = field(default=None, repr=False)
 
     # -- constructors ------------------------------------------------------
@@ -88,39 +96,18 @@ class VotDistribution:
         if s[0] < lo or s[-1] > hi:
             raise VotError("samples must lie within the support")
         # continuous cdf through (distinct sample value, cumulative share)
-        values, counts = np.unique(s, return_counts=True)
-        xs = [lo]
-        cs = [0.0]
-        running = 0
-        for v, c in zip(values, counts):
-            running += int(c)
-            if v == xs[-1]:
-                cs[-1] = running / s.size
-            else:
-                xs.append(float(v))
-                cs.append(running / s.size)
-        if xs[-1] < hi:
-            xs.append(hi)
-            cs.append(1.0)
-        cs[-1] = 1.0
-        knots = np.asarray(xs)
-        cum = np.asarray(cs)
-        widths = np.diff(knots)
-        dens = np.zeros_like(knots)
-        if widths.size:
-            seg = np.diff(cum) / widths
-            # mid-knot density is not used for empirical queries; keep the
-            # left-segment value so pdf() still integrates to one
-            dens[:-1] = seg
-            dens[-1] = seg[-1]
-        return cls(
-            kind="empirical",
-            support=(lo, hi),
-            knots=knots,
-            density=dens,
-            cum=cum,
-            samples=s,
-        )
+        knots, counts = np.unique(s, return_counts=True)
+        cum = np.cumsum(counts) / s.size
+        if knots[0] > lo:
+            knots, cum = np.r_[lo, knots], np.r_[0.0, cum]
+        if knots[-1] < hi:
+            knots, cum = np.r_[knots, hi], np.r_[cum, 1.0]
+        cum[-1] = 1.0
+        with np.errstate(over="ignore"):  # _build rejects an overflow
+            seg = np.diff(cum) / np.diff(knots)
+        # the last knot repeats the last segment's density, so pdf() still
+        # integrates to one
+        return cls._build("empirical", knots, np.r_[seg, seg[-1]], cum, np.zeros_like(seg), s)
 
     @classmethod
     def _from_pdf_knots(cls, kind, knots, density) -> VotDistribution:
@@ -138,48 +125,48 @@ class VotDistribution:
         total = float(seg_mass.sum())
         if total <= 0:
             raise VotError("density must have positive total mass")
-        p = p / total
+        with np.errstate(over="ignore", invalid="ignore"):  # _build rejects an overflow
+            p = p / total
+            slope = np.diff(p) / np.diff(x)
         cum = np.concatenate([[0.0], np.cumsum(seg_mass / total)])
         cum[-1] = 1.0
+        return cls._build(kind, x, p, cum, slope)
+
+    @classmethod
+    def _build(cls, kind, knots, density, cum, slope, samples=None) -> VotDistribution:
+        if not (np.all(np.isfinite(density)) and np.all(np.isfinite(slope))):
+            raise VotError("density overflows: knots or samples are too close together")
         return cls(
             kind=kind,
-            support=(float(x[0]), float(x[-1])),
-            knots=x,
-            density=p,
+            support=(float(knots[0]), float(knots[-1])),
+            knots=knots,
+            density=density,
             cum=cum,
+            slope=slope,
+            samples=samples,
         )
 
     # -- queries -----------------------------------------------------------
 
+    def _locate(self, x):
+        """Segment of each x and its offset into it, clipped to the segment."""
+        k = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, self.knots.size - 2)
+        x0 = self.knots[k]
+        return k, np.clip(x - x0, 0.0, self.knots[k + 1] - x0)
+
     def pdf(self, b):
         """Density at b ($/hour), zero outside the support."""
         x = np.asarray(b, dtype=float)
-        lo, hi = self.support
-        idx = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, len(self.knots) - 2)
-        x0 = self.knots[idx]
-        w = self.knots[idx + 1] - x0
-        if self.kind == "empirical":
-            val = self.density[idx]
-        else:
-            slope = (self.density[idx + 1] - self.density[idx]) / w
-            val = self.density[idx] + slope * (x - x0)
-        val = np.where((x < lo) | (x > hi), 0.0, val)
+        k, dx = self._locate(x)
+        val = self.density[k] + self.slope[k] * dx
+        val = np.where((x < self.support[0]) | (x > self.support[1]), 0.0, val)
         return val if val.ndim else float(val)
 
     def cdf(self, b):
         """P(VOT <= b); 0 below the support and 1 above it."""
         x = np.asarray(b, dtype=float)
-        if self.kind == "empirical":
-            val = np.interp(x, self.knots, self.cum)
-        else:
-            idx = np.clip(
-                np.searchsorted(self.knots, x, side="right") - 1, 0, len(self.knots) - 2
-            )
-            x0 = self.knots[idx]
-            w = self.knots[idx + 1] - x0
-            slope = (self.density[idx + 1] - self.density[idx]) / w
-            dx = np.clip(x - x0, 0.0, w)
-            val = self.cum[idx] + self.density[idx] * dx + 0.5 * slope * dx * dx
+        k, dx = self._locate(x)
+        val = self.cum[k] + self.density[k] * dx + 0.5 * self.slope[k] * dx * dx
         val = np.clip(val, 0.0, 1.0)
         val = np.where(x <= self.support[0], 0.0, val)
         val = np.where(x >= self.support[1], 1.0, val)
@@ -191,63 +178,45 @@ class VotDistribution:
         ``inverse_cdf(0)`` is the support minimum and ``inverse_cdf(1)`` the
         support maximum.
         """
-        arr = np.asarray(u, dtype=float)
-        out = np.empty_like(arr)
-        for pos, val in np.ndenumerate(arr):
-            out[pos] = self._inverse_cdf_scalar(float(val))
-        return out if arr.ndim else float(out)
-
-    def _inverse_cdf_scalar(self, u: float) -> float:
-        if not 0.0 <= u <= 1.0:
+        u = np.asarray(u, dtype=float)
+        if not np.all((u >= 0.0) & (u <= 1.0)):
             raise VotError("inverse_cdf argument must lie in [0, 1]")
-        lo, hi = self.support
-        if u == 0.0:
-            return lo
-        if u == 1.0:
-            return hi
-        k = int(np.searchsorted(self.cum, u, side="left")) - 1
-        k = max(k, 0)
+        k = np.maximum(np.searchsorted(self.cum, u, side="left") - 1, 0)
         x0 = self.knots[k]
-        w = self.knots[k + 1] - x0
         delta = u - self.cum[k]
-        if self.kind == "empirical":
-            rise = self.cum[k + 1] - self.cum[k]
-            return float(x0 + delta / rise * w)
         p0 = self.density[k]
-        slope = (self.density[k + 1] - p0) / w
-        disc = p0 * p0 + 2.0 * slope * delta
-        root = np.sqrt(max(disc, 0.0))
-        denom = p0 + root
-        dx = w if denom <= 0 else 2.0 * delta / denom
-        return float(x0 + min(dx, w))
+        # root of p0*dx + slope*dx^2/2 = delta, in the form that stays exact
+        # as the slope goes to 0. A mass below the first knot's cdf (a sample
+        # atom at the support minimum) maps to the first knot; where p0*p0
+        # overflows, the segment is narrower than 1/p0 and dx rounds to 0.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            root = np.sqrt(np.maximum(p0 * p0 + 2.0 * self.slope[k] * delta, 0.0))
+            dx = 2.0 * delta / (p0 + root)
+        val = x0 + np.clip(dx, 0.0, self.knots[k + 1] - x0)
+        val = np.where(u == 0.0, self.support[0], np.where(u == 1.0, self.support[1], val))
+        return val if val.ndim else float(val)
 
     def mean(self) -> float:
         if self.kind == "empirical":
             return float(self.samples.mean())
         mass, moment = self._mass_and_moment(*self.support)
-        return moment / mass
+        return float(moment / mass)
 
-    def _mass_and_moment(self, a: float, b: float) -> tuple[float, float]:
-        """Closed-form (integral of pdf, integral of x*pdf) over [a, b]."""
-        mass = 0.0
-        moment = 0.0
-        for k in range(len(self.knots) - 1):
-            x0, x1 = self.knots[k], self.knots[k + 1]
-            lo = max(a, x0)
-            hi = min(b, x1)
-            if hi <= lo:
-                continue
-            p0 = self.density[k]
-            if self.kind == "empirical":
-                slope = 0.0
-            else:
-                slope = (self.density[k + 1] - p0) / (x1 - x0)
-            ta, tb = lo - x0, hi - x0
-            mass += p0 * (tb - ta) + 0.5 * slope * (tb * tb - ta * ta)
-            moment += (
+    def _mass_and_moment(self, a, b):
+        """Closed-form (integral of pdf, integral of x*pdf) over [a, b], for
+        arrays of interval ends a <= b."""
+        mass = moment = 0.0
+        segments = zip(self.knots[:-1], self.knots[1:], self.density[:-1], self.slope)
+        for x0, x1, p0, slope in segments:
+            # an interval outside the segment clips to one of its ends and adds 0
+            ta = np.clip(a, x0, x1) - x0
+            tb = np.clip(b, x0, x1) - x0
+            mass = mass + (p0 * (tb - ta) + 0.5 * slope * (tb * tb - ta * ta))
+            moment = moment + (
                 x0 * p0 * (tb - ta)
                 + (p0 + x0 * slope) * (tb * tb - ta * ta) / 2.0
-                + slope * (tb**3 - ta**3) / 3.0
+                # float_power is the scalar libm pow, which ** on an array is not
+                + slope * (np.float_power(tb, 3) - np.float_power(ta, 3)) / 3.0
             )
         return mass, moment
 
@@ -275,43 +244,40 @@ def discretize(dist: VotDistribution, subscriber_demand: float, M: int) -> VotCl
 
     Class demand comes from the cdf mass of each interval (sample counts for
     empirical distributions); the class mean is the conditional mean of the
-    distribution on the interval, falling back to the interval midpoint for
-    classes of negligible mass.
+    distribution on the interval (the sample mean for empirical ones),
+    falling back to the interval midpoint for classes of negligible mass.
     """
-    if M < 1:
-        raise VotError("class count M must be >= 1")
+    check_class_count(M)
     if subscriber_demand < 0:
         raise VotError("subscriber demand must be non-negative")
     lo, hi = dist.support
     boundaries = lo + (hi - lo) * np.arange(M + 1) / M
     boundaries[-1] = hi
 
-    masses = np.empty(M)
-    means = np.empty(M)
     if dist.kind == "empirical":
-        width = (hi - lo) / M
-        bins = np.minimum(((dist.samples - lo) / width).astype(int), M - 1)
-        counts = np.bincount(bins, minlength=M)
-        masses[:] = counts / dist.samples.size
-        for m in range(M):
-            if counts[m]:
-                means[m] = dist.samples[bins == m].mean()
-            else:
-                means[m] = 0.5 * (boundaries[m] + boundaries[m + 1])
+        bins = np.minimum(((dist.samples - lo) / ((hi - lo) / M)).astype(int), M - 1)
+        mass = np.bincount(bins, minlength=M) / dist.samples.size
+        moment = np.bincount(bins, weights=dist.samples, minlength=M) / dist.samples.size
     else:
-        for m in range(M):
-            a, b = boundaries[m], boundaries[m + 1]
-            mass, moment = dist._mass_and_moment(a, b)
-            masses[m] = mass
-            means[m] = moment / mass if mass >= _EMPTY_CLASS_MASS else 0.5 * (a + b)
-    masses = np.clip(masses, 0.0, None)
-
+        mass, moment = dist._mass_and_moment(boundaries[:-1], boundaries[1:])
+    means = np.divide(
+        moment, mass,
+        out=0.5 * (boundaries[:-1] + boundaries[1:]),
+        where=mass >= _EMPTY_CLASS_MASS,
+    )
     return VotClassTable(
         M=M,
         boundaries=boundaries,
-        class_demand=subscriber_demand * masses,
+        class_demand=subscriber_demand * np.clip(mass, 0.0, None),
         class_mean=means,
     )
+
+
+def check_class_count(M: int, name: str = "M") -> None:
+    """Reject a class count outside [1, MAX_CLASS_COUNT]; ``name`` is the
+    field or flag it came from."""
+    if not 1 <= M <= MAX_CLASS_COUNT:
+        raise VotError(f"{name} must be an integer in [1, {MAX_CLASS_COUNT}]")
 
 
 def parse_vot(text: str) -> tuple[VotDistribution, int]:
@@ -323,7 +289,7 @@ def parse_vot(text: str) -> tuple[VotDistribution, int]:
           "kind": "uniform" | "triangular" | "piecewise_linear" | "empirical",
           "support": [lo, hi],
           "params": {...},       # per kind, see below
-          "M": 100               # optional, defaults to 100
+          "M": 100               # optional, defaults to 100, at most 10 000
         }
 
     ``params`` holds ``{}`` for uniform, ``{"mode": m}`` for triangular,
@@ -374,8 +340,7 @@ def parse_vot(text: str) -> tuple[VotDistribution, int]:
         dist = VotDistribution.empirical(samples, support=(lo, hi))
 
     M = integer_field(raw.get("M", DEFAULT_CLASS_COUNT), "M", VotError)
-    if M < 1:
-        raise VotError("M must be a positive integer")
+    check_class_count(M)
     return dist, M
 
 

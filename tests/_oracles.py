@@ -2,16 +2,18 @@
 
 Each one solves a problem the package also solves, by a slower and more
 direct route: the class-by-path subscriber LP in full, the sort-and-fill
-coupling as a loop, an exhaustive lattice search, and the O(n^2) payment
-sums.
+coupling as a loop, an exhaustive lattice search, the O(n^2) payment sums,
+the strategy-proofness search over every (true, declared) lattice pair, and
+the VOT quantile and class table as per-point and per-class loops.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from pathpay.scheme import MINUTES_PER_HOUR
+from pathpay.scheme import MINUTES_PER_HOUR, vot_ranks
 from pathpay.simplex import StandardLp
+from pathpay.vot import VotError
 
 
 class OracleError(ValueError):
@@ -159,3 +161,105 @@ def brute_force_lp_oracle(classes, subscriber_path_totals, times, step) -> float
     if not np.isfinite(best):
         raise OracleError("lattice infeasible at given step")
     return float(best)
+
+
+def lattice_strategy_proof(outcome, grid):
+    """(worst margin, its true VOT, its declared VOT) of the misreport search
+    over the full lattice x lattice cost matrix, first occurrence in row-major
+    order on ties."""
+    lo, hi = outcome.support
+    lattice = np.unique(np.concatenate([np.linspace(lo, hi, grid), outcome.partition]))
+    ranks = vot_ranks(outcome, lattice)
+    times = outcome.sorted_times[ranks]
+    pays = outcome.payments[ranks]
+    hours = lattice / MINUTES_PER_HOUR
+    cost = hours[:, None] * times[None, :] + pays[None, :]
+    truthful = hours * times + pays
+    margins = cost - truthful[:, None]
+    i, j = divmod(int(np.argmin(margins)), margins.shape[1])
+    return float(margins[i, j]), float(lattice[i]), float(lattice[j])
+
+
+def scalar_inverse_cdf(dist, u: float) -> float:
+    """Quantile of one mass by the per-kind formulas: linear interpolation of
+    the cdf for an empirical distribution, the root of the segment's
+    quadratic cdf otherwise.
+
+    A mass at or below the cdf of the first knot (a sample atom at the
+    support minimum) maps to the support minimum: the smallest b with
+    cdf(b) >= u does not exist there, and the support minimum is its infimum.
+    """
+    if not 0.0 <= u <= 1.0:
+        raise VotError("inverse_cdf argument must lie in [0, 1]")
+    lo, hi = dist.support
+    if u == 0.0:
+        return lo
+    if u == 1.0:
+        return hi
+    k = int(np.searchsorted(dist.cum, u, side="left")) - 1
+    if k < 0:
+        return lo
+    x0 = dist.knots[k]
+    w = dist.knots[k + 1] - x0
+    delta = u - dist.cum[k]
+    if dist.kind == "empirical":
+        rise = dist.cum[k + 1] - dist.cum[k]
+        return float(x0 + delta / rise * w)
+    p0 = dist.density[k]
+    slope = (dist.density[k + 1] - p0) / w
+    disc = p0 * p0 + 2.0 * slope * delta
+    root = np.sqrt(max(disc, 0.0))
+    denom = p0 + root
+    dx = w if denom <= 0 else 2.0 * delta / denom
+    return float(x0 + min(dx, w))
+
+
+def loop_mass_and_moment(dist, a: float, b: float) -> tuple[float, float]:
+    """(integral of pdf, integral of x*pdf) over [a, b], one knot segment at
+    a time."""
+    mass = 0.0
+    moment = 0.0
+    for k in range(len(dist.knots) - 1):
+        x0, x1 = dist.knots[k], dist.knots[k + 1]
+        lo = max(a, x0)
+        hi = min(b, x1)
+        if hi <= lo:
+            continue
+        p0 = dist.density[k]
+        if dist.kind == "empirical":
+            slope = 0.0
+        else:
+            slope = (dist.density[k + 1] - p0) / (x1 - x0)
+        ta, tb = lo - x0, hi - x0
+        mass += p0 * (tb - ta) + 0.5 * slope * (tb * tb - ta * ta)
+        moment += (
+            x0 * p0 * (tb - ta)
+            + (p0 + x0 * slope) * (tb * tb - ta * ta) / 2.0
+            + slope * (tb**3 - ta**3) / 3.0
+        )
+    return mass, moment
+
+
+def loop_discretize(dist, subscriber_demand: float, M: int):
+    """(class demands, class means) of M equal-width classes, one class at a
+    time: sample counts and sample means for an empirical distribution,
+    ``loop_mass_and_moment`` otherwise, the midpoint for an empty class."""
+    lo, hi = dist.support
+    boundaries = lo + (hi - lo) * np.arange(M + 1) / M
+    boundaries[-1] = hi
+    masses = np.empty(M)
+    means = np.empty(M)
+    if dist.kind == "empirical":
+        bins = np.minimum(((dist.samples - lo) / ((hi - lo) / M)).astype(int), M - 1)
+        for m in range(M):
+            members = dist.samples[bins == m]
+            masses[m] = members.size / dist.samples.size
+            midpoint = 0.5 * (boundaries[m] + boundaries[m + 1])
+            means[m] = members.mean() if members.size else midpoint
+    else:
+        for m in range(M):
+            a, b = boundaries[m], boundaries[m + 1]
+            mass, moment = loop_mass_and_moment(dist, a, b)
+            masses[m] = mass
+            means[m] = moment / mass if mass >= 1e-12 else 0.5 * (a + b)
+    return subscriber_demand * np.clip(masses, 0.0, None), means

@@ -140,6 +140,7 @@ class TestInputBoundary:
             ("vot", ["params", "knots", 1], "x", "params.knots[1]"),
             ("vot", ["params", "density"], 1.0, "params.density"),
             ("vot", ["support"], [0, 1e308], "support"),
+            ("vot", ["M"], 10**12, "M"),
         ],
     )
     def test_bad_field_named(self, tmp_path, capsys, file, path, value, field):
@@ -155,6 +156,30 @@ class TestInputBoundary:
                     "--vot", str(inputs["vot"]), "--out", str(tmp_path / "o")]) == 1
         assert f"error: {field} must be" in single_error_line(capsys)
 
+
+    @pytest.mark.parametrize("classes", ["0", "10001", "1000000000"])
+    def test_class_flag_bounded(self, tmp_path, capsys, classes):
+        start = time.perf_counter()
+        assert run(["scheme", "--network", NETWORK, "--vot", VOT, "--classes", classes,
+                    "--out", str(tmp_path / "o")]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert single_error_line(capsys).startswith("error: --classes must be")
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"samples": [0.0, 1e-323, 45.0]},
+            {"knots": [0.0, 1e-310], "density": [1.0, 2.0]},
+        ],
+    )
+    def test_density_overflow_is_one_error_line(self, tmp_path, capsys, params):
+        kind = "empirical" if "samples" in params else "piecewise_linear"
+        support = [0.0, 45.0] if "samples" in params else params["knots"]
+        vot = tmp_path / "vot.json"
+        vot.write_text(json.dumps({"kind": kind, "support": support, "params": params}))
+        assert run(["scheme", "--network", NETWORK, "--vot", str(vot),
+                    "--out", str(tmp_path / "o")]) == 1
+        assert "too close together" in single_error_line(capsys)
 
     def test_failed_verification_is_one_error_line(self, tmp_path, capsys):
         # path times near 1e300 leave the misreport margins to rounding

@@ -8,6 +8,7 @@ from _oracles import (
     OracleError,
     brute_force_lp_oracle,
     greedy_weighted_cost,
+    lattice_strategy_proof,
     loop_payments,
 )
 from pathpay import (
@@ -61,6 +62,24 @@ class TestStrategyProof:
             result = run_scheme(random_network(rng), random_vot(rng), 12)
             check = check_strategy_proof(result.outcome, grid=101)
             assert check.passed, check
+
+
+    def test_matches_lattice_search(self, demo_run):
+        rng = np.random.default_rng(17)
+        outcomes = [demo_run.outcome]
+        for _ in range(20):
+            net, dist = random_network(rng), random_vot(rng)
+            outcomes.append(run_scheme(net, dist, int(rng.integers(1, 40))).outcome)
+        # noisy payments make lying pay, so the worst pair is strict somewhere
+        outcomes += [
+            replace(o, payments=o.payments + rng.normal(0.0, 0.5, o.payments.size))
+            for o in outcomes
+        ]
+        for grid in (2, 7, 201):
+            for o in outcomes:
+                check = check_strategy_proof(o, grid=grid)
+                got = (check.worst_margin, check.worst_true, check.worst_declared)
+                assert got == lattice_strategy_proof(o, grid)
 
 
 class TestRevenueNeutral:

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, strategies as st
 
+from _oracles import loop_discretize, scalar_inverse_cdf
 from pathpay import VotDistribution, VotError, discretize, parse_vot
+from pathpay.vot import MAX_CLASS_COUNT
 
 
 def dist_strategy():
@@ -30,6 +32,39 @@ def _build_pl(args):
     n = min(len(dens), len(widths) + 1)
     knots = lo + np.concatenate([[0.0], np.cumsum(widths[: n - 1])])
     return VotDistribution.piecewise_linear(knots, dens[:n])
+
+
+@st.composite
+def any_dist(draw):
+    """A distribution of any of the four kinds: triangular modes at the
+    support ends, piecewise-linear densities with zero knots, and empirical
+    samples with ties and samples on the support ends."""
+    lo = draw(st.one_of(st.just(0.0), st.floats(0.5, 20.0)))
+    width = draw(st.floats(1.0, 60.0))
+    hi = lo + width
+    kind = draw(st.sampled_from(["uniform", "triangular", "piecewise_linear", "empirical"]))
+    frac = st.one_of(st.sampled_from([0.0, 1.0]), st.integers(0, 8).map(lambda i: i / 8),
+                     st.floats(0.0, 1.0))
+    try:
+        if kind == "uniform":
+            return VotDistribution.uniform(lo, hi)
+        if kind == "triangular":
+            return VotDistribution.triangular(lo, min(lo + draw(frac) * width, hi), hi)
+        if kind == "piecewise_linear":
+            inner = draw(st.lists(st.integers(1, 99), max_size=5, unique=True))
+            knots = lo + width * np.array([0.0, *sorted(inner), 100.0]) / 100.0
+            dens = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
+                                 min_size=knots.size, max_size=knots.size))
+            if not any(dens):
+                dens[0] = 1.0
+            return VotDistribution.piecewise_linear(knots, dens)
+        samples = lo + width * np.array(draw(st.lists(frac, min_size=1, max_size=40)))
+        return VotDistribution.empirical(np.minimum(samples, hi), support=(lo, hi))
+    except VotError as exc:
+        # a mode or samples a subnormal apart (test_density_overflow_rejected)
+        if "too close together" not in str(exc):
+            raise
+        reject()
 
 
 class TestCdf:
@@ -97,6 +132,37 @@ class TestInverseCdf:
                 a = mid
         assert dist.inverse_cdf(u) == pytest.approx(b, abs=1e-8 * (hi - lo))
 
+    def test_array_with_one_bad_entry_raises(self, demo_vot):
+        dist, _ = demo_vot
+        for bad in (-0.01, 1.01, np.nan):
+            with pytest.raises(VotError):
+                dist.inverse_cdf(np.array([[0.2, 0.5], [bad, 0.9]]))
+
+    def test_scalar_in_scalar_out(self, demo_vot):
+        dist, _ = demo_vot
+        assert type(dist.inverse_cdf(0.3)) is float
+        assert dist.inverse_cdf([0.3]).shape == (1,)
+
+
+class TestOracles:
+    """The array queries against per-point and per-class loops."""
+
+    @given(dist=any_dist(), extra=st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_inverse_cdf_matches_scalar(self, dist, extra):
+        # interior knot cdf values may round to just above 1
+        u = np.array([0.0, 1.0, *np.minimum(dist.cum, 1.0), *extra])
+        expected = [scalar_inverse_cdf(dist, float(v)) for v in u]
+        lo, hi = dist.support
+        assert dist.inverse_cdf(u) == pytest.approx(expected, rel=0, abs=1e-9 * (hi - lo))
+
+    @given(dist=any_dist(), M=st.integers(1, 400))
+    def test_discretize_matches_loop(self, dist, M):
+        table = discretize(dist, 800.0, M)
+        demand, mean = loop_discretize(dist, 800.0, M)
+        lo, hi = dist.support
+        assert table.class_demand == pytest.approx(demand, rel=0, abs=1e-12 * 800.0)
+        assert table.class_mean == pytest.approx(mean, rel=0, abs=1e-9 * (hi - lo))
+
 
 class TestDiscretize:
     def test_uniform_split(self):
@@ -150,6 +216,8 @@ class TestDiscretize:
             discretize(dist, 10.0, 0)
         with pytest.raises(VotError):
             discretize(dist, -1.0, 4)
+        with pytest.raises(VotError, match="M must be"):
+            discretize(dist, 10.0, MAX_CLASS_COUNT + 1)
 
     @given(dist=dist_strategy(), M=st.integers(1, 40))
     def test_mass_weighted_means_reconstruct_mean(self, dist, M):
@@ -193,6 +261,19 @@ class TestEmpirical:
         for u in (0.1, 0.4, 0.75, 0.99):
             assert d.cdf(d.inverse_cdf(u)) == pytest.approx(u, abs=1e-12)
 
+    def test_atom_at_support_minimum(self):
+        # two of three samples sit on the support minimum: masses up to 2/3
+        # have no smallest quantile and map to the minimum, not below it
+        d = VotDistribution.empirical([0.0, 0.0, 1.0], support=(0.0, 1.0))
+        assert d.inverse_cdf([0.5, 2 / 3]).tolist() == [0.0, 0.0]
+        assert d.inverse_cdf(5 / 6) == pytest.approx(0.5, abs=1e-12)
+        all_at_minimum = VotDistribution.empirical([0.0], support=(0.0, 1.0))
+        assert all_at_minimum.inverse_cdf(0.5) == 0.0
+
+    def test_density_overflow_rejected(self):
+        with pytest.raises(VotError, match="too close together"):
+            VotDistribution.empirical([0.0, 5e-324, 1.0], support=(0.0, 1.0))
+
 
 class TestParse:
     def test_parse_fixture(self, demo_vot):
@@ -231,6 +312,10 @@ class TestParse:
         with pytest.raises(VotError):
             parse_vot(
                 '{"kind": "uniform", "support": [0.0, 1.0], "params": {}, "M": 0}'
+            )
+        with pytest.raises(VotError, match="M must be an integer in"):
+            parse_vot(
+                '{"kind": "uniform", "support": [0.0, 1.0], "params": {}, "M": 10001}'
             )
 
     def test_bad_distributions(self):
