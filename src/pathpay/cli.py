@@ -39,6 +39,9 @@ from .verify import check_pareto, run_verification
 from .vot import check_class_count, parse_vot
 
 DEFAULT_REPORT_GRID = 401
+# the largest --grid: the misreport lattice and the report grid hold a few
+# float arrays of this many points
+MAX_GRID = 100_000
 
 
 # -- deterministic JSON ------------------------------------------------------
@@ -107,6 +110,12 @@ def _run_scheme(args):
     return net, run_scheme(net, dist, M, tol=args.tol)
 
 
+def _check_grid(grid: int) -> None:
+    """Refuse a ``--grid`` outside ``[2, MAX_GRID]`` before any solve."""
+    if not 2 <= grid <= MAX_GRID:
+        raise ValueError(f"--grid must be an integer in [2, {MAX_GRID}]")
+
+
 def _row(label: str, cells, width: int = 12) -> str:
     return label.ljust(16) + "".join(str(c).rjust(width) for c in cells)
 
@@ -165,6 +174,7 @@ def _solution_dict(sol, net) -> dict:
 
 
 def cmd_scheme(args) -> int:
+    _check_grid(args.grid)
     net, result = _run_scheme(args)
     outcome = result.outcome
     paths = result.paths
@@ -238,6 +248,7 @@ def cmd_scheme(args) -> int:
 
 
 def cmd_improvement(args) -> int:
+    _check_grid(args.grid)
     _, result = _run_scheme(args)
     report = cost_report(result.outcome, result.ue, args.grid)
 

@@ -12,10 +12,13 @@ zigzags sublinearly; that argument needs the line search to be exact.
 
 The line search works in link space: a path direction moves the link flows
 along ``delta = incidence @ direction``, so the directional derivative at
-step ``a`` is ``delta @ gradient(q + a*delta)``, one vectorized cost
-evaluation and no path-space product. Its root is bracketed in the feasible
-step interval and found by regula falsi with the Anderson-Bjorck
-modification, whose first step is already exact when the costs are linear.
+step ``a`` is ``delta @ gradient(q + a*delta)`` and its derivative
+``delta**2 @ curvature(q + a*delta)``. Each trial point, like each iterate,
+is one pass over the compiled link costs (``Network.link_objective``) that
+returns the objective's value, link gradient and link curvature together.
+The root of the directional derivative is found by Newton steps kept inside
+a bracket of the feasible step interval; the first step is already exact
+when the costs are linear.
 
 Everything is deterministic: ties break toward the lowest path index, so
 rerunning a solve reproduces bit-identical flows.
@@ -51,6 +54,9 @@ class FlowSolution:
 
     ``total_time`` is ``sum q_a t_a(q_a)`` in flow-minutes; ``ue_time`` is
     the common travel time of used paths and is only set for the UE regime.
+    ``cost_passes`` counts the solver's passes over the link costs, one per
+    iterate and one per line-search trial point (a diagnostic that the
+    output files leave out).
     """
 
     regime: str
@@ -61,6 +67,7 @@ class FlowSolution:
     demand: float
     relative_gap: float
     iterations: int
+    cost_passes: int = 0
     ue_time: float | None = None
 
 
@@ -71,13 +78,7 @@ def solve_so(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> FlowSolution:
     """Minimize total system travel time; link flows are unique by convexity."""
-
-    def objective(q):
-        return float(q @ net.link_times(q))
-
-    f, q, gap, iters = _frank_wolfe(
-        net, paths, objective, net.link_marginals, tol, max_iter
-    )
+    f, q, gap, iters, passes = _frank_wolfe(net, paths, "SO", tol, max_iter)
     times = net.link_times(q)
     return FlowSolution(
         regime="SO",
@@ -88,6 +89,7 @@ def solve_so(
         demand=net.demand,
         relative_gap=gap,
         iterations=iters,
+        cost_passes=passes,
     )
 
 
@@ -98,13 +100,7 @@ def solve_ue(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> FlowSolution:
     """Minimize the Beckmann potential; used paths share one travel time."""
-
-    def objective(q):
-        return float(net.link_integrals(q).sum())
-
-    f, q, gap, iters = _frank_wolfe(
-        net, paths, objective, net.link_times, tol, max_iter
-    )
+    f, q, gap, iters, passes = _frank_wolfe(net, paths, "UE", tol, max_iter)
     times = net.link_times(q)
     total = float(q @ times)
     if net.demand > 0:
@@ -120,6 +116,7 @@ def solve_ue(
         demand=net.demand,
         relative_gap=gap,
         iterations=iters,
+        cost_passes=passes,
         ue_time=ue_time,
     )
 
@@ -133,7 +130,9 @@ def average_time(sol: FlowSolution) -> float:
 
 # overflow is detected from the iterates, so numpy need not warn about it
 @np.errstate(over="ignore", invalid="ignore")
-def _frank_wolfe(net, paths, objective, gradient, tol, max_iter):
+def _frank_wolfe(net, paths, regime, tol, max_iter):
+    """Path flows, link flows, relative gap, iterations and cost passes of
+    the ``regime`` ("SO" or "UE") optimum."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = net.demand
@@ -141,21 +140,29 @@ def _frank_wolfe(net, paths, objective, gradient, tol, max_iter):
     n_paths = len(paths)
     if d == 0:
         q = np.zeros(len(net.links))
-        return np.zeros(n_paths), q, 0.0, 0
+        return np.zeros(n_paths), q, 0.0, 0, 0
+
+    passes = 0
+
+    def cost_pass(q):
+        nonlocal passes
+        passes += 1
+        return net.link_objective(q, regime)
 
     # all-or-nothing start on the cheapest empty-network path
-    start_costs = incidence.T @ gradient(np.zeros(len(net.links)))
+    _, gradient, _ = cost_pass(np.zeros(len(net.links)))
     f = np.zeros(n_paths)
-    f[int(np.argmin(start_costs))] = d
+    f[int(np.argmin(incidence.T @ gradient))] = d
 
     gap_rel = np.inf
     for iteration in range(1, max_iter + 1):
+        # f is clipped at zero, so the link flows are non-negative
         q = incidence @ f
-        path_costs = incidence.T @ gradient(q)
+        value, gradient, curvature = cost_pass(q)
+        path_costs = incidence.T @ gradient
         cheapest = int(np.argmin(path_costs))
         carried = float(path_costs @ f)
         fw_gap = carried - d * path_costs[cheapest]
-        value = objective(q)
         # a non-finite path cost reaches fw_gap through path_costs @ f,
         # since 0 * inf is nan
         if not (math.isfinite(value) and math.isfinite(fw_gap)):
@@ -168,7 +175,7 @@ def _frank_wolfe(net, paths, objective, gradient, tol, max_iter):
         scale = max(abs(value), np.finfo(float).tiny)
         gap_rel = fw_gap / scale
         if gap_rel <= tol and _certificate_ok(f, path_costs, d, tol):
-            return f, q, gap_rel, iteration - 1
+            return f, q, gap_rel, iteration - 1, passes
 
         active = np.flatnonzero(f > 0)
         worst = int(active[np.argmax(path_costs[active])])
@@ -184,8 +191,15 @@ def _frank_wolfe(net, paths, objective, gradient, tol, max_iter):
             denom = d - f[worst]
             step_max = f[worst] / denom if denom > 0 else 0.0
 
+        delta = incidence @ direction
         step = _line_search(
-            gradient, q, incidence @ direction, float(path_costs @ direction), step_max
+            cost_pass,
+            q,
+            delta,
+            float(path_costs @ direction),
+            float((delta * delta) @ curvature),
+            step_max,
+            net.linear_costs,
         )
         f = f + step * direction
         np.maximum(f, 0.0, out=f)
@@ -209,42 +223,57 @@ def _certificate_ok(f, path_costs, d, tol) -> bool:
     return excess <= tol * (1.0 + abs(cheapest))
 
 
-def _line_search(gradient, q, delta, slope0, step_max):
+def _line_search(cost_pass, q, delta, slope0, curve0, step_max, affine):
     """Exact line search along the link direction ``delta`` from flows ``q``.
 
     Returns the step in ``[0, step_max]`` where the directional derivative
-    ``slope(a) = delta @ gradient(q + a*delta)``, non-decreasing for a convex
-    objective, changes sign; ``slope0`` is its value at 0. Regula falsi
-    keeps the root bracketed. The Anderson-Bjorck modification scales down
-    the slope kept at the end that stays put, so that end is released
-    within a few steps, as in the Illinois method but with fewer
-    evaluations on curved costs. The search stops when the bracket is
-    ``_STEP_RESOLUTION * step_max`` wide, when the slope is exactly zero, or
-    when the interpolated root rounds onto an end of the bracket.
+    ``slope(a) = delta @ gradient(q + a*delta)``, non-decreasing for a
+    convex objective, changes sign; ``slope0`` and ``curve0`` are its value
+    and its derivative ``delta**2 @ curvature`` at 0, and ``cost_pass(q)``
+    returns the objective's value, gradient and curvature at link flows
+    ``q``. When ``affine`` (every link cost is linear) the slope is affine
+    in the step, so the first Newton step is the root and no pass is needed
+    to confirm it.
+
+    Otherwise each step is Newton's from the latest trial point, as long as
+    it stays strictly inside the bracket ``[lo, hi]`` that holds the root
+    and is at most half as long as the step before last. Where it is not,
+    or where the curvature is not finite and positive (as when every link
+    the direction moves is empty and its cost has zero slope there, like a
+    BPR cost of power above 1), the step goes to ``step_max`` while the
+    slope there is unknown, then to the middle of the bracket. The search
+    stops when the slope is exactly zero, or when the Newton step or the
+    bracket is below ``_STEP_RESOLUTION * step_max``.
     """
     if step_max <= 0 or slope0 >= 0:
         return 0.0
-
-    def slope(a):
-        return float(delta @ gradient(np.maximum(q + a * delta, 0.0)))
-
-    lo, hi = 0.0, step_max
-    s_lo, s_hi = slope0, slope(step_max)
-    if s_hi <= 0:
-        return step_max
-    while hi - lo > _STEP_RESOLUTION * step_max:
-        a = lo - s_lo * (hi - lo) / (s_hi - s_lo)
-        if not lo < a < hi:  # the root is within rounding of an end
-            return min(max(a, lo), hi)
-        s = slope(a)
-        if s == 0:
-            return a
-        if s > 0:
-            m = 1.0 - s / s_hi
-            s_lo *= m if m > 0 else 0.5
-            hi, s_hi = a, s
+    if affine:  # slope(a) = slope0 + a * curve0, so Newton's step is the root
+        if slope0 + step_max * curve0 <= 0:
+            return step_max
+        return min(-slope0 / curve0, step_max)
+    resolution = _STEP_RESOLUTION * step_max
+    delta2 = delta * delta
+    lo, hi, hi_known = 0.0, step_max, False
+    a, slope, curve = 0.0, slope0, curve0
+    older = last = math.inf  # lengths of the last two steps
+    while True:
+        newton = a - slope / curve if 0 < curve < math.inf else math.nan
+        if abs(newton - a) <= resolution:
+            return min(max(newton, lo), hi)
+        if lo < newton < hi and 2 * abs(newton - a) <= older:
+            trial = newton
         else:
-            m = 1.0 - s / s_lo
-            s_hi *= m if m > 0 else 0.5
-            lo, s_lo = a, s
-    return 0.5 * (lo + hi)
+            trial = 0.5 * (lo + hi) if hi_known else hi
+        older, last = last, abs(trial - a)
+        _, gradient, curvature = cost_pass(np.maximum(q + trial * delta, 0.0))
+        a, slope, curve = trial, float(delta @ gradient), float(delta2 @ curvature)
+        if slope == 0:
+            return a
+        if slope < 0:
+            if a == step_max:  # still descending at the end
+                return a
+            lo = a
+        else:
+            hi, hi_known = a, True
+        if hi - lo <= resolution:
+            return 0.5 * (lo + hi)

@@ -3,9 +3,10 @@ origin-destination demand record, and exhaustive simple-path enumeration.
 
 Networks are loaded from JSON (see :func:`parse_network` for the schema) and
 are immutable once built, so they can be shared freely between solvers. On
-first use a network compiles its links' cost functions into parameter
-arrays, so link times, marginals and integrals are each a few numpy
-expressions over all links.
+first use a network compiles its links' cost functions into coefficient
+arrays, so link times, marginals and integrals, and a solver's objective
+value, gradient and curvature together, are each one pass of a few numpy
+calls over all links.
 """
 
 from __future__ import annotations
@@ -93,90 +94,125 @@ class LinkCostFn:
 
     def cost(self, flow):
         """Travel time t(q) at the given flow (scalar or array, flow >= 0)."""
-        q = _check_flow(flow)
-        return _shaped(self._arrays.times(q), q)
+        return self._values(flow, _TIME)
 
     def derivative(self, flow):
         """dt/dq at the given flow."""
-        q = _check_flow(flow)
-        return _shaped(self._arrays.slopes(q), q)
+        return self._values(flow, _SLOPE)
 
     def marginal(self, flow):
         """Marginal (system) cost t(q) + q * t'(q); always >= t(q)."""
-        q = _check_flow(flow)
-        return _shaped(self._arrays.marginals(q), q)
+        return self._values(flow, _MARGINAL)
 
     def cost_integral(self, flow):
         """Closed-form integral of t over [0, q]."""
+        return self._values(flow, _INTEGRAL)
+
+    def _values(self, flow, row):
+        """One quantity at the given flows, in their shape; a scalar for a
+        scalar."""
         q = _check_flow(flow)
-        return _shaped(self._arrays.integrals(q), q)
+        return self._arrays.evaluate(np.ravel(q), row).reshape(np.shape(q))[()]
 
 
 @dataclass(frozen=True, eq=False)
 class _CostArrays:
-    """Cost functions compiled into parameter arrays, one column per link.
+    """Cost functions compiled into coefficient arrays, one column per link.
 
-    Every cost is a polynomial part plus a BPR part, and each link zeroes the
-    part its kind does not use: ``coef[k]`` is the coefficient of ``q**k``
-    (all zero on BPR links; a linear cost is the polynomial ``(a0, a1)``) and
-    ``t0`` is zero on polynomial links. The arrays broadcast against the flow,
-    so the same formulas serve one link at many flows (:class:`LinkCostFn`)
-    and every link at one flow each (:class:`Network`).
+    Every cost is a polynomial plus a power term,
+    ``t(q) = sum_k c_k q**k + beta * s**p`` with ``s = q / cap``: a linear
+    cost is the polynomial ``(a0, a1)``, a BPR cost the constant ``t0`` plus
+    ``beta = t0 * alpha``, and ``beta`` is zero on polynomial links. So each
+    quantity below is a sum of per-link coefficients times basis functions
+    of the flow that all quantities share: the powers ``q**j`` for ``j``
+    below the highest degree plus two and, when some link has
+    ``beta > 0``, ``s**(p-1), s**p, s**(p+1)``.
+
+    ==================  =======================  ===============================
+    quantity            coefficient of ``q**j``  power term
+    ==================  =======================  ===============================
+    ``q t``             ``c_(j-1)``              ``beta*cap * s**(p+1)``
+    ``t + q t'``        ``(j+1) c_j``            ``beta*(p+1) * s**p``
+    ``2 t' + q t''``    ``(j+1)(j+2) c_(j+1)``   ``beta*p*(p+1)/cap * s**(p-1)``
+    ``integral of t``   ``c_(j-1) / j``          ``beta*cap/(p+1) * s**(p+1)``
+    ``t``               ``c_j``                  ``beta * s**p``
+    ``t'``              ``(j+1) c_(j+1)``        ``beta*p/cap * s**(p-1)``
+    ==================  =======================  ===============================
+
+    The first three rows are the value terms, gradient and curvature of the
+    system-optimal objective ``sum q t``; the last three those of the
+    Beckmann potential. Every basis function is finite at zero flow, as
+    ``p >= 1``. The arrays broadcast against the flow, so the same
+    evaluation serves one link at many flows (:class:`LinkCostFn`) and every
+    link at one flow each (:class:`Network`).
     """
 
-    coef: np.ndarray
-    slope_coef: np.ndarray
-    integral_coef: np.ndarray
-    t0: np.ndarray
-    cap: np.ndarray
-    alpha: np.ndarray
-    power: np.ndarray
+    coef: np.ndarray  # (quantity, basis function, link)
+    exponents: np.ndarray  # (basis function, link): j, capped per link
+    inv_cap: np.ndarray | None  # None when no link has a power term
+    base_power: np.ndarray | None  # p - 1, for the first power term
 
     @classmethod
     def compile(cls, fns) -> _CostArrays:
-        terms = max((len(fn.params) for fn in fns if fn.kind != "bpr"), default=0)
-        coef = np.zeros((terms, len(fns)))
-        # t0 = 0 drops the BPR part; cap = power = 1 keep its terms finite
-        bpr = np.tile([[0.0], [1.0], [0.0], [1.0]], len(fns))
+        n = len(fns)
+        degree = np.array([0 if fn.kind == "bpr" else len(fn.params) - 1 for fn in fns])
+        J = degree.max() + 2  # q t and its integral have one degree more than t
+        c = np.zeros((J + 1, n))  # c_k, zero-padded so that c_(j+1) exists
+        beta, cap, p = np.zeros(n), np.ones(n), np.ones(n)
         for i, fn in enumerate(fns):
             if fn.kind == "bpr":
-                bpr[:, i] = fn.params
+                t0, cap[i], alpha, p[i] = fn.params
+                c[0, i], beta[i] = t0, t0 * alpha
             else:
-                coef[: len(fn.params), i] = fn.params
-        k = np.arange(terms)[:, None]
-        return cls(coef, (k * coef)[1:], coef / (k + 1), *bpr)
-
-    def times(self, q):
-        return _horner(self.coef, q) + self.t0 * (
-            1.0 + self.alpha * (q / self.cap) ** self.power
+                c[: len(fn.params), i] = fn.params
+        j = np.arange(J)[:, None]
+        # a link's coefficients vanish beyond q**(degree+1), and its basis
+        # stops there too: a power it does not use cannot overflow to inf
+        # and turn its zero coefficient into nan
+        exponents = np.minimum(j, degree + 1).astype(float)
+        below = np.vstack([np.zeros(n), c[: J - 1]])  # c_(j-1)
+        poly = (
+            below,
+            (j + 1) * c[:J],
+            (j + 1) * (j + 2) * c[1:],
+            below / np.maximum(j, 1),
+            c[:J],
+            (j + 1) * c[1:],
         )
-
-    def slopes(self, q):
-        return _horner(self.slope_coef, q) + (
-            self.t0 * self.alpha * self.power * q ** (self.power - 1.0)
-            / self.cap**self.power
+        if not beta.any():
+            return cls(np.stack(poly), exponents, None, None)
+        zero = np.zeros(n)
+        power = (
+            (zero, zero, beta * cap),
+            (zero, beta * (p + 1), zero),
+            (beta * p * (p + 1) / cap, zero, zero),
+            (zero, zero, beta * cap / (p + 1)),
+            (zero, beta, zero),
+            (beta * p / cap, zero, zero),
         )
+        coef = np.stack([np.vstack([a, *b]) for a, b in zip(poly, power)])
+        # s = 0 on links without a power term, for the same reason
+        inv_cap = np.divide(1.0, cap, out=np.zeros(n), where=beta > 0)
+        return cls(coef, exponents, inv_cap, p - 1.0)
 
-    def marginals(self, q):
-        return self.times(q) + q * self.slopes(q)
-
-    def integrals(self, q):
-        return q * _horner(self.integral_coef, q) + self.t0 * (
-            q + self.alpha * q * (q / self.cap) ** self.power / (self.power + 1.0)
-        )
-
-
-def _horner(coef, q):
-    """``sum_k coef[k] * q**k``, coefficients lowest order first."""
-    out = np.zeros(np.shape(q))
-    for c in coef[::-1]:
-        out = out * q + c
-    return out
+    def evaluate(self, q, rows):
+        """The quantities ``rows`` (an index or a slice into the table) at
+        the flows ``q``, a 1-d array."""
+        J = len(self.exponents)
+        basis = np.empty((self.coef.shape[1], q.size))
+        np.power(q, self.exponents, out=basis[:J])
+        if self.base_power is not None:
+            # one power per link, shared by the three power terms
+            s = q * self.inv_cap
+            np.power(s, self.base_power, out=basis[J])
+            np.multiply(basis[J], s, out=basis[J + 1])
+            np.multiply(basis[J + 1], s, out=basis[J + 2])
+        return np.einsum("...bl,bl->...l", self.coef[rows], basis)
 
 
-def _shaped(values, q):
-    """One link's values in the shape of its flow ``q``; a scalar for a scalar."""
-    return values.reshape(np.shape(q))[()]
+# rows of the _CostArrays table
+_MARGINAL, _INTEGRAL, _TIME, _SLOPE = 1, 3, 4, 5
+_OBJECTIVE_ROWS = {"SO": slice(0, 3), "UE": slice(3, 6)}
 
 
 def _check_flow(flow):
@@ -265,18 +301,37 @@ class Network:
     def _costs(self) -> _CostArrays:
         return _CostArrays.compile([ln.cost_fn for ln in self.links])
 
+    @cached_property
+    def linear_costs(self) -> bool:
+        """Whether every link cost is linear in its flow."""
+        return all(
+            ln.cost_fn.kind != "bpr" and len(ln.cost_fn.params) <= 2
+            for ln in self.links
+        )
+
     def link_times(self, link_flows) -> np.ndarray:
         """Per-link travel times at the given flow vector."""
-        return self._costs.times(_check_flow(link_flows))
+        return self._costs.evaluate(_check_flow(link_flows), _TIME)
 
     def link_marginals(self, link_flows) -> np.ndarray:
         """Per-link marginal costs at the given flow vector."""
-        return self._costs.marginals(_check_flow(link_flows))
+        return self._costs.evaluate(_check_flow(link_flows), _MARGINAL)
 
     def link_integrals(self, link_flows) -> np.ndarray:
         """Per-link integrals of travel time over [0, flow]; their sum is the
         Beckmann potential that the user equilibrium minimizes."""
-        return self._costs.integrals(_check_flow(link_flows))
+        return self._costs.evaluate(_check_flow(link_flows), _INTEGRAL)
+
+    def link_objective(self, link_flows, regime: str):
+        """Value, link gradient and link curvature of the ``"SO"`` objective
+        (total time ``sum q t``) or the ``"UE"`` one (the Beckmann potential
+        ``sum integral t``) at the given flow vector, in one pass over the
+        links. For solvers: the flows are not checked, so they must already
+        be non-negative."""
+        terms, gradient, curvature = self._costs.evaluate(
+            link_flows, _OBJECTIVE_ROWS[regime]
+        )
+        return float(terms.sum()), gradient, curvature
 
 
 @dataclass(frozen=True, eq=False)

@@ -135,8 +135,11 @@ def solve_subscriber_lp(
 
     Where the optimal totals are not unique, the result is the basic optimum
     that Bland's rule reaches on the final cut set, with the master's path
-    columns slowest first, then the cut surpluses, then ``z``; so it is a
-    deterministic function of the inputs.
+    columns slowest first, then the cut surpluses, then ``z``, from the
+    simplex's crash basis: the surplus of each cut with a negative
+    right-hand side starts basic in its row, and the link rows and the
+    other cuts start with artificial variables. So it is a deterministic
+    function of the inputs.
     """
     d_sub = net.subscriber_demand
     if d_sub <= 0:

@@ -1,10 +1,14 @@
 """Dense two-phase primal simplex for small equality-form linear programs.
 
-Solves ``min c.x  s.t.  A x = b, x >= 0``. Pivoting follows Bland's rule
-(smallest eligible index enters, smallest-index basic variable leaves on
-ratio ties), which cannot cycle and makes the returned basic solution a
-deterministic function of the input. Redundant equality rows are detected
-and dropped at the end of phase 1.
+Solves ``min c.x  s.t.  A x = b, x >= 0``. Phase 1 starts from a crash
+basis: after rows with a negative right-hand side are negated, a row that
+owns a zero-cost column with a single +1 entry (a slack or surplus column)
+starts with that column basic, and only the other rows get an artificial
+variable. Pivoting follows Bland's rule (smallest eligible index enters,
+smallest-index basic variable leaves on ratio ties), which cannot cycle
+and makes the returned basic solution a deterministic function of the
+input. Redundant equality rows are detected and dropped at the end of
+phase 1.
 
 The tableau is kept dense; problems here have at most a few hundred rows
 and columns.
@@ -67,21 +71,35 @@ def solve_lp(lp: StandardLp) -> LpSolution:
     b_scale = 1.0 + float(np.abs(lp.b).max(initial=0.0))
     feas_tol = 1e-7 * b_scale
 
-    # rows with negative rhs are flipped so the artificial basis is feasible
+    # rows with negative rhs are flipped so the starting basis is feasible
     A = lp.A.copy()
     b = lp.b.copy()
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0
 
-    # phase 1 tableau: [A | I | b], artificial variables n..n+m-1 basic
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    basis = list(range(n, n + m))
-    obj = np.zeros(n + m + 1)
-    obj[:n] = -A.sum(axis=0)
-    obj[-1] = -b.sum()
+    # phase 1 tableau: [A | artificials | b]; a row that owns a zero-cost
+    # column whose one nonzero is +1 starts with that column basic (the
+    # lowest such column), every other row with its own artificial variable
+    slack = np.flatnonzero(
+        (lp.c == 0) & (np.count_nonzero(A, axis=0) == 1) & (A.sum(axis=0) == 1.0)
+    )
+    _, owner = np.nonzero(A[:, slack].T)  # each column's row, in column order
+    rows, first = np.unique(owner, return_index=True)
+    basis = np.full(m, -1)
+    basis[rows] = slack[first]
+    art = np.flatnonzero(basis < 0)
+    basis[art] = n + np.arange(art.size)
+    T = np.zeros((m, n + art.size + 1))
+    T[:, :n] = A
+    T[art, basis[art]] = 1.0
+    basis = basis.tolist()
+    T[:, -1] = b
+    obj = np.zeros(n + art.size + 1)
+    obj[:n] = -A[art].sum(axis=0)
+    obj[-1] = -b[art].sum()
 
-    pivots, _ = _pivot_until_optimal(T, obj, basis, allow_cols=n + m)
+    pivots, _ = _pivot_until_optimal(T, obj, basis, allow_cols=n + art.size)
     phase1_value = -obj[-1]
     if phase1_value > feas_tol:
         return LpSolution(
@@ -141,7 +159,7 @@ def _pivot_until_optimal(T, obj, basis, allow_cols: int) -> tuple[int, bool]:
             return pivots, True
         ratios = T[rows, -1] / col[rows]
         best = ratios.min()
-        tied = rows[np.isclose(ratios, best, rtol=0.0, atol=PIVOT_TOL * (1 + best))]
+        tied = rows[np.abs(ratios - best) <= PIVOT_TOL * (1 + best)]
         leave_row = min(tied, key=lambda i: basis[i])
 
         _pivot(T, obj, basis, leave_row, entering)

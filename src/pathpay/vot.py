@@ -128,7 +128,8 @@ class VotDistribution:
         with np.errstate(over="ignore", invalid="ignore"):  # _build rejects an overflow
             p = p / total
             slope = np.diff(p) / np.diff(x)
-        cum = np.concatenate([[0.0], np.cumsum(seg_mass / total)])
+        # the running sum can round above 1 before the last knot
+        cum = np.minimum(np.concatenate([[0.0], np.cumsum(seg_mass / total)]), 1.0)
         cum[-1] = 1.0
         return cls._build(kind, x, p, cum, slope)
 

@@ -53,6 +53,12 @@ def random_network(rng: np.random.Generator) -> Network:
     )
 
 
+def parallel_network(fns) -> Network:
+    """One link per cost function, all from A to B, with unit demand."""
+    links = tuple(Link(i + 1, "A", "B", fn) for i, fn in enumerate(fns))
+    return Network(("A", "B"), links, "A", "B", demand=1.0, subscriber_demand=0.0)
+
+
 def random_vot(rng: np.random.Generator) -> VotDistribution:
     lo = float(rng.uniform(0.5, 20.0))
     hi = lo + float(rng.uniform(5.0, 40.0))

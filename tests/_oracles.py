@@ -3,8 +3,10 @@
 Each one solves a problem the package also solves, by a slower and more
 direct route: the class-by-path subscriber LP in full, the sort-and-fill
 coupling as a loop, an exhaustive lattice search, the O(n^2) payment sums,
-the strategy-proofness search over every (true, declared) lattice pair, and
-the VOT quantile and class table as per-point and per-class loops.
+the strategy-proofness search over every (true, declared) lattice pair,
+the VOT quantile and class table as per-point and per-class loops, and
+Frank-Wolfe over the public link-cost methods with a regula-falsi line
+search.
 """
 
 from __future__ import annotations
@@ -263,3 +265,90 @@ def loop_discretize(dist, subscriber_demand: float, M: int):
             masses[m] = mass
             means[m] = moment / mass if mass >= 1e-12 else 0.5 * (a + b)
     return subscriber_demand * np.clip(masses, 0.0, None), means
+
+
+def regula_falsi_step(gradient, q, delta, slope0, step_max) -> float:
+    """Exact line search by regula falsi on the directional derivative.
+
+    Returns the step in ``[0, step_max]`` where
+    ``slope(a) = delta @ gradient(q + a*delta)`` changes sign; ``slope0`` is
+    its value at 0. The root stays bracketed; the Anderson-Bjorck
+    modification scales down the slope kept at the end that stays put. The
+    search stops when the bracket is ``2**-50 * step_max`` wide, when the
+    slope is exactly zero, or when the interpolated root rounds onto an end
+    of the bracket.
+    """
+    if step_max <= 0 or slope0 >= 0:
+        return 0.0
+
+    def slope(a):
+        return float(delta @ gradient(np.maximum(q + a * delta, 0.0)))
+
+    lo, hi = 0.0, step_max
+    s_lo, s_hi = slope0, slope(step_max)
+    if s_hi <= 0:
+        return step_max
+    while hi - lo > 2.0**-50 * step_max:
+        a = lo - s_lo * (hi - lo) / (s_hi - s_lo)
+        if not lo < a < hi:  # the root is within rounding of an end
+            return min(max(a, lo), hi)
+        s = slope(a)
+        if s == 0:
+            return a
+        if s > 0:
+            m = 1.0 - s / s_hi
+            s_lo *= m if m > 0 else 0.5
+            hi, s_hi = a, s
+        else:
+            m = 1.0 - s / s_lo
+            s_hi *= m if m > 0 else 0.5
+            lo, s_lo = a, s
+    return 0.5 * (lo + hi)
+
+
+def frank_wolfe_oracle(net, paths, regime, tol=1e-8, max_iter=100_000):
+    """Link flows of the ``regime`` ("SO" or "UE") optimum by Frank-Wolfe
+    with away steps, evaluating costs through the public ``Network``
+    methods (each with its flow check) and stepping by
+    :func:`regula_falsi_step`."""
+    if regime == "SO":
+        gradient = net.link_marginals
+
+        def objective(q):
+            return float(q @ net.link_times(q))
+    else:
+        gradient = net.link_times
+
+        def objective(q):
+            return float(net.link_integrals(q).sum())
+
+    d = net.demand
+    incidence = paths.incidence
+    f = np.zeros(len(paths))
+    f[int(np.argmin(incidence.T @ gradient(np.zeros(len(net.links)))))] = d
+    for _ in range(max_iter):
+        q = incidence @ f
+        costs = incidence.T @ gradient(q)
+        cheapest = int(np.argmin(costs))
+        carried = float(costs @ f)
+        fw_gap = carried - d * costs[cheapest]
+        if fw_gap <= tol * max(abs(objective(q)), np.finfo(float).tiny):
+            return q
+        active = np.flatnonzero(f > 0)
+        worst = int(active[np.argmax(costs[active])])
+        away = fw_gap < d * costs[worst] - carried
+        if not away:
+            direction = -f.copy()
+            direction[cheapest] += d
+            step_max = 1.0
+        else:
+            direction = f.copy()
+            direction[worst] -= d
+            step_max = f[worst] / (d - f[worst]) if d > f[worst] else 0.0
+        step = regula_falsi_step(
+            gradient, q, incidence @ direction, float(costs @ direction), step_max
+        )
+        f = np.maximum(f + step * direction, 0.0)
+        if away and step == step_max > 0:
+            f[worst] = 0.0
+    raise OracleError(f"no convergence in {max_iter} iterations")

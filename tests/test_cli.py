@@ -165,6 +165,17 @@ class TestInputBoundary:
         assert time.perf_counter() - start < 1.0
         assert single_error_line(capsys).startswith("error: --classes must be")
 
+    @pytest.mark.parametrize("grid", ["0", "1", "1000000000"])
+    @pytest.mark.parametrize("command", ["scheme", "improvement"])
+    def test_grid_flag_bounded(self, tmp_path, capsys, command, grid):
+        start = time.perf_counter()
+        assert run([command, "--network", NETWORK, "--vot", VOT, "--grid", grid,
+                    "--out", str(tmp_path / "o")]) == 1
+        assert time.perf_counter() - start < 1.0
+        line = single_error_line(capsys)
+        assert line == "error: --grid must be an integer in [2, 100000]"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "params",
         [

@@ -1,11 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from _instances import random_network
+from _instances import parallel_network, random_network
+from _oracles import frank_wolfe_oracle, regula_falsi_step
 from pathpay import (
     ConvergenceError,
+    Link,
+    LinkCostFn,
+    Network,
     average_time,
     enumerate_paths,
     parse_network,
@@ -135,31 +141,143 @@ class TestEdgeCases:
             solve_so(demo_network, paths, tol=0.0)
 
 
+def newton_step(net, regime, q, delta, step_max, affine=None):
+    """The solver's line search from link flows ``q`` along ``delta``, and
+    the number of cost passes it made at trial points. ``affine`` defaults
+    to what the solver passes: whether every link cost is linear."""
+    trials = []
+
+    def cost_pass(flows):
+        trials.append(flows)
+        return net.link_objective(flows, regime)
+
+    _, gradient, curvature = net.link_objective(q, regime)
+    slope0 = float(delta @ gradient)
+    curve0 = float((delta * delta) @ curvature)
+    if affine is None:
+        affine = net.linear_costs
+    step = _line_search(cost_pass, q, delta, slope0, curve0, step_max, affine)
+    return step, len(trials)
+
+
+# linear, polynomials of degree 0-4 and BPR of power 1, 1.5 and 4: the last
+# two have an unbounded (1.5) or zero (4) second derivative at zero flow
+search_cost = st.one_of(
+    st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 1.0)).map(
+        lambda p: LinkCostFn.linear(*p)
+    ),
+    st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5).map(LinkCostFn.polynomial),
+    st.tuples(
+        st.floats(0.1, 50.0),
+        st.floats(10.0, 500.0),
+        st.floats(0.0, 2.0),
+        st.sampled_from([1.0, 1.5, 4.0]),
+    ).map(lambda p: LinkCostFn.bpr(*p)),
+)
+search_flow = st.one_of(st.just(0.0), st.floats(0.0, 200.0))
+
+
 class TestLineSearch:
     # shift all 100 trips from link 1 (5 + 0.1 q) to link 2 (10 + 0.05 q)
     net = two_link_net([5.0, 10.0], [0.1, 0.05], demand=100.0)
     q = np.array([100.0, 0.0])
     delta = np.array([-100.0, 100.0])
 
-    def slope(self, gradient, step):
-        return float(self.delta @ gradient(self.q + step * self.delta))
-
     def test_step_zeroes_the_slope(self):
         # times (UE) are equal at step 1/3, marginals (SO) at step 1/2
-        pairs = ((self.net.link_times, 1 / 3), (self.net.link_marginals, 1 / 2))
-        for gradient, root in pairs:
-            slope0 = self.slope(gradient, 0.0)
-            step = _line_search(gradient, self.q, self.delta, slope0, 1.0)
-            assert step == pytest.approx(root, rel=1e-14)
-            costs = gradient(self.q + step * self.delta)
-            rounding = 8 * np.finfo(float).eps * float(np.abs(self.delta) @ costs)
-            assert abs(self.slope(gradient, step)) <= rounding
+        for regime, root in (("UE", 1 / 3), ("SO", 1 / 2)):
+            for affine in (True, False):
+                step, _ = newton_step(
+                    self.net, regime, self.q, self.delta, 1.0, affine
+                )
+                assert step == pytest.approx(root, rel=1e-14)
+                flows = self.q + step * self.delta
+                _, gradient, _ = self.net.link_objective(flows, regime)
+                slope = float(self.delta @ gradient)
+                scale = float(np.abs(self.delta) @ gradient)
+                assert abs(slope) <= 8 * np.finfo(float).eps * scale
 
     def test_returns_step_max_when_still_descending(self):
-        gradient = self.net.link_times
-        slope0 = self.slope(gradient, 0.0)
-        assert self.slope(gradient, 0.25) <= 0
-        assert _line_search(gradient, self.q, self.delta, slope0, 0.25) == 0.25
+        for affine, trials in ((True, 0), (False, 1)):
+            step, passes = newton_step(
+                self.net, "UE", self.q, self.delta, 0.25, affine
+            )
+            assert step == 0.25
+            assert passes == trials
+
+    def test_first_newton_step_exact_on_linear_costs(self):
+        # without the affine shortcut, one trial pass confirms the first
+        # Newton step; with it, no pass is made
+        assert self.net.linear_costs
+        for regime in ("UE", "SO"):
+            checked, passes = newton_step(
+                self.net, regime, self.q, self.delta, 1.0, affine=False
+            )
+            assert passes == 1
+            step, passes = newton_step(self.net, regime, self.q, self.delta, 1.0)
+            assert passes == 0
+            assert step == pytest.approx(checked, rel=4 * np.finfo(float).eps)
+
+    @given(
+        links=st.lists(
+            st.tuples(search_cost, search_flow, search_flow), min_size=1, max_size=6
+        ),
+        step_max=st.floats(0.01, 1.0),
+        regime=st.sampled_from(["SO", "UE"]),
+    )
+    def test_matches_regula_falsi_oracle(self, links, step_max, regime):
+        fns, start, end = zip(*links)
+        net = parallel_network(fns)
+        q = np.array(start)
+        # the longest step lands on the end flows: every link drawn at zero
+        # there is emptied
+        delta = (np.array(end) - q) / step_max
+        newton, _ = newton_step(net, regime, q, delta, step_max)
+        gradient = net.link_marginals if regime == "SO" else net.link_times
+        slope0 = float(delta @ gradient(q))
+        oracle = regula_falsi_step(gradient, q, delta, slope0, step_max)
+        assert 0.0 <= newton <= step_max
+
+        def value(step):
+            return net.link_objective(np.maximum(q + step * delta, 0.0), regime)[0]
+
+        # both minimize the objective along the line, up to rounding at the
+        # scale of its values; the step itself is not unique where the
+        # objective is flat
+        best = min(value(newton), value(oracle))
+        rounding = 1e-12 * (abs(best) + abs(value(0.0)))
+        assert value(newton) <= best + rounding
+        assert value(oracle) <= best + rounding
+
+
+def bpr_chain(widths=(3, 3, 3)):
+    """Series-parallel chain of BPR links (power 4) whose free-flow times and
+    capacities climb with the link's place in its segment."""
+    nodes = tuple(f"N{s}" for s in range(len(widths) + 1))
+    links = []
+    for s, width in enumerate(widths):
+        for k in range(width):
+            fn = LinkCostFn.bpr(8.0 + 4.0 * k, 200.0 + 100.0 * k, 0.15, 4.0)
+            links.append(Link(len(links) + 1, nodes[s], nodes[s + 1], fn))
+    return Network(nodes, tuple(links), nodes[0], nodes[-1], 1000.0, 800.0)
+
+
+class TestCostPasses:
+    """Cost passes per iteration: unlike timings, the counts repeat exactly."""
+
+    def test_fixture(self, demo_network):
+        paths = enumerate_paths(demo_network)
+        for solver in (solve_so, solve_ue):
+            sol = solver(demo_network, paths)
+            assert sol.cost_passes <= 3 * sol.iterations
+
+    def test_bpr_chain(self):
+        net = bpr_chain()
+        paths = enumerate_paths(net)
+        for solver in (solve_so, solve_ue):
+            sol = solver(net, paths)
+            assert sol.iterations > 10
+            assert sol.cost_passes <= 5 * sol.iterations
 
 
 class TestInvariants:
@@ -208,6 +326,33 @@ class TestInvariants:
             used = ue.path_flows > 1e-6 * net.demand
             spread = ue.path_times[used].max() - ue.path_times[used].min()
             assert spread <= 1e-6 * (1.0 + ue.ue_time)
+
+    def test_random_networks_match_oracle_solver(self):
+        rng = np.random.default_rng(43)
+        kinds = (
+            lambda: LinkCostFn.linear(rng.uniform(1.0, 30.0), rng.uniform(0.005, 0.1)),
+            lambda: LinkCostFn.polynomial(
+                [rng.uniform(1.0, 30.0), 0.0, rng.uniform(1e-5, 1e-4), 1e-7]
+            ),
+            lambda: LinkCostFn.bpr(
+                rng.uniform(1.0, 30.0),
+                rng.uniform(100.0, 1000.0),
+                0.15,
+                float(rng.choice([1.0, 1.5, 4.0])),
+            ),
+        )
+        for _ in range(20):
+            net = random_network(rng)
+            links = tuple(
+                dataclasses.replace(ln, cost_fn=kinds[int(rng.integers(3))]())
+                for ln in net.links
+            )
+            net = dataclasses.replace(net, links=links)
+            paths = enumerate_paths(net)
+            for solver, regime in ((solve_so, "SO"), (solve_ue, "UE")):
+                flows = solver(net, paths).link_flows
+                expect = frank_wolfe_oracle(net, paths, regime)
+                assert flows == pytest.approx(expect, abs=1e-7 * net.demand)
 
     def test_bit_identical_reruns(self, demo_network):
         paths = enumerate_paths(demo_network)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from _instances import parallel_network
 from pathpay import (
-    Link,
     LinkCostFn,
-    Network,
     NetworkError,
     PathCountError,
     enumerate_paths,
@@ -274,11 +273,6 @@ def reference_values(fn, q):
     return time, time + q * slope, integral
 
 
-def parallel_network(fns):
-    links = tuple(Link(i + 1, "A", "B", fn) for i, fn in enumerate(fns))
-    return Network(("A", "B"), links, "A", "B", demand=1.0, subscriber_demand=0.0)
-
-
 # linear, polynomials of degree 0-4 and BPR (its power drawn from [1, 6], so
 # mostly non-integer), each at zero flow or at a flow drawn from [0, 1000]
 mixed_link = st.tuples(
@@ -311,6 +305,64 @@ def test_compiled_costs_match_per_link(links):
     np.testing.assert_allclose(
         np.array(list(per_link.values())).T, reference, rtol=1e-12, atol=1e-12
     )
+
+
+def reference_curvatures(fn, q):
+    """``2 t' + q t''`` and ``t'`` of one link by the closed forms per kind:
+    the curvatures of the system-optimal and user-equilibrium objectives."""
+    if fn.kind == "bpr":
+        t0, cap, alpha, power = fn.params
+        scale = t0 * alpha * power * q ** (power - 1.0) / cap**power
+        return scale * (power + 1.0), scale
+    c = fn.params
+    slope = sum(k * ck * q ** (k - 1) for k, ck in enumerate(c) if k)
+    curve = sum(k * (k + 1) * ck * q ** (k - 1) for k, ck in enumerate(c) if k)
+    return curve, slope
+
+
+@given(links=st.lists(mixed_link, min_size=1, max_size=8))
+def test_link_objective_matches_public_methods(links):
+    fns = [fn for fn, _ in links]
+    q = np.array([flow for _, flow in links])
+    net = parallel_network(fns)
+    times = net.link_times(q)
+    public = {
+        "SO": (float(q @ times), net.link_marginals(q)),
+        "UE": (float(net.link_integrals(q).sum()), times),
+    }
+    curvatures = np.array([reference_curvatures(fn, f) for fn, f in links]).T
+    rtol = 8 * np.finfo(float).eps
+    for (regime, (value, gradient)), curvature in zip(public.items(), curvatures):
+        fused = net.link_objective(q, regime)
+        assert fused[0] == pytest.approx(value, rel=1e-12, abs=1e-300)
+        np.testing.assert_allclose(fused[1], gradient, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(fused[2], curvature, rtol=1e-12, atol=1e-12)
+
+
+def test_unused_powers_do_not_overflow():
+    # q**5 and (q/1)**2 overflow at these flows, but only a link whose own
+    # cost has that power may see them
+    fns = [
+        LinkCostFn.linear(1.0, 2.0),
+        LinkCostFn.polynomial([1.0, 0.0, 0.0, 0.0, 1e-300]),
+        LinkCostFn.bpr(2.0, 10.0, 0.15, 4.0),
+    ]
+    q = np.array([1e100, 1e60, 1e50])
+    net = parallel_network(fns)
+    reference = np.array([reference_values(fn, f) for fn, f in zip(fns, q)]).T
+    for compiled, values in zip(
+        (net.link_times, net.link_marginals, net.link_integrals), reference
+    ):
+        assert np.all(np.isfinite(values))
+        np.testing.assert_allclose(compiled(q), values, rtol=1e-12)
+
+
+def test_linear_costs():
+    assert parallel_network([LinkCostFn.linear(1.0, 0.5)]).linear_costs
+    assert parallel_network([LinkCostFn.polynomial([2.0])]).linear_costs
+    curved = (LinkCostFn.polynomial([1.0, 0.0, 1e-3]), LinkCostFn.bpr(1.0, 9.0, 0.0, 1.0))
+    for fn in curved:
+        assert not parallel_network([LinkCostFn.linear(1.0, 0.5), fn]).linear_costs
 
 
 def test_network_rejects_negative_flow():

@@ -116,6 +116,50 @@ class TestAgainstVertexOracle:
         assert a.iterations == b.iterations
 
 
+class TestCrashBasis:
+    def test_matches_all_artificial_start(self):
+        # A = [G | I] plus a mass row: each row with b >= 0 starts with its
+        # slack basic. Doubling every row leaves the same LP with no +1
+        # entry, so every row starts with an artificial variable instead.
+        rng = np.random.default_rng(99)
+        for _ in range(60):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 5))
+            A = np.vstack([np.hstack([rng.normal(size=(m, n)), np.eye(m)]),
+                           np.ones(n + m)])
+            b = A @ rng.uniform(0.2, 1.0, size=n + m)
+            c = np.concatenate([rng.normal(size=n), np.zeros(m)])
+            crash = solve_lp(StandardLp(c=c, A=A, b=b))
+            plain = solve_lp(StandardLp(c=c, A=2.0 * A, b=2.0 * b))
+            assert crash.optimal and plain.optimal
+            assert crash.objective == pytest.approx(
+                plain.objective, abs=1e-9 * (1.0 + abs(plain.objective))
+            )
+            expect = vertex_oracle(StandardLp(c=c, A=A, b=b))
+            assert crash.objective == pytest.approx(
+                expect, abs=1e-7 * (1.0 + abs(expect))
+            )
+
+    def test_no_rows(self):
+        sol = solve_lp(StandardLp(c=[1.0, 2.0], A=np.zeros((0, 2)), b=[]))
+        assert sol.optimal
+        assert sol.x == pytest.approx([0.0, 0.0])
+
+    def test_all_rows_crashed(self):
+        # min -x0 s.t. x0 + s0 = 2, x0 + x1 + s1 = 3: s0 starts basic in
+        # row 0 and x1, the lowest zero-cost +1 singleton, in row 1; phase
+        # 1 makes no pivot and phase 2 one
+        lp = StandardLp(
+            c=[-1.0, 0.0, 0.0, 0.0],
+            A=[[1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0]],
+            b=[2.0, 3.0],
+        )
+        sol = solve_lp(lp)
+        assert sol.optimal
+        assert sol.iterations == 1
+        assert sol.x == pytest.approx([2.0, 1.0, 0.0, 0.0], abs=1e-12)
+
+
 class TestDegenerateTransportation:
     def test_alternative_optima_resolved_deterministically(self):
         # 2x2 transportation with a flat objective direction
