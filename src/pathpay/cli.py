@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
+import operator
+import re
 import sys
 from pathlib import Path
 
@@ -99,15 +102,15 @@ def _write_csv(path: Path, header, rows) -> None:
 # -- shared loading ----------------------------------------------------------
 
 
-def _run_scheme(args):
-    """Read the network and VOT files, apply ``--classes`` and run the
-    pipeline; returns the network and the result."""
+def _load_inputs(args):
+    """Read the network and VOT files and apply ``--classes``; returns the
+    network, the VOT distribution and the class count."""
     net = parse_network(Path(args.network).read_text())
     dist, M = parse_vot(Path(args.vot).read_text())
     if args.classes is not None:
         check_class_count(args.classes, "--classes")
         M = args.classes
-    return net, run_scheme(net, dist, M, tol=args.tol)
+    return net, dist, M
 
 
 def _check_grid(grid: int) -> None:
@@ -175,7 +178,8 @@ def _solution_dict(sol, net) -> dict:
 
 def cmd_scheme(args) -> int:
     _check_grid(args.grid)
-    net, result = _run_scheme(args)
+    net, dist, M = _load_inputs(args)
+    result = run_scheme(net, dist, M, tol=args.tol)
     outcome = result.outcome
     paths = result.paths
 
@@ -249,7 +253,7 @@ def cmd_scheme(args) -> int:
 
 def cmd_improvement(args) -> int:
     _check_grid(args.grid)
-    _, result = _run_scheme(args)
+    result = run_scheme(*_load_inputs(args), tol=args.tol)
     report = cost_report(result.outcome, result.ue, args.grid)
 
     out = Path(args.out)
@@ -282,46 +286,100 @@ def _csv_float(value: float) -> str:
 
 
 def cmd_assign(args) -> int:
-    _, result = _run_scheme(args)
+    """Guidance for every roster user, written to ``assignments.csv``.
+
+    The roster is read and checked against the VOT support before the
+    solve, so a bad row fails fast. Subscribers get their paths from one
+    :func:`vot_ranks` lookup, outsiders from one seeded draw in file order.
+    Each row is the user's cell plus a tail formatted once per (path,
+    role), streamed to the file.
+    """
+    net, dist, M = _load_inputs(args)
+    user_ids, vots = _read_roster(args.roster, dist.support)
+    result = run_scheme(net, dist, M, tol=args.tol)
     outcome = result.outcome
-    user_ids, subscriber, vots = _read_roster(args.roster, outcome)
 
     order = np.asarray(outcome.order)
-    user_paths = np.empty(len(user_ids), dtype=int)
-    is_subscriber = np.array(subscriber, dtype=bool)
-    user_paths[is_subscriber] = order[vot_ranks(outcome, np.array(vots, dtype=float))]
+    vots = np.array(vots)
+    is_subscriber = ~np.isnan(vots)
+    user_paths = np.empty(vots.size, dtype=int)
+    user_paths[is_subscriber] = order[vot_ranks(outcome, vots[is_subscriber])]
     user_paths[~is_subscriber] = assign_outsider(
-        outcome, args.seed, size=len(user_ids) - len(vots)
+        outcome, args.seed, size=vots.size - np.count_nonzero(is_subscriber)
     )
 
-    # cells are formatted once per path, indexed by original path index
+    # row tails after the user cell, outsiders' for paths 0..n-1 then
+    # subscribers', indexed by original path index
+    n = len(order)
     rank_of = np.argsort(order)
     labels = result.paths.labels()
-    times = [f"{outcome.sorted_times[rank]:.1f}" for rank in rank_of]
-    payments = [f"{outcome.payments[rank]:.2f}" for rank in rank_of]
-    rows = (
-        (user, "subscriber", labels[p], times[p], payments[p]) if sub
-        else (user, "outsider", labels[p], times[p], "")
-        for user, sub, p in zip(user_ids, subscriber, user_paths.tolist())
-    )
+    tails = [
+        _csv_line(["", role, labels[p], f"{outcome.sorted_times[rank]:.1f}",
+                   f"{outcome.payments[rank]:.2f}" if role == "subscriber" else ""])
+        for role in ("outsider", "subscriber")
+        for p, rank in enumerate(rank_of)
+    ]
+    which = (user_paths + n * is_subscriber).tolist()
 
+    cells = _user_cells(user_ids)
     out = Path(args.out)
-    _write_csv(out / "assignments.csv",
-               ["user_id", "role", "path", "time_min", "payment_usd"], rows)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "assignments.csv", "w", newline="\n") as handle:
+        handle.write("user_id,role,path,time_min,payment_usd\n")
+        handle.writelines(map(operator.add, cells, map(tails.__getitem__, which)))
     print(f"wrote {out / 'assignments.csv'} ({len(user_ids)} users)")
     return 0
 
 
-def _read_roster(path, outcome) -> tuple[list, list[bool], list[float]]:
-    """User ids, subscriber flags and subscriber VOTs of a roster, in file
-    order, read in one pass.
+def _csv_line(cells) -> str:
+    """One row as ``csv.writer`` writes it, with a newline terminator."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(cells)
+    return buffer.getvalue()
+
+
+# characters that can make csv.writer quote a field; Python 3.11 leaves a
+# bare \r unquoted, and an id with \r still goes to csv.writer, so its cell
+# follows whatever the running version does
+_NEEDS_CSV = re.compile('[,"\r\n]').search
+
+
+def _user_cells(user_ids) -> list:
+    """Each user id as ``csv.writer`` writes it first in a row.
+
+    An id with no character that could need quoting is its own cell; the
+    common all-plain roster is recognised by one search over the joined
+    ids. A None id (a row cut short) or one that may need quoting gets its
+    cell from ``csv.writer`` itself.
+    """
+    try:
+        if not _NEEDS_CSV("".join(user_ids)):
+            return user_ids
+    except TypeError:  # a None id
+        pass
+    return [
+        user if user is not None and not _NEEDS_CSV(user) else _csv_line([user, ""])[:-2]
+        for user in user_ids
+    ]
+
+
+def _read_roster(path, support) -> tuple[list, list[float]]:
+    """User ids and declared VOTs of a roster, in file order, read and
+    checked in one pass; an outsider's VOT is NaN.
 
     As with ``csv.DictReader``, blank lines are skipped, a repeated column
     name resolves to its last occurrence and a missing cell reads as None.
-    The first bad row in file order raises, located by ``reader.line_num``:
-    the line on which the row ends.
+    A role that is not exactly ``subscriber`` or ``outsider`` is compared
+    after ``.strip().lower()``. A subscriber's VOT passes when
+    ``lo <= float(cell) <= hi`` on the support ``(lo, hi)``; NaN, inf and a
+    parse failure fail it, and only then is the message built
+    (:func:`_declared_vot`). The first bad row in file order raises, located
+    by ``reader.line_num``: the line on which the row ends.
     """
-    user_ids, subscriber, vots = [], [], []
+    lo, hi = support
+    nan = math.nan
+    user_ids, vots = [], []
+    add_user, add_vot = user_ids.append, vots.append
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -331,40 +389,56 @@ def _read_roster(path, outcome) -> tuple[list, list[bool], list[float]]:
                     f"roster needs columns user_id, role, vot (got {header})"
                 )
             column = {name: i for i, name in enumerate(header)}
-            at_user, at_role, at_vot = column["user_id"], column["role"], column["vot"]
+            at = at_user, at_role, at_vot = column["user_id"], column["role"], column["vot"]
             for row in reader:
-                if not row:
-                    continue
-                n = len(row)
-                user = row[at_user] if at_user < n else None
-                role = row[at_role].strip().lower() if at_role < n else ""
+                try:
+                    user, role, cell = row[at_user], row[at_role], row[at_vot]
+                except IndexError:  # a blank line or a row cut short
+                    if not row:
+                        continue
+                    user, role, cell = [row[i] if i < len(row) else None for i in at]
+                if role != "subscriber" and role != "outsider":
+                    key = role.strip().lower() if role is not None else ""
+                    if key != "subscriber" and key != "outsider":
+                        raise ValueError(f"line {reader.line_num}: unknown role {role!r}")
+                    role = key
                 if role == "outsider":
-                    user_ids.append(user)
-                    subscriber.append(False)
+                    add_user(user)
+                    add_vot(nan)
                     continue
-                if role != "subscriber":
-                    raw = row[at_role] if at_role < n else None
-                    raise ValueError(f"line {reader.line_num}: unknown role {raw!r}")
-                where = f"line {reader.line_num}: subscriber {user!r}"
-                vot_text = row[at_vot].strip() if at_vot < n else ""
-                if not vot_text:
-                    raise ValueError(f"{where} missing VOT")
                 try:
-                    vot = float(vot_text)
-                except ValueError:
-                    vot = math.nan
-                if not math.isfinite(vot):
-                    raise ValueError(f"{where}: VOT {vot_text!r} is not a finite number")
-                try:
-                    check_declared_vot(outcome, vot)
-                except SchemeError as exc:
-                    raise SchemeError(f"{where}: {exc}") from None
-                user_ids.append(user)
-                subscriber.append(True)
-                vots.append(vot)
+                    vot = float(cell)
+                except (TypeError, ValueError):
+                    vot = nan
+                if not lo <= vot <= hi:
+                    vot = _declared_vot(
+                        cell, f"line {reader.line_num}: subscriber {user!r}", support
+                    )
+                add_user(user)
+                add_vot(vot)
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise ValueError(f"line {reader.line_num}: {exc}") from None
-    return user_ids, subscriber, vots
+    return user_ids, vots
+
+
+def _declared_vot(cell, where: str, support) -> float:
+    """A subscriber's VOT cell as a float, or an error located by ``where``:
+    a missing VOT first, then one that is not a finite number, then one
+    outside the support."""
+    text = cell.strip() if cell is not None else ""
+    if not text:
+        raise ValueError(f"{where} missing VOT")
+    try:
+        vot = float(text)
+    except ValueError:
+        vot = math.nan
+    if not math.isfinite(vot):
+        raise ValueError(f"{where}: VOT {text!r} is not a finite number")
+    try:
+        check_declared_vot(support, vot)
+    except SchemeError as exc:
+        raise SchemeError(f"{where}: {exc}") from None
+    return vot
 
 
 # -- argument parsing --------------------------------------------------------

@@ -333,9 +333,10 @@ def vot_ranks(outcome: SchemeOutcome, vots):
     return nonempty[np.minimum(ks, nonempty.size - 1)]
 
 
-def check_declared_vot(outcome: SchemeOutcome, declared_vot: float) -> None:
-    """Reject a declaration outside the VOT support."""
-    lo, hi = outcome.support
+def check_declared_vot(support: tuple[float, float], declared_vot: float) -> None:
+    """Reject a declaration outside the VOT support ``(lo, hi)``: the
+    distribution's, which is also the outcome's."""
+    lo, hi = support
     if not lo <= declared_vot <= hi:
         raise SchemeError(
             f"declared VOT {declared_vot:g} outside [{lo:g}, {hi:g}]; "
@@ -346,7 +347,7 @@ def check_declared_vot(outcome: SchemeOutcome, declared_vot: float) -> None:
 def assign_subscriber(outcome: SchemeOutcome, declared_vot: float) -> Guidance:
     """Path and payment for one declared VOT: the scalar view of
     :func:`vot_ranks`, after :func:`check_declared_vot`."""
-    check_declared_vot(outcome, declared_vot)
+    check_declared_vot(outcome.support, declared_vot)
     rank = int(vot_ranks(outcome, declared_vot))
     return Guidance(
         rank=rank,

@@ -186,23 +186,24 @@ def _pivot(T, obj, basis, row: int, col: int) -> None:
 def _drive_out_artificials(T, basis, n: int) -> list[int]:
     """Pivot zero-valued artificial variables out of the basis.
 
-    Rows whose artificial cannot be replaced by any structural column are
-    linearly dependent on the others and are dropped; the returned list holds
-    the surviving row indices.
+    Each artificial row pivots on its lowest nonbasic structural column with
+    an entry above PIVOT_TOL. Rows whose artificial cannot be replaced by
+    any structural column are linearly dependent on the others and are
+    dropped; the returned list holds the surviving row indices.
     """
     keep = []
     dummy_obj = np.zeros(T.shape[1])
+    basic = np.zeros(n, dtype=bool)
+    basic[[var for var in basis if var < n]] = True
     for i in range(T.shape[0]):
         if basis[i] < n:
             keep.append(i)
             continue
-        swap = -1
-        for j in range(n):
-            if j not in basis and abs(T[i, j]) > PIVOT_TOL:
-                swap = j
-                break
-        if swap >= 0:
+        eligible = np.flatnonzero(~basic & (np.abs(T[i, :n]) > PIVOT_TOL))
+        if eligible.size:
+            swap = int(eligible[0])
             _pivot(T, dummy_obj, basis, i, swap)
+            basic[swap] = True
             keep.append(i)
         # else: redundant row, dropped
     return keep

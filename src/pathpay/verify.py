@@ -128,26 +128,22 @@ def check_strategy_proof(
     i, c = np.unravel_index(np.argmin(margins), margins.shape)
     worst = float(margins[i, c])
 
-    boundary_worst = 0.0
-    n = len(outcome.rho)
-    for b in range(1, n):
-        point = outcome.partition[b]
-        if not lo < point < hi:
-            continue
-        true_rank = int(vot_ranks(outcome, point))
-        higher = np.flatnonzero((outcome.rho > 0) & (np.arange(n) > true_rank))
-        if higher.size == 0:
-            continue
-        nxt = int(higher[0])
-        lie = (
-            outcome.sorted_times[nxt] * point / MINUTES_PER_HOUR
-            + outcome.payments[nxt]
-        )
-        truth = (
-            outcome.sorted_times[true_rank] * point / MINUTES_PER_HOUR
-            + outcome.payments[true_rank]
-        )
-        boundary_worst = max(boundary_worst, abs(lie - truth))
+    # indifference pairs: a subscriber exactly on an inner partition point
+    # declares into the next rank that carries subscribers
+    points = outcome.partition[1 : len(outcome.rho)]
+    points = points[(lo < points) & (points < hi)]
+    true_rank = vot_ranks(outcome, points)
+    carrying = np.flatnonzero(outcome.rho > 0)
+    k = np.searchsorted(carrying, true_rank, side="right")
+    has_next = k < carrying.size
+    nxt = carrying[k[has_next]]
+    points, true_rank = points[has_next], true_rank[has_next]
+    lie = outcome.sorted_times[nxt] * points / MINUTES_PER_HOUR + outcome.payments[nxt]
+    truth = (
+        outcome.sorted_times[true_rank] * points / MINUTES_PER_HOUR
+        + outcome.payments[true_rank]
+    )
+    boundary_worst = float(np.abs(lie - truth).max(initial=0.0))
 
     return StrategyProofResult(
         passed=worst >= -SP_TOL,

@@ -3,10 +3,11 @@
 Each one solves a problem the package also solves, by a slower and more
 direct route: the class-by-path subscriber LP in full, the sort-and-fill
 coupling as a loop, an exhaustive lattice search, the O(n^2) payment sums,
-the strategy-proofness search over every (true, declared) lattice pair,
-the VOT quantile and class table as per-point and per-class loops, and
-Frank-Wolfe over the public link-cost methods with a regula-falsi line
-search.
+the strategy-proofness search over every (true, declared) lattice pair
+and over the partition points one at a time, the simplex's artificial
+drive-out as a scan over basis membership, the VOT quantile and class
+table as per-point and per-class loops, and Frank-Wolfe over the public
+link-cost methods with a regula-falsi line search.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from pathpay.scheme import MINUTES_PER_HOUR, vot_ranks
-from pathpay.simplex import StandardLp
+from pathpay.simplex import PIVOT_TOL, StandardLp, _pivot
 from pathpay.vot import VotError
 
 
@@ -180,6 +181,56 @@ def lattice_strategy_proof(outcome, grid):
     margins = cost - truthful[:, None]
     i, j = divmod(int(np.argmin(margins)), margins.shape[1])
     return float(margins[i, j]), float(lattice[i]), float(lattice[j])
+
+
+def loop_boundary_worst(outcome) -> float:
+    """Largest absolute margin over the indifference pairs, one partition
+    point at a time: a subscriber exactly on an inner partition point
+    declares into the next rank that carries subscribers."""
+    lo, hi = outcome.support
+    boundary_worst = 0.0
+    n = len(outcome.rho)
+    for b in range(1, n):
+        point = outcome.partition[b]
+        if not lo < point < hi:
+            continue
+        true_rank = int(vot_ranks(outcome, point))
+        higher = np.flatnonzero((outcome.rho > 0) & (np.arange(n) > true_rank))
+        if higher.size == 0:
+            continue
+        nxt = int(higher[0])
+        lie = (
+            outcome.sorted_times[nxt] * point / MINUTES_PER_HOUR
+            + outcome.payments[nxt]
+        )
+        truth = (
+            outcome.sorted_times[true_rank] * point / MINUTES_PER_HOUR
+            + outcome.payments[true_rank]
+        )
+        boundary_worst = max(boundary_worst, abs(lie - truth))
+    return boundary_worst
+
+
+def loop_drive_out_artificials(T, basis, n: int) -> list[int]:
+    """``simplex._drive_out_artificials`` with the nonbasic test as list
+    membership in ``basis``: each artificial row pivots on the lowest
+    structural column not in the basis with an entry above PIVOT_TOL, or
+    is dropped when there is none."""
+    keep = []
+    dummy_obj = np.zeros(T.shape[1])
+    for i in range(T.shape[0]):
+        if basis[i] < n:
+            keep.append(i)
+            continue
+        swap = -1
+        for j in range(n):
+            if j not in basis and abs(T[i, j]) > PIVOT_TOL:
+                swap = j
+                break
+        if swap >= 0:
+            _pivot(T, dummy_obj, basis, i, swap)
+            keep.append(i)
+    return keep
 
 
 def scalar_inverse_cdf(dist, u: float) -> float:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURE_DIR
-from pathpay import assign_outsider, assign_subscriber
+from pathpay import assign_outsider, assign_subscriber, cli
 from pathpay.cli import dumps_json, main
 
 NETWORK = str(FIXTURE_DIR / "network.json")
@@ -350,6 +350,25 @@ class TestAssign:
                     "--roster", str(roster), "--out", str(tmp_path / "o")]) == 1
         assert single_error_line(capsys) == f"error: {faults[0][1]}"
 
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("fault", range(len(FAULTS)))
+    def test_bad_roster_fails_before_solve(self, tmp_path, capsys, monkeypatch, fault, where):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_scheme called on a bad roster")
+
+        monkeypatch.setattr(cli, "run_scheme", no_solve)
+        good = [(f"g{i}", "subscriber" if i % 2 else "outsider", "20" if i % 2 else "")
+                for i in range(6)]
+        row, message = self.FAULTS[fault]
+        at = {"first": 0, "middle": 3, "last": len(good)}[where]
+        roster = tmp_path / "roster.csv"
+        self.write_roster(roster, good[:at] + [row] + good[at:])
+        assert run(["assign", "--network", NETWORK, "--vot", VOT,
+                    "--roster", str(roster), "--out", str(tmp_path / "o")]) == 1
+        assert single_error_line(capsys) == (
+            "error: " + message.replace("line 3:", f"line {at + 2}:")
+        )
+
     @settings(max_examples=40)
     @given(data=st.data())
     def test_batch_matches_per_user_answers(self, demo_run, tmp_path_factory, data):
@@ -360,25 +379,43 @@ class TestAssign:
             st.sampled_from([lo, hi, *outcome.partition.tolist()]),
             st.floats(lo, hi),
         )
-        user = st.text(alphabet='u1 ,"\n', max_size=4)
+        user = st.text(alphabet='u1 ,"\n\r', max_size=4)
+        role = st.sampled_from(
+            ["subscriber", " Subscriber", "SUBSCRIBER\t", "outsider", " Outsider"]
+        )
         users = data.draw(st.lists(
-            st.tuples(user, st.sampled_from(["subscriber", " Outsider"]), vot),
+            st.tuples(user, role, vot, st.booleans()),
             max_size=60,
         ))
         seed = data.draw(st.integers(0, 2**32 - 1))
+        header = data.draw(st.permutations(["user_id", "role", "vot", "note"]))
+        at = {name: i for i, name in enumerate(header)}
+        # a row cut after its role and VOT cells has no user id when the
+        # user_id column comes later; it reads as None and is written empty
+        needed = max(at["role"], at["vot"]) + 1
+        cut = needed if at["user_id"] >= needed else None
 
-        roster, expected = io.StringIO(), io.StringIO()
-        csv.writer(roster, lineterminator="\n").writerows(
-            [("user_id", "role", "vot")]
-            + [(u, role, repr(v) if role == "subscriber" else "") for u, role, v in users]
-        )
+        rows, answers = [header], []
+        for u, r, v, short in users:
+            cells = {"user_id": u, "role": r, "note": "n,1",
+                     "vot": repr(v) if r.strip().lower() == "subscriber" else ""}
+            row = [cells[name] for name in header]
+            if short and cut is not None:
+                row, u = row[:cut], None
+            rows.append(row)
+            answers.append((u, r.strip().lower(), v))
+        roster = io.StringIO()
+        # every field quoted, since csv.writer leaves a bare \r unquoted
+        csv.writer(roster, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+
+        expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(["user_id", "role", "path", "time_min", "payment_usd"])
         gen = np.random.default_rng(seed)
-        for u, role, v in users:
-            if role == "subscriber":
+        for u, r, v in answers:
+            if r == "subscriber":
                 g = assign_subscriber(outcome, v)
-                writer.writerow([u, role, labels[g.path], f"{g.time_min:.1f}",
+                writer.writerow([u, r, labels[g.path], f"{g.time_min:.1f}",
                                  f"{g.payment:.2f}"])
             else:
                 path = assign_outsider(outcome, gen)

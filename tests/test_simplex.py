@@ -3,6 +3,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from _oracles import loop_drive_out_artificials
+from pathpay import simplex
 from pathpay.simplex import StandardLp, solve_lp
 
 
@@ -180,3 +182,38 @@ class TestDegenerateTransportation:
         assert first.optimal
         assert first.objective == pytest.approx(5.0, abs=1e-9)
         assert np.array_equal(first.x, second.x)
+
+
+class TestDriveOutArtificials:
+    def test_matches_membership_scan(self, monkeypatch):
+        # rows that are combinations of others, and zeros in the generating
+        # point, leave artificial variables basic at zero after phase 1;
+        # each drive-out runs on the phase-1 tableau beside the loop oracle
+        real = simplex._drive_out_artificials
+        outcomes = {"pivoted": 0, "dropped": 0}
+
+        def compare(T, basis, n):
+            T_loop, basis_loop = T.copy(), list(basis)
+            expect = loop_drive_out_artificials(T_loop, basis_loop, n)
+            artificial = sum(var >= n for var in basis)
+            keep = real(T, basis, n)
+            assert keep == expect
+            assert basis == basis_loop
+            assert np.array_equal(T, T_loop)
+            outcomes["dropped"] += T.shape[0] - len(keep)
+            outcomes["pivoted"] += artificial - (T.shape[0] - len(keep))
+            return keep
+
+        monkeypatch.setattr(simplex, "_drive_out_artificials", compare)
+        rng = np.random.default_rng(2024)
+        for _ in range(80):
+            n = int(rng.integers(2, 9))
+            m = int(rng.integers(1, n))
+            A = rng.integers(-2, 3, size=(m, n)).astype(float)
+            mix = rng.integers(-1, 2, size=(int(rng.integers(1, 4)), m))
+            A = np.vstack([A, mix @ A, np.ones(n)])[rng.permutation(m + mix.shape[0] + 1)]
+            x0 = rng.integers(0, 3, size=n).astype(float)
+            c = rng.normal(size=n)
+            sol = solve_lp(StandardLp(c=c, A=A, b=A @ x0))
+            assert sol.optimal, sol.status
+        assert outcomes["pivoted"] > 0 and outcomes["dropped"] > 0, outcomes

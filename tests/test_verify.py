@@ -9,6 +9,7 @@ from _oracles import (
     brute_force_lp_oracle,
     greedy_weighted_cost,
     lattice_strategy_proof,
+    loop_boundary_worst,
     loop_payments,
 )
 from pathpay import (
@@ -80,6 +81,7 @@ class TestStrategyProof:
                 check = check_strategy_proof(o, grid=grid)
                 got = (check.worst_margin, check.worst_true, check.worst_declared)
                 assert got == lattice_strategy_proof(o, grid)
+                assert check.boundary_worst_abs == loop_boundary_worst(o)
 
 
 class TestRevenueNeutral:
