@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import DEFAULT_TOL, average_time, solve_so, solve_ue
+from .equilibrium import DEFAULT_TOL, average_time, check_tol, solve_so, solve_ue
 from .network import enumerate_paths, parse_network
 from .scheme import (
     SchemeError,
@@ -289,11 +289,14 @@ def cmd_assign(args) -> int:
     """Guidance for every roster user, written to ``assignments.csv``.
 
     The roster is read and checked against the VOT support before the
-    solve, so a bad row fails fast. Subscribers get their paths from one
+    solve, so a bad row fails fast. The result's user equilibrium is never
+    read, so it is never solved. Subscribers get their paths from one
     :func:`vot_ranks` lookup, outsiders from one seeded draw in file order.
     Each row is the user's cell plus a tail formatted once per (path,
     role), streamed to the file.
     """
+    if args.seed < 0:
+        raise ValueError("--seed must be a non-negative integer")
     net, dist, M = _load_inputs(args)
     user_ids, vots = _read_roster(args.roster, dist.support)
     result = run_scheme(net, dist, M, tol=args.tol)
@@ -490,6 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_tol(args.tol, "--tol")  # every subcommand solves; none starts on a bad tol
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

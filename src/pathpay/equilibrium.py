@@ -121,6 +121,13 @@ def solve_ue(
     )
 
 
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Reject a relative gap tolerance that is not a finite number in
+    (0, 1); ``name`` is the argument or flag it came from."""
+    if not 0 < tol < 1:
+        raise ValueError(f"{name} must be a finite number in (0, 1)")
+
+
 def average_time(sol: FlowSolution) -> float:
     """Mean travel time per trip, minutes."""
     if sol.demand <= 0:
@@ -133,8 +140,7 @@ def average_time(sol: FlowSolution) -> float:
 def _frank_wolfe(net, paths, regime, tol, max_iter):
     """Path flows, link flows, relative gap, iterations and cost passes of
     the ``regime`` ("SO" or "UE") optimum."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     d = net.demand
     incidence = paths.incidence
     n_paths = len(paths)
@@ -174,8 +180,10 @@ def _frank_wolfe(net, paths, regime, tol, max_iter):
             )
         scale = max(abs(value), np.finfo(float).tiny)
         gap_rel = fw_gap / scale
-        if gap_rel <= tol and _certificate_ok(f, path_costs, d, tol):
-            return f, q, gap_rel, iteration - 1, passes
+        if gap_rel <= tol:
+            spread, bound = _used_cost_spread(f, path_costs, d, tol)
+            if spread <= bound:
+                return f, q, gap_rel, iteration - 1, passes
 
         active = np.flatnonzero(f > 0)
         worst = int(active[np.argmax(path_costs[active])])
@@ -206,21 +214,28 @@ def _frank_wolfe(net, paths, regime, tol, max_iter):
         if step == step_max and step_max > 0 and fw_gap < away_gap:
             f[worst] = 0.0  # away step hit the boundary exactly
 
-    raise ConvergenceError(
-        f"no convergence in {max_iter} iterations (relative gap {gap_rel:.3e})",
-        achieved_gap=float(gap_rel),
-    )
+    message = f"no convergence in {max_iter} iterations (relative gap {gap_rel:.3e})"
+    if gap_rel <= tol:  # the last iterate met the gap but not the certificate
+        message = (
+            f"no convergence in {max_iter} iterations: relative gap "
+            f"{gap_rel:.3e} is within tol, but the used paths' costs spread "
+            f"{spread:.3e} above the cheapest, over the certificate's bound "
+            f"{bound:.3e}"
+        )
+    raise ConvergenceError(message, achieved_gap=float(gap_rel))
 
 
-def _certificate_ok(f, path_costs, d, tol) -> bool:
-    """Optimality certificate: every path carrying more than tol*d must cost
-    within tol*(1 + cheapest cost) of the cheapest path."""
+def _used_cost_spread(f, path_costs, d, tol) -> tuple[float, float]:
+    """The optimality certificate's spread and bound: how far the costliest
+    path carrying more than tol*d lies above the cheapest path (0 when none
+    carries that much), and tol*(1 + cheapest cost). The certificate holds
+    when the spread is within the bound."""
+    cheapest = path_costs.min()
+    bound = tol * (1.0 + abs(cheapest))
     used = f > tol * d
     if not used.any():
-        return True
-    cheapest = path_costs.min()
-    excess = path_costs[used].max() - cheapest
-    return excess <= tol * (1.0 + abs(cheapest))
+        return 0.0, bound
+    return path_costs[used].max() - cheapest, bound
 
 
 def _line_search(cost_pass, q, delta, slope0, curve0, step_max, affine):

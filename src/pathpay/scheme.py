@@ -24,6 +24,7 @@ the ``$ = min/60 * $/h`` rule everywhere a time meets a VOT.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -126,16 +127,18 @@ def solve_subscriber_lp(
     the LP value is ``t_R G(D) - sum_k w_k G(C_k)`` minimised over
     ``incidence @ T = share * q_SO``, ``T >= 0``. ``-G`` is the maximum of
     its pieces, so Kelley's cutting-plane method solves it: a master LP in
-    ``T`` and free ``z_k`` minimises ``sum_k w_k z_k`` under the link rows
-    and the cuts ``z_k + v_m C_k >= v_m D_{m-1} - G(D_{m-1})`` gathered so
-    far. It starts from the piece holding each ``C_k`` at the SO path split
-    and adds the piece holding each new ``C_k`` until none is new; the
-    master value then equals the true objective at its solution, which
-    proves optimality. Gaps with ``w_k = 0`` need no cut.
+    ``T`` and ``z_k`` minimises ``sum_k w_k z_k`` under the link rows and
+    the cuts ``z_k + v_m C_k >= v_m D_{m-1} - G(D_{m-1})`` gathered so far.
+    The cuts are tangents of ``G >= 0``, so ``z_k <= 0`` at every master
+    optimum and the master carries ``y_k = -z_k >= 0``. It starts from the
+    piece holding each ``C_k`` at the SO path split and adds the piece
+    holding each new ``C_k`` until none is new; the master value then
+    equals the true objective at its solution, which proves optimality.
+    Gaps with ``w_k = 0`` need no cut.
 
     Where the optimal totals are not unique, the result is the basic optimum
     that Bland's rule reaches on the final cut set, with the master's path
-    columns slowest first, then the cut surpluses, then ``z``, from the
+    columns slowest first, then the cut surpluses, then ``y``, from the
     simplex's crash basis: the surplus of each cut with a negative
     right-hand side starts basic in its row, and the link rows and the
     other cuts start with artificial variables. So it is a deterministic
@@ -228,25 +231,26 @@ def solve_subscriber_lp(
 def _master_lp(incidence, link_target, prefix, weight, vot, rhs, cuts) -> StandardLp:
     """Equality form of the cutting-plane master over the cuts ``(j, m)``.
 
-    Columns are the path totals, one surplus per cut, then ``z+`` and
-    ``z-`` for each gap (``z = z+ - z-`` is free); rows are the links, then
-    the cuts. With ``z`` ahead of the surpluses the chains took 3-4x the
-    pivots.
+    Columns are the path totals, one surplus per cut, then ``y = -z >= 0``
+    for each gap; rows are the links, then the cuts. Every cut is a tangent
+    of the concave, non-negative ``G``, so at a master optimum
+    ``z_k = max(cuts) <= -G(C_k) <= 0`` and ``z`` needs no positive part.
+    The surpluses come first: with ``z`` ahead of them the chains took 3-4x
+    the pivots.
     """
     n_links, n_paths = incidence.shape
     K = prefix.shape[0]
     j, m = np.array(list(cuts), dtype=int).reshape(-1, 2).T
     n_cuts = j.size
     rows = np.arange(n_cuts)
-    A = np.zeros((n_links + n_cuts, n_paths + n_cuts + 2 * K))
+    A = np.zeros((n_links + n_cuts, n_paths + n_cuts + K))
     A[:n_links, :n_paths] = incidence
     cut_rows = A[n_links:]
     cut_rows[:, :n_paths] = vot[m, None] * prefix[j]
     cut_rows[rows, n_paths + rows] = -1.0
-    cut_rows[rows, n_paths + n_cuts + j] = 1.0
-    cut_rows[rows, n_paths + n_cuts + K + j] = -1.0
+    cut_rows[rows, n_paths + n_cuts + j] = -1.0
     b = np.concatenate([link_target, rhs[m]])
-    c = np.concatenate([np.zeros(n_paths + n_cuts), weight, -weight])
+    c = np.concatenate([np.zeros(n_paths + n_cuts), -weight])
     return StandardLp(c=c, A=A, b=b)
 
 
@@ -409,14 +413,25 @@ def cost_report(
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
-    """All intermediate artifacts of a full scheme run."""
+    """All intermediate artifacts of a full scheme run.
 
+    ``ue``, the no-policy baseline that only the cost report reads, is
+    solved on first read with the run's ``tol`` and ``max_iter`` and kept;
+    a caller that never reads it (``pathpay assign``) never solves it.
+    """
+
+    net: Network
     paths: PathSet
     so: FlowSolution
-    ue: FlowSolution
     classes: VotClassTable
     assignment: SubscriberAssignment
     outcome: SchemeOutcome
+    tol: float
+    max_iter: int
+
+    @cached_property
+    def ue(self) -> FlowSolution:
+        return solve_ue(self.net, self.paths, tol=self.tol, max_iter=self.max_iter)
 
 
 def run_scheme(
@@ -427,19 +442,21 @@ def run_scheme(
     max_iter: int = DEFAULT_MAX_ITER,
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> PipelineResult:
-    """End-to-end run: enumerate paths, solve both equilibria, route
-    subscribers, and build the guidance outcome."""
+    """End-to-end run: enumerate paths, solve the system optimum, route
+    subscribers, and build the guidance outcome. The user equilibrium is
+    left to the first read of the result's ``ue``."""
     paths = enumerate_paths(net, max_paths)
     so = solve_so(net, paths, tol=tol, max_iter=max_iter)
-    ue = solve_ue(net, paths, tol=tol, max_iter=max_iter)
     classes = discretize(dist, net.subscriber_demand, M)
     assignment = solve_subscriber_lp(so, classes, net, paths)
     outcome = build_outcome(assignment, dist, so.path_times)
     return PipelineResult(
+        net=net,
         paths=paths,
         so=so,
-        ue=ue,
         classes=classes,
         assignment=assignment,
         outcome=outcome,
+        tol=tol,
+        max_iter=max_iter,
     )

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pathpay.scheme
 from conftest import FIXTURE_DIR
 from pathpay import assign_outsider, assign_subscriber, cli
 from pathpay.cli import dumps_json, main
@@ -176,6 +177,34 @@ class TestInputBoundary:
         assert line == "error: --grid must be an integer in [2, 100000]"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1e300", "1", "0", "-0.5"])
+    @pytest.mark.parametrize("command", ["equilibria", "scheme", "improvement", "assign"])
+    def test_tol_flag_bounded(self, tmp_path, capsys, command, tol):
+        # --tol nan once ran 100 000 iterations; inf and 1e300 passed the
+        # all-or-nothing start after none
+        argv = [command, "--network", NETWORK, "--tol", tol, "--out", str(tmp_path / "o")]
+        if command != "equilibria":
+            argv += ["--vot", VOT]
+        if command == "assign":
+            argv += ["--roster", str(tmp_path / "roster.csv")]
+        start = time.perf_counter()
+        assert run(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert single_error_line(capsys) == "error: --tol must be a finite number in (0, 1)"
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_rejected_before_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_scheme called with a negative seed")
+
+        monkeypatch.setattr(cli, "run_scheme", no_solve)
+        roster = tmp_path / "roster.csv"
+        roster.write_text("user_id,role,vot\nu1,outsider,\n")
+        assert run(["assign", "--network", NETWORK, "--vot", VOT, "--roster", str(roster),
+                    "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+        assert single_error_line(capsys) == "error: --seed must be a non-negative integer"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "params",
         [
@@ -213,6 +242,27 @@ class TestInputBoundary:
         assert time.perf_counter() - start < 1.0
         line = single_error_line(capsys)
         assert "overflow" in line and "demand" in line
+
+
+@pytest.mark.parametrize("command, solves", [("scheme", 1), ("improvement", 1), ("assign", 0)])
+def test_ue_solved_only_when_read(tmp_path, monkeypatch, command, solves):
+    # the cost report reads the user equilibrium (scheme reads it twice, so
+    # one solve shows it is kept); assign never reads it
+    calls = []
+    solve_ue = pathpay.scheme.solve_ue
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_ue(*args, **kwargs)
+
+    monkeypatch.setattr(pathpay.scheme, "solve_ue", counted)
+    argv = [command, "--network", NETWORK, "--vot", VOT, "--out", str(tmp_path / "o")]
+    if command == "assign":
+        roster = tmp_path / "roster.csv"
+        roster.write_text("user_id,role,vot\nu1,subscriber,20\nu2,outsider,\n")
+        argv += ["--roster", str(roster)]
+    assert run(argv) == 0
+    assert len(calls) == solves
 
 
 class TestImprovement:

@@ -140,6 +140,27 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             solve_so(demo_network, paths, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 1e300, 1.0, -1e-8])
+    @pytest.mark.parametrize("solver", [solve_so, solve_ue])
+    def test_tol_must_be_finite_below_one(self, demo_network, solver, tol):
+        # nan once ran max_iter iterations; inf accepted the starting point
+        paths = enumerate_paths(demo_network)
+        with pytest.raises(ValueError, match=r"tol must be a finite number in \(0, 1\)"):
+            solver(demo_network, paths, tol=tol)
+
+    def test_certificate_failure_names_spread(self, demo_network):
+        # at tol 1e-30 the UE gap reaches 0 by iteration 100, but rounding
+        # leaves the used paths' costs 7e-15 apart, above the certificate's
+        # 4e-29: the message must name that spread, not the met gap
+        paths = enumerate_paths(demo_network)
+        with pytest.raises(ConvergenceError) as err:
+            solve_ue(demo_network, paths, tol=1e-30, max_iter=100)
+        assert err.value.achieved_gap <= 1e-30
+        message = str(err.value)
+        assert message.startswith("no convergence in 100 iterations: relative gap ")
+        assert "is within tol, but the used paths' costs spread " in message
+        assert "over the certificate's bound " in message
+
 
 def newton_step(net, regime, q, delta, step_max, affine=None):
     """The solver's line search from link flows ``q`` along ``delta``, and

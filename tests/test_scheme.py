@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pathpay.scheme
 from _instances import random_network, random_vot
 from _oracles import class_path_lp, greedy_weighted_cost
 from pathpay import (
+    ConvergenceError,
     FlowSolution,
     Link,
     LinkCostFn,
@@ -477,6 +478,30 @@ class TestCostReport:
     def test_bad_grid(self, demo_run):
         with pytest.raises(SchemeError):
             cost_report(demo_run.outcome, demo_run.ue, 1)
+
+
+class TestLazyUe:
+    def test_ue_matches_direct_solve(self, demo_network, demo_vot):
+        dist, M = demo_vot
+        result = run_scheme(demo_network, dist, M, tol=1e-9)
+        direct = solve_ue(demo_network, result.paths, tol=1e-9)
+        for field in fields(FlowSolution):
+            assert np.array_equal(
+                getattr(result.ue, field.name), getattr(direct, field.name)
+            ), field.name
+
+    def test_outcome_needs_no_ue(self, demo_network, demo_vot, demo_run):
+        # on the fixture SO converges in 15 iterations and UE in 36
+        assert demo_run.so.iterations < 20 < demo_run.ue.iterations
+        dist, M = demo_vot
+        result = run_scheme(demo_network, dist, M, max_iter=20)
+        assert result.outcome.order == demo_run.outcome.order
+        for name in ("sorted_times", "partition", "rho", "payments"):
+            assert np.array_equal(
+                getattr(result.outcome, name), getattr(demo_run.outcome, name)
+            ), name
+        with pytest.raises(ConvergenceError):
+            result.ue
 
 
 class TestRandomPipelines:
