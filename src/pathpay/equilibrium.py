@@ -78,19 +78,7 @@ def solve_so(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> FlowSolution:
     """Minimize total system travel time; link flows are unique by convexity."""
-    f, q, gap, iters, passes = _frank_wolfe(net, paths, "SO", tol, max_iter)
-    times = net.link_times(q)
-    return FlowSolution(
-        regime="SO",
-        link_flows=q,
-        path_flows=f,
-        path_times=paths.incidence.T @ times,
-        total_time=float(q @ times),
-        demand=net.demand,
-        relative_gap=gap,
-        iterations=iters,
-        cost_passes=passes,
-    )
+    return _solve(net, paths, "SO", tol, max_iter)
 
 
 def solve_ue(
@@ -100,18 +88,22 @@ def solve_ue(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> FlowSolution:
     """Minimize the Beckmann potential; used paths share one travel time."""
-    f, q, gap, iters, passes = _frank_wolfe(net, paths, "UE", tol, max_iter)
+    return _solve(net, paths, "UE", tol, max_iter)
+
+
+def _solve(net, paths, regime, tol, max_iter) -> FlowSolution:
+    f, q, gap, iters, passes = _frank_wolfe(net, paths, regime, tol, max_iter)
     times = net.link_times(q)
+    path_times = paths.incidence.T @ times
     total = float(q @ times)
-    if net.demand > 0:
-        ue_time = total / net.demand
-    else:
-        ue_time = float((paths.incidence.T @ times).min())
+    ue_time = None
+    if regime == "UE":
+        ue_time = total / net.demand if net.demand > 0 else float(path_times.min())
     return FlowSolution(
-        regime="UE",
+        regime=regime,
         link_flows=q,
         path_flows=f,
-        path_times=paths.incidence.T @ times,
+        path_times=path_times,
         total_time=total,
         demand=net.demand,
         relative_gap=gap,
@@ -209,18 +201,25 @@ def _frank_wolfe(net, paths, regime, tol, max_iter):
             step_max,
             net.linear_costs,
         )
-        f = f + step * direction
-        np.maximum(f, 0.0, out=f)
+        moved = f + step * direction
+        np.maximum(moved, 0.0, out=moved)
         if step == step_max and step_max > 0 and fw_gap < away_gap:
-            f[worst] = 0.0  # away step hit the boundary exactly
+            moved[worst] = 0.0  # away step hit the boundary exactly
+        if np.array_equal(moved, f):
+            # f is the solver's only state, so every later iteration would
+            # repeat this one
+            stop = f", stalled at iteration {iteration} (path flows unchanged)"
+            break
+        f = moved
+    else:
+        stop = f" in {max_iter} iterations"
 
-    message = f"no convergence in {max_iter} iterations (relative gap {gap_rel:.3e})"
+    message = f"no convergence{stop} (relative gap {gap_rel:.3e})"
     if gap_rel <= tol:  # the last iterate met the gap but not the certificate
         message = (
-            f"no convergence in {max_iter} iterations: relative gap "
-            f"{gap_rel:.3e} is within tol, but the used paths' costs spread "
-            f"{spread:.3e} above the cheapest, over the certificate's bound "
-            f"{bound:.3e}"
+            f"no convergence{stop}: relative gap {gap_rel:.3e} is within "
+            f"tol, but the used paths' costs spread {spread:.3e} above the "
+            f"cheapest, over the certificate's bound {bound:.3e}"
         )
     raise ConvergenceError(message, achieved_gap=float(gap_rel))
 

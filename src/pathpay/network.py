@@ -4,9 +4,9 @@ origin-destination demand record, and exhaustive simple-path enumeration.
 Networks are loaded from JSON (see :func:`parse_network` for the schema) and
 are immutable once built, so they can be shared freely between solvers. On
 first use a network compiles its links' cost functions into coefficient
-arrays, so link times, marginals and integrals, and a solver's objective
-value, gradient and curvature together, are each one pass of a few numpy
-calls over all links.
+arrays. Link costs then have two evaluators, each one pass of a few numpy
+calls over all links: the link travel times, and a solver's objective
+value, link gradient and link curvature together.
 """
 
 from __future__ import annotations
@@ -88,32 +88,6 @@ class LinkCostFn:
     def bpr(cls, t0: float, cap: float, alpha: float, power: float) -> LinkCostFn:
         return cls("bpr", (t0, cap, alpha, power))
 
-    @cached_property
-    def _arrays(self) -> _CostArrays:
-        return _CostArrays.compile((self,))
-
-    def cost(self, flow):
-        """Travel time t(q) at the given flow (scalar or array, flow >= 0)."""
-        return self._values(flow, _TIME)
-
-    def derivative(self, flow):
-        """dt/dq at the given flow."""
-        return self._values(flow, _SLOPE)
-
-    def marginal(self, flow):
-        """Marginal (system) cost t(q) + q * t'(q); always >= t(q)."""
-        return self._values(flow, _MARGINAL)
-
-    def cost_integral(self, flow):
-        """Closed-form integral of t over [0, q]."""
-        return self._values(flow, _INTEGRAL)
-
-    def _values(self, flow, row):
-        """One quantity at the given flows, in their shape; a scalar for a
-        scalar."""
-        q = _check_flow(flow)
-        return self._arrays.evaluate(np.ravel(q), row).reshape(np.shape(q))[()]
-
 
 @dataclass(frozen=True, eq=False)
 class _CostArrays:
@@ -141,10 +115,8 @@ class _CostArrays:
 
     The first three rows are the value terms, gradient and curvature of the
     system-optimal objective ``sum q t``; the last three those of the
-    Beckmann potential. Every basis function is finite at zero flow, as
-    ``p >= 1``. The arrays broadcast against the flow, so the same
-    evaluation serves one link at many flows (:class:`LinkCostFn`) and every
-    link at one flow each (:class:`Network`).
+    Beckmann potential, whose gradient is ``t``. Every basis function is
+    finite at zero flow, as ``p >= 1``.
     """
 
     coef: np.ndarray  # (quantity, basis function, link)
@@ -211,15 +183,8 @@ class _CostArrays:
 
 
 # rows of the _CostArrays table
-_MARGINAL, _INTEGRAL, _TIME, _SLOPE = 1, 3, 4, 5
+_TIME = 4
 _OBJECTIVE_ROWS = {"SO": slice(0, 3), "UE": slice(3, 6)}
-
-
-def _check_flow(flow):
-    q = np.asarray(flow, dtype=float)
-    if np.any(q < 0):
-        raise NetworkError("link flow must be non-negative")
-    return q if q.ndim else float(q)
 
 
 @dataclass(frozen=True)
@@ -268,34 +233,33 @@ class Network:
             raise NetworkError("demand must be non-negative")
         if not 0 <= self.subscriber_demand <= self.demand:
             raise NetworkError("subscriber demand must lie in [0, demand]")
-        if not self._destination_reachable():
+        if not any(
+            ln.tail == self.origin and ln.head in self._leads_to_destination
+            for ln in self.links
+        ):
             raise NetworkError(
                 f"no path from {self.origin!r} to {self.destination!r}"
             )
 
-    def _destination_reachable(self) -> bool:
-        adj: dict[str, list[str]] = {}
+    @cached_property
+    def _leads_to_destination(self) -> frozenset[str]:
+        """The destination and every node with a path to it that avoids the
+        origin: the only nodes a simple origin-destination path can enter."""
+        tails: dict[str, list[str]] = {}
         for ln in self.links:
-            adj.setdefault(ln.tail, []).append(ln.head)
-        seen = {self.origin}
-        stack = [self.origin]
+            tails.setdefault(ln.head, []).append(ln.tail)
+        seen = {self.destination}
+        stack = [self.destination]
         while stack:
-            node = stack.pop()
-            if node == self.destination:
-                return True
-            for nxt in adj.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
+            for node in tails.get(stack.pop(), ()):
+                if node not in seen and node != self.origin:
+                    seen.add(node)
+                    stack.append(node)
+        return frozenset(seen)
 
     @property
     def outsider_demand(self) -> float:
         return self.demand - self.subscriber_demand
-
-    def link_index(self) -> dict[int, int]:
-        """Map link id -> position in ``self.links``."""
-        return {ln.id: pos for pos, ln in enumerate(self.links)}
 
     @cached_property
     def _costs(self) -> _CostArrays:
@@ -311,16 +275,10 @@ class Network:
 
     def link_times(self, link_flows) -> np.ndarray:
         """Per-link travel times at the given flow vector."""
-        return self._costs.evaluate(_check_flow(link_flows), _TIME)
-
-    def link_marginals(self, link_flows) -> np.ndarray:
-        """Per-link marginal costs at the given flow vector."""
-        return self._costs.evaluate(_check_flow(link_flows), _MARGINAL)
-
-    def link_integrals(self, link_flows) -> np.ndarray:
-        """Per-link integrals of travel time over [0, flow]; their sum is the
-        Beckmann potential that the user equilibrium minimizes."""
-        return self._costs.evaluate(_check_flow(link_flows), _INTEGRAL)
+        q = np.asarray(link_flows, dtype=float)
+        if np.any(q < 0):
+            raise NetworkError("link flow must be non-negative")
+        return self._costs.evaluate(q, _TIME)
 
     def link_objective(self, link_flows, regime: str):
         """Value, link gradient and link curvature of the ``"SO"`` objective
@@ -360,45 +318,51 @@ def enumerate_paths(net: Network, max_paths: int = DEFAULT_MAX_PATHS) -> PathSet
     """Enumerate every simple origin->destination path by depth-first search.
 
     Paths are ordered lexicographically by their link-id sequence, which makes
-    the result reproducible across runs. Raises :class:`PathCountError` as
-    soon as more than ``max_paths`` paths exist; this toolkit targets small
-    networks where exhaustive enumeration is practical.
+    the result reproducible across runs. The search keeps its own stack, so
+    path length is not bounded by Python's recursion limit, and it enters
+    only nodes that lead to the destination without passing the origin
+    (found once, by a backward search from the destination): a dead-end
+    subnetwork costs one pass, not a walk over its simple paths. Raises
+    :class:`PathCountError` as soon as more than ``max_paths`` paths exist;
+    this toolkit targets small networks where exhaustive enumeration is
+    practical.
     """
     if max_paths < 1:
         raise NetworkError("max_paths must be >= 1")
     by_tail: dict[str, list[Link]] = {}
     for ln in net.links:
-        by_tail.setdefault(ln.tail, []).append(ln)
+        if ln.head in net._leads_to_destination:
+            by_tail.setdefault(ln.tail, []).append(ln)
     for outgoing in by_tail.values():
         outgoing.sort(key=lambda ln: ln.id)
 
     found: list[tuple[int, ...]] = []
-    trail: list[int] = []
+    trail: list[int] = []  # link ids of the partial path
+    heads: list[str] = []  # the nodes it entered
     visited = {net.origin}
-
-    def walk(node: str) -> None:
-        if node == net.destination:
+    # one iterator over the outgoing links of each node on the partial path
+    stack = [iter(by_tail[net.origin])]
+    while stack:
+        ln = next(stack[-1], None)
+        if ln is None:  # every way on from this node is explored: back up
+            stack.pop()
+            if heads:
+                visited.remove(heads.pop())
+                trail.pop()
+        elif ln.head == net.destination:
             if len(found) >= max_paths:
                 raise PathCountError(
                     f"more than {max_paths} simple paths; raise max_paths "
                     "or reduce the network"
                 )
-            found.append(tuple(trail))
-            return
-        for ln in by_tail.get(node, ()):
-            if ln.head in visited:
-                continue
+            found.append((*trail, ln.id))
+        elif ln.head not in visited:
             visited.add(ln.head)
+            heads.append(ln.head)
             trail.append(ln.id)
-            walk(ln.head)
-            trail.pop()
-            visited.remove(ln.head)
+            stack.append(iter(by_tail.get(ln.head, ())))
 
-    walk(net.origin)
-    if not found:
-        raise NetworkError("no origin-destination path exists")
-
-    index = net.link_index()
+    index = {ln.id: pos for pos, ln in enumerate(net.links)}
     incidence = np.zeros((len(net.links), len(found)))
     for r, path in enumerate(found):
         for lid in path:

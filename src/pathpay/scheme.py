@@ -36,7 +36,7 @@ from .equilibrium import (
     solve_so,
     solve_ue,
 )
-from .network import DEFAULT_MAX_PATHS, Network, PathSet, enumerate_paths
+from .network import Network, PathSet, enumerate_paths
 from .simplex import StandardLp, solve_lp
 from .vot import VotClassTable, VotDistribution, discretize
 
@@ -440,12 +440,11 @@ def run_scheme(
     M: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    max_paths: int = DEFAULT_MAX_PATHS,
 ) -> PipelineResult:
     """End-to-end run: enumerate paths, solve the system optimum, route
     subscribers, and build the guidance outcome. The user equilibrium is
     left to the first read of the result's ``ue``."""
-    paths = enumerate_paths(net, max_paths)
+    paths = enumerate_paths(net)
     so = solve_so(net, paths, tol=tol, max_iter=max_iter)
     classes = discretize(dist, net.subscriber_demand, M)
     assignment = solve_subscriber_lp(so, classes, net, paths)

@@ -235,10 +235,6 @@ class VotClassTable:
     class_demand: np.ndarray
     class_mean: np.ndarray
 
-    @property
-    def total_demand(self) -> float:
-        return float(self.class_demand.sum())
-
 
 def discretize(dist: VotDistribution, subscriber_demand: float, M: int) -> VotClassTable:
     """Split subscriber demand into M equal-width VOT classes.

@@ -6,8 +6,8 @@ coupling as a loop, an exhaustive lattice search, the O(n^2) payment sums,
 the strategy-proofness search over every (true, declared) lattice pair
 and over the partition points one at a time, the simplex's artificial
 drive-out as a scan over basis membership, the VOT quantile and class
-table as per-point and per-class loops, and Frank-Wolfe over the public
-link-cost methods with a regula-falsi line search.
+table as per-point and per-class loops, Frank-Wolfe with a regula-falsi
+line search, and path enumeration by a recursive search without pruning.
 """
 
 from __future__ import annotations
@@ -359,19 +359,15 @@ def regula_falsi_step(gradient, q, delta, slope0, step_max) -> float:
 
 def frank_wolfe_oracle(net, paths, regime, tol=1e-8, max_iter=100_000):
     """Link flows of the ``regime`` ("SO" or "UE") optimum by Frank-Wolfe
-    with away steps, evaluating costs through the public ``Network``
-    methods (each with its flow check) and stepping by
+    with away steps, evaluating the objective and its gradient by separate
+    ``Network.link_objective`` passes and stepping by
     :func:`regula_falsi_step`."""
-    if regime == "SO":
-        gradient = net.link_marginals
 
-        def objective(q):
-            return float(q @ net.link_times(q))
-    else:
-        gradient = net.link_times
+    def objective(q):
+        return net.link_objective(q, regime)[0]
 
-        def objective(q):
-            return float(net.link_integrals(q).sum())
+    def gradient(q):
+        return net.link_objective(q, regime)[1]
 
     d = net.demand
     incidence = paths.incidence
@@ -403,3 +399,31 @@ def frank_wolfe_oracle(net, paths, regime, tol=1e-8, max_iter=100_000):
         if away and step == step_max > 0:
             f[worst] = 0.0
     raise OracleError(f"no convergence in {max_iter} iterations")
+
+
+def recursive_paths(net) -> tuple[tuple[int, ...], ...]:
+    """Every simple origin-destination path as a link-id sequence, by a
+    recursive depth-first search that tries each node's outgoing links in id
+    order and enters every unvisited node, dead ends included."""
+    by_tail: dict[str, list] = {}
+    for ln in sorted(net.links, key=lambda ln: ln.id):
+        by_tail.setdefault(ln.tail, []).append(ln)
+    found: list[tuple[int, ...]] = []
+    trail: list[int] = []
+    visited = {net.origin}
+
+    def walk(node: str) -> None:
+        if node == net.destination:
+            found.append(tuple(trail))
+            return
+        for ln in by_tail.get(node, ()):
+            if ln.head in visited:
+                continue
+            visited.add(ln.head)
+            trail.append(ln.id)
+            walk(ln.head)
+            trail.pop()
+            visited.remove(ln.head)
+
+    walk(net.origin)
+    return tuple(found)

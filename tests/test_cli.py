@@ -244,6 +244,27 @@ class TestInputBoundary:
         assert "overflow" in line and "demand" in line
 
 
+@pytest.mark.parametrize("command", ["equilibria", "scheme"])
+def test_long_series_chain(tmp_path, capsys, command):
+    # one path of 1 500 links, deeper than Python's default recursion limit
+    n = 1500
+    nodes = [f"v{i}" for i in range(n + 1)]
+    links = [
+        {"id": i + 1, "from": nodes[i], "to": nodes[i + 1],
+         "cost": {"kind": "linear", "params": [0.01, 1e-5]}}
+        for i in range(n)
+    ]
+    demand = {"origin": nodes[0], "destination": nodes[-1],
+              "total": 1000.0, "subscribers": 800.0}
+    network = tmp_path / "network.json"
+    network.write_text(json.dumps({"nodes": nodes, "links": links, "demand": demand}))
+    argv = [command, "--network", str(network), "--out", str(tmp_path / "o")]
+    if command == "scheme":
+        argv += ["--vot", VOT]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command, solves", [("scheme", 1), ("improvement", 1), ("assign", 0)])
 def test_ue_solved_only_when_read(tmp_path, monkeypatch, command, solves):
     # the cost report reads the user equilibrium (scheme reads it twice, so

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -149,17 +150,32 @@ class TestEdgeCases:
             solver(demo_network, paths, tol=tol)
 
     def test_certificate_failure_names_spread(self, demo_network):
-        # at tol 1e-30 the UE gap reaches 0 by iteration 100, but rounding
-        # leaves the used paths' costs 7e-15 apart, above the certificate's
-        # 4e-29: the message must name that spread, not the met gap
+        # at tol 1e-30 the UE gap reaches 0, but rounding leaves the used
+        # paths' costs 7e-15 apart, above the certificate's 4e-29, and the
+        # path flows stop changing before iteration 100: the message must
+        # name that spread, not the met gap
         paths = enumerate_paths(demo_network)
         with pytest.raises(ConvergenceError) as err:
             solve_ue(demo_network, paths, tol=1e-30, max_iter=100)
         assert err.value.achieved_gap <= 1e-30
         message = str(err.value)
-        assert message.startswith("no convergence in 100 iterations: relative gap ")
+        assert re.match(
+            r"no convergence, stalled at iteration \d+ \(path flows unchanged\): "
+            "relative gap ",
+            message,
+        )
         assert "is within tol, but the used paths' costs spread " in message
         assert "over the certificate's bound " in message
+
+    def test_stall_stops_the_solve(self, demo_network):
+        # an iterate the step leaves unchanged repeats forever: the solve
+        # stops there instead of running out the default 100 000 iterations
+        paths = enumerate_paths(demo_network)
+        with pytest.raises(ConvergenceError) as err:
+            solve_ue(demo_network, paths, tol=1e-30)
+        stalled = re.match(r"no convergence, stalled at iteration (\d+) ", str(err.value))
+        assert stalled is not None
+        assert int(stalled.group(1)) < 100
 
 
 def newton_step(net, regime, q, delta, step_max, affine=None):
@@ -254,7 +270,10 @@ class TestLineSearch:
         # there is emptied
         delta = (np.array(end) - q) / step_max
         newton, _ = newton_step(net, regime, q, delta, step_max)
-        gradient = net.link_marginals if regime == "SO" else net.link_times
+
+        def gradient(flows):
+            return net.link_objective(flows, regime)[1]
+
         slope0 = float(delta @ gradient(q))
         oracle = regula_falsi_step(gradient, q, delta, slope0, step_max)
         assert 0.0 <= newton <= step_max
@@ -315,12 +334,8 @@ class TestInvariants:
         assert sol.path_times == pytest.approx(paths.incidence.T @ times, abs=1e-12)
         assert sol.total_time == pytest.approx(float(sol.link_flows @ times))
         # optimality certificate at the solver tolerance
-        costs = (
-            net.link_marginals(sol.link_flows)
-            if sol.regime == "SO"
-            else times
-        )
-        path_costs = paths.incidence.T @ costs
+        _, gradient, _ = net.link_objective(sol.link_flows, sol.regime)
+        path_costs = paths.incidence.T @ gradient
         used = sol.path_flows > tol * d
         if used.any():
             excess = path_costs[used].max() - path_costs.min()

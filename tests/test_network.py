@@ -1,10 +1,12 @@
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _instances import parallel_network
+from _instances import parallel_network, random_network
+from _oracles import recursive_paths
 from pathpay import (
     LinkCostFn,
     NetworkError,
@@ -171,6 +173,44 @@ class TestEnumerate:
             enumerate_paths(net, max_paths=2)
         assert len(enumerate_paths(net, max_paths=n_simple)) == n_simple
 
+    def test_matches_recursive_search(self, demo_network):
+        nets = [demo_network] + [
+            random_network(np.random.default_rng(seed)) for seed in range(100)
+        ]
+        # random digraphs on 7 nodes: links into the origin, out of the
+        # destination, cycles and nodes that cannot reach the destination
+        nodes = [f"n{i}" for i in range(7)]
+        pairs = [(a, b) for a in nodes for b in nodes if a != b]
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            chosen = rng.choice(len(pairs), size=14, replace=False)
+            links = [
+                {"id": int(lid), "from": pairs[k][0], "to": pairs[k][1], "cost": LINEAR}
+                for lid, k in zip(rng.permutation(100)[:14] + 1, chosen)
+            ]
+            links.append({"id": 101, "from": "n0", "to": "n6", "cost": LINEAR})
+            nets.append(make_net(links, nodes, "n0", "n6"))
+        for net in nets:
+            assert enumerate_paths(net).paths == recursive_paths(net)
+
+    def test_dead_end_clique_is_not_walked(self):
+        # a 12-node clique behind one link from the origin holds ~10^8
+        # simple partial paths, none of which reaches the destination
+        k = 12
+        clique = [f"k{i}" for i in range(k)]
+        links = [
+            {"id": 1, "from": "O", "to": "D", "cost": LINEAR},
+            {"id": 2, "from": "O", "to": clique[0], "cost": LINEAR},
+        ]
+        links += [
+            {"id": len(links) + 1 + n, "from": a, "to": b, "cost": LINEAR}
+            for n, (a, b) in enumerate((a, b) for a in clique for b in clique if a != b)
+        ]
+        net = make_net(links, ["O", "D", *clique], "O", "D")
+        start = time.perf_counter()
+        assert enumerate_paths(net).paths == ((1,),)
+        assert time.perf_counter() - start < 1.0
+
     def test_deterministic(self, demo_network):
         a = enumerate_paths(demo_network)
         b = enumerate_paths(demo_network)
@@ -183,10 +223,22 @@ class TestEnumerate:
         assert lengths.tolist() == [len(p) for p in ps.paths]
 
 
+def link_values(fn, flow):
+    """Time, marginal cost, integral and derivative of one cost function at
+    one flow, from a one-link network: its travel time, its gradient under
+    the system-optimal objective, and the value and curvature of the
+    Beckmann potential."""
+    net = parallel_network([fn])
+    q = np.array([flow])
+    _, marginal, _ = net.link_objective(q, "SO")
+    integral, _, slope = net.link_objective(q, "UE")
+    return net.link_times(q)[0], marginal[0], integral, slope[0]
+
+
 class TestCostFns:
     def test_table_value(self):
-        fn = LinkCostFn.linear(10.0, 0.05)
-        assert fn.cost(250.0) == pytest.approx(22.5, abs=1e-12)
+        time, _, _, _ = link_values(LinkCostFn.linear(10.0, 0.05), 250.0)
+        assert time == pytest.approx(22.5, abs=1e-12)
 
     def test_zero_flow_marginal_equals_cost(self):
         fns = [
@@ -195,17 +247,19 @@ class TestCostFns:
             LinkCostFn.bpr(5.0, 100.0, 0.15, 4.0),
         ]
         for fn in fns:
-            assert fn.cost(0.0) == pytest.approx(fn.params[0], rel=1e-12)
-            assert fn.marginal(0.0) == pytest.approx(fn.cost(0.0))
+            time, marginal, _, _ = link_values(fn, 0.0)
+            assert time == pytest.approx(fn.params[0], rel=1e-12)
+            assert marginal == pytest.approx(time)
 
     def test_hand_marginal(self):
-        fn = LinkCostFn.linear(5.0, 0.02)
-        assert fn.cost(750.0) == pytest.approx(20.0)
-        assert fn.marginal(750.0) == pytest.approx(35.0)
+        time, marginal, _, _ = link_values(LinkCostFn.linear(5.0, 0.02), 750.0)
+        assert time == pytest.approx(20.0)
+        assert marginal == pytest.approx(35.0)
 
     def test_negative_flow_rejected(self):
+        net = parallel_network([LinkCostFn.linear(1.0, 1.0)])
         with pytest.raises(NetworkError):
-            LinkCostFn.linear(1.0, 1.0).cost(-0.5)
+            net.link_times([-0.5])
 
     def test_bad_params(self):
         with pytest.raises(NetworkError):
@@ -216,9 +270,9 @@ class TestCostFns:
             LinkCostFn.polynomial([1.0, -2.0])
 
     def test_bpr_shape(self):
-        fn = LinkCostFn.bpr(10.0, 500.0, 0.15, 4.0)
-        assert fn.cost(500.0) == pytest.approx(11.5)
-        assert fn.cost(0.0) == pytest.approx(10.0)
+        net = parallel_network([LinkCostFn.bpr(10.0, 500.0, 0.15, 4.0)])
+        assert net.link_times([500.0])[0] == pytest.approx(11.5)
+        assert net.link_times([0.0])[0] == pytest.approx(10.0)
 
 
 def cost_fn_strategy():
@@ -239,8 +293,8 @@ def cost_fn_strategy():
 
 @given(fn=cost_fn_strategy(), q1=st.floats(0.0, 1000.0), q2=st.floats(0.0, 1000.0))
 def test_cost_monotone(fn, q1, q2):
-    lo, hi = sorted((q1, q2))
-    assert fn.cost(hi) >= fn.cost(lo) - 1e-9 * (1.0 + abs(fn.cost(hi)))
+    lo, hi = parallel_network([fn, fn]).link_times(sorted((q1, q2)))
+    assert hi >= lo - 1e-9 * (1.0 + abs(hi))
 
 
 @given(fn=cost_fn_strategy(), q=st.floats(0.01, 1000.0))
@@ -248,14 +302,16 @@ def test_derivative_matches_finite_difference(fn, q):
     h = 1e-4 * (1.0 + q)
     if q - h < 0:
         h = q / 2
-    numeric = (fn.cost(q + h) - fn.cost(q - h)) / (2 * h)
-    exact = fn.derivative(q)
+    below, above = parallel_network([fn, fn]).link_times([q - h, q + h])
+    numeric = (above - below) / (2 * h)
+    *_, exact = link_values(fn, q)
     assert abs(exact - numeric) <= 1e-6 * (1.0 + abs(exact))
 
 
 @given(fn=cost_fn_strategy(), q=st.floats(0.0, 1000.0))
 def test_marginal_at_least_cost(fn, q):
-    assert fn.marginal(q) >= fn.cost(q) - 1e-12
+    time, marginal, _, _ = link_values(fn, q)
+    assert marginal >= time - 1e-12
 
 
 def reference_values(fn, q):
@@ -291,20 +347,17 @@ def test_compiled_costs_match_per_link(links):
     fns = [fn for fn, _ in links]
     q = np.array([flow for _, flow in links])
     net = parallel_network(fns)
-    per_link = {
-        net.link_times: [fn.cost(f) for fn, f in links],
-        net.link_marginals: [fn.marginal(f) for fn, f in links],
-        net.link_integrals: [fn.cost_integral(f) for fn, f in links],
-    }
+    per_link = np.array([link_values(fn, f)[:3] for fn, f in links])
     # the same arithmetic link by link and all at once: equal up to rounding
     rtol = 8 * np.finfo(float).eps
-    for compiled, values in per_link.items():
-        np.testing.assert_allclose(compiled(q), values, rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(net.link_times(q), per_link[:, 0], rtol=rtol, atol=0.0)
+    _, marginals, _ = net.link_objective(q, "SO")
+    np.testing.assert_allclose(marginals, per_link[:, 1], rtol=rtol, atol=0.0)
+    potential, _, _ = net.link_objective(q, "UE")
+    assert potential == pytest.approx(per_link[:, 2].sum(), rel=1e-12, abs=1e-300)
     # and both agree with the closed forms, summed in another order
     reference = np.array([reference_values(fn, f) for fn, f in links])
-    np.testing.assert_allclose(
-        np.array(list(per_link.values())).T, reference, rtol=1e-12, atol=1e-12
-    )
+    np.testing.assert_allclose(per_link, reference, rtol=1e-12, atol=1e-12)
 
 
 def reference_curvatures(fn, q):
@@ -326,17 +379,20 @@ def test_link_objective_matches_public_methods(links):
     q = np.array([flow for _, flow in links])
     net = parallel_network(fns)
     times = net.link_times(q)
-    public = {
-        "SO": (float(q @ times), net.link_marginals(q)),
-        "UE": (float(net.link_integrals(q).sum()), times),
-    }
-    curvatures = np.array([reference_curvatures(fn, f) for fn, f in links]).T
-    rtol = 8 * np.finfo(float).eps
-    for (regime, (value, gradient)), curvature in zip(public.items(), curvatures):
-        fused = net.link_objective(q, regime)
-        assert fused[0] == pytest.approx(value, rel=1e-12, abs=1e-300)
-        np.testing.assert_allclose(fused[1], gradient, rtol=rtol, atol=0.0)
-        np.testing.assert_allclose(fused[2], curvature, rtol=1e-12, atol=1e-12)
+    _, marginals, integrals = np.array([reference_values(fn, f) for fn, f in links]).T
+    so_curvature, ue_curvature = np.array(
+        [reference_curvatures(fn, f) for fn, f in links]
+    ).T
+    so = net.link_objective(q, "SO")
+    ue = net.link_objective(q, "UE")
+    # the SO value is total time at the link times and the UE gradient is
+    # the link times themselves
+    assert so[0] == pytest.approx(float(q @ times), rel=1e-12, abs=1e-300)
+    np.testing.assert_allclose(ue[1], times, rtol=8 * np.finfo(float).eps, atol=0.0)
+    # the rest match the closed forms
+    assert ue[0] == pytest.approx(float(integrals.sum()), rel=1e-12, abs=1e-300)
+    for fused, reference in ((so[1], marginals), (so[2], so_curvature), (ue[2], ue_curvature)):
+        np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
 
 
 def test_unused_powers_do_not_overflow():
@@ -349,12 +405,25 @@ def test_unused_powers_do_not_overflow():
     ]
     q = np.array([1e100, 1e60, 1e50])
     net = parallel_network(fns)
-    reference = np.array([reference_values(fn, f) for fn, f in zip(fns, q)]).T
-    for compiled, values in zip(
-        (net.link_times, net.link_marginals, net.link_integrals), reference
+    times, marginals, integrals = np.array(
+        [reference_values(fn, f) for fn, f in zip(fns, q)]
+    ).T
+    so_curvature, ue_curvature = np.array(
+        [reference_curvatures(fn, f) for fn, f in zip(fns, q)]
+    ).T
+    so = net.link_objective(q, "SO")
+    ue = net.link_objective(q, "UE")
+    for compiled, values in (
+        (net.link_times(q), times),
+        (so[1], marginals),
+        (so[2], so_curvature),
+        (ue[1], times),
+        (ue[2], ue_curvature),
     ):
         assert np.all(np.isfinite(values))
-        np.testing.assert_allclose(compiled(q), values, rtol=1e-12)
+        np.testing.assert_allclose(compiled, values, rtol=1e-12)
+    assert so[0] == pytest.approx(float(q @ times), rel=1e-12)
+    assert ue[0] == pytest.approx(float(integrals.sum()), rel=1e-12)
 
 
 def test_linear_costs():
@@ -369,6 +438,5 @@ def test_network_rejects_negative_flow():
     net = parallel_network(
         [LinkCostFn.linear(1.0, 0.5), LinkCostFn.bpr(2.0, 10.0, 0.15, 4.0)]
     )
-    for evaluate in (net.link_times, net.link_marginals, net.link_integrals):
-        with pytest.raises(NetworkError, match="non-negative"):
-            evaluate([3.0, -1e-9])
+    with pytest.raises(NetworkError, match="non-negative"):
+        net.link_times([3.0, -1e-9])
