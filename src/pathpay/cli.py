@@ -102,11 +102,20 @@ def _write_csv(path: Path, header, rows) -> None:
 # -- shared loading ----------------------------------------------------------
 
 
+def _parse_file(parse, path):
+    """``parse`` applied to the text of the file at ``path``; an error in
+    the text, its encoding or its nesting depth names the file."""
+    try:
+        return parse(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_inputs(args):
     """Read the network and VOT files and apply ``--classes``; returns the
     network, the VOT distribution and the class count."""
-    net = parse_network(Path(args.network).read_text())
-    dist, M = parse_vot(Path(args.vot).read_text())
+    net = _parse_file(parse_network, args.network)
+    dist, M = _parse_file(parse_vot, args.vot)
     if args.classes is not None:
         check_class_count(args.classes, "--classes")
         M = args.classes
@@ -127,7 +136,7 @@ def _row(label: str, cells, width: int = 12) -> str:
 
 
 def cmd_equilibria(args) -> int:
-    net = parse_network(Path(args.network).read_text())
+    net = _parse_file(parse_network, args.network)
     paths = enumerate_paths(net)
     so = solve_so(net, paths, tol=args.tol)
     ue = solve_ue(net, paths, tol=args.tol)
@@ -183,7 +192,8 @@ def cmd_scheme(args) -> int:
     outcome = result.outcome
     paths = result.paths
 
-    report = cost_report(outcome, result.ue, DEFAULT_REPORT_GRID)
+    ue = solve_ue(net, paths, tol=args.tol)
+    report = cost_report(outcome, ue, DEFAULT_REPORT_GRID)
     verification = run_verification(outcome, report, sp_grid=args.grid)
 
     # per-path rows in enumeration order
@@ -236,7 +246,7 @@ def cmd_scheme(args) -> int:
         "outsider_demand": net.outsider_demand,
         "weighted_cost": result.assignment.weighted_cost,
         "so_relative_gap": result.so.relative_gap,
-        "ue_relative_gap": result.ue.relative_gap,
+        "ue_relative_gap": ue.relative_gap,
         "vot_classes": result.classes.M,
     }
     out = Path(args.out)
@@ -253,8 +263,10 @@ def cmd_scheme(args) -> int:
 
 def cmd_improvement(args) -> int:
     _check_grid(args.grid)
-    result = run_scheme(*_load_inputs(args), tol=args.tol)
-    report = cost_report(result.outcome, result.ue, args.grid)
+    net, dist, M = _load_inputs(args)
+    result = run_scheme(net, dist, M, tol=args.tol)
+    ue = solve_ue(net, result.paths, tol=args.tol)
+    report = cost_report(result.outcome, ue, args.grid)
 
     out = Path(args.out)
     header = ["beta", "subscriber_cost", "quitter_cost", "ue_cost",
@@ -289,8 +301,8 @@ def cmd_assign(args) -> int:
     """Guidance for every roster user, written to ``assignments.csv``.
 
     The roster is read and checked against the VOT support before the
-    solve, so a bad row fails fast. The result's user equilibrium is never
-    read, so it is never solved. Subscribers get their paths from one
+    solve, so a bad row fails fast. Guidance needs no user equilibrium, so
+    none is solved. Subscribers get their paths from one
     :func:`vot_ranks` lookup, outsiders from one seeded draw in file order.
     Each row is the user's cell plus a tail formatted once per (path,
     role), streamed to the file.
@@ -377,7 +389,8 @@ def _read_roster(path, support) -> tuple[list, list[float]]:
     ``lo <= float(cell) <= hi`` on the support ``(lo, hi)``; NaN, inf and a
     parse failure fail it, and only then is the message built
     (:func:`_declared_vot`). The first bad row in file order raises, located
-    by ``reader.line_num``: the line on which the row ends.
+    by ``reader.line_num``: the line on which the row ends. Bytes that are
+    not UTF-8 are located by :func:`_undecodable_line`.
     """
     lo, hi = support
     nan = math.nan
@@ -421,7 +434,22 @@ def _read_roster(path, support) -> tuple[list, list[float]]:
                 add_vot(vot)
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise ValueError(f"line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ValueError(f"line {_undecodable_line(path)}: not UTF-8 text") from None
     return user_ids, vots
+
+
+def _undecodable_line(path) -> int:
+    """The number of the first line of the file at ``path`` that is not
+    UTF-8 text, counting lines ended by LF, CR or CR LF as the csv reader
+    does. A decode error's own position is relative to the chunk being
+    decoded, so it cannot say where in the file the bad byte is."""
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    for number, line in enumerate(data.split(b"\n"), 1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return number
 
 
 def _declared_vot(cell, where: str, support) -> float:

@@ -34,7 +34,8 @@ import numpy as np
 from .network import Network, PathSet
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100_000
+# Frank-Wolfe iterations before a solve gives up
+MAX_ITER = 100_000
 # the line search stops once the step is bracketed this finely, relative to
 # the largest feasible step: double precision
 _STEP_RESOLUTION = 2.0**-50
@@ -71,28 +72,18 @@ class FlowSolution:
     ue_time: float | None = None
 
 
-def solve_so(
-    net: Network,
-    paths: PathSet,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> FlowSolution:
+def solve_so(net: Network, paths: PathSet, tol: float = DEFAULT_TOL) -> FlowSolution:
     """Minimize total system travel time; link flows are unique by convexity."""
-    return _solve(net, paths, "SO", tol, max_iter)
+    return _solve(net, paths, "SO", tol)
 
 
-def solve_ue(
-    net: Network,
-    paths: PathSet,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> FlowSolution:
+def solve_ue(net: Network, paths: PathSet, tol: float = DEFAULT_TOL) -> FlowSolution:
     """Minimize the Beckmann potential; used paths share one travel time."""
-    return _solve(net, paths, "UE", tol, max_iter)
+    return _solve(net, paths, "UE", tol)
 
 
-def _solve(net, paths, regime, tol, max_iter) -> FlowSolution:
-    f, q, gap, iters, passes = _frank_wolfe(net, paths, regime, tol, max_iter)
+def _solve(net, paths, regime, tol) -> FlowSolution:
+    f, q, gap, iters, passes = _frank_wolfe(net, paths, regime, tol)
     times = net.link_times(q)
     path_times = paths.incidence.T @ times
     total = float(q @ times)
@@ -129,7 +120,7 @@ def average_time(sol: FlowSolution) -> float:
 
 # overflow is detected from the iterates, so numpy need not warn about it
 @np.errstate(over="ignore", invalid="ignore")
-def _frank_wolfe(net, paths, regime, tol, max_iter):
+def _frank_wolfe(net, paths, regime, tol):
     """Path flows, link flows, relative gap, iterations and cost passes of
     the ``regime`` ("SO" or "UE") optimum."""
     check_tol(tol)
@@ -153,7 +144,7 @@ def _frank_wolfe(net, paths, regime, tol, max_iter):
     f[int(np.argmin(incidence.T @ gradient))] = d
 
     gap_rel = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         # f is clipped at zero, so the link flows are non-negative
         q = incidence @ f
         value, gradient, curvature = cost_pass(q)
@@ -212,7 +203,7 @@ def _frank_wolfe(net, paths, regime, tol, max_iter):
             break
         f = moved
     else:
-        stop = f" in {max_iter} iterations"
+        stop = f" in {MAX_ITER} iterations"
 
     message = f"no convergence{stop} (relative gap {gap_rel:.3e})"
     if gap_rel <= tol:  # the last iterate met the gap but not the certificate

@@ -18,7 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-DEFAULT_MAX_PATHS = 10_000
+# the most simple paths enumeration accepts: the path solvers and the
+# subscriber LP work on dense links x paths arrays
+MAX_PATHS = 10_000
 
 COST_KINDS = ("linear", "polynomial", "bpr")
 
@@ -28,7 +30,7 @@ class NetworkError(ValueError):
 
 
 class PathCountError(NetworkError):
-    """Simple-path enumeration exceeded the configured path budget."""
+    """The network has more than ``MAX_PATHS`` simple paths."""
 
 
 @dataclass(frozen=True)
@@ -314,7 +316,7 @@ class PathSet:
         return ["+".join(f"({lid})" for lid in p) for p in self.paths]
 
 
-def enumerate_paths(net: Network, max_paths: int = DEFAULT_MAX_PATHS) -> PathSet:
+def enumerate_paths(net: Network) -> PathSet:
     """Enumerate every simple origin->destination path by depth-first search.
 
     Paths are ordered lexicographically by their link-id sequence, which makes
@@ -323,12 +325,10 @@ def enumerate_paths(net: Network, max_paths: int = DEFAULT_MAX_PATHS) -> PathSet
     only nodes that lead to the destination without passing the origin
     (found once, by a backward search from the destination): a dead-end
     subnetwork costs one pass, not a walk over its simple paths. Raises
-    :class:`PathCountError` as soon as more than ``max_paths`` paths exist;
+    :class:`PathCountError` as soon as more than ``MAX_PATHS`` paths exist;
     this toolkit targets small networks where exhaustive enumeration is
     practical.
     """
-    if max_paths < 1:
-        raise NetworkError("max_paths must be >= 1")
     by_tail: dict[str, list[Link]] = {}
     for ln in net.links:
         if ln.head in net._leads_to_destination:
@@ -350,11 +350,8 @@ def enumerate_paths(net: Network, max_paths: int = DEFAULT_MAX_PATHS) -> PathSet
                 visited.remove(heads.pop())
                 trail.pop()
         elif ln.head == net.destination:
-            if len(found) >= max_paths:
-                raise PathCountError(
-                    f"more than {max_paths} simple paths; raise max_paths "
-                    "or reduce the network"
-                )
+            if len(found) >= MAX_PATHS:
+                raise PathCountError(f"more than {MAX_PATHS} simple paths; reduce the network")
             found.append((*trail, ln.id))
         elif ln.head not in visited:
             visited.add(ln.head)

@@ -18,24 +18,20 @@ distribution split into classes:
    subscriber and expected charges exactly cancel expected subsidies.
 
 Payments are in dollars; path times stay in minutes and are converted with
-the ``$ = min/60 * $/h`` rule everywhere a time meets a VOT.
+the ``$ = min/60 * $/h`` rule everywhere a time meets a VOT. Guidance and
+payments depend only on the system optimum and the VOT distribution; the
+user equilibrium is the no-policy baseline that :func:`cost_report`
+compares them against, solved by the caller that wants the comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .equilibrium import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    FlowSolution,
-    solve_so,
-    solve_ue,
-)
+from .equilibrium import DEFAULT_TOL, FlowSolution, solve_so
 from .network import Network, PathSet, enumerate_paths
 from .simplex import StandardLp, solve_lp
 from .vot import VotClassTable, VotDistribution, discretize
@@ -413,49 +409,27 @@ def cost_report(
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
-    """All intermediate artifacts of a full scheme run.
+    """All intermediate artifacts of a full scheme run."""
 
-    ``ue``, the no-policy baseline that only the cost report reads, is
-    solved on first read with the run's ``tol`` and ``max_iter`` and kept;
-    a caller that never reads it (``pathpay assign``) never solves it.
-    """
-
-    net: Network
     paths: PathSet
     so: FlowSolution
     classes: VotClassTable
     assignment: SubscriberAssignment
     outcome: SchemeOutcome
-    tol: float
-    max_iter: int
-
-    @cached_property
-    def ue(self) -> FlowSolution:
-        return solve_ue(self.net, self.paths, tol=self.tol, max_iter=self.max_iter)
 
 
 def run_scheme(
-    net: Network,
-    dist: VotDistribution,
-    M: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    net: Network, dist: VotDistribution, M: int, tol: float = DEFAULT_TOL
 ) -> PipelineResult:
     """End-to-end run: enumerate paths, solve the system optimum, route
-    subscribers, and build the guidance outcome. The user equilibrium is
-    left to the first read of the result's ``ue``."""
+    subscribers, and build the guidance outcome. Guidance and payments need
+    no user equilibrium; a caller that compares against the no-policy
+    baseline solves it with :func:`solve_ue` on the result's ``paths``."""
     paths = enumerate_paths(net)
-    so = solve_so(net, paths, tol=tol, max_iter=max_iter)
+    so = solve_so(net, paths, tol=tol)
     classes = discretize(dist, net.subscriber_demand, M)
     assignment = solve_subscriber_lp(so, classes, net, paths)
     outcome = build_outcome(assignment, dist, so.path_times)
     return PipelineResult(
-        net=net,
-        paths=paths,
-        so=so,
-        classes=classes,
-        assignment=assignment,
-        outcome=outcome,
-        tol=tol,
-        max_iter=max_iter,
+        paths=paths, so=so, classes=classes, assignment=assignment, outcome=outcome
     )

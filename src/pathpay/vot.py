@@ -85,13 +85,13 @@ class VotDistribution:
         return cls._from_pdf_knots("piecewise_linear", knots, density)
 
     @classmethod
-    def empirical(cls, samples, support=None) -> VotDistribution:
+    def empirical(cls, samples, support) -> VotDistribution:
         s = np.sort(np.asarray(samples, dtype=float))
         if s.size == 0:
             raise VotError("empirical distribution needs at least one sample")
         if not np.all(np.isfinite(s)):
             raise VotError("samples must be finite")
-        lo, hi = (float(s[0]), float(s[-1])) if support is None else map(float, support)
+        lo, hi = map(float, support)
         _check_support(lo, hi)
         if s[0] < lo or s[-1] > hi:
             raise VotError("samples must lie within the support")
@@ -119,6 +119,7 @@ class VotDistribution:
             raise VotError("knots and densities must be finite")
         if np.any(np.diff(x) <= 0):
             raise VotError("knots must be strictly increasing")
+        _check_support(x[0], x[-1])
         if np.any(p < 0):
             raise VotError("density must be non-negative")
         seg_mass = 0.5 * (p[:-1] + p[1:]) * np.diff(x)

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from pathpay import parse_network, parse_vot, run_scheme
+from pathpay import parse_network, parse_vot, run_scheme, solve_ue
 
 settings.register_profile(
     "suite",
@@ -32,3 +32,8 @@ def demo_vot():
 def demo_run(demo_network, demo_vot):
     dist, M = demo_vot
     return run_scheme(demo_network, dist, M)
+
+
+@pytest.fixture(scope="session")
+def demo_ue(demo_network, demo_run):
+    return solve_ue(demo_network, demo_run.paths)

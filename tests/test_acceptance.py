@@ -57,7 +57,7 @@ def random_suite():
         net = random_network(rng)
         dist = random_vot(rng)
         result = run_scheme(net, dist, 20)
-        report = cost_report(result.outcome, result.ue, 401)
+        report = cost_report(result.outcome, solve_ue(net, result.paths), 401)
         cases.append((result.outcome, report))
     return cases
 
@@ -143,9 +143,9 @@ def test_criterion_6_revenue_neutral(demo_run, random_suite):
             assert result.passed, result
 
 
-def test_criterion_7_pareto_chain(demo_run, random_suite):
+def test_criterion_7_pareto_chain(demo_run, demo_ue, random_suite):
     with criterion(7, "joining beats quitting beats no-policy, for every VOT"):
-        report = cost_report(demo_run.outcome, demo_run.ue, 401)
+        report = cost_report(demo_run.outcome, demo_ue, 401)
         assert check_pareto(report).passed
         assert report.improvement_subscriber_pct[0] == pytest.approx(34.0, abs=1.0)
         assert np.ptp(report.improvement_outsider_pct) <= 0.01

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import pathpay.scheme
 from conftest import FIXTURE_DIR
 from pathpay import assign_outsider, assign_subscriber, cli
 from pathpay.cli import dumps_json, main
@@ -155,7 +154,29 @@ class TestInputBoundary:
         inputs[file].write_text(json.dumps(data))
         assert run(["scheme", "--network", str(inputs["network"]),
                     "--vot", str(inputs["vot"]), "--out", str(tmp_path / "o")]) == 1
-        assert f"error: {field} must be" in single_error_line(capsys)
+        assert single_error_line(capsys).startswith(f"error: {inputs[file]}: {field} must be")
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"nodes": [}', "invalid JSON: "),
+            (b'{"nodes": ["\xff"]}', "'utf-8' codec can't decode byte 0xff"),
+            (b"[" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["invalid-json", "not-utf8", "deep-nesting"],
+    )
+    @pytest.mark.parametrize("file", ["network", "vot"])
+    def test_unreadable_input_named(self, tmp_path, capsys, file, content, message):
+        bad = tmp_path / f"{file}.json"
+        bad.write_bytes(content)
+        inputs = {"network": NETWORK, "vot": VOT, file: str(bad)}
+        commands = [["scheme", "--vot", inputs["vot"]]]
+        if file == "network":
+            commands.append(["equilibria"])
+        for command in commands:
+            assert run([*command, "--network", inputs["network"],
+                        "--out", str(tmp_path / "o")]) == 1
+            assert single_error_line(capsys).startswith(f"error: {bad}: {message}")
 
 
     @pytest.mark.parametrize("classes", ["0", "10001", "1000000000"])
@@ -267,16 +288,16 @@ def test_long_series_chain(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command, solves", [("scheme", 1), ("improvement", 1), ("assign", 0)])
 def test_ue_solved_only_when_read(tmp_path, monkeypatch, command, solves):
-    # the cost report reads the user equilibrium (scheme reads it twice, so
-    # one solve shows it is kept); assign never reads it
+    # scheme and improvement solve the user equilibrium once, for the cost
+    # report; assign never needs it
     calls = []
-    solve_ue = pathpay.scheme.solve_ue
+    solve_ue = cli.solve_ue
 
     def counted(*args, **kwargs):
         calls.append(args)
         return solve_ue(*args, **kwargs)
 
-    monkeypatch.setattr(pathpay.scheme, "solve_ue", counted)
+    monkeypatch.setattr(cli, "solve_ue", counted)
     argv = [command, "--network", NETWORK, "--vot", VOT, "--out", str(tmp_path / "o")]
     if command == "assign":
         roster = tmp_path / "roster.csv"
@@ -389,6 +410,21 @@ class TestAssign:
         assert run(["assign", "--network", NETWORK, "--vot", VOT,
                     "--roster", str(roster), "--out", str(tmp_path / "o")]) == 1
         assert single_error_line(capsys) == "error: line 4: unknown role 'driver'"
+
+    # 5000 rows make a roster of about 120 KB, decoded in several chunks
+    @pytest.mark.parametrize("good_rows", [1, 5000], ids=["small", "over-64kb"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_undecodable_byte_located(self, tmp_path, capsys, monkeypatch, good_rows, newline):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_scheme called on a bad roster")
+
+        monkeypatch.setattr(cli, "run_scheme", no_solve)
+        rows = [b"user_id,role,vot"] + [b"user%05d,subscriber,20" % i for i in range(good_rows)]
+        roster = tmp_path / "roster.csv"
+        roster.write_bytes(newline.join(rows + [b"u\xff,outsider,", b"u\xfe,outsider,", b""]))
+        assert run(["assign", "--network", NETWORK, "--vot", VOT,
+                    "--roster", str(roster), "--out", str(tmp_path / "o")]) == 1
+        assert single_error_line(capsys) == f"error: line {good_rows + 2}: not UTF-8 text"
 
     def test_oversized_field_located(self, tmp_path, capsys):
         roster = tmp_path / "roster.csv"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pathpay.equilibrium
 from _instances import parallel_network, random_network
 from _oracles import frank_wolfe_oracle, regula_falsi_step
 from pathpay import (
@@ -130,10 +131,11 @@ class TestEdgeCases:
         assert sol.total_time == 0.0
         assert average_time(sol) == 0.0
 
-    def test_non_convergence_reports_gap(self, demo_network):
+    def test_non_convergence_reports_gap(self, monkeypatch, demo_network):
         paths = enumerate_paths(demo_network)
+        monkeypatch.setattr(pathpay.equilibrium, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            solve_so(demo_network, paths, max_iter=1)
+            solve_so(demo_network, paths)
         assert err.value.achieved_gap > 0
 
     def test_bad_tol(self, demo_network):
@@ -144,19 +146,20 @@ class TestEdgeCases:
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 1e300, 1.0, -1e-8])
     @pytest.mark.parametrize("solver", [solve_so, solve_ue])
     def test_tol_must_be_finite_below_one(self, demo_network, solver, tol):
-        # nan once ran max_iter iterations; inf accepted the starting point
+        # nan once ran MAX_ITER iterations; inf accepted the starting point
         paths = enumerate_paths(demo_network)
         with pytest.raises(ValueError, match=r"tol must be a finite number in \(0, 1\)"):
             solver(demo_network, paths, tol=tol)
 
-    def test_certificate_failure_names_spread(self, demo_network):
+    def test_certificate_failure_names_spread(self, monkeypatch, demo_network):
         # at tol 1e-30 the UE gap reaches 0, but rounding leaves the used
         # paths' costs 7e-15 apart, above the certificate's 4e-29, and the
         # path flows stop changing before iteration 100: the message must
         # name that spread, not the met gap
         paths = enumerate_paths(demo_network)
+        monkeypatch.setattr(pathpay.equilibrium, "MAX_ITER", 100)
         with pytest.raises(ConvergenceError) as err:
-            solve_ue(demo_network, paths, tol=1e-30, max_iter=100)
+            solve_ue(demo_network, paths, tol=1e-30)
         assert err.value.achieved_gap <= 1e-30
         message = str(err.value)
         assert re.match(

@@ -3,8 +3,9 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import pathpay.network
 from _instances import parallel_network, random_network
 from _oracles import recursive_paths
 from pathpay import (
@@ -142,7 +143,7 @@ class TestEnumerate:
         ps = enumerate_paths(net)
         assert ps.paths == ((1, 2, 3),)
 
-    def test_complete_digraph_exceeds_budget(self):
+    def test_complete_digraph_exceeds_budget(self, monkeypatch):
         nodes = [f"n{i}" for i in range(5)]
         links = []
         lid = 1
@@ -169,9 +170,11 @@ class TestEnumerate:
 
         n_simple = count("n0", {"n0"})
         assert n_simple > 2
-        with pytest.raises(PathCountError):
-            enumerate_paths(net, max_paths=2)
-        assert len(enumerate_paths(net, max_paths=n_simple)) == n_simple
+        monkeypatch.setattr(pathpay.network, "MAX_PATHS", 2)
+        with pytest.raises(PathCountError, match="more than 2 simple paths; reduce the network"):
+            enumerate_paths(net)
+        monkeypatch.setattr(pathpay.network, "MAX_PATHS", n_simple)
+        assert len(enumerate_paths(net)) == n_simple
 
     def test_matches_recursive_search(self, demo_network):
         nets = [demo_network] + [
@@ -298,10 +301,12 @@ def test_cost_monotone(fn, q1, q2):
 
 
 @given(fn=cost_fn_strategy(), q=st.floats(0.01, 1000.0))
+@example(fn=LinkCostFn.bpr(33, 10, 2, 1.5), q=0.01)
 def test_derivative_matches_finite_difference(fn, q):
-    h = 1e-4 * (1.0 + q)
-    if q - h < 0:
-        h = q / 2
+    # near zero flow the third derivative of a power-p cost grows like
+    # q**(p-3); a step relative to q keeps the central difference's
+    # truncation error at (p-1)(p-2)/6 * 1e-8 of the derivative
+    h = 1e-4 * q
     below, above = parallel_network([fn, fn]).link_times([q - h, q + h])
     numeric = (above - below) / (2 * h)
     *_, exact = link_values(fn, q)

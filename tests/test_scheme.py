@@ -1,10 +1,11 @@
 import json
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pathpay.equilibrium
 import pathpay.scheme
 from _instances import random_network, random_vot
 from _oracles import class_path_lp, greedy_weighted_cost
@@ -444,11 +445,11 @@ class TestAssignOutsider:
 
 
 class TestCostReport:
-    def test_fixture_improvements(self, demo_run):
-        report = cost_report(demo_run.outcome, demo_run.ue, 401)
+    def test_fixture_improvements(self, demo_run, demo_ue):
+        report = cost_report(demo_run.outcome, demo_ue, 401)
         assert report.improvement_subscriber_pct[0] == pytest.approx(33.6, abs=1.0)
         expected_time = float(demo_run.outcome.rho @ demo_run.outcome.sorted_times)
-        outsider = (demo_run.ue.ue_time - expected_time) / demo_run.ue.ue_time * 100
+        outsider = (demo_ue.ue_time - expected_time) / demo_ue.ue_time * 100
         spread = np.ptp(report.improvement_outsider_pct)
         assert spread <= 1e-9
         assert report.improvement_outsider_pct[0] == pytest.approx(outsider, abs=1e-9)
@@ -456,7 +457,7 @@ class TestCostReport:
     def test_zero_vot_edge(self, demo_network):
         dist = VotDistribution.uniform(0.0, 10.0)
         result = run_scheme(demo_network, dist, 20)
-        report = cost_report(result.outcome, result.ue, 11)
+        report = cost_report(result.outcome, solve_ue(demo_network, result.paths), 11)
         assert report.ue_cost[0] == 0.0
         assert report.quitter_cost[0] == 0.0
         nonempty = np.flatnonzero(result.outcome.rho > 0)
@@ -466,42 +467,34 @@ class TestCostReport:
         assert np.isnan(report.improvement_subscriber_pct[0])
         assert np.isnan(report.improvement_outsider_pct[0])
 
-    def test_grid_of_two_hits_endpoints(self, demo_run, demo_vot):
+    def test_grid_of_two_hits_endpoints(self, demo_run, demo_ue, demo_vot):
         dist, _ = demo_vot
-        report = cost_report(demo_run.outcome, demo_run.ue, 2)
+        report = cost_report(demo_run.outcome, demo_ue, 2)
         assert report.beta_grid.tolist() == [dist.support[0], dist.support[1]]
 
     def test_requires_ue_solution(self, demo_run):
         with pytest.raises(SchemeError):
             cost_report(demo_run.outcome, demo_run.so, 11)
 
-    def test_bad_grid(self, demo_run):
+    def test_bad_grid(self, demo_run, demo_ue):
         with pytest.raises(SchemeError):
-            cost_report(demo_run.outcome, demo_run.ue, 1)
+            cost_report(demo_run.outcome, demo_ue, 1)
 
 
-class TestLazyUe:
-    def test_ue_matches_direct_solve(self, demo_network, demo_vot):
-        dist, M = demo_vot
-        result = run_scheme(demo_network, dist, M, tol=1e-9)
-        direct = solve_ue(demo_network, result.paths, tol=1e-9)
-        for field in fields(FlowSolution):
-            assert np.array_equal(
-                getattr(result.ue, field.name), getattr(direct, field.name)
-            ), field.name
-
-    def test_outcome_needs_no_ue(self, demo_network, demo_vot, demo_run):
+class TestUeBaseline:
+    def test_outcome_needs_no_ue(self, monkeypatch, demo_network, demo_vot, demo_run, demo_ue):
         # on the fixture SO converges in 15 iterations and UE in 36
-        assert demo_run.so.iterations < 20 < demo_run.ue.iterations
+        assert demo_run.so.iterations < 20 < demo_ue.iterations
+        monkeypatch.setattr(pathpay.equilibrium, "MAX_ITER", 20)
         dist, M = demo_vot
-        result = run_scheme(demo_network, dist, M, max_iter=20)
+        result = run_scheme(demo_network, dist, M)
         assert result.outcome.order == demo_run.outcome.order
         for name in ("sorted_times", "partition", "rho", "payments"):
             assert np.array_equal(
                 getattr(result.outcome, name), getattr(demo_run.outcome, name)
             ), name
         with pytest.raises(ConvergenceError):
-            result.ue
+            solve_ue(demo_network, result.paths)
 
 
 class TestRandomPipelines:

@@ -13,7 +13,6 @@ from _oracles import (
     loop_payments,
 )
 from pathpay import (
-    FlowSolution,
     SchemeOutcome,
     check_pareto,
     check_revenue_neutral,
@@ -22,6 +21,7 @@ from pathpay import (
     cost_report,
     run_scheme,
     run_verification,
+    solve_ue,
 )
 from pathpay.simplex import solve_lp
 
@@ -120,8 +120,8 @@ class TestRevenueNeutral:
 
 
 class TestPareto:
-    def test_fixture_chain(self, demo_run):
-        report = cost_report(demo_run.outcome, demo_run.ue, 401)
+    def test_fixture_chain(self, demo_run, demo_ue):
+        report = cost_report(demo_run.outcome, demo_ue, 401)
         result = check_pareto(report)
         assert result.passed
         assert result.worst_ue_vs_quit > 0
@@ -145,29 +145,18 @@ class TestPareto:
         )
         dist, _ = demo_vot
         result = run_scheme(net, dist, 10)
-        report = cost_report(result.outcome, result.ue, 51)
+        report = cost_report(result.outcome, solve_ue(net, result.paths), 51)
         check = check_pareto(report)
         assert check.passed
         assert check.worst_ue_vs_quit == pytest.approx(0.0, abs=1e-9)
         assert check.worst_quit_vs_join == pytest.approx(0.0, abs=1e-9)
 
-    def test_so_times_as_baseline_never_invert(self, demo_run):
+    def test_so_times_as_baseline_never_invert(self, demo_run, demo_ue):
         # baseline travel time lowered to the guided expectation: the first
         # chain ties, but must not invert
         o = demo_run.outcome
         expected = float(o.rho @ o.sorted_times)
-        fake_ue = FlowSolution(
-            regime="UE",
-            link_flows=demo_run.ue.link_flows,
-            path_flows=demo_run.ue.path_flows,
-            path_times=demo_run.ue.path_times,
-            total_time=demo_run.ue.total_time,
-            demand=demo_run.ue.demand,
-            relative_gap=demo_run.ue.relative_gap,
-            iterations=demo_run.ue.iterations,
-            ue_time=expected,
-        )
-        report = cost_report(o, fake_ue, 101)
+        report = cost_report(o, replace(demo_ue, ue_time=expected), 101)
         check = check_pareto(report)
         assert check.passed
         assert check.worst_ue_vs_quit == pytest.approx(0.0, abs=1e-12)
@@ -243,8 +232,8 @@ class TestBruteForceOracle:
 
 
 class TestVerificationReport:
-    def test_fixture_report(self, demo_run):
-        report = cost_report(demo_run.outcome, demo_run.ue, 401)
+    def test_fixture_report(self, demo_run, demo_ue):
+        report = cost_report(demo_run.outcome, demo_ue, 401)
         ver = run_verification(demo_run.outcome, report)
         assert ver.passed
         data = ver.to_dict()

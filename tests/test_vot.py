@@ -104,7 +104,9 @@ class TestCdf:
     def test_pdf_normalized(self, demo_vot):
         dist, _ = demo_vot
         grid = np.linspace(*dist.support, 200_001)
-        assert np.trapezoid(dist.pdf(grid), grid) == pytest.approx(1.0, abs=1e-9)
+        pdf = dist.pdf(grid)
+        area = np.sum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))  # trapezoid rule
+        assert area == pytest.approx(1.0, abs=1e-9)
 
 
 class TestInverseCdf:
@@ -347,3 +349,15 @@ class TestParse:
             VotDistribution.empirical([], support=(0.0, 1.0))
         with pytest.raises(VotError):
             VotDistribution.empirical([5.0], support=(0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "knots, message",
+        [([-5.0, 5.0], r"support must satisfy 0 <= lo < hi"),
+         ([0.0, 1e200], r"support must be within \[0, 1e\+100\] \$/h")],
+    )
+    def test_piecewise_linear_support_checked(self, knots, message):
+        # unchecked, knots [-5, 5] gave negative partition points and
+        # payments, and [0, 1e200] overflowed into an infeasible
+        # subscriber LP
+        with pytest.raises(VotError, match=message):
+            VotDistribution.piecewise_linear(knots, [1.0, 1.0])
