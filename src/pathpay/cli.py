@@ -42,8 +42,8 @@ from .verify import check_pareto, run_verification
 from .vot import check_class_count, parse_vot
 
 DEFAULT_REPORT_GRID = 401
-# the largest --grid: the misreport lattice and the report grid hold a few
-# float arrays of this many points
+# the largest --grid: the strategy-proofness check holds (lattice x used
+# paths) float arrays, the lattice having this many points
 MAX_GRID = 100_000
 
 
@@ -87,13 +87,13 @@ def dumps_json(obj, indent: int = 0) -> str:
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
 
 
 def _write_csv(path: Path, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -106,7 +106,7 @@ def _parse_file(parse, path):
     """``parse`` applied to the text of the file at ``path``; an error in
     the text, its encoding or its nesting depth names the file."""
     try:
-        return parse(Path(path).read_text())
+        return parse(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -339,7 +339,7 @@ def cmd_assign(args) -> int:
     cells = _user_cells(user_ids)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "assignments.csv", "w", newline="\n") as handle:
+    with open(out / "assignments.csv", "w", encoding="utf-8", newline="\n") as handle:
         handle.write("user_id,role,path,time_min,payment_usd\n")
         handle.writelines(map(operator.add, cells, map(tails.__getitem__, which)))
     print(f"wrote {out / 'assignments.csv'} ({len(user_ids)} users)")
@@ -396,7 +396,7 @@ def _read_roster(path, support) -> tuple[list, list[float]]:
     nan = math.nan
     user_ids, vots = [], []
     add_user, add_vot = user_ids.append, vots.append
-    with open(path, newline="") as handle:
+    with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)

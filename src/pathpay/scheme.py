@@ -7,7 +7,7 @@ distribution split into classes:
    subscriber share proportional to the system-optimal link flow. Because
    the highest VOTs always take the fastest paths, the program is solved
    over path totals alone, by cutting planes on the concave VOT-mass
-   curve, and the class-by-path flows follow by sort-and-fill;
+   curve, and its VOT-weighted cost is read off that curve;
 2. scale subscriber path flows to outsiders, who hold the remaining share of
    every path;
 3. order paths from slowest to fastest and cut the VOT distribution into
@@ -47,9 +47,8 @@ class SchemeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SubscriberAssignment:
-    """Optimal class-by-path subscriber flows and implied outsider flows."""
+    """Optimal per-path subscriber totals and implied outsider flows."""
 
-    class_path_flows: np.ndarray       # (M, n_paths)
     subscriber_path_flows: np.ndarray  # (n_paths,)
     outsider_path_flows: np.ndarray    # (n_paths,)
     weighted_cost: float               # VOT-weighted time objective
@@ -106,17 +105,17 @@ def solve_subscriber_lp(
     net: Network,
     paths: PathSet,
 ) -> SubscriberAssignment:
-    """Route subscriber classes onto paths at minimum VOT-weighted time.
+    """Per-path subscriber totals of minimum VOT-weighted time.
 
-    Constraints: per link, subscriber flow equals the system-optimal link
-    flow scaled by the subscriber share of demand; per VOT class, path flows
-    add up to the class demand. The result's per-path totals also fix the
-    outsider path flows, which mirror the subscriber split at outsider
-    scale.
+    This is the class-by-path LP: per link, subscriber flow equals the
+    system-optimal link flow scaled by the subscriber share of demand; per
+    VOT class, path flows add up to the class demand. Only its per-path
+    totals are returned; they also fix the outsider path flows, which
+    mirror the subscriber split at outsider scale.
 
-    The class-by-path LP is solved exactly over the path totals ``T`` alone.
-    For fixed totals the cheapest coupling is sort-and-fill: the highest
-    VOTs take the fastest path. With paths sorted fastest first by
+    The LP is solved exactly over the path totals ``T`` alone. For fixed
+    totals the cheapest coupling is sort-and-fill: the highest VOTs take
+    the fastest path. With paths sorted fastest first by
     ``(time, index)``, cumulative totals ``C_k``, gaps
     ``w_k = t_{k+1} - t_k >= 0`` and ``G(C)`` the VOT mass of the top ``C``
     subscribers (concave, one linear piece per class, highest mean first),
@@ -130,7 +129,9 @@ def solve_subscriber_lp(
     piece holding each ``C_k`` at the SO path split and adds the piece
     holding each new ``C_k`` until none is new; the master value then
     equals the true objective at its solution, which proves optimality.
-    Gaps with ``w_k = 0`` need no cut.
+    Gaps with ``w_k = 0`` need no cut. The reported ``weighted_cost`` is
+    ``sum_k t_k (G(C_k) - G(C_{k-1}))`` at the final totals, with ``t_k``
+    the k-th fastest time and ``C_0 = 0``.
 
     Where the optimal totals are not unique, the result is the basic optimum
     that Bland's rule reaches on the final cut set, with the master's path
@@ -193,34 +194,24 @@ def solve_subscriber_lp(
     slow_totals = sol.x[:n_paths]
     if slow_totals.min(initial=0.0) < -_FLOW_TOL:
         raise SchemeError("LP produced a significantly negative flow")
-    slow_totals = np.clip(slow_totals, 0.0, None)
+    totals = np.empty(n_paths)
+    totals[columns] = np.clip(slow_totals, 0.0, None)
 
-    # sort-and-fill coupling: overlap of each class's cumulative-demand
-    # interval with each path's cumulative-total interval
-    filled = np.concatenate([[0.0], np.cumsum(slow_totals[::-1])])
-    overlap = np.minimum(bounds[1:, None], filled[None, 1:]) - np.maximum(
-        bounds[:-1, None], filled[None, :-1]
-    )
-    flows = np.empty((M, n_paths))
-    flows[np.ix_(by_vot, fastest)] = np.clip(overlap, 0.0, None)
-
-    tol = 1e-7 * (
-        1.0 + np.abs(np.concatenate([link_target, classes.class_demand])).max()
-    )
-    class_err = np.abs(flows.sum(axis=1) - classes.class_demand).max(initial=0.0)
-    path_totals = flows.sum(axis=0)
-    link_err = np.abs(paths.incidence @ path_totals - link_target).max(initial=0.0)
-    if class_err > tol or link_err > tol:
+    tol = 1e-7 * (1.0 + np.abs(link_target).max(initial=0.0))
+    demand_err = abs(totals.sum() - bounds[-1])
+    link_err = np.abs(paths.incidence @ totals - link_target).max(initial=0.0)
+    if demand_err > tol or link_err > tol:
         raise SchemeError(
-            f"LP solution violates flow constraints (class {class_err:.3e}, "
+            f"LP solution violates flow constraints (demand {demand_err:.3e}, "
             f"link {link_err:.3e})"
         )
 
+    filled = np.concatenate([[0.0], np.cumsum(totals[fastest])])
+    riding = np.diff(np.interp(filled, bounds, mass))
     return SubscriberAssignment(
-        class_path_flows=flows,
-        subscriber_path_flows=path_totals,
-        outsider_path_flows=(d_out / d_sub) * path_totals,
-        weighted_cost=float(classes.class_mean @ flows @ times),
+        subscriber_path_flows=totals,
+        outsider_path_flows=(d_out / d_sub) * totals,
+        weighted_cost=float(riding @ times[fastest]),
     )
 
 

@@ -25,8 +25,9 @@ import numpy as np
 from .network import integer_field, number_field, numbers_field
 
 DEFAULT_CLASS_COUNT = 100
-# largest accepted class count: payments are stable by M = 50-200, and the
-# class table and class-by-path flows are M-long and M x paths arrays
+# largest accepted class count: payments are stable by M = 50-200, the
+# class table and the VOT-mass curve the subscriber LP cuts on are M-long,
+# and the LP may add a cut per class for every path-time gap
 MAX_CLASS_COUNT = 10_000
 
 VOT_KINDS = ("uniform", "triangular", "piecewise_linear", "empirical")

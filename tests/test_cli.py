@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -305,6 +308,42 @@ def test_ue_solved_only_when_read(tmp_path, monkeypatch, command, solves):
         argv += ["--roster", str(roster)]
     assert run(argv) == 0
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize("command", ["equilibria", "assign"])
+def test_utf8_files_under_c_locale(tmp_path, command):
+    # input and output files are UTF-8 whatever the locale: a C locale's
+    # default encoding is ASCII, which holds neither a node "Å" nor a user "José"
+    network = json.loads(Path(NETWORK).read_text(encoding="utf-8"))
+    for link in network["links"]:
+        link.update({end: "Å" for end in ("from", "to") if link[end] == "B"})
+    network["nodes"] = ["A", "Å", "C"]
+    (tmp_path / "network.json").write_text(json.dumps(network, ensure_ascii=False),
+                                           encoding="utf-8")
+    argv = [command, "--network", str(tmp_path / "network.json")]
+    if command == "assign":
+        roster = "user_id,role,vot\nJosé,subscriber,20\nZoë,outsider,\n"
+        (tmp_path / "roster.csv").write_text(roster, encoding="utf-8")
+        argv += ["--vot", VOT, "--roster", str(tmp_path / "roster.csv")]
+
+    with redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(tmp_path / "expected")]) == 0
+    src = str(FIXTURE_DIR.parent / "src")
+    env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "pathpay.cli", *argv, "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    expected = sorted((tmp_path / "expected").iterdir())
+    assert [f.name for f in sorted((tmp_path / "o").iterdir())] == [f.name for f in expected]
+    for f in expected:
+        assert (tmp_path / "o" / f.name).read_bytes() == f.read_bytes()
+    if command == "assign":
+        assert "José,subscriber" in (tmp_path / "o" / "assignments.csv").read_text(
+            encoding="utf-8"
+        )
 
 
 class TestImprovement:
@@ -638,14 +677,14 @@ class TestInputFuzz:
         if command == "assign":
             files["roster"] = work / "roster.csv"
             files["roster"].write_text(
-                "".join(",".join(row) + "\n" for row in ROSTER_ROWS)
+                "".join(",".join(row) + "\n" for row in ROSTER_ROWS), encoding="utf-8"
             )
         if target == "roster":
             text = data.draw(mutated_roster())
         else:
-            text = data.draw(mutated_json(files[target].read_text()))
+            text = data.draw(mutated_json(files[target].read_text(encoding="utf-8")))
         files[target] = work / f"mutated-{target}"
-        files[target].write_text(text)
+        files[target].write_text(text, encoding="utf-8")
 
         argv = [command, "--network", str(files["network"]), "--out", str(work / "o")]
         if command != "equilibria":

@@ -56,15 +56,12 @@ class TestSubscriberLp:
         )
 
     def test_class_and_link_constraints(self, demo_run, demo_network):
-        assign = demo_run.assignment
-        classes = demo_run.classes
+        totals = demo_run.assignment.subscriber_path_flows
         share = demo_network.subscriber_demand / demo_network.demand
-        assert assign.class_path_flows.sum(axis=1) == pytest.approx(
-            classes.class_demand, abs=1e-6
-        )
-        link_flows = demo_run.paths.incidence @ assign.subscriber_path_flows
+        assert totals.sum() == pytest.approx(demo_network.subscriber_demand, abs=1e-6)
+        link_flows = demo_run.paths.incidence @ totals
         assert link_flows == pytest.approx(demo_run.so.link_flows * share, abs=1e-5)
-        assert assign.class_path_flows.min() >= 0.0
+        assert totals.min() >= 0.0
 
     def test_no_outsiders(self, demo_vot):
         net = parse_network(
@@ -124,6 +121,12 @@ class TestSubscriberLp:
             solve_subscriber_lp(
                 broken, demo_run.classes, demo_network, demo_run.paths
             )
+
+    def test_class_demand_mismatch_rejected(self, demo_run, demo_network, demo_vot):
+        dist, M = demo_vot
+        classes = discretize(dist, 0.9 * demo_network.subscriber_demand, M)
+        with pytest.raises(SchemeError, match="violates flow constraints"):
+            solve_subscriber_lp(demo_run.so, classes, demo_network, demo_run.paths)
 
     def test_greedy_sort_oracle_equivalence(self, demo_run):
         cost = greedy_weighted_cost(
@@ -239,7 +242,6 @@ class TestPathTotalRouting:
                              net.subscriber_demand, 30)
         first = solve_subscriber_lp(so, classes, net, paths)
         second = solve_subscriber_lp(so, classes, net, paths)
-        assert np.array_equal(first.class_path_flows, second.class_path_flows)
         assert np.array_equal(
             first.subscriber_path_flows, second.subscriber_path_flows
         )
