@@ -2,23 +2,41 @@
 
 Both regimes minimize a convex separable objective over the path-flow
 simplex: total system time ``sum q_a t_a(q_a)`` for the system optimum, the
-Beckmann potential ``sum integral_0^q_a t_a`` for the user equilibrium. The
-solver is Frank-Wolfe with away steps: the toward-vertex is the cheapest
-path under the objective's link gradient (all-or-nothing loading), the away
-vertex is the costliest path currently carrying flow, and the step size
-comes from an exact line search. Away steps restore linear convergence when
-the optimum sits on a face of the simplex, where classic Frank-Wolfe
-zigzags sublinearly; that argument needs the line search to be exact.
+Beckmann potential ``sum integral_0^q_a t_a`` for the user equilibrium.
+
+The solver is an active-set projected Newton method (after Bertsekas 1982
+and Jayakrishnan et al. 1994). Each iterate makes one pass over the
+compiled link costs (``Network.link_objective``), which returns the
+objective's value, link gradient ``g`` and link curvature ``h`` together;
+path costs are ``c = incidence.T @ g``. The active set S holds the paths
+that carry flow plus the cheapest path. On S the objective's Hessian is
+``H = A_S.T @ diag(h) @ A_S``, of rank at most the link count, so the
+Newton direction ``p`` is the minimum-norm least-squares solution of the
+KKT system ``[H 1; 1.T 0] [p; mu] = [c_min - c_S; 0]``, which keeps the
+demand fixed. The system is scaled to a unit largest diagonal first, and
+``p`` is re-centred to sum to exactly 0. When the cheapest path carries no
+flow and the direction would take flow off it, no positive step exists
+(the step would stall at 0), so that path leaves S and the direction is
+solved again on the face of the paths that carry flow. A ratio test caps
+the step where the first path empties (at most the full Newton step), and
+an exact line search picks the step.
+
+When the Newton direction is not a descent direction, or its step leaves
+the path flows unchanged, the iteration takes the Frank-Wolfe step with
+away steps instead: toward the cheapest path, or away from the costliest
+path carrying flow, whichever gap is larger. That step alone converges
+linearly (Lacoste-Julien & Jaggi 2015) given an exact line search, so every
+iterate is covered. A direction whose slope is within rounding of zero
+(``_SLOPE_RESOLUTION`` of the slope's absolute terms) counts as no descent;
+an iterate where neither direction descends stops the solve as stalled.
 
 The line search works in link space: a path direction moves the link flows
 along ``delta = incidence @ direction``, so the directional derivative at
 step ``a`` is ``delta @ gradient(q + a*delta)`` and its derivative
 ``delta**2 @ curvature(q + a*delta)``. Each trial point, like each iterate,
-is one pass over the compiled link costs (``Network.link_objective``) that
-returns the objective's value, link gradient and link curvature together.
-The root of the directional derivative is found by Newton steps kept inside
-a bracket of the feasible step interval; the first step is already exact
-when the costs are linear.
+is one cost pass. The root of the directional derivative is found by
+Newton steps kept inside a bracket of the feasible step interval; the first
+step is already exact when the costs are linear.
 
 Everything is deterministic: ties break toward the lowest path index, so
 rerunning a solve reproduces bit-identical flows.
@@ -34,8 +52,13 @@ import numpy as np
 from .network import Network, PathSet
 
 DEFAULT_TOL = 1e-8
-# Frank-Wolfe iterations before a solve gives up
-MAX_ITER = 100_000
+# iterations before a solve gives up
+MAX_ITER = 400
+# the full Newton step: the quadratic model's minimizer
+_NEWTON_STEP = 1.0
+# a direction descends only if its slope is below this fraction of the sum
+# of the slope's absolute terms; smaller slopes are rounding (256 ulps)
+_SLOPE_RESOLUTION = 2.0**-44
 # the line search stops once the step is bracketed this finely, relative to
 # the largest feasible step: double precision
 _STEP_RESOLUTION = 2.0**-50
@@ -55,9 +78,12 @@ class FlowSolution:
 
     ``total_time`` is ``sum q_a t_a(q_a)`` in flow-minutes; ``ue_time`` is
     the common travel time of used paths and is only set for the UE regime.
-    ``cost_passes`` counts the solver's passes over the link costs, one per
-    iterate and one per line-search trial point (a diagnostic that the
-    output files leave out).
+    Three diagnostics explain a solve, and the output files leave them out:
+    ``cost_passes`` counts the passes over the link costs, one per iterate
+    and one per line-search trial point; ``gap_history`` holds the relative
+    gap at each iterate, from the start to the returned one (so its last
+    entry is ``relative_gap``); ``newton_steps`` counts the iterations that
+    took the Newton direction rather than the Frank-Wolfe step.
     """
 
     regime: str
@@ -69,6 +95,8 @@ class FlowSolution:
     relative_gap: float
     iterations: int
     cost_passes: int = 0
+    gap_history: tuple[float, ...] = ()
+    newton_steps: int = 0
     ue_time: float | None = None
 
 
@@ -83,7 +111,7 @@ def solve_ue(net: Network, paths: PathSet, tol: float = DEFAULT_TOL) -> FlowSolu
 
 
 def _solve(net, paths, regime, tol) -> FlowSolution:
-    f, q, gap, iters, passes = _frank_wolfe(net, paths, regime, tol)
+    f, q, stats = _projected_newton(net, paths, regime, tol)
     times = net.link_times(q)
     path_times = paths.incidence.T @ times
     total = float(q @ times)
@@ -97,10 +125,8 @@ def _solve(net, paths, regime, tol) -> FlowSolution:
         path_times=path_times,
         total_time=total,
         demand=net.demand,
-        relative_gap=gap,
-        iterations=iters,
-        cost_passes=passes,
         ue_time=ue_time,
+        **stats,
     )
 
 
@@ -120,16 +146,16 @@ def average_time(sol: FlowSolution) -> float:
 
 # overflow is detected from the iterates, so numpy need not warn about it
 @np.errstate(over="ignore", invalid="ignore")
-def _frank_wolfe(net, paths, regime, tol):
-    """Path flows, link flows, relative gap, iterations and cost passes of
-    the ``regime`` ("SO" or "UE") optimum."""
+def _projected_newton(net, paths, regime, tol):
+    """Path flows and link flows of the ``regime`` ("SO" or "UE") optimum,
+    and the solve's counters as ``FlowSolution`` fields."""
     check_tol(tol)
     d = net.demand
     incidence = paths.incidence
     n_paths = len(paths)
     if d == 0:
-        q = np.zeros(len(net.links))
-        return np.zeros(n_paths), q, 0.0, 0, 0
+        stats = dict(relative_gap=0.0, iterations=0, cost_passes=0, gap_history=(0.0,))
+        return np.zeros(n_paths), np.zeros(len(net.links)), stats
 
     passes = 0
 
@@ -143,7 +169,8 @@ def _frank_wolfe(net, paths, regime, tol):
     f = np.zeros(n_paths)
     f[int(np.argmin(incidence.T @ gradient))] = d
 
-    gap_rel = np.inf
+    history = []
+    newton_steps = 0
     for iteration in range(1, MAX_ITER + 1):
         # f is clipped at zero, so the link flows are non-negative
         q = incidence @ f
@@ -162,41 +189,52 @@ def _frank_wolfe(net, paths, regime, tol):
                 achieved_gap=float("nan"),
             )
         scale = max(abs(value), np.finfo(float).tiny)
-        gap_rel = fw_gap / scale
+        gap_rel = float(fw_gap / scale)
+        history.append(gap_rel)
         if gap_rel <= tol:
             spread, bound = _used_cost_spread(f, path_costs, d, tol)
             if spread <= bound:
-                return f, q, gap_rel, iteration - 1, passes
+                return f, q, dict(
+                    relative_gap=gap_rel,
+                    iterations=iteration - 1,
+                    cost_passes=passes,
+                    gap_history=tuple(history),
+                    newton_steps=newton_steps,
+                )
 
-        active = np.flatnonzero(f > 0)
-        worst = int(active[np.argmax(path_costs[active])])
-        away_gap = d * path_costs[worst] - carried
+        def descend(direction, step_max, emptied):
+            """The iterate an exact line search along ``direction`` reaches
+            within ``[0, step_max]``, with path ``emptied`` set to exactly 0
+            when the step reaches ``step_max``; ``f`` itself when the
+            direction does not descend or the step leaves ``f`` unchanged."""
+            terms = path_costs * direction
+            slope = float(terms.sum())
+            rounding = _SLOPE_RESOLUTION * float(np.abs(terms).sum())
+            if step_max <= 0 or not slope < -rounding:
+                return f
+            delta = incidence @ direction
+            step = _line_search(
+                cost_pass,
+                q,
+                delta,
+                slope,
+                float((delta * delta) @ curvature),
+                step_max,
+                net.linear_costs,
+            )
+            moved = f + step * direction
+            np.maximum(moved, 0.0, out=moved)
+            if step == step_max and emptied is not None:
+                moved[emptied] = 0.0
+            return f if np.array_equal(moved, f) else moved
 
-        if fw_gap >= away_gap:
-            direction = -f.copy()
-            direction[cheapest] += d
-            step_max = 1.0
+        newton = _newton_direction(incidence, curvature, path_costs, f, cheapest)
+        moved = descend(*newton)
+        if moved is f:
+            moved = descend(*_toward_or_away(f, path_costs, cheapest, carried, d))
         else:
-            direction = f.copy()
-            direction[worst] -= d
-            denom = d - f[worst]
-            step_max = f[worst] / denom if denom > 0 else 0.0
-
-        delta = incidence @ direction
-        step = _line_search(
-            cost_pass,
-            q,
-            delta,
-            float(path_costs @ direction),
-            float((delta * delta) @ curvature),
-            step_max,
-            net.linear_costs,
-        )
-        moved = f + step * direction
-        np.maximum(moved, 0.0, out=moved)
-        if step == step_max and step_max > 0 and fw_gap < away_gap:
-            moved[worst] = 0.0  # away step hit the boundary exactly
-        if np.array_equal(moved, f):
+            newton_steps += 1
+        if moved is f:
             # f is the solver's only state, so every later iteration would
             # repeat this one
             stop = f", stalled at iteration {iteration} (path flows unchanged)"
@@ -212,7 +250,63 @@ def _frank_wolfe(net, paths, regime, tol):
             f"tol, but the used paths' costs spread {spread:.3e} above the "
             f"cheapest, over the certificate's bound {bound:.3e}"
         )
-    raise ConvergenceError(message, achieved_gap=float(gap_rel))
+    raise ConvergenceError(message, achieved_gap=gap_rel)
+
+
+def _newton_direction(incidence, curvature, path_costs, f, cheapest):
+    """The Newton direction on the active set, its largest step (where the
+    first path empties, at most ``_NEWTON_STEP``) and the path that empties
+    there (None when none does)."""
+
+    def solve_on(S):
+        A = incidence[:, S]
+        n = S.size
+        hessian = A.T @ (curvature[:, None] * A)
+        # scaled to a largest diagonal entry of 1, so that least squares
+        # weighs the demand row like the rest however large the curvature
+        scale = hessian.diagonal().max()
+        if not (0 < scale < math.inf):
+            return np.zeros(n)  # no curvature to model, or it overflows
+        kkt = np.ones((n + 1, n + 1))
+        kkt[:n, :n] = hessian / scale
+        kkt[n, n] = 0.0
+        rhs = np.zeros(n + 1)
+        # costs relative to the cheapest path: the multiplier stays small,
+        # so the direction's rounding scales with the cost spread
+        rhs[:n] = (path_costs[cheapest] - path_costs[S]) / scale
+        p = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:n]
+        return p - p.sum() / n  # the demand stays exact whatever the rounding
+
+    on_face = f > 0
+    S = np.flatnonzero(on_face | (np.arange(f.size) == cheapest))
+    p = solve_on(S)
+    if not on_face[cheapest] and p[np.searchsorted(S, cheapest)] < 0:
+        S = np.flatnonzero(on_face)
+        p = solve_on(S)
+    direction = np.zeros(f.size)
+    direction[S] = p
+    shrinking = S[p < 0]
+    ratios = f[shrinking] / -p[p < 0]
+    if ratios.size and ratios.min() < _NEWTON_STEP:
+        k = int(np.argmin(ratios))
+        return direction, float(ratios[k]), int(shrinking[k])
+    return direction, _NEWTON_STEP, None
+
+
+def _toward_or_away(f, path_costs, cheapest, carried, d):
+    """The Frank-Wolfe direction with the larger gap, toward the cheapest
+    path or away from the costliest path carrying flow, its largest step
+    and the path that empties there (None for the toward step)."""
+    active = np.flatnonzero(f > 0)
+    worst = int(active[np.argmax(path_costs[active])])
+    if carried - d * path_costs[cheapest] >= d * path_costs[worst] - carried:
+        direction = -f.copy()
+        direction[cheapest] += d
+        return direction, 1.0, None
+    direction = f.copy()
+    direction[worst] -= d
+    denom = d - f[worst]
+    return direction, (f[worst] / denom if denom > 0 else 0.0), worst
 
 
 def _used_cost_spread(f, path_costs, d, tol) -> tuple[float, float]:
@@ -247,8 +341,9 @@ def _line_search(cost_pass, q, delta, slope0, curve0, step_max, affine):
     the direction moves is empty and its cost has zero slope there, like a
     BPR cost of power above 1), the step goes to ``step_max`` while the
     slope there is unknown, then to the middle of the bracket. The search
-    stops when the slope is exactly zero, or when the Newton step or the
-    bracket is below ``_STEP_RESOLUTION * step_max``.
+    stops when the slope is zero up to rounding (within
+    ``_SLOPE_RESOLUTION`` of ``|delta| @ |gradient|``), or when the Newton
+    step or the bracket is below ``_STEP_RESOLUTION * step_max``.
     """
     if step_max <= 0 or slope0 >= 0:
         return 0.0
@@ -272,8 +367,8 @@ def _line_search(cost_pass, q, delta, slope0, curve0, step_max, affine):
         older, last = last, abs(trial - a)
         _, gradient, curvature = cost_pass(np.maximum(q + trial * delta, 0.0))
         a, slope, curve = trial, float(delta @ gradient), float(delta2 @ curvature)
-        if slope == 0:
-            return a
+        if abs(slope) <= _SLOPE_RESOLUTION * float(np.abs(delta) @ np.abs(gradient)):
+            return a  # zero up to rounding
         if slope < 0:
             if a == step_max:  # still descending at the end
                 return a

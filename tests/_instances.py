@@ -1,9 +1,11 @@
 """Random problem instances shared by the property and acceptance tests.
 
-Networks are chains of parallel-link segments (2 to 4 links total) with
-linear costs; VOT distributions are uniform or triangular with positive
-support. Everything is driven by a caller-provided numpy Generator so runs
-are reproducible.
+``random_network`` draws chains of parallel-link segments (2 to 4 links
+total) with linear costs; ``random_grid`` and ``random_chain`` draw the
+larger directed grids and series-parallel chains, with linear or BPR costs,
+that the solver tests use. VOT distributions are uniform or triangular with
+positive support. Everything is driven by a caller-provided numpy Generator
+so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -107,3 +109,73 @@ def random_transportation_instance(rng: np.random.Generator, step: float = 1.0):
     means = np.sort(rng.uniform(1.0, 40.0, size=M))
     times = rng.uniform(5.0, 50.0, size=R)
     return make_table(demands, means), totals, times
+
+
+def _probe_cost(rng: np.random.Generator, kind: str, t0_range, slope_range):
+    t0 = float(rng.uniform(*t0_range))
+    if kind == "linear":
+        return LinkCostFn.linear(t0, float(rng.uniform(*slope_range)))
+    return LinkCostFn.bpr(t0, float(rng.uniform(200.0, 500.0)), 0.15, 4.0)
+
+
+def random_grid(rng: np.random.Generator, n: int, kind: str) -> Network:
+    """Directed n x n grid with links going right and down, from the top
+    left corner to the bottom right one: C(2n-2, n-1) paths. Costs are
+    ``linear`` (a0 in [2, 6], a1 in [0.005, 0.02]) or ``bpr`` (t0 in
+    [2, 6], cap in [200, 500], alpha 0.15, power 4); demand 3000, of which
+    2400 subscribe."""
+    nodes = tuple(f"{r}.{c}" for r in range(n) for c in range(n))
+    links = []
+    for r in range(n):
+        for c in range(n):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < n and c + dc < n:
+                    fn = _probe_cost(rng, kind, (2.0, 6.0), (0.005, 0.02))
+                    links.append(
+                        Link(len(links) + 1, f"{r}.{c}", f"{r + dr}.{c + dc}", fn)
+                    )
+    return Network(nodes, tuple(links), nodes[0], nodes[-1], 3000.0, 2400.0)
+
+
+def random_chain(rng: np.random.Generator, widths, kind: str) -> Network:
+    """Series-parallel chain, segment s holding widths[s] parallel links,
+    with ``linear`` (a0 in [5, 15], a1 in [0.01, 0.05]) or ``bpr`` (t0 in
+    [5, 15], cap in [200, 500], alpha 0.15, power 4) costs; demand 1000,
+    of which 800 subscribe."""
+    nodes = tuple(f"N{s}" for s in range(len(widths) + 1))
+    links = []
+    for s, width in enumerate(widths):
+        for _ in range(width):
+            fn = _probe_cost(rng, kind, (5.0, 15.0), (0.01, 0.05))
+            links.append(Link(len(links) + 1, nodes[s], nodes[s + 1], fn))
+    return Network(nodes, tuple(links), nodes[0], nodes[-1], 1000.0, 800.0)
+
+
+def stall_grid() -> Network:
+    """The seeded 5 x 5 BPR grid (70 paths) on which, at one system-optimum
+    iterate, the cheapest path carries no flow and the Newton direction over
+    the used paths plus that one takes flow off it: a ratio test over that
+    set allows no positive step."""
+    return random_grid(np.random.default_rng(6), 5, "bpr")
+
+
+def network_document(net: Network) -> dict:
+    """The network file that parses back to ``net``."""
+    return {
+        "nodes": list(net.nodes),
+        "links": [
+            {
+                "id": ln.id,
+                "from": ln.tail,
+                "to": ln.head,
+                "cost": {"kind": ln.cost_fn.kind, "params": list(ln.cost_fn.params)},
+            }
+            for ln in net.links
+        ],
+        "demand": {
+            "origin": net.origin,
+            "destination": net.destination,
+            "total": net.demand,
+            "subscribers": net.subscriber_demand,
+        },
+    }

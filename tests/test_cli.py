@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pathpay.equilibrium
+from _instances import network_document, random_chain
 from conftest import FIXTURE_DIR
 from pathpay import assign_outsider, assign_subscriber, cli
 from pathpay.cli import dumps_json, main
@@ -246,9 +248,10 @@ class TestInputBoundary:
         assert "too close together" in single_error_line(capsys)
 
     def test_failed_verification_is_one_error_line(self, tmp_path, capsys):
-        # path times near 1e300 leave the misreport margins to rounding
+        # path times near 1e300 leave the misreport margins to rounding;
+        # which link carries them decides whether the rounding fails a check
         data = json.loads(Path(NETWORK).read_text())
-        data["links"][0]["cost"]["params"] = [1e300, 1e300]
+        data["links"][1]["cost"]["params"] = [1e300, 1e300]
         network = tmp_path / "network.json"
         network.write_text(json.dumps(data))
         assert run(["scheme", "--network", str(network), "--vot", VOT,
@@ -308,6 +311,51 @@ def test_ue_solved_only_when_read(tmp_path, monkeypatch, command, solves):
         argv += ["--roster", str(roster)]
     assert run(argv) == 0
     assert len(calls) == solves
+
+
+def test_outputs_leave_solver_diagnostics_out(tmp_path, monkeypatch):
+    # the gap history and the Newton step count explain a solve; like the
+    # cost passes, they never reach an output file
+    def outputs(out):
+        with redirect_stdout(io.StringIO()):
+            assert main(["equilibria", "--network", NETWORK, "--out", str(out)]) == 0
+            assert main(["scheme", "--network", NETWORK, "--vot", VOT, "--out", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    expected = outputs(tmp_path / "expected")
+    solve = pathpay.equilibrium._projected_newton
+
+    def altered(*args):
+        f, q, stats = solve(*args)
+        history = stats["gap_history"] + (0.5,)
+        return f, q, {**stats, "gap_history": history, "newton_steps": 7}
+
+    monkeypatch.setattr(pathpay.equilibrium, "_projected_newton", altered)
+    assert outputs(tmp_path / "o") == expected
+    assert {"equilibria.json", "scheme.json"} <= expected.keys()
+
+
+def test_blas_threads_leave_outputs_unchanged(tmp_path):
+    # the Newton directions come from LAPACK least squares; on the 81-path
+    # linear chain, one BLAS thread and two write the same bytes
+    network = tmp_path / "network.json"
+    chain = random_chain(np.random.default_rng(81), (3, 3, 3, 3), "linear")
+    network.write_text(json.dumps(network_document(chain)))
+    src = str(FIXTURE_DIR.parent / "src")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "pathpay.cli", "scheme", "--network", str(network),
+             "--vot", VOT, "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert len(written[0]) == 3
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("command", ["equilibria", "assign"])

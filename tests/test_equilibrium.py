@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pathpay.equilibrium
-from _instances import parallel_network, random_network
+from _instances import (
+    parallel_network,
+    random_chain,
+    random_grid,
+    random_network,
+    stall_grid,
+)
 from _oracles import frank_wolfe_oracle, regula_falsi_step
 from pathpay import (
     ConvergenceError,
@@ -70,9 +76,14 @@ class TestFixtureSolutions:
         assert sol.ue_time == pytest.approx(UE_TIME, abs=1e-5)
 
     def test_iteration_counts(self, demo_network):
+        # the costs are linear, so the objective is quadratic and each Newton
+        # step solves it exactly on its active set: the first step on the
+        # all-or-nothing path plus the cheapest, the second on every path the
+        # optimum uses
         paths = enumerate_paths(demo_network)
-        assert solve_so(demo_network, paths).iterations == 15
-        assert solve_ue(demo_network, paths).iterations == 36
+        for solver in (solve_so, solve_ue):
+            sol = solver(demo_network, paths)
+            assert (sol.iterations, sol.newton_steps) == (2, 2)
 
     def test_average_times(self, demo_network):
         paths = enumerate_paths(demo_network)
@@ -172,7 +183,7 @@ class TestEdgeCases:
 
     def test_stall_stops_the_solve(self, demo_network):
         # an iterate the step leaves unchanged repeats forever: the solve
-        # stops there instead of running out the default 100 000 iterations
+        # stops there instead of running out MAX_ITER iterations
         paths = enumerate_paths(demo_network)
         with pytest.raises(ConvergenceError) as err:
             solve_ue(demo_network, paths, tol=1e-30)
@@ -315,12 +326,27 @@ class TestCostPasses:
             assert sol.cost_passes <= 3 * sol.iterations
 
     def test_bpr_chain(self):
+        # every step is a Newton step; the passes are one per iterate, the
+        # start's and the line searches' trial points
         net = bpr_chain()
         paths = enumerate_paths(net)
-        for solver in (solve_so, solve_ue):
+        for solver, passes in ((solve_so, 20), (solve_ue, 18)):
             sol = solver(net, paths)
-            assert sol.iterations > 10
-            assert sol.cost_passes <= 5 * sol.iterations
+            assert (sol.iterations, sol.newton_steps, sol.cost_passes) == (8, 8, passes)
+
+
+class TestDiagnostics:
+    def test_gap_history(self, demo_network):
+        nets = [demo_network, bpr_chain(), two_link_net([1.0, 2.0], [0.1, 0.1], 0.0)]
+        for net in nets:
+            paths = enumerate_paths(net)
+            for solver in (solve_so, solve_ue):
+                sol = solver(net, paths)
+                # one gap per iterate, the start included
+                assert len(sol.gap_history) == sol.iterations + 1
+                assert sol.gap_history[-1] == sol.relative_gap
+                assert all(type(gap) is float for gap in sol.gap_history)
+                assert 0 <= sol.newton_steps <= sol.iterations
 
 
 class TestInvariants:
@@ -401,3 +427,119 @@ class TestInvariants:
             assert np.array_equal(a.link_flows, b.link_flows)
             assert np.array_equal(a.path_flows, b.path_flows)
             assert a.total_time == b.total_time
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_chains_and_grids(self, seed):
+        # chains of 2-4 segments of 2-3 links and 3x3 or 4x4 grids, with
+        # linear or BPR costs: the certificate holds, the link flows match
+        # the oracle and a rerun repeats every bit
+        rng = np.random.default_rng([12, seed])
+        kind = ("linear", "bpr")[seed % 2]
+        if seed % 4 < 2:
+            widths = tuple(int(w) for w in rng.integers(2, 4, size=rng.integers(2, 5)))
+            net = random_chain(rng, widths, kind)
+        else:
+            net = random_grid(rng, int(rng.integers(3, 5)), kind)
+        paths = enumerate_paths(net)
+        for solver, regime in ((solve_so, "SO"), (solve_ue, "UE")):
+            sol = solver(net, paths)
+            self._check_solution(net, paths, sol, 1e-8)
+            expect = frank_wolfe_oracle(net, paths, regime)
+            assert sol.link_flows == pytest.approx(expect, abs=1e-7 * net.demand)
+            again = solver(net, paths)
+            assert np.array_equal(again.path_flows, sol.path_flows)
+            assert np.array_equal(again.link_flows, sol.link_flows)
+            assert again.gap_history == sol.gap_history
+
+    @pytest.mark.parametrize(
+        "t0, cap, power, demand, newton_steps",
+        [
+            # curvatures near 1e300 beside the unit demand row of the KKT
+            # system: unscaled, least squares dropped that row and the demand
+            (1.0, 1e-3, 50.0, 1000.0, 67),
+            # curvature overflows to inf, so no Newton direction is formed
+            # and LAPACK must not be called (it printed to stderr and raised)
+            (1e100, 1e-300, 4.0, 1e-300, 0),
+        ],
+        ids=["stiff", "overflowing-curvature"],
+    )
+    def test_extreme_bpr_chains(self, capfd, t0, cap, power, demand, newton_steps):
+        net = random_chain(np.random.default_rng(0), (3, 2), "bpr")
+        links = tuple(
+            dataclasses.replace(
+                ln, cost_fn=LinkCostFn.bpr(t0 * (1 + 0.1 * i), cap * (1 + 0.2 * i), 0.15, power)
+            )
+            for i, ln in enumerate(net.links)
+        )
+        net = dataclasses.replace(net, links=links, demand=demand, subscriber_demand=demand / 2)
+        paths = enumerate_paths(net)
+        sol = solve_so(net, paths)
+        self._check_solution(net, paths, sol, 1e-8)
+        assert sol.newton_steps == newton_steps
+        assert capfd.readouterr().err == ""
+
+
+def kkt_direction(incidence, curvature, path_costs, members):
+    """The Newton direction over the paths ``members``: the minimum-norm
+    least-squares solution of ``[H 1; 1.T 0] [p; mu] = [-c; 0]`` with
+    ``H = A.T diag(curvature) A`` on those paths' incidence columns ``A``."""
+    A = incidence[:, members]
+    n = A.shape[1]
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[:n, :n] = A.T @ np.diag(curvature) @ A
+    kkt[:n, n] = kkt[n, :n] = 1.0
+    rhs = np.append(-path_costs[members], 0.0)
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:n]
+
+
+class TestStallGrid:
+    """The seeded 5 x 5 BPR grid of ``stall_grid``, and a BPR chain like it.
+    Over the used paths plus the cheapest one, the Newton direction at one
+    system-optimum iterate takes flow off the cheapest path while it carries
+    none, so the ratio test over that set allows no positive step and the
+    iteration would stall there."""
+
+    @pytest.mark.parametrize(
+        "net, iterations, after_used",
+        [
+            (stall_grid(), 17, False),
+            # here the cheapest path's index is above every used path's
+            (random_chain(np.random.default_rng(0), (3, 3, 3), "bpr"), 9, True),
+        ],
+        ids=["stall-grid", "chain"],
+    )
+    def test_cheapest_path_leaves_the_active_set(
+        self, monkeypatch, net, iterations, after_used
+    ):
+        paths = enumerate_paths(net)
+        newton_direction = pathpay.equilibrium._newton_direction
+        blocked = []
+
+        def spy(incidence, curvature, path_costs, f, cheapest):
+            direction, step_max, emptied = newton_direction(
+                incidence, curvature, path_costs, f, cheapest
+            )
+            members = np.flatnonzero((f > 0) | (np.arange(f.size) == cheapest))
+            p = kkt_direction(incidence, curvature, path_costs, members)
+            if f[cheapest] == 0 and p[np.searchsorted(members, cheapest)] < 0:
+                blocked.append((step_max, cheapest == members[-1]))
+                # the direction the solver takes leaves that path empty
+                assert direction[cheapest] == 0
+            return direction, step_max, emptied
+
+        monkeypatch.setattr(pathpay.equilibrium, "_newton_direction", spy)
+        sol = solve_so(net, paths)
+        assert len(blocked) == 1
+        step_max, last = blocked[0]
+        assert step_max > 0
+        assert last == after_used
+        assert sol.newton_steps == sol.iterations == iterations
+
+    @pytest.mark.parametrize("solver, regime", [(solve_so, "SO"), (solve_ue, "UE")])
+    def test_matches_oracle(self, solver, regime):
+        net = stall_grid()
+        paths = enumerate_paths(net)
+        sol = solver(net, paths)
+        TestInvariants()._check_solution(net, paths, sol, 1e-8)
+        expect = frank_wolfe_oracle(net, paths, regime)
+        assert sol.link_flows == pytest.approx(expect, abs=1e-7 * net.demand)

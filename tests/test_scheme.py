@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import pathpay.equilibrium
 import pathpay.scheme
 from _instances import random_network, random_vot
 from _oracles import class_path_lp, greedy_weighted_cost
 from pathpay import (
-    ConvergenceError,
     FlowSolution,
     Link,
     LinkCostFn,
@@ -484,10 +482,17 @@ class TestCostReport:
 
 
 class TestUeBaseline:
-    def test_outcome_needs_no_ue(self, monkeypatch, demo_network, demo_vot, demo_run, demo_ue):
-        # on the fixture SO converges in 15 iterations and UE in 36
-        assert demo_run.so.iterations < 20 < demo_ue.iterations
-        monkeypatch.setattr(pathpay.equilibrium, "MAX_ITER", 20)
+    def test_outcome_needs_no_ue(self, monkeypatch, demo_network, demo_vot, demo_run):
+        # any evaluation of the UE objective raises, so the run below solves
+        # no UE
+        link_objective = Network.link_objective
+
+        def so_only(net, link_flows, regime):
+            if regime == "UE":
+                raise AssertionError("the UE objective was evaluated")
+            return link_objective(net, link_flows, regime)
+
+        monkeypatch.setattr(Network, "link_objective", so_only)
         dist, M = demo_vot
         result = run_scheme(demo_network, dist, M)
         assert result.outcome.order == demo_run.outcome.order
@@ -495,7 +500,7 @@ class TestUeBaseline:
             assert np.array_equal(
                 getattr(result.outcome, name), getattr(demo_run.outcome, name)
             ), name
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(AssertionError, match="UE objective"):
             solve_ue(demo_network, result.paths)
 
 
