@@ -52,10 +52,10 @@ import numpy as np
 from .network import Network, PathSet
 
 DEFAULT_TOL = 1e-8
-# iterations before a solve gives up
+# iterations before a solve gives up, on top of two per path: the active
+# set gains at most one path per iteration, so an optimum that uses k paths
+# takes k - 1 iterations to reach, plus one for each step that empties one
 MAX_ITER = 400
-# the full Newton step: the quadratic model's minimizer
-_NEWTON_STEP = 1.0
 # a direction descends only if its slope is below this fraction of the sum
 # of the slope's absolute terms; smaller slopes are rounding (256 ulps)
 _SLOPE_RESOLUTION = 2.0**-44
@@ -171,7 +171,8 @@ def _projected_newton(net, paths, regime, tol):
 
     history = []
     newton_steps = 0
-    for iteration in range(1, MAX_ITER + 1):
+    max_iter = MAX_ITER + 2 * n_paths
+    for iteration in range(1, max_iter + 1):
         # f is clipped at zero, so the link flows are non-negative
         q = incidence @ f
         value, gradient, curvature = cost_pass(q)
@@ -202,36 +203,11 @@ def _projected_newton(net, paths, regime, tol):
                     newton_steps=newton_steps,
                 )
 
-        def descend(direction, step_max, emptied):
-            """The iterate an exact line search along ``direction`` reaches
-            within ``[0, step_max]``, with path ``emptied`` set to exactly 0
-            when the step reaches ``step_max``; ``f`` itself when the
-            direction does not descend or the step leaves ``f`` unchanged."""
-            terms = path_costs * direction
-            slope = float(terms.sum())
-            rounding = _SLOPE_RESOLUTION * float(np.abs(terms).sum())
-            if step_max <= 0 or not slope < -rounding:
-                return f
-            delta = incidence @ direction
-            step = _line_search(
-                cost_pass,
-                q,
-                delta,
-                slope,
-                float((delta * delta) @ curvature),
-                step_max,
-                net.linear_costs,
-            )
-            moved = f + step * direction
-            np.maximum(moved, 0.0, out=moved)
-            if step == step_max and emptied is not None:
-                moved[emptied] = 0.0
-            return f if np.array_equal(moved, f) else moved
-
+        at = (cost_pass, incidence, net.linear_costs, f, q, path_costs, curvature)
         newton = _newton_direction(incidence, curvature, path_costs, f, cheapest)
-        moved = descend(*newton)
+        moved = _descend(*at, *newton)
         if moved is f:
-            moved = descend(*_toward_or_away(f, path_costs, cheapest, carried, d))
+            moved = _descend(*at, *_toward_or_away(f, path_costs, cheapest, carried, d))
         else:
             newton_steps += 1
         if moved is f:
@@ -241,7 +217,7 @@ def _projected_newton(net, paths, regime, tol):
             break
         f = moved
     else:
-        stop = f" in {MAX_ITER} iterations"
+        stop = f" in {max_iter} iterations"
 
     message = f"no convergence{stop} (relative gap {gap_rel:.3e})"
     if gap_rel <= tol:  # the last iterate met the gap but not the certificate
@@ -255,7 +231,7 @@ def _projected_newton(net, paths, regime, tol):
 
 def _newton_direction(incidence, curvature, path_costs, f, cheapest):
     """The Newton direction on the active set, its largest step (where the
-    first path empties, at most ``_NEWTON_STEP``) and the path that empties
+    first path empties, at most the full step 1) and the path that empties
     there (None when none does)."""
 
     def solve_on(S):
@@ -287,10 +263,34 @@ def _newton_direction(incidence, curvature, path_costs, f, cheapest):
     direction[S] = p
     shrinking = S[p < 0]
     ratios = f[shrinking] / -p[p < 0]
-    if ratios.size and ratios.min() < _NEWTON_STEP:
+    if ratios.size and ratios.min() < 1.0:
         k = int(np.argmin(ratios))
         return direction, float(ratios[k]), int(shrinking[k])
-    return direction, _NEWTON_STEP, None
+    return direction, 1.0, None
+
+
+def _descend(cost_pass, incidence, affine, f, q, path_costs, curvature,
+             direction, step_max, emptied):
+    """The iterate an exact line search along the path ``direction`` reaches
+    from path flows ``f`` (link flows ``q``, path costs ``path_costs``, link
+    curvature ``curvature``) within ``[0, step_max]``, with path ``emptied``
+    set to exactly 0 when the step reaches ``step_max``; ``f`` itself when
+    the direction does not descend or the step leaves ``f`` unchanged.
+    ``cost_pass`` and ``affine`` are as for ``_line_search``."""
+    terms = path_costs * direction
+    slope = float(terms.sum())
+    rounding = _SLOPE_RESOLUTION * float(np.abs(terms).sum())
+    if step_max <= 0 or not slope < -rounding:
+        return f
+    delta = incidence @ direction
+    step = _line_search(
+        cost_pass, q, delta, slope, float((delta * delta) @ curvature), step_max, affine
+    )
+    moved = f + step * direction
+    np.maximum(moved, 0.0, out=moved)
+    if step == step_max and emptied is not None:
+        moved[emptied] = 0.0
+    return f if np.array_equal(moved, f) else moved
 
 
 def _toward_or_away(f, path_costs, cheapest, carried, d):

@@ -116,14 +116,12 @@ def check_strategy_proof(
     )
     ranks = vot_ranks(outcome, lattice)
     hours = lattice / MINUTES_PER_HOUR
-    truthful = hours * outcome.sorted_times[ranks] + outcome.payments[ranks]
     # margins[i, c]: true VOT lattice[i] declares into the c-th used rank. A
     # declared VOT matters only through its rank, and ranks rise along the
     # lattice, so the first declared VOT of a rank stands for all of them and
     # the first-occurrence argmin is that of the full lattice x lattice search
     used, first = np.unique(ranks, return_index=True)
-    cost = hours[:, None] * outcome.sorted_times[used] + outcome.payments[used]
-    margins = cost - truthful[:, None]
+    margins = _margins(outcome, hours[:, None], ranks[:, None], used)
 
     i, c = np.unravel_index(np.argmin(margins), margins.shape)
     worst = float(margins[i, c])
@@ -138,12 +136,8 @@ def check_strategy_proof(
     has_next = k < carrying.size
     nxt = carrying[k[has_next]]
     points, true_rank = points[has_next], true_rank[has_next]
-    lie = outcome.sorted_times[nxt] * points / MINUTES_PER_HOUR + outcome.payments[nxt]
-    truth = (
-        outcome.sorted_times[true_rank] * points / MINUTES_PER_HOUR
-        + outcome.payments[true_rank]
-    )
-    boundary_worst = float(np.abs(lie - truth).max(initial=0.0))
+    boundary = _margins(outcome, points / MINUTES_PER_HOUR, true_rank, nxt)
+    boundary_worst = float(np.abs(boundary).max(initial=0.0))
 
     return StrategyProofResult(
         passed=worst >= -SP_TOL,
@@ -152,6 +146,19 @@ def check_strategy_proof(
         worst_declared=float(lattice[first[c]]),
         boundary_worst_abs=boundary_worst,
         grid=grid,
+    )
+
+
+def _margins(outcome: SchemeOutcome, vot_per_min, true_rank, declared_rank):
+    """(cost when declaring into ``declared_rank``) minus (cost when
+    truthful), in $, for a subscriber in rank ``true_rank`` whose true VOT
+    is ``vot_per_min`` $/min; the arguments broadcast. The time and payment
+    differences are taken apart: summing each cost first rounds a time
+    difference worth dollars away beside payments near -1e183, as link
+    costs near 1e200 give."""
+    times, payments = outcome.sorted_times, outcome.payments
+    return vot_per_min * (times[declared_rank] - times[true_rank]) + (
+        payments[declared_rank] - payments[true_rank]
     )
 
 

@@ -176,9 +176,10 @@ def lattice_strategy_proof(outcome, grid):
     times = outcome.sorted_times[ranks]
     pays = outcome.payments[ranks]
     hours = lattice / MINUTES_PER_HOUR
-    cost = hours[:, None] * times[None, :] + pays[None, :]
-    truthful = hours * times + pays
-    margins = cost - truthful[:, None]
+    # the time and payment differences apart, as the check takes them
+    margins = hours[:, None] * (times[None, :] - times[:, None]) + (
+        pays[None, :] - pays[:, None]
+    )
     i, j = divmod(int(np.argmin(margins)), margins.shape[1])
     return float(margins[i, j]), float(lattice[i]), float(lattice[j])
 
@@ -199,15 +200,10 @@ def loop_boundary_worst(outcome) -> float:
         if higher.size == 0:
             continue
         nxt = int(higher[0])
-        lie = (
-            outcome.sorted_times[nxt] * point / MINUTES_PER_HOUR
-            + outcome.payments[nxt]
-        )
-        truth = (
-            outcome.sorted_times[true_rank] * point / MINUTES_PER_HOUR
-            + outcome.payments[true_rank]
-        )
-        boundary_worst = max(boundary_worst, abs(lie - truth))
+        lie = point / MINUTES_PER_HOUR * (
+            outcome.sorted_times[nxt] - outcome.sorted_times[true_rank]
+        ) + (outcome.payments[nxt] - outcome.payments[true_rank])
+        boundary_worst = max(boundary_worst, abs(lie))
     return boundary_worst
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pathpay.equilibrium
-from _instances import network_document, random_chain
+from _instances import network_document, parallel_network
 from conftest import FIXTURE_DIR
-from pathpay import assign_outsider, assign_subscriber, cli
+from pathpay import LinkCostFn, assign_outsider, assign_subscriber, cli
 from pathpay.cli import dumps_json, main
 
 NETWORK = str(FIXTURE_DIR / "network.json")
@@ -248,15 +249,32 @@ class TestInputBoundary:
         assert "too close together" in single_error_line(capsys)
 
     def test_failed_verification_is_one_error_line(self, tmp_path, capsys):
-        # path times near 1e300 leave the misreport margins to rounding;
-        # which link carries them decides whether the rounding fails a check
+        # path times near 1e300 leave the misreport margins to rounding
         data = json.loads(Path(NETWORK).read_text())
-        data["links"][1]["cost"]["params"] = [1e300, 1e300]
+        data["links"][0]["cost"]["params"] = [1e300, 1e300]
         network = tmp_path / "network.json"
         network.write_text(json.dumps(data))
         assert run(["scheme", "--network", str(network), "--vot", VOT,
                     "--out", str(tmp_path / "o")]) == 1
         assert "verification failed" in single_error_line(capsys)
+
+    @pytest.mark.parametrize("link, cost", [(1, 1e300), (0, 1e200), (1, 1e200)])
+    def test_misreport_gain_beside_huge_payments(self, tmp_path, capsys, link, cost):
+        # link costs near 1e300 or 1e200 leave the two used paths' payments
+        # equal (0 or about -1e183 $), so a subscriber on the slower one
+        # gains $1.84 by declaring into the faster one; beside payments near
+        # -1e183, summing each cost before differencing rounds that gain away
+        data = json.loads(Path(NETWORK).read_text())
+        data["links"][link]["cost"]["params"] = [cost, cost]
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert run(["scheme", "--network", str(network), "--vot", VOT,
+                    "--out", str(out)]) == 1
+        assert "verification failed" in single_error_line(capsys)
+        check = json.loads((out / "verification.json").read_text())["strategy_proof"]
+        assert not check["passed"]
+        assert check["worst_margin_usd"] == pytest.approx(-1.8433333333333, abs=1e-9)
 
     def test_cost_overflow_stops_at_once(self, tmp_path, capsys):
         data = json.loads(Path(NETWORK).read_text())
@@ -335,12 +353,26 @@ def test_outputs_leave_solver_diagnostics_out(tmp_path, monkeypatch):
     assert {"equilibria.json", "scheme.json"} <= expected.keys()
 
 
+def numpy_on_openblas() -> bool:
+    """Whether numpy's BLAS is OpenBLAS, the one OPENBLAS_NUM_THREADS sets."""
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy before 1.26 has no mode
+        name = " ".join(getattr(np.__config__, "blas_opt_info", {}).get("libraries", []))
+    return "openblas" in name.lower()
+
+
+@pytest.mark.skipif(not numpy_on_openblas(), reason="numpy's BLAS is not OpenBLAS")
 def test_blas_threads_leave_outputs_unchanged(tmp_path):
-    # the Newton directions come from LAPACK least squares; on the 81-path
-    # linear chain, one BLAS thread and two write the same bytes
+    # the Newton directions come from LAPACK least squares; on 120 parallel
+    # links, every one used, the active set reaches 120 paths, and OpenBLAS
+    # splits products that large across threads: one thread and two must
+    # write the same bytes
+    free = 10.0 + 0.01 * np.arange(120)
+    net = parallel_network([LinkCostFn.linear(a, 1.0) for a in free])
+    net = dataclasses.replace(net, demand=1000.0, subscriber_demand=500.0)
     network = tmp_path / "network.json"
-    chain = random_chain(np.random.default_rng(81), (3, 3, 3, 3), "linear")
-    network.write_text(json.dumps(network_document(chain)))
+    network.write_text(json.dumps(network_document(net)))
     src = str(FIXTURE_DIR.parent / "src")
     written = []
     for threads in ("1", "2"):

@@ -144,10 +144,28 @@ class TestEdgeCases:
 
     def test_non_convergence_reports_gap(self, monkeypatch, demo_network):
         paths = enumerate_paths(demo_network)
-        monkeypatch.setattr(pathpay.equilibrium, "MAX_ITER", 1)
-        with pytest.raises(ConvergenceError) as err:
+        # the cap is MAX_ITER plus two iterations per path: here one in all
+        monkeypatch.setattr(pathpay.equilibrium, "MAX_ITER", 1 - 2 * len(paths))
+        with pytest.raises(ConvergenceError, match=r"no convergence in 1 iterations") as err:
             solve_so(demo_network, paths)
         assert err.value.achieved_gap > 0
+
+    def test_wide_parallel_network(self):
+        # 405 parallel links, every one used at the optimum: the active set
+        # gains one path per iteration, so the solve takes more than
+        # MAX_ITER iterations, and the cap grows with the path count
+        n, demand = 405, 1000.0
+        free = 10.0 + 0.01 * np.arange(n)
+        net = parallel_network([LinkCostFn.linear(a, 1.0) for a in free])
+        net = dataclasses.replace(net, demand=demand, subscriber_demand=demand / 2)
+        paths = enumerate_paths(net)
+        sol = solve_so(net, paths)
+        # equal marginal costs: free + 2 q = level on every link
+        level = (2 * demand + free.sum()) / n
+        expect = (level - free) / 2
+        assert expect.min() > 0
+        assert sol.link_flows == pytest.approx(expect, abs=1e-7 * demand)
+        assert pathpay.equilibrium.MAX_ITER < sol.iterations <= 2 * n
 
     def test_bad_tol(self, demo_network):
         paths = enumerate_paths(demo_network)

@@ -44,6 +44,22 @@ class TestStrategyProof:
         # the profitable lie is declaring a lower VOT than the truth
         assert result.worst_declared < result.worst_true
 
+    def test_common_payment_offset(self, demo_run):
+        # margins depend on payment differences only: equal payments near
+        # -1e183 must leave the lie into a faster path exactly as profitable
+        # as equal payments of 0, not round its time saving away
+        o = demo_run.outcome
+        results = [
+            check_strategy_proof(replace(o, payments=np.full_like(o.payments, pay)))
+            for pay in (0.0, -1e183)
+        ]
+        fields = [
+            (r.passed, r.worst_margin, r.worst_true, r.worst_declared, r.boundary_worst_abs)
+            for r in results
+        ]
+        assert fields[0] == fields[1]
+        assert results[1].worst_margin < -1.0
+
     def test_single_path_trivially_passes(self):
         outcome = SchemeOutcome(
             order=(0,),
