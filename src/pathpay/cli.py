@@ -9,9 +9,9 @@ Subcommands
 ``assign``        per-user guidance for a roster of subscribers/outsiders
 
 All output files are deterministic: rerunning a subcommand with identical
-inputs (and seed) reproduces them byte for byte. JSON floats carry 17
-significant digits; the text tables round to display precision (0.1 min,
-$0.01, 0.1 $/h).
+inputs (and seed) reproduces them byte for byte. JSON and ``improvement.csv``
+floats are written in the shortest round-trip form; the text tables and
+``assignments.csv`` round to display precision (0.1 min, $0.01, 0.1 $/h).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import operator
 import re
@@ -47,42 +48,7 @@ DEFAULT_REPORT_GRID = 401
 MAX_GRID = 100_000
 
 
-# -- deterministic JSON ------------------------------------------------------
-
-
-def _format_float(value: float) -> str:
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ValueError("cannot serialize non-finite float to JSON")
-    text = format(float(value), ".17g")
-    return text if any(ch in text for ch in ".eE") else text + ".0"
-
-
-def dumps_json(obj, indent: int = 0) -> str:
-    """Serialize with sorted keys and 17-significant-digit floats."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{inner}"{key}": {dumps_json(obj[key], indent + 1)}'
-            for key in sorted(obj)
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{dumps_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return {True: "true", False: "false", None: "null"}[obj]
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+# -- output files ------------------------------------------------------------
 
 
 def _write(path: Path, text: str) -> None:
@@ -91,12 +57,10 @@ def _write(path: Path, text: str) -> None:
         handle.write(text)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_json(path: Path, obj) -> None:
+    """Sorted keys, two-space indent, each float in its shortest round-trip
+    form; NaN and inf raise ValueError."""
+    _write(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # -- shared loading ----------------------------------------------------------
@@ -163,17 +127,17 @@ def cmd_equilibria(args) -> int:
     }
     out = Path(args.out)
     _write(out / "equilibria.txt", text)
-    _write(out / "equilibria.json", dumps_json(payload) + "\n")
+    _write_json(out / "equilibria.json", payload)
     print(text, end="")
     return 0
 
 
 def _solution_dict(sol, net) -> dict:
     data = {
-        "flows": list(sol.link_flows),
-        "times_min": list(net.link_times(sol.link_flows)),
-        "path_flows": list(sol.path_flows),
-        "path_times_min": list(sol.path_times),
+        "flows": sol.link_flows.tolist(),
+        "times_min": net.link_times(sol.link_flows).tolist(),
+        "path_flows": sol.path_flows.tolist(),
+        "path_times_min": sol.path_times.tolist(),
         "total_flow_minutes": sol.total_time,
         "relative_gap": sol.relative_gap,
         "iterations": sol.iterations,
@@ -185,15 +149,21 @@ def _solution_dict(sol, net) -> dict:
     return data
 
 
-def cmd_scheme(args) -> int:
+def _run_with_baseline(args, report_grid: int):
+    """The network, scheme result, user equilibrium and ``report_grid``-point
+    cost report that ``scheme`` and ``improvement`` share. The UE is solved
+    last, so input and subscriber-LP errors are reported ahead of its own."""
     _check_grid(args.grid)
     net, dist, M = _load_inputs(args)
     result = run_scheme(net, dist, M, tol=args.tol)
+    ue = solve_ue(net, result.paths, tol=args.tol)
+    return net, result, ue, cost_report(result.outcome, ue, report_grid)
+
+
+def cmd_scheme(args) -> int:
+    net, result, ue, report = _run_with_baseline(args, DEFAULT_REPORT_GRID)
     outcome = result.outcome
     paths = result.paths
-
-    ue = solve_ue(net, paths, tol=args.tol)
-    report = cost_report(outcome, ue, DEFAULT_REPORT_GRID)
     verification = run_verification(outcome, report, sp_grid=args.grid)
 
     # per-path rows in enumeration order
@@ -251,8 +221,8 @@ def cmd_scheme(args) -> int:
     }
     out = Path(args.out)
     _write(out / "scheme.txt", text)
-    _write(out / "scheme.json", dumps_json(payload) + "\n")
-    _write(out / "verification.json", dumps_json(verification.to_dict()) + "\n")
+    _write_json(out / "scheme.json", payload)
+    _write_json(out / "verification.json", verification.to_dict())
     print(text, end="")
     if not verification.passed:
         print(f"error: verification failed; see {out / 'verification.json'}",
@@ -262,24 +232,18 @@ def cmd_scheme(args) -> int:
 
 
 def cmd_improvement(args) -> int:
-    _check_grid(args.grid)
-    net, dist, M = _load_inputs(args)
-    result = run_scheme(net, dist, M, tol=args.tol)
-    ue = solve_ue(net, result.paths, tol=args.tol)
-    report = cost_report(result.outcome, ue, args.grid)
+    report = _run_with_baseline(args, args.grid)[-1]
 
+    # a cell is the repr of a Python float, its shortest round-trip form
+    # (numpy 2 spells a numpy float's repr np.float64(...)); NaN is empty
+    rows = np.column_stack([report.beta_grid, report.subscriber_cost, report.quitter_cost,
+                            report.ue_cost, report.improvement_subscriber_pct,
+                            report.improvement_outsider_pct]).tolist()
+    header = ("beta,subscriber_cost,quitter_cost,ue_cost,"
+              "improvement_subscriber_pct,improvement_outsider_pct\n")
     out = Path(args.out)
-    header = ["beta", "subscriber_cost", "quitter_cost", "ue_cost",
-              "improvement_subscriber_pct", "improvement_outsider_pct"]
-    rows = zip(
-        map(_format_float, report.beta_grid),
-        map(_format_float, report.subscriber_cost),
-        map(_format_float, report.quitter_cost),
-        map(_format_float, report.ue_cost),
-        map(_csv_float, report.improvement_subscriber_pct),
-        map(_csv_float, report.improvement_outsider_pct),
-    )
-    _write_csv(out / "improvement.csv", header, rows)
+    _write(out / "improvement.csv", header + "".join(
+        ",".join("" if v != v else repr(v) for v in row) + "\n" for row in rows))
 
     pareto = check_pareto(report)
     print(
@@ -291,10 +255,6 @@ def cmd_improvement(args) -> int:
               file=sys.stderr)
         return 1
     return 0
-
-
-def _csv_float(value: float) -> str:
-    return "" if value != value else _format_float(value)
 
 
 def cmd_assign(args) -> int:

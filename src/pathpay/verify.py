@@ -163,9 +163,13 @@ def _margins(outcome: SchemeOutcome, vot_per_min, true_rank, declared_rank):
 
 
 def check_revenue_neutral(outcome: SchemeOutcome) -> RevenueResult:
-    """Expected payment over the path shares; zero means self-financing."""
+    """Expected payment over the path shares; zero means self-financing.
+
+    The tolerance scales with what subscribers actually pay, the expected
+    absolute payment: a path no one uses may carry any payment, and scaling
+    by it would let a real residual pass."""
     residual = float(outcome.rho @ outcome.payments)
-    tol = 1e-9 * float(np.abs(outcome.payments).max(initial=0.0)) + 1e-12
+    tol = 1e-9 * float(outcome.rho @ np.abs(outcome.payments)) + 1e-12
     return RevenueResult(passed=abs(residual) <= tol, residual=residual, tolerance=tol)
 
 

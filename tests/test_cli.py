@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pathpay.equilibrium
 from _instances import network_document, parallel_network
 from conftest import FIXTURE_DIR
 from pathpay import LinkCostFn, assign_outsider, assign_subscriber, cli
-from pathpay.cli import dumps_json, main
+from pathpay.cli import main
 
 NETWORK = str(FIXTURE_DIR / "network.json")
 VOT = str(FIXTURE_DIR / "vot.json")
@@ -36,20 +37,100 @@ def single_error_line(capsys) -> str:
     return lines[0]
 
 
-class TestJsonWriter:
-    def test_floats_round_trip(self):
-        values = [0.1, 1.0 / 3.0, 1e-17, 12345.678901234567, 2.0]
-        text = dumps_json({"v": values})
-        assert json.loads(text)["v"] == values
+def parsed_json(text: str):
+    """The document in ``text`` with every float literal and every
+    object's keys, in file order, as the parser met them."""
+    floats, key_lists = [], []
 
-    def test_sorted_keys_and_types(self):
-        text = dumps_json({"b": 1, "a": [True, None, "x\"y"]})
-        assert text.index('"a"') < text.index('"b"')
-        assert json.loads(text) == {"b": 1, "a": [True, None, 'x"y']}
+    def keep_keys(pairs):
+        key_lists.append([key for key, _ in pairs])
+        return dict(pairs)
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            dumps_json({"v": float("nan")})
+    def keep_float(literal):
+        floats.append(literal)
+        return float(literal)
+
+    data = json.loads(text, object_pairs_hook=keep_keys, parse_float=keep_float)
+    return data, floats, key_lists
+
+
+@pytest.fixture(scope="module")
+def fixture_outputs(tmp_path_factory):
+    """The fixture's JSON and CSV outputs, written once for the class below."""
+    out = tmp_path_factory.mktemp("outputs")
+    with redirect_stdout(io.StringIO()):
+        assert main(["equilibria", "--network", NETWORK, "--out", str(out)]) == 0
+        for command in ("scheme", "improvement"):
+            assert main([command, "--network", NETWORK, "--vot", VOT, "--out", str(out)]) == 0
+    return out
+
+
+class TestOutputFormat:
+    JSON_FILES = ("equilibria.json", "scheme.json", "verification.json")
+
+    def test_json_floats_are_repr(self, fixture_outputs):
+        # every float is spelled in its shortest round-trip form
+        for name in self.JSON_FILES:
+            text = (fixture_outputs / name).read_text(encoding="utf-8")
+            data, floats, _ = parsed_json(text)
+            assert floats, name
+            assert [repr(float(f)) for f in floats] == floats, name
+            assert text == json.dumps(data, indent=2, sort_keys=True) + "\n", name
+
+    def test_json_keys_sorted(self, fixture_outputs):
+        for name in self.JSON_FILES:
+            _, _, key_lists = parsed_json((fixture_outputs / name).read_text(encoding="utf-8"))
+            assert key_lists, name
+            for keys in key_lists:
+                assert keys == sorted(keys), name
+
+    def test_improvement_cells_are_repr(self, fixture_outputs):
+        rows = list(csv.reader(io.StringIO((fixture_outputs / "improvement.csv").read_text())))
+        assert rows[0] == ["beta", "subscriber_cost", "quitter_cost", "ue_cost",
+                           "improvement_subscriber_pct", "improvement_outsider_pct"]
+        cells = [cell for row in rows[1:] for cell in row]
+        assert len(cells) == 401 * 6
+        assert cells == [repr(float(cell)) for cell in cells]
+
+    def test_nan_improvement_cells_empty(self, tmp_path):
+        # a VOT support starting at 0 gives a no-policy cost of 0 at beta 0,
+        # where the improvement percentages are NaN
+        vot = tmp_path / "vot.json"
+        vot.write_text(json.dumps({"kind": "uniform", "support": [0.0, 45.0], "M": 20}))
+        out = tmp_path / "o"
+        with redirect_stdout(io.StringIO()):
+            assert main(["improvement", "--network", NETWORK, "--vot", str(vot),
+                         "--grid", "5", "--out", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO((out / "improvement.csv").read_text())))[1:]
+        assert len(rows) == 5
+        assert rows[0][0] == "0.0" and rows[0][4:] == ["", ""]
+        for row in rows[1:]:
+            assert all(row) and row == [repr(float(cell)) for cell in row]
+
+    def test_json_writer_refuses_non_finite(self, tmp_path):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                cli._write_json(tmp_path / "x.json", {"v": [1.0, value]})
+
+
+def test_outputs_independent_of_hash_seed(tmp_path):
+    # the iteration order of a set of strings follows PYTHONHASHSEED in a
+    # fresh process; no output file may
+    src = str(FIXTURE_DIR.parent / "src")
+    written = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "pathpay.cli", "scheme", "--network", NETWORK,
+             "--vot", VOT, "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert sorted(written[0]) == ["scheme.json", "scheme.txt", "verification.json"]
+    assert written[0] == written[1]
 
 
 class TestEquilibria:
@@ -275,6 +356,23 @@ class TestInputBoundary:
         check = json.loads((out / "verification.json").read_text())["strategy_proof"]
         assert not check["passed"]
         assert check["worst_margin_usd"] == pytest.approx(-1.8433333333333, abs=1e-9)
+
+    def test_unused_path_payments_leave_revenue_tolerance(self, tmp_path, capsys):
+        # with link index 0 at 1e200 the unused paths pay about -8.3e198 $
+        # and every subscriber receives about 1.06e183 $: not self-financing,
+        # however large the payments of paths no one takes
+        data = json.loads(Path(NETWORK).read_text())
+        data["links"][0]["cost"]["params"] = [1e200, 1e200]
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert run(["scheme", "--network", str(network), "--vot", VOT,
+                    "--out", str(out)]) == 1
+        assert "verification failed" in single_error_line(capsys)
+        check = json.loads((out / "verification.json").read_text())["revenue_neutral"]
+        assert not check["passed"]
+        assert check["residual_usd"] == pytest.approx(-1.0622759856335342e183, rel=1e-9)
+        assert check["tolerance_usd"] == pytest.approx(1e-9 * 1.0622759856335342e183, rel=1e-9)
 
     def test_cost_overflow_stops_at_once(self, tmp_path, capsys):
         data = json.loads(Path(NETWORK).read_text())

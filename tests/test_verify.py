@@ -125,6 +125,23 @@ class TestRevenueNeutral:
         )
         assert check_revenue_neutral(outcome).residual == 0.0
 
+    def test_unused_path_payment_leaves_tolerance(self):
+        # the slowest path carries no one, so its -1e199 $ is paid by no
+        # one; scaled by it, the tolerance (1e190 $) would pass the used
+        # paths' 1e-3 $ residual
+        outcome = SchemeOutcome(
+            order=(0, 1, 2),
+            sorted_times=np.array([30.0, 20.0, 10.0]),
+            partition=np.array([0.0, 0.0, 0.5, 1.0]),
+            rho=np.array([0.0, 0.5, 0.5]),
+            payments=np.array([-1e199, -1.0, 1.002]),
+            support=(0.0, 1.0),
+        )
+        result = check_revenue_neutral(outcome)
+        assert result.residual == pytest.approx(1e-3, rel=1e-9)
+        assert result.tolerance == pytest.approx(1.001e-9 + 1e-12, rel=1e-12)
+        assert not result.passed
+
     def test_shift_breaks_neutrality(self, demo_run):
         o = demo_run.outcome
         shifted = o.payments.copy()
