@@ -38,13 +38,14 @@ from .scheme import (
     run_scheme,
     vot_ranks,
 )
-from .verify import SP_DEFAULT_GRID as DEFAULT_SP_GRID
+# not a flag: misreport margins are linear in VOT between partition points,
+# which every lattice holds. ``benchmarks/tracing.py`` reads the name
+from .verify import SP_DEFAULT_GRID as DEFAULT_SP_GRID  # noqa: F401
 from .verify import check_pareto, run_verification
 from .vot import check_class_count, parse_vot
 
 DEFAULT_REPORT_GRID = 401
-# the largest --grid: the strategy-proofness check holds (lattice x used
-# paths) float arrays, the lattice having this many points
+# the largest --grid: the cost report holds a few float arrays of this size
 MAX_GRID = 100_000
 
 
@@ -153,7 +154,6 @@ def _run_with_baseline(args, report_grid: int):
     """The network, scheme result, user equilibrium and ``report_grid``-point
     cost report that ``scheme`` and ``improvement`` share. The UE is solved
     last, so input and subscriber-LP errors are reported ahead of its own."""
-    _check_grid(args.grid)
     net, dist, M = _load_inputs(args)
     result = run_scheme(net, dist, M, tol=args.tol)
     ue = solve_ue(net, result.paths, tol=args.tol)
@@ -164,37 +164,37 @@ def cmd_scheme(args) -> int:
     net, result, ue, report = _run_with_baseline(args, DEFAULT_REPORT_GRID)
     outcome = result.outcome
     paths = result.paths
-    verification = run_verification(outcome, report, sp_grid=args.grid)
+    verification = run_verification(outcome, report)
 
-    # per-path rows in enumeration order
+    # per-path rows in enumeration order; a path not in the outcome is unused
     labels = paths.labels()
     rank_of = {path: rank for rank, path in enumerate(outcome.order)}
     entries = []
     for r in range(len(paths)):
-        rank = rank_of[r]
+        rank = rank_of.get(r)
         entries.append(
             {
                 "path": list(paths.paths[r]),
                 "label": labels[r],
-                "time_min": float(outcome.sorted_times[rank]),
+                "time_min": float(result.so.path_times[r]),
                 "subscribers": float(result.assignment.subscriber_path_flows[r]),
                 "outsiders": float(result.assignment.outsider_path_flows[r]),
-                "share": float(outcome.rho[rank]),
-                "vot_low": float(outcome.partition[rank]),
-                "vot_high": float(outcome.partition[rank + 1]),
-                "payment_usd": float(outcome.payments[rank]),
+                "share": 0.0 if rank is None else float(outcome.rho[rank]),
+                "vot_low": None if rank is None else float(outcome.partition[rank]),
+                "vot_high": None if rank is None else float(outcome.partition[rank + 1]),
+                "payment_usd": None if rank is None else float(outcome.payments[rank]),
             }
         )
 
     width = max(12, max(len(s) for s in labels) + 2)
 
     def vot_cell(e):
-        if e["share"] <= 0:
+        if e["vot_low"] is None:
             return "-"
         return f"({e['vot_low']:.1f},{e['vot_high']:.1f}]"
 
     def pay_cell(e):
-        return f"{e['payment_usd']:.2f}" if e["share"] > 0 else "-"
+        return "-" if e["payment_usd"] is None else f"{e['payment_usd']:.2f}"
 
     lines = [
         _row("Path", labels, width),
@@ -232,6 +232,7 @@ def cmd_scheme(args) -> int:
 
 
 def cmd_improvement(args) -> int:
+    _check_grid(args.grid)
     report = _run_with_baseline(args, args.grid)[-1]
 
     # a cell is the repr of a Python float, its shortest round-trip form
@@ -284,15 +285,17 @@ def cmd_assign(args) -> int:
     )
 
     # row tails after the user cell, outsiders' for paths 0..n-1 then
-    # subscribers', indexed by original path index
-    n = len(order)
-    rank_of = np.argsort(order)
+    # subscribers', indexed by original path index; an unused path has none
+    n = len(result.paths)
     labels = result.paths.labels()
+    times = result.so.path_times
+    payment = dict(zip(outcome.order, outcome.payments.tolist()))
     tails = [
-        _csv_line(["", role, labels[p], f"{outcome.sorted_times[rank]:.1f}",
-                   f"{outcome.payments[rank]:.2f}" if role == "subscriber" else ""])
+        _csv_line(["", role, labels[p], f"{times[p]:.1f}",
+                   f"{payment[p]:.2f}" if role == "subscriber" else ""])
+        if p in payment else None
         for role in ("outsider", "subscriber")
-        for p, rank in enumerate(rank_of)
+        for p in range(n)
     ]
     which = (user_paths + n * is_subscriber).tolist()
 
@@ -460,8 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scheme", help="full pipeline plus verification")
     common(p, vot=True)
-    p.add_argument("--grid", type=int, default=DEFAULT_SP_GRID,
-                   help="misreport lattice size")
     p.set_defaults(func=cmd_scheme)
 
     p = sub.add_parser("improvement", help="per-VOT cost comparison CSV")

@@ -10,12 +10,12 @@ distribution split into classes:
    curve, and its VOT-weighted cost is read off that curve;
 2. scale subscriber path flows to outsiders, who hold the remaining share of
    every path;
-3. order paths from slowest to fastest and cut the VOT distribution into
-   quantile intervals whose masses match the per-path subscriber shares, so
-   higher-VOT subscribers land on faster paths;
-4. charge each path a payment (positive on fast paths, negative on slow
-   ones) chosen so that truthful VOT declaration is optimal for every
-   subscriber and expected charges exactly cancel expected subsidies.
+3. order the paths subscribers ride from slowest to fastest and cut the VOT
+   distribution into quantile intervals whose masses match their subscriber
+   shares, so higher-VOT subscribers land on faster paths;
+4. charge each of those paths a payment (positive on fast paths, negative
+   on slow ones) chosen so that truthful VOT declaration is optimal for
+   every subscriber and expected charges exactly cancel expected subsidies.
 
 Payments are in dollars; path times stay in minutes and are converted with
 the ``$ = min/60 * $/h`` rule everywhere a time meets a VOT. Guidance and
@@ -58,12 +58,13 @@ class SubscriberAssignment:
 class SchemeOutcome:
     """Everything needed to guide one traveler and settle the payment.
 
-    ``order[i]`` is the original path index of the i-th slowest path;
-    ``partition`` has one more entry than paths, starting at the VOT support
-    minimum and ending at its maximum; subscribers with VOT in
-    ``(partition[i], partition[i+1]]`` ride path ``order[i]`` and pay
-    ``payments[i]``. ``rho[i]`` is both the subscriber and the outsider
-    share on that path.
+    Only the paths subscribers ride appear. ``order[i]`` is the original
+    path index of the i-th slowest of them, ties broken by index;
+    ``partition`` has one more entry than ``order``, starting at the VOT
+    support minimum and ending at its maximum; subscribers with VOT in
+    ``(partition[i], partition[i+1]]`` (the first interval also holds the
+    minimum) ride path ``order[i]`` and pay ``payments[i]``. ``rho[i] > 0``
+    is both the subscriber and the outsider share on that path.
     """
 
     order: tuple[int, ...]
@@ -246,22 +247,21 @@ def build_outcome(
     dist: VotDistribution,
     times: np.ndarray,
 ) -> SchemeOutcome:
-    """Order paths, cut the VOT distribution, and price every path.
+    """Order the ridden paths, cut the VOT distribution, and price each one.
 
-    Paths with zero subscriber flow stay in the order with an empty VOT
-    interval and a zero share; their payment is still defined (it keeps the
-    payment-difference structure intact) but nobody is charged it.
+    The outcome holds the paths with positive subscriber flow, slowest
+    first with ties broken by index. A path no one rides gets no interval
+    and no payment, so it takes no part in the others' payments.
     """
     times = np.asarray(times, dtype=float)
-    d_sub = float(assign.subscriber_path_flows.sum())
-    if d_sub <= 0:
+    flows = assign.subscriber_path_flows
+    ridden = np.flatnonzero(flows > 0)
+    if ridden.size == 0:
         raise SchemeError("scheme requires positive subscriber demand")
 
-    order = tuple(sorted(range(len(times)), key=lambda r: (-times[r], r)))
-    sorted_times = times[list(order)]
-    rho = assign.subscriber_path_flows[list(order)] / d_sub
-    rho = np.clip(rho, 0.0, None)
-    rho /= rho.sum()
+    order = ridden[np.lexsort((ridden, -times[ridden]))]
+    sorted_times = times[order]
+    rho = flows[order] / flows[order].sum()
 
     cum = np.minimum(np.cumsum(rho), 1.0)
     cum[-1] = 1.0
@@ -272,7 +272,7 @@ def build_outcome(
 
     payments = compute_payments(sorted_times, partition, rho)
     return SchemeOutcome(
-        order=order,
+        order=tuple(order.tolist()),
         sorted_times=sorted_times,
         partition=partition,
         rho=rho,
@@ -317,11 +317,9 @@ def vot_ranks(outcome: SchemeOutcome, vots):
     """Slow-to-fast path position for each declared VOT (scalar or array).
 
     Intervals are open below and closed above; the support minimum maps to
-    the first path carrying subscribers. The support is not checked.
+    the slowest ridden path. The support is not checked.
     """
-    nonempty = np.flatnonzero(outcome.rho > 0)
-    ks = np.searchsorted(outcome.partition[1:][nonempty], vots, side="left")
-    return nonempty[np.minimum(ks, nonempty.size - 1)]
+    return np.searchsorted(outcome.partition[1:-1], vots, side="left")
 
 
 def check_declared_vot(support: tuple[float, float], declared_vot: float) -> None:

@@ -116,7 +116,7 @@ def check_strategy_proof(
     )
     ranks = vot_ranks(outcome, lattice)
     hours = lattice / MINUTES_PER_HOUR
-    # margins[i, c]: true VOT lattice[i] declares into the c-th used rank. A
+    # margins[i, c]: true VOT lattice[i] declares into rank used[c]. A
     # declared VOT matters only through its rank, and ranks rise along the
     # lattice, so the first declared VOT of a rank stands for all of them and
     # the first-occurrence argmin is that of the full lattice x lattice search
@@ -127,16 +127,11 @@ def check_strategy_proof(
     worst = float(margins[i, c])
 
     # indifference pairs: a subscriber exactly on an inner partition point
-    # declares into the next rank that carries subscribers
-    points = outcome.partition[1 : len(outcome.rho)]
+    # declares into the next rank
+    points = outcome.partition[1:-1]
     points = points[(lo < points) & (points < hi)]
     true_rank = vot_ranks(outcome, points)
-    carrying = np.flatnonzero(outcome.rho > 0)
-    k = np.searchsorted(carrying, true_rank, side="right")
-    has_next = k < carrying.size
-    nxt = carrying[k[has_next]]
-    points, true_rank = points[has_next], true_rank[has_next]
-    boundary = _margins(outcome, points / MINUTES_PER_HOUR, true_rank, nxt)
+    boundary = _margins(outcome, points / MINUTES_PER_HOUR, true_rank, true_rank + 1)
     boundary_worst = float(np.abs(boundary).max(initial=0.0))
 
     return StrategyProofResult(
@@ -166,8 +161,9 @@ def check_revenue_neutral(outcome: SchemeOutcome) -> RevenueResult:
     """Expected payment over the path shares; zero means self-financing.
 
     The tolerance scales with what subscribers actually pay, the expected
-    absolute payment: a path no one uses may carry any payment, and scaling
-    by it would let a real residual pass."""
+    absolute payment, not with the largest payment: on an outcome holding
+    a path no one rides, as a hand-built one may, that path's payment would
+    let a real residual pass."""
     residual = float(outcome.rho @ outcome.payments)
     tol = 1e-9 * float(outcome.rho @ np.abs(outcome.payments)) + 1e-12
     return RevenueResult(passed=abs(residual) <= tol, residual=residual, tolerance=tol)

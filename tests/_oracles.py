@@ -186,20 +186,17 @@ def lattice_strategy_proof(outcome, grid):
 
 def loop_boundary_worst(outcome) -> float:
     """Largest absolute margin over the indifference pairs, one partition
-    point at a time: a subscriber exactly on an inner partition point
-    declares into the next rank that carries subscribers."""
+    point at a time: a subscriber exactly on an inner partition point rides
+    the first rank whose interval's upper end is not below it, and declares
+    into the next rank."""
     lo, hi = outcome.support
+    uppers = outcome.partition[1:].tolist()
     boundary_worst = 0.0
-    n = len(outcome.rho)
-    for b in range(1, n):
-        point = outcome.partition[b]
+    for point in uppers[:-1]:
         if not lo < point < hi:
             continue
-        true_rank = int(vot_ranks(outcome, point))
-        higher = np.flatnonzero((outcome.rho > 0) & (np.arange(n) > true_rank))
-        if higher.size == 0:
-            continue
-        nxt = int(higher[0])
+        true_rank = next(i for i, upper in enumerate(uppers) if point <= upper)
+        nxt = true_rank + 1
         lie = point / MINUTES_PER_HOUR * (
             outcome.sorted_times[nxt] - outcome.sorted_times[true_rank]
         ) + (outcome.payments[nxt] - outcome.payments[true_rank])

@@ -54,6 +54,16 @@ def parsed_json(text: str):
     return data, floats, key_lists
 
 
+def fixture_network_with(tmp_path, link: int, params) -> str:
+    """The fixture network with link index ``link``'s params replaced,
+    written under ``tmp_path``."""
+    data = json.loads(Path(NETWORK).read_text())
+    data["links"][link]["cost"]["params"] = params
+    network = tmp_path / "network.json"
+    network.write_text(json.dumps(data))
+    return str(network)
+
+
 @pytest.fixture(scope="module")
 def fixture_outputs(tmp_path_factory):
     """The fixture's JSON and CSV outputs, written once for the class below."""
@@ -194,6 +204,13 @@ class TestScheme:
         assert "Payment ($)" in text
         assert "-" in text  # the empty path renders as a dash
 
+    def test_readme_table(self, fixture_outputs):
+        readme = (FIXTURE_DIR.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("For the bundled fixture, `scheme` reproduces:\n\n```\n", 1)[1]
+        table = block.split("```", 1)[0].splitlines()
+        text = (fixture_outputs / "scheme.txt").read_text(encoding="utf-8")
+        assert table == text.splitlines()[:6]
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -275,7 +292,7 @@ class TestInputBoundary:
         assert single_error_line(capsys).startswith("error: --classes must be")
 
     @pytest.mark.parametrize("grid", ["0", "1", "1000000000"])
-    @pytest.mark.parametrize("command", ["scheme", "improvement"])
+    @pytest.mark.parametrize("command", ["improvement"])
     def test_grid_flag_bounded(self, tmp_path, capsys, command, grid):
         start = time.perf_counter()
         assert run([command, "--network", NETWORK, "--vot", VOT, "--grid", grid,
@@ -330,9 +347,11 @@ class TestInputBoundary:
         assert "too close together" in single_error_line(capsys)
 
     def test_failed_verification_is_one_error_line(self, tmp_path, capsys):
-        # path times near 1e300 leave the misreport margins to rounding
+        # every link cost scaled by 1e100 leaves the misreport margins to
+        # rounding (the worst is -3.9e84 $)
         data = json.loads(Path(NETWORK).read_text())
-        data["links"][0]["cost"]["params"] = [1e300, 1e300]
+        for link in data["links"]:
+            link["cost"]["params"] = [1e100 * p for p in link["cost"]["params"]]
         network = tmp_path / "network.json"
         network.write_text(json.dumps(data))
         assert run(["scheme", "--network", str(network), "--vot", VOT,
@@ -341,38 +360,54 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("link, cost", [(1, 1e300), (0, 1e200), (1, 1e200)])
     def test_misreport_gain_beside_huge_payments(self, tmp_path, capsys, link, cost):
-        # link costs near 1e300 or 1e200 leave the two used paths' payments
-        # equal (0 or about -1e183 $), so a subscriber on the slower one
-        # gains $1.84 by declaring into the faster one; beside payments near
-        # -1e183, summing each cost before differencing rounds that gain away
-        data = json.loads(Path(NETWORK).read_text())
-        data["links"][link]["cost"]["params"] = [cost, cost]
-        network = tmp_path / "network.json"
-        network.write_text(json.dumps(data))
+        # a link costing 1e300 or 1e200 leaves both paths through it unused,
+        # and their time drops must not reach the used paths' payments:
+        # rounded to one value near 0 or -1e183 $, those would let a
+        # subscriber on the slower path gain $1.84 by declaring into the
+        # faster one. The used paths (3.5 min apart, cut at 31.6 $/h, shares
+        # 0.45 and 0.55) pay 1.0138 $ and -0.8295 $, and no misreport pays
         out = tmp_path / "o"
-        assert run(["scheme", "--network", str(network), "--vot", VOT,
-                    "--out", str(out)]) == 1
-        assert "verification failed" in single_error_line(capsys)
+        assert run(["scheme", "--network", fixture_network_with(tmp_path, link, [cost, cost]),
+                    "--vot", VOT, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        paths = json.loads((out / "scheme.json").read_text())["paths"]
+        used = [p["payment_usd"] for p in paths if p["share"] > 0]
+        assert used == pytest.approx([1.0138333333333333, -0.8295], abs=1e-12)
         check = json.loads((out / "verification.json").read_text())["strategy_proof"]
-        assert not check["passed"]
-        assert check["worst_margin_usd"] == pytest.approx(-1.8433333333333, abs=1e-9)
+        assert check["passed"] and check["worst_margin_usd"] == 0.0
 
     def test_unused_path_payments_leave_revenue_tolerance(self, tmp_path, capsys):
-        # with link index 0 at 1e200 the unused paths pay about -8.3e198 $
-        # and every subscriber receives about 1.06e183 $: not self-financing,
-        # however large the payments of paths no one takes
-        data = json.loads(Path(NETWORK).read_text())
-        data["links"][0]["cost"]["params"] = [1e200, 1e200]
-        network = tmp_path / "network.json"
-        network.write_text(json.dumps(data))
+        # with link index 0 at 1e200 the paths through it carry no one: they
+        # have no interval and no payment, and the expected payment is 0
+        # within a tolerance set by what subscribers pay
         out = tmp_path / "o"
-        assert run(["scheme", "--network", str(network), "--vot", VOT,
-                    "--out", str(out)]) == 1
-        assert "verification failed" in single_error_line(capsys)
+        assert run(["scheme", "--network", fixture_network_with(tmp_path, 0, [1e200, 1e200]),
+                    "--vot", VOT, "--out", str(out)]) == 0
+        unused = [p for p in json.loads((out / "scheme.json").read_text())["paths"]
+                  if p["share"] == 0.0]
+        assert [p["label"] for p in unused] == ["(1)+(3)", "(1)+(4)"]
+        assert all(p[key] is None for p in unused
+                   for key in ("vot_low", "vot_high", "payment_usd"))
         check = json.loads((out / "verification.json").read_text())["revenue_neutral"]
-        assert not check["passed"]
-        assert check["residual_usd"] == pytest.approx(-1.0622759856335342e183, rel=1e-9)
-        assert check["tolerance_usd"] == pytest.approx(1e-9 * 1.0622759856335342e183, rel=1e-9)
+        assert check["passed"]
+        assert abs(check["residual_usd"]) <= 1e-15
+        paid = 0.45 * 1.0138333333333333 + 0.55 * 0.8295
+        assert check["tolerance_usd"] == pytest.approx(1e-9 * paid + 1e-12, rel=1e-9)
+
+    @pytest.mark.parametrize("command", ["scheme", "improvement"])
+    def test_lp_overflow_leaves_stderr_empty(self, tmp_path, command):
+        # link costs near 1e307 overflow in the subscriber LP's tableau, on
+        # unused paths only; no numpy warning may reach stderr
+        src = str(FIXTURE_DIR.parent / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "pathpay.cli", command,
+             "--network", fixture_network_with(tmp_path, 0, [1e307, 1e307]),
+             "--vot", VOT, "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
     def test_cost_overflow_stops_at_once(self, tmp_path, capsys):
         data = json.loads(Path(NETWORK).read_text())

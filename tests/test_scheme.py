@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 import pathpay.scheme
 from _instances import random_network, random_vot
 from _oracles import class_path_lp, greedy_weighted_cost
+from conftest import FIXTURE_DIR
 from pathpay import (
     FlowSolution,
     Link,
@@ -24,6 +25,7 @@ from pathpay import (
     discretize,
     enumerate_paths,
     parse_network,
+    parse_vot,
     run_scheme,
     solve_so,
     solve_subscriber_lp,
@@ -41,6 +43,9 @@ SORTED_TIMES = np.array([43.0, 40.5, 39.5, 37.0])
 PARTITION = np.array([5.0, 17.2, 31.6, 31.6, 45.0])
 RHO = np.array([0.25, 0.30, 0.0, 0.45])
 EXPECTED_PAYMENTS = np.array([-1.367, 43.0 / 60 - 1.367, 74.6 / 60 - 1.367, 1.193])
+# the fixture's outcome holds the three ridden paths: the reference without
+# its third path, whose empty interval adds nothing to the others' payments
+RIDDEN = [0, 1, 3]
 
 
 class TestSubscriberLp:
@@ -249,15 +254,38 @@ class TestPathTotalRouting:
 class TestBuildOutcome:
     def test_fixture_order_and_partition(self, demo_run):
         o = demo_run.outcome
-        assert o.order == (1, 3, 0, 2)
-        assert o.sorted_times == pytest.approx([43.0, 40.5, 39.5, 37.0], abs=1e-5)
-        assert o.partition == pytest.approx(PARTITION, abs=1e-5)
-        assert o.rho == pytest.approx(RHO, abs=1e-6)
+        assert o.order == (1, 3, 2)
+        assert o.sorted_times == pytest.approx(SORTED_TIMES[RIDDEN], abs=1e-5)
+        assert o.partition == pytest.approx([5.0, 17.2, 31.6, 45.0], abs=1e-5)
+        assert o.rho == pytest.approx(RHO[RIDDEN], abs=1e-6)
 
     def test_zero_flow_path_has_empty_interval(self, demo_run):
+        # path 0 carries no subscriber, so the outcome holds no interval,
+        # share or payment for it
         o = demo_run.outcome
-        assert o.rho[2] == pytest.approx(0.0, abs=1e-9)
-        assert o.partition[3] == pytest.approx(o.partition[2], abs=1e-9)
+        assert demo_run.assignment.subscriber_path_flows[0] == 0.0
+        assert 0 not in o.order
+        assert len(o.partition) - 1 == len(o.rho) == len(o.payments) == 3
+        assert np.all(o.rho > 0)
+
+    @pytest.mark.parametrize("cost", [1e200, 1e307])
+    def test_unused_link_cost_leaves_ridden_paths_alone(self, cost):
+        # the paths through a link costing 1e200 or 1e307 carry no one; the
+        # ridden paths' shares, partition points and payments are those of
+        # the network without that link
+        data = json.loads((FIXTURE_DIR / "network.json").read_text())
+        dist, M = parse_vot((FIXTURE_DIR / "vot.json").read_text())
+        data["links"][0]["cost"]["params"] = [cost, cost]
+        huge = run_scheme(parse_network(json.dumps(data)), dist, M)
+        del data["links"][0]
+        bare = run_scheme(parse_network(json.dumps(data)), dist, M)
+        assert [huge.paths.paths[p] for p in huge.outcome.order] == [
+            bare.paths.paths[p] for p in bare.outcome.order
+        ]
+        for name in ("rho", "partition", "payments"):
+            got, want = getattr(huge.outcome, name), getattr(bare.outcome, name)
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-12, name
 
     def test_partition_masses_match_shares(self, demo_run, demo_vot):
         dist, _ = demo_vot
@@ -293,7 +321,7 @@ class TestPayments:
 
     def test_fixture_pipeline_payments(self, demo_run):
         assert demo_run.outcome.payments == pytest.approx(
-            EXPECTED_PAYMENTS, abs=1e-5
+            EXPECTED_PAYMENTS[RIDDEN], abs=1e-5
         )
 
     def test_single_path(self):
@@ -313,9 +341,8 @@ class TestPayments:
     def test_payment_order_and_signs(self, demo_run):
         o = demo_run.outcome
         assert np.all(np.diff(o.payments) >= -1e-12)  # faster paths pay more
-        nonempty = np.flatnonzero(o.rho > 0)
-        assert o.payments[nonempty[0]] <= 1e-12
-        assert o.payments[nonempty[-1]] >= -1e-12
+        assert o.payments[0] <= 1e-12
+        assert o.payments[-1] >= -1e-12
 
     def test_validation(self):
         with pytest.raises(SchemeError):
@@ -381,12 +408,15 @@ class TestAssignSubscriber:
             assign_subscriber(demo_run.outcome, 4.9)
 
 
-def searchsorted_ranks(outcome, vots):
-    """The per-caller lookup that ``vot_ranks`` replaced, kept as reference."""
-    nonempty = np.flatnonzero(outcome.rho > 0)
-    uppers = outcome.partition[1:][nonempty]
-    ks = np.minimum(np.searchsorted(uppers, vots, side="left"), len(nonempty) - 1)
-    return nonempty[ks]
+def reference_ranks(outcome, vots):
+    """Rank ``i`` holds the VOTs in ``(partition[i], partition[i+1]]``, the
+    first also the support minimum: one VOT at a time, the first interval
+    whose upper end is not below it."""
+    uppers = outcome.partition[1:-1].tolist()
+    return np.array(
+        [next((i for i, upper in enumerate(uppers) if v <= upper), len(uppers))
+         for v in vots]
+    )
 
 
 class TestVotRanks:
@@ -404,7 +434,7 @@ class TestVotRanks:
             )
             for vots in (report_grid, lattice):
                 ranks = vot_ranks(o, vots)
-                assert np.array_equal(ranks, searchsorted_ranks(o, vots))
+                assert np.array_equal(ranks, reference_ranks(o, vots))
                 assert [assign_subscriber(o, v).rank for v in vots] == ranks.tolist()
 
 
@@ -460,9 +490,8 @@ class TestCostReport:
         report = cost_report(result.outcome, solve_ue(demo_network, result.paths), 11)
         assert report.ue_cost[0] == 0.0
         assert report.quitter_cost[0] == 0.0
-        nonempty = np.flatnonzero(result.outcome.rho > 0)
         assert report.subscriber_cost[0] == pytest.approx(
-            float(result.outcome.payments[nonempty[0]])
+            float(result.outcome.payments[0])
         )
         assert np.isnan(report.improvement_subscriber_pct[0])
         assert np.isnan(report.improvement_outsider_pct[0])
