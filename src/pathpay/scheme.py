@@ -33,7 +33,7 @@ import numpy as np
 
 from .equilibrium import DEFAULT_TOL, FlowSolution, solve_so
 from .network import Network, PathSet, enumerate_paths
-from .simplex import StandardLp, solve_lp
+from .simplex import StandardLp, append_rows, solve_lp
 from .vot import VotClassTable, VotDistribution, discretize
 
 MINUTES_PER_HOUR = 60.0
@@ -52,6 +52,14 @@ class SubscriberAssignment:
     subscriber_path_flows: np.ndarray  # (n_paths,)
     outsider_path_flows: np.ndarray    # (n_paths,)
     weighted_cost: float               # VOT-weighted time objective
+    # how the cutting-plane solve went; none of it reaches an output file
+    rounds: int                        # master solves, the first one cold
+    cuts: int                          # cuts in the final master
+    master_shape: tuple[int, int]      # final master's (rows, columns)
+    cold_pivots: int                   # simplex pivots of the first solve
+    dual_pivots: int                   # dual simplex pivots of the others
+    demand_residual: float             # |sum of totals - subscriber demand|
+    link_residual: float               # max |incidence @ totals - target|
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,17 +138,21 @@ def solve_subscriber_lp(
     piece holding each ``C_k`` at the SO path split and adds the piece
     holding each new ``C_k`` until none is new; the master value then
     equals the true objective at its solution, which proves optimality.
-    Gaps with ``w_k = 0`` need no cut. The reported ``weighted_cost`` is
+    Gaps with ``w_k = 0`` need no cut. The first master is solved cold;
+    each later round appends only its new cuts to the solved tableau and
+    re-optimises by dual simplex. The reported ``weighted_cost`` is
     ``sum_k t_k (G(C_k) - G(C_{k-1}))`` at the final totals, with ``t_k``
     the k-th fastest time and ``C_0 = 0``.
 
-    Where the optimal totals are not unique, the result is the basic optimum
-    that Bland's rule reaches on the final cut set, with the master's path
-    columns slowest first, then the cut surpluses, then ``y``, from the
-    simplex's crash basis: the surplus of each cut with a negative
-    right-hand side starts basic in its row, and the link rows and the
-    other cuts start with artificial variables. So it is a deterministic
-    function of the inputs.
+    Where the optimal totals are not unique, the result is the basic
+    optimum that dual Bland's rule reaches on the grown tableau, from the
+    basic optimum that Bland's rule reaches on the first master. That
+    master's columns are the paths slowest first, then the first cuts'
+    surpluses, then ``y``, and the simplex starts from its crash basis: the
+    surplus of each cut with a negative right-hand side starts basic in its
+    row, and the link rows and the other cuts start with artificial
+    variables. Each later cut's surplus follows as a new last column, basic
+    in its row. So the result is a deterministic function of the inputs.
     """
     d_sub = net.subscriber_demand
     if d_sub <= 0:
@@ -178,19 +190,33 @@ def solve_subscriber_lp(
         return list(enumerate(held.tolist()))
 
     cuts = dict.fromkeys(pieces(share * so.path_flows[columns]))  # ordered set
-    while True:
-        sol = solve_lp(
-            _master_lp(incidence, link_target, prefix, gaps[ks], vot, rhs, cuts)
-        )
-        if not sol.optimal:
-            raise SchemeError(
-                f"subscriber routing LP is {sol.status}; system-optimal link "
-                "flows and class demands are inconsistent"
-            )
+    y0 = n_paths + len(cuts)  # y follows the first cuts' surpluses
+
+    def cut_rows(new, width: int):
+        """Rows ``vot[m] * prefix[j] @ T - y_j`` of the cuts ``(j, m)`` over
+        ``width`` master columns, and their right-hand sides."""
+        j, m = np.array(new, dtype=int).reshape(-1, 2).T
+        A = np.zeros((j.size, width))
+        A[:, :n_paths] = vot[m, None] * prefix[j]
+        A[np.arange(j.size), y0 + j] = -1.0
+        return A, rhs[m]
+
+    first = cut_rows(list(cuts), y0 + ks.size)
+    sol = solve_lp(_master_lp(incidence, link_target, *first, gaps[ks]))
+    cold_pivots, dual_pivots, rounds = sol.iterations, 0, 1
+    while sol.optimal:
         new = [cut for cut in pieces(sol.x[:n_paths]) if cut not in cuts]
         if not new:
             break
         cuts.update(dict.fromkeys(new))
+        sol = append_rows(sol, *cut_rows(new, sol.x.size))
+        dual_pivots += sol.iterations
+        rounds += 1
+    if not sol.optimal:
+        raise SchemeError(
+            f"subscriber routing LP is {sol.status}; system-optimal link "
+            "flows and class demands are inconsistent"
+        )
 
     slow_totals = sol.x[:n_paths]
     if slow_totals.min(initial=0.0) < -_FLOW_TOL:
@@ -213,32 +239,35 @@ def solve_subscriber_lp(
         subscriber_path_flows=totals,
         outsider_path_flows=(d_out / d_sub) * totals,
         weighted_cost=float(riding @ times[fastest]),
+        rounds=rounds,
+        cuts=len(cuts),
+        master_shape=sol.lp.A.shape,
+        cold_pivots=cold_pivots,
+        dual_pivots=dual_pivots,
+        demand_residual=float(demand_err),
+        link_residual=float(link_err),
     )
 
 
-def _master_lp(incidence, link_target, prefix, weight, vot, rhs, cuts) -> StandardLp:
-    """Equality form of the cutting-plane master over the cuts ``(j, m)``.
+def _master_lp(incidence, link_target, cut_A, cut_b, weight) -> StandardLp:
+    """Equality form of the first cutting-plane master.
 
     Columns are the path totals, one surplus per cut, then ``y = -z >= 0``
-    for each gap; rows are the links, then the cuts. Every cut is a tangent
-    of the concave, non-negative ``G``, so at a master optimum
-    ``z_k = max(cuts) <= -G(C_k) <= 0`` and ``z`` needs no positive part.
-    The surpluses come first: with ``z`` ahead of them the chains took 3-4x
-    the pivots.
+    for each gap; rows are the links, then the cuts ``cut_A`` with their
+    surpluses. Every cut is a tangent of the concave, non-negative ``G``,
+    so at a master optimum ``z_k = max(cuts) <= -G(C_k) <= 0`` and ``z``
+    needs no positive part. The surpluses come first: with ``z`` ahead of
+    them the chains took 3-4x the pivots.
     """
     n_links, n_paths = incidence.shape
-    K = prefix.shape[0]
-    j, m = np.array(list(cuts), dtype=int).reshape(-1, 2).T
-    n_cuts = j.size
+    n_cuts, width = cut_A.shape
     rows = np.arange(n_cuts)
-    A = np.zeros((n_links + n_cuts, n_paths + n_cuts + K))
+    A = np.zeros((n_links + n_cuts, width))
     A[:n_links, :n_paths] = incidence
-    cut_rows = A[n_links:]
-    cut_rows[:, :n_paths] = vot[m, None] * prefix[j]
-    cut_rows[rows, n_paths + rows] = -1.0
-    cut_rows[rows, n_paths + n_cuts + j] = -1.0
-    b = np.concatenate([link_target, rhs[m]])
-    c = np.concatenate([np.zeros(n_paths + n_cuts), -weight])
+    A[n_links:] = cut_A
+    A[n_links + rows, n_paths + rows] = -1.0
+    b = np.concatenate([link_target, cut_b])
+    c = np.concatenate([np.zeros(width - weight.size), -weight])
     return StandardLp(c=c, A=A, b=b)
 
 

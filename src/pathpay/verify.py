@@ -14,6 +14,9 @@ import numpy as np
 from .scheme import CostReport, SchemeOutcome, MINUTES_PER_HOUR, vot_ranks
 
 SP_DEFAULT_GRID = 201
+# strategy-proofness tolerance per dollar of payment spread: margins are
+# differences of payments, so they carry rounding of the payments' size,
+# and a payment offset common to every path cancels in them
 SP_TOL = 1e-9
 
 
@@ -25,7 +28,8 @@ class StrategyProofResult:
     when truthful); non-negative means lying never helps.
     ``boundary_worst_abs`` is the largest absolute margin over the
     indifference pairs, where a subscriber sits exactly on a partition point
-    and declares into the next interval.
+    and declares into the next interval. ``tolerance`` is
+    ``SP_TOL * (1 + max payment - min payment)``.
     """
 
     passed: bool
@@ -34,7 +38,7 @@ class StrategyProofResult:
     worst_declared: float
     boundary_worst_abs: float
     grid: int
-    tolerance: float = SP_TOL
+    tolerance: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,13 +138,15 @@ def check_strategy_proof(
     boundary = _margins(outcome, points / MINUTES_PER_HOUR, true_rank, true_rank + 1)
     boundary_worst = float(np.abs(boundary).max(initial=0.0))
 
+    tol = SP_TOL * (1.0 + float(np.ptp(outcome.payments)))
     return StrategyProofResult(
-        passed=worst >= -SP_TOL,
+        passed=worst >= -tol,
         worst_margin=worst,
         worst_true=float(lattice[i]),
         worst_declared=float(lattice[first[c]]),
         boundary_worst_abs=boundary_worst,
         grid=grid,
+        tolerance=tol,
     )
 
 

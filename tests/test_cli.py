@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pathpay.equilibrium
+import pathpay.scheme
 from _instances import network_document, parallel_network
 from conftest import FIXTURE_DIR
 from pathpay import LinkCostFn, assign_outsider, assign_subscriber, cli
@@ -346,17 +347,42 @@ class TestInputBoundary:
                     "--out", str(tmp_path / "o")]) == 1
         assert "too close together" in single_error_line(capsys)
 
-    def test_failed_verification_is_one_error_line(self, tmp_path, capsys):
-        # every link cost scaled by 1e100 leaves the misreport margins to
-        # rounding (the worst is -3.9e84 $)
+    def test_failed_verification_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a $1 discount on the fastest path pays every slower subscriber
+        # to declare into it, and breaks revenue neutrality
+        compute_payments = pathpay.scheme.compute_payments
+
+        def discounted(*args):
+            payments = compute_payments(*args)
+            payments[-1] -= 1.0
+            return payments
+
+        monkeypatch.setattr(pathpay.scheme, "compute_payments", discounted)
+        out = tmp_path / "o"
+        assert run(["scheme", "--network", NETWORK, "--vot", VOT, "--out", str(out)]) == 1
+        assert "verification failed" in single_error_line(capsys)
+        check = json.loads((out / "verification.json").read_text())
+        assert not check["strategy_proof"]["passed"]
+
+    def test_huge_costs_pass_strategy_proofness(self, tmp_path, capsys):
+        # every link cost scaled by 1e100 leaves misreport margins of
+        # rounding size (the worst is -3.9e84 $ beside payments near
+        # 1.4e100 $); the tolerance scales with the payments' spread
         data = json.loads(Path(NETWORK).read_text())
         for link in data["links"]:
             link["cost"]["params"] = [1e100 * p for p in link["cost"]["params"]]
         network = tmp_path / "network.json"
         network.write_text(json.dumps(data))
+        out = tmp_path / "o"
         assert run(["scheme", "--network", str(network), "--vot", VOT,
-                    "--out", str(tmp_path / "o")]) == 1
-        assert "verification failed" in single_error_line(capsys)
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        check = json.loads((out / "verification.json").read_text())["strategy_proof"]
+        paid = [p["payment_usd"] for p in json.loads(
+            (out / "scheme.json").read_text())["paths"] if p["payment_usd"] is not None]
+        assert check["passed"] and check["worst_margin_usd"] < 0
+        spread = max(paid) - min(paid)
+        assert check["tolerance_usd"] == pytest.approx(1e-9 * (1 + spread), rel=1e-9)
 
     @pytest.mark.parametrize("link, cost", [(1, 1e300), (0, 1e200), (1, 1e200)])
     def test_misreport_gain_beside_huge_payments(self, tmp_path, capsys, link, cost):
@@ -465,8 +491,9 @@ def test_ue_solved_only_when_read(tmp_path, monkeypatch, command, solves):
 
 
 def test_outputs_leave_solver_diagnostics_out(tmp_path, monkeypatch):
-    # the gap history and the Newton step count explain a solve; like the
-    # cost passes, they never reach an output file
+    # the gap history, the Newton step count and the subscriber master's
+    # rounds, shape, pivots and residuals explain a solve; like the cost
+    # passes, they never reach an output file
     def outputs(out):
         with redirect_stdout(io.StringIO()):
             assert main(["equilibria", "--network", NETWORK, "--out", str(out)]) == 0
@@ -482,6 +509,15 @@ def test_outputs_leave_solver_diagnostics_out(tmp_path, monkeypatch):
         return f, q, {**stats, "gap_history": history, "newton_steps": 7}
 
     monkeypatch.setattr(pathpay.equilibrium, "_projected_newton", altered)
+    route = pathpay.scheme.solve_subscriber_lp
+
+    def rerouted(*args):
+        return dataclasses.replace(
+            route(*args), rounds=9, cuts=99, master_shape=(1, 2), cold_pivots=7,
+            dual_pivots=5, demand_residual=0.25, link_residual=0.5,
+        )
+
+    monkeypatch.setattr(pathpay.scheme, "solve_subscriber_lp", rerouted)
     assert outputs(tmp_path / "o") == expected
     assert {"equilibria.json", "scheme.json"} <= expected.keys()
 

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import pathpay.scheme
-from _instances import random_network, random_vot
+from _instances import random_chain, random_network, random_vot
 from _oracles import class_path_lp, greedy_weighted_cost
 from conftest import FIXTURE_DIR
 from pathpay import (
@@ -174,6 +173,7 @@ def assert_matches_class_path_lp(so, classes, net, paths):
     assert full.optimal
     assign = solve_subscriber_lp(so, classes, net, paths)
     assert assign.weighted_cost == pytest.approx(full.objective, rel=1e-9)
+    return assign
 
 
 class TestPathTotalRouting:
@@ -218,23 +218,55 @@ class TestPathTotalRouting:
                     for flows in (so, arbitrary):
                         assert_matches_class_path_lp(flows, classes, net, paths)
 
-    def test_fixture_master_stays_small(self, demo_network, demo_vot, monkeypatch):
+    @pytest.mark.parametrize("kind, widths", [("linear", (3, 3, 3, 3)), ("bpr", (3, 3, 3))])
+    def test_benchmark_chains_match_class_path_lp(self, demo_vot, kind, widths):
+        # the benchmark's many-paths chains at M=10; arbitrary path times
+        # leave the first master short of cuts, so later rounds run on the
+        # grown tableau
+        rng = np.random.default_rng(15)
         dist, _ = demo_vot
-        paths = enumerate_paths(demo_network)
-        so = solve_so(demo_network, paths)
+        rounds = []
+        for _ in range(2):
+            net = random_chain(rng, widths, kind)
+            paths = enumerate_paths(net)
+            so = solve_so(net, paths)
+            classes = discretize(dist, net.subscriber_demand, 10)
+            arbitrary = replace(so, path_times=rng.uniform(20.0, 60.0, len(paths)))
+            for flows in (so, arbitrary):
+                assign = assert_matches_class_path_lp(flows, classes, net, paths)
+                rounds.append(assign.rounds)
+        assert max(rounds) > 1
+
+    def test_fixture_many_classes_matches_class_path_lp(self, demo_run, demo_network, demo_vot):
+        dist, _ = demo_vot
         classes = discretize(dist, demo_network.subscriber_demand, 400)
-        shapes = []
+        assert_matches_class_path_lp(demo_run.so, classes, demo_network, demo_run.paths)
 
-        def recording(lp):
-            shapes.append(lp.A.shape)
-            return solve_lp(lp)
-
-        monkeypatch.setattr(pathpay.scheme, "solve_lp", recording)
-        assign = solve_subscriber_lp(so, classes, demo_network, paths)
+    def test_fixture_master_stays_small(self, demo_run, demo_network, demo_vot):
+        # 400 classes, yet the master holds a few cuts: the 4 link rows,
+        # then one row per cut; the columns are the 4 paths, one surplus
+        # per cut and y for the 3 positive time gaps
+        dist, _ = demo_vot
+        classes = discretize(dist, demo_network.subscriber_demand, 400)
+        assign = solve_subscriber_lp(
+            demo_run.so, classes, demo_network, demo_run.paths
+        )
         assert assign.subscriber_path_flows == pytest.approx(
             [0.0, 200.0, 360.0, 240.0], abs=1e-4
         )
-        assert shapes and all(rows < classes.M for rows, _ in shapes)
+        assert assign.master_shape == (4 + assign.cuts, 4 + assign.cuts + 3)
+        assert assign.master_shape[0] < classes.M
+        assert assign.rounds == 2 and assign.cold_pivots > 0
+
+    def test_residuals_reported(self, demo_run, demo_network):
+        assign = demo_run.assignment
+        totals = assign.subscriber_path_flows
+        share = demo_network.subscriber_demand / demo_network.demand
+        demand_err = totals.sum() - demo_run.classes.class_demand.sum()
+        link_err = demo_run.paths.incidence @ totals - demo_run.so.link_flows * share
+        assert assign.demand_residual == pytest.approx(abs(demand_err), abs=1e-9)
+        assert assign.link_residual == pytest.approx(np.abs(link_err).max(), abs=1e-12)
+        assert max(assign.demand_residual, assign.link_residual) <= 1e-9
 
     def test_bit_identical_reruns(self):
         rng = np.random.default_rng(8)

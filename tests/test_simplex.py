@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import loop_drive_out_artificials
 from pathpay import simplex
-from pathpay.simplex import StandardLp, solve_lp
+from pathpay.simplex import StandardLp, append_rows, solve_lp
 
 
 def vertex_oracle(lp):
@@ -81,16 +81,20 @@ class TestBasics:
             StandardLp(c=[np.nan], A=[[1.0]], b=[1.0])
 
 
+def random_bounded_lp(rng, n, m):
+    """A random LP and an interior point ``x0 > 0`` of it: feasible by
+    construction, ``b = A @ x0``, and bounded by an appended mass row
+    ``sum(x) = sum(x0)``."""
+    A = rng.normal(size=(m, n))
+    x0 = rng.uniform(0.2, 1.0, size=n)
+    A = np.vstack([A, np.ones(n)])
+    c = rng.normal(size=n)
+    return StandardLp(c=c, A=A, b=A @ x0), x0
+
+
 class TestAgainstVertexOracle:
     def _random_bounded_lp(self, rng, n, m):
-        # feasible by construction: b = A @ x0 with x0 >= 0; bounded via an
-        # appended mass row sum(x) = sum(x0)
-        A = rng.normal(size=(m, n))
-        x0 = rng.uniform(0.2, 1.0, size=n)
-        A = np.vstack([A, np.ones(n)])
-        b = A @ x0
-        c = rng.normal(size=n)
-        return StandardLp(c=c, A=A, b=b)
+        return random_bounded_lp(rng, n, m)[0]
 
     def test_random_instances(self):
         rng = np.random.default_rng(1234)
@@ -217,3 +221,82 @@ class TestDriveOutArtificials:
             sol = solve_lp(StandardLp(c=c, A=A, b=A @ x0))
             assert sol.optimal, sol.status
         assert outcomes["pivoted"] > 0 and outcomes["dropped"] > 0, outcomes
+
+
+class TestAppendRows:
+    @staticmethod
+    def cuts(rng, sol, x0, k):
+        """``k`` rows ``a @ x >= r`` that the optimum violates and ``x0``
+        meets, over the columns of ``sol``'s LP (``x0`` padded with the
+        surpluses it would have)."""
+        n = sol.x.size
+        rows = rng.normal(size=(k, n))
+        rows *= np.sign(rows @ (x0 - sol.x))[:, None]
+        gap = rows @ (x0 - sol.x)
+        return rows, rows @ sol.x + rng.uniform(0.3, 0.9, size=k) * gap
+
+    def test_cut_off_optimum_matches_cold_and_oracle(self):
+        rng = np.random.default_rng(515)
+        for _ in range(40):
+            # n > m + 1, so the optimum is not the only feasible point
+            n = int(rng.integers(3, 6))
+            m = int(rng.integers(1, n - 1))
+            lp, x0 = random_bounded_lp(rng, n, m)
+            sol = solve_lp(lp)
+            assert sol.optimal, sol.status
+            k = int(rng.integers(1, 4))
+            rows, rhs = self.cuts(rng, sol, x0, k)
+            warm = append_rows(sol, rows, rhs)
+            assert warm.optimal, warm.status
+            assert warm.iterations >= 1
+            assert warm.lp.A.shape == (m + 1 + k, n + k)
+            # one more row on the grown tableau
+            x0 = np.concatenate([x0, rows @ x0 - rhs])
+            twice = append_rows(warm, *self.cuts(rng, warm, x0, 1))
+            assert twice.optimal, twice.status
+            for grown in (warm, twice):
+                cold = solve_lp(grown.lp)
+                expect = vertex_oracle(grown.lp)
+                assert cold.objective == pytest.approx(
+                    expect, abs=1e-9 * (1.0 + abs(expect))
+                )
+                assert grown.objective == pytest.approx(
+                    expect, abs=1e-9 * (1.0 + abs(expect))
+                )
+                assert grown.x.min() >= -1e-9
+                assert grown.residual <= 1e-9 * (1.0 + np.abs(grown.lp.b).max())
+
+    def test_tight_row_takes_no_pivots(self):
+        rng = np.random.default_rng(516)
+        for _ in range(20):
+            lp, _ = random_bounded_lp(rng, 5, 2)
+            sol = solve_lp(lp)
+            row = rng.normal(size=(1, 5))
+            warm = append_rows(sol, row, row @ sol.x)
+            assert warm.optimal
+            assert warm.iterations == 0
+            assert warm.x == pytest.approx(np.append(sol.x, 0.0), abs=1e-12)
+            assert warm.objective == pytest.approx(sol.objective, abs=1e-12)
+
+    def test_reruns_bit_identical(self):
+        rng = np.random.default_rng(517)
+        lp, x0 = random_bounded_lp(rng, 6, 3)
+        sol = solve_lp(lp)
+        rows, rhs = self.cuts(rng, sol, x0, 3)
+        first = append_rows(sol, rows, rhs)
+        # the solution appended to is left as it was
+        second = append_rows(sol, rows, rhs)
+        assert first.iterations > 0
+        assert np.array_equal(first.x, second.x)
+        assert first.objective == second.objective
+        assert first.iterations == second.iterations
+
+    def test_infeasible_row(self):
+        # x0 + x1 = 1 cannot also reach x0 + x1 >= 2
+        sol = solve_lp(StandardLp(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0]))
+        assert append_rows(sol, [[1.0, 1.0]], [2.0]).status == "infeasible"
+
+    def test_needs_optimal_solution(self):
+        sol = solve_lp(StandardLp(c=[-1.0, 0.0], A=[[1.0, -1.0]], b=[0.0]))
+        with pytest.raises(ValueError):
+            append_rows(sol, [[1.0, 0.0]], [1.0])

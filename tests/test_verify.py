@@ -60,6 +60,25 @@ class TestStrategyProof:
         assert fields[0] == fields[1]
         assert results[1].worst_margin < -1.0
 
+    def test_tolerance_scales_with_payment_spread(self, demo_run):
+        # margins carry the payments' rounding: at 1e100 times the
+        # fixture's payments a lie that gains 1e84 $ is rounding, while
+        # one that gains 1e-8 $ at the fixture's scale is not
+        o = demo_run.outcome
+        spread = float(np.ptp(o.payments))
+        result = check_strategy_proof(o)
+        assert result.passed
+        assert result.tolerance == pytest.approx(1e-9 * (1.0 + spread), rel=1e-12)
+        noisy = o.payments.copy()
+        noisy[-1] -= 1e-8
+        assert not check_strategy_proof(replace(o, payments=noisy)).passed
+        big = replace(o, sorted_times=1e100 * o.sorted_times, payments=1e100 * o.payments)
+        noisy = big.payments.copy()
+        noisy[-1] -= 1e84
+        result = check_strategy_proof(replace(big, payments=noisy))
+        assert result.worst_margin < 0
+        assert result.passed
+
     def test_single_path_trivially_passes(self):
         outcome = SchemeOutcome(
             order=(0,),
