@@ -7,7 +7,8 @@ distribution split into classes:
    subscriber share proportional to the system-optimal link flow. Because
    the highest VOTs always take the fastest paths, the program is solved
    over path totals alone, by cutting planes on the concave VOT-mass
-   curve, and its VOT-weighted cost is read off that curve;
+   curve and column generation over the paths, and its VOT-weighted cost
+   is read off that curve;
 2. scale subscriber path flows to outsiders, who hold the remaining share of
    every path;
 3. order the paths subscribers ride from slowest to fastest and cut the VOT
@@ -33,7 +34,7 @@ import numpy as np
 
 from .equilibrium import DEFAULT_TOL, FlowSolution, solve_so
 from .network import Network, PathSet, enumerate_paths
-from .simplex import StandardLp, append_rows, solve_lp
+from .simplex import ENTER_TOL, StandardLp, solve_lp
 from .vot import VotClassTable, VotDistribution, discretize
 
 MINUTES_PER_HOUR = 60.0
@@ -52,12 +53,12 @@ class SubscriberAssignment:
     subscriber_path_flows: np.ndarray  # (n_paths,)
     outsider_path_flows: np.ndarray    # (n_paths,)
     weighted_cost: float               # VOT-weighted time objective
-    # how the cutting-plane solve went; none of it reaches an output file
-    rounds: int                        # master solves, the first one cold
+    # how the master solve went; none of it reaches an output file
+    rounds: int                        # master solves
     cuts: int                          # cuts in the final master
+    columns: int                       # paths in the final master
     master_shape: tuple[int, int]      # final master's (rows, columns)
-    cold_pivots: int                   # simplex pivots of the first solve
-    dual_pivots: int                   # dual simplex pivots of the others
+    pivots: int                        # simplex pivots over every round
     demand_residual: float             # |sum of totals - subscriber demand|
     link_residual: float               # max |incidence @ totals - target|
 
@@ -129,146 +130,204 @@ def solve_subscriber_lp(
     ``w_k = t_{k+1} - t_k >= 0`` and ``G(C)`` the VOT mass of the top ``C``
     subscribers (concave, one linear piece per class, highest mean first),
     the LP value is ``t_R G(D) - sum_k w_k G(C_k)`` minimised over
-    ``incidence @ T = share * q_SO``, ``T >= 0``. ``-G`` is the maximum of
-    its pieces, so Kelley's cutting-plane method solves it: a master LP in
-    ``T`` and ``z_k`` minimises ``sum_k w_k z_k`` under the link rows and
-    the cuts ``z_k + v_m C_k >= v_m D_{m-1} - G(D_{m-1})`` gathered so far.
-    The cuts are tangents of ``G >= 0``, so ``z_k <= 0`` at every master
-    optimum and the master carries ``y_k = -z_k >= 0``. It starts from the
-    piece holding each ``C_k`` at the SO path split and adds the piece
-    holding each new ``C_k`` until none is new; the master value then
-    equals the true objective at its solution, which proves optimality.
-    Gaps with ``w_k = 0`` need no cut. The first master is solved cold;
-    each later round appends only its new cuts to the solved tableau and
-    re-optimises by dual simplex. The reported ``weighted_cost`` is
-    ``sum_k t_k (G(C_k) - G(C_{k-1}))`` at the final totals, with ``t_k``
-    the k-th fastest time and ``C_0 = 0``.
+    ``incidence @ T = share * q_SO``, ``T >= 0``. The reported
+    ``weighted_cost`` is ``sum_k t_k (G(C_k) - G(C_{k-1}))`` at the final
+    totals, with ``t_k`` the k-th fastest time and ``C_0 = 0``.
+
+    It is solved by column generation over the paths (Desrosiers and
+    Luebbecke, "A Primer in Column Generation", 2005) and Kelley's cutting
+    planes on ``-G``, the maximum of its pieces. The master holds some of
+    the paths. A path outside it carries nothing, so the gaps between two
+    consecutive master paths share one ``C`` and merge into a run whose
+    weight ``W`` is their sum. The master maximises ``sum W y`` over the
+    runs' ``y >= 0`` under the link rows and the cuts
+    ``v_m C - y >= v_m D_{m-1} - G(D_{m-1})`` gathered so far: tangents of
+    ``G``, so ``y <= G(C)``. The first master holds the greedy path
+    decomposition of the link target, fastest first, so at most
+    rank(incidence) paths; a run starts with the cut of the piece holding
+    its ``C`` there. Each round solves the master cold, then adds the cut
+    of the piece holding each run's ``C`` where the solution breaks it by
+    more than rounding, and every path of negative reduced cost. With
+    ``g_k`` the slope of ``G`` at gap ``k`` (its run's cut duals
+    ``sum_m mu_m v_m`` spread over the run by weight, and ``v_0`` ahead of
+    the fastest master path, where ``C = 0``) and link duals ``pi``, that
+    reduced cost is ``-pi . a_r - sum_{pos(r) <= k < last} w_k g_k`` for a
+    path ahead of the slowest master path and
+    ``-pi . a_r + (t_r - t_last) v_min`` for one behind it, where
+    ``C = D``: one sort and one prefix sum price every path. With no cut
+    and no path to add, the master's duals so extended are feasible for
+    the LP over every path and every cut, which proves the totals
+    optimal. A master the greedy paths cannot make feasible is re-solved
+    over every path.
 
     Where the optimal totals are not unique, the result is the basic
-    optimum that dual Bland's rule reaches on the grown tableau, from the
-    basic optimum that Bland's rule reaches on the first master. That
-    master's columns are the paths slowest first, then the first cuts'
-    surpluses, then ``y``, and the simplex starts from its crash basis: the
-    surplus of each cut with a negative right-hand side starts basic in its
-    row, and the link rows and the other cuts start with artificial
-    variables. Each later cut's surplus follows as a new last column, basic
-    in its row. So the result is a deterministic function of the inputs.
+    optimum that Bland's rule reaches on the final master, so it depends
+    on the greedy start and the paths priced in, not on every path. The
+    master's columns are its paths slowest first, then one surplus per
+    cut in the order the cuts were added, then ``y`` per run, fastest
+    first; the surplus of each cut with a negative right-hand side starts
+    basic in its row, and the link rows and the other cuts start with
+    artificial variables. So the result is a deterministic function of
+    the inputs.
     """
     d_sub = net.subscriber_demand
     if d_sub <= 0:
         raise SchemeError("scheme requires positive subscriber demand")
     d_out = net.outsider_demand
-    n_paths = len(paths)
+    n_links, n_paths = paths.incidence.shape
     M = classes.M
     share = d_sub / net.demand
     link_target = so.link_flows * share
-    times = so.path_times
+    scale = 1.0 + np.abs(link_target).max(initial=0.0)
 
     # G's pieces, highest class mean first: piece m covers cumulative demand
     # [bounds[m], bounds[m+1]] with slope vot[m]; its cut reads
-    # z + vot[m] * C >= rhs[m]
+    # vot[m] * C - y >= rhs[m]
     by_vot = np.lexsort((np.arange(M), -classes.class_mean))
     vot = classes.class_mean[by_vot]
     demand = classes.class_demand[by_vot]
     bounds = np.concatenate([[0.0], np.cumsum(demand)])
     mass = np.concatenate([[0.0], np.cumsum(vot * demand)])  # G at the bounds
     rhs = vot * bounds[:-1] - mass[:-1]
+    cut_tol = 1e-9 * (1.0 + mass[-1])
 
-    fastest = np.lexsort((np.arange(n_paths), times))
-    gaps = np.diff(times[fastest])
-    ks = np.flatnonzero(gaps > 0)
-    # master path columns run slowest first: over relabelled chains this
-    # order kept Bland's pivot count steady, where index order varied 4x
-    columns = fastest[::-1]
-    incidence = paths.incidence[:, columns]
-    # prefix[j] @ T is the total on the ks[j] + 1 fastest paths
-    prefix = (np.arange(n_paths)[None, ::-1] <= ks[:, None]).astype(float)
+    def piece(C):
+        return np.minimum(np.searchsorted(bounds[1:], C), M - 1)
 
-    def pieces(totals) -> list[tuple[int, int]]:
-        """(gap, piece of G holding C_k) for every gap with w_k > 0."""
-        held = np.minimum(np.searchsorted(bounds[1:], prefix @ totals), M - 1)
-        return list(enumerate(held.tolist()))
+    # from here on a path is named by its position fastest first
+    fastest = np.lexsort((np.arange(n_paths), so.path_times))
+    times = so.path_times[fastest]
+    gaps = np.diff(times)
+    incidence = paths.incidence[:, fastest]
 
-    cuts = dict.fromkeys(pieces(share * so.path_flows[columns]))  # ordered set
-    y0 = n_paths + len(cuts)  # y follows the first cuts' surpluses
+    totals = _greedy_decomposition(incidence, link_target, _FLOW_TOL * scale)
+    master = totals > 0
+    if not master.any():  # no path fits the target: let the LP say why
+        master[:] = True
+    C = np.cumsum(totals)
 
-    def cut_rows(new, width: int):
-        """Rows ``vot[m] * prefix[j] @ T - y_j`` of the cuts ``(j, m)`` over
-        ``width`` master columns, and their right-hand sides."""
-        j, m = np.array(new, dtype=int).reshape(-1, 2).T
-        A = np.zeros((j.size, width))
-        A[:, :n_paths] = vot[m, None] * prefix[j]
-        A[np.arange(j.size), y0 + j] = -1.0
-        return A, rhs[m]
-
-    first = cut_rows(list(cuts), y0 + ks.size)
-    sol = solve_lp(_master_lp(incidence, link_target, *first, gaps[ks]))
-    cold_pivots, dual_pivots, rounds = sol.iterations, 0, 1
-    while sol.optimal:
-        new = [cut for cut in pieces(sol.x[:n_paths]) if cut not in cuts]
-        if not new:
-            break
-        cuts.update(dict.fromkeys(new))
-        sol = append_rows(sol, *cut_rows(new, sol.x.size))
-        dual_pivots += sol.iterations
-        rounds += 1
-    if not sol.optimal:
-        raise SchemeError(
-            f"subscriber routing LP is {sol.status}; system-optimal link "
-            "flows and class demands are inconsistent"
+    cuts: dict[tuple[int, int], None] = {}  # (run's first gap, piece), ordered
+    rounds = pivots = 0
+    while True:
+        pos = np.flatnonzero(master)
+        # master columns run slowest first: on grids 5-7 Bland's rule
+        # took 5-20% fewer pivots than fastest first
+        cols = pos[::-1]
+        weight = times[pos[1:]] - times[pos[:-1]]
+        runs, W = pos[:-1][weight > 0], weight[weight > 0]
+        # a run split by a new path keeps its cuts on its first part; a
+        # run with none yet starts from the piece holding its C
+        starts = set(runs.tolist())
+        cuts = {cut: None for cut in cuts if cut[0] in starts}
+        bare = runs[~np.isin(runs, np.array([s for s, _ in cuts], dtype=int))]
+        cuts.update(dict.fromkeys(zip(bare.tolist(), piece(C[bare]).tolist())))
+        cs, cm = np.array(list(cuts), dtype=int).reshape(-1, 2).T
+        cj = np.searchsorted(runs, cs)
+        P, K = pos.size, cs.size
+        A = np.zeros((n_links + K, P + K + runs.size))
+        A[:n_links, :P] = incidence[:, cols]
+        A[n_links:, :P] = vot[cm, None] * (cols[None, :] <= cs[:, None])
+        A[n_links + np.arange(K), P + np.arange(K)] = -1.0
+        A[n_links + np.arange(K), P + K + cj] = -1.0
+        lp = StandardLp(
+            c=np.concatenate([np.zeros(P + K), -W]),
+            A=A,
+            b=np.concatenate([link_target, rhs[cm]]),
         )
+        sol = solve_lp(lp)
+        rounds += 1
+        pivots += sol.iterations
+        if not sol.optimal:
+            if master.all():
+                raise SchemeError(
+                    f"subscriber routing LP is {sol.status}; system-optimal "
+                    "link flows and class demands are inconsistent"
+                )
+            master[:] = True
+            continue
 
-    slow_totals = sol.x[:n_paths]
-    if slow_totals.min(initial=0.0) < -_FLOW_TOL:
+        totals = np.zeros(n_paths)
+        totals[cols] = sol.x[:P]
+        C = np.cumsum(totals)
+        held = piece(C[runs])
+        slack = vot[held] * C[runs] - sol.x[P + K:] - rhs[held]
+        broken = [
+            cut
+            for cut, met in zip(zip(runs.tolist(), held.tolist()), slack.tolist())
+            if met < -cut_tol and cut not in cuts
+        ]
+        # each gap's slope of G: v_0 ahead of the fastest master path, its
+        # run's cut duals spread by weight, the lowest VOT past the slowest
+        pi, mu = sol.duals[:n_links], sol.duals[n_links:]
+        between = np.zeros(P - 1)
+        between[weight > 0] = np.bincount(cj, mu * vot[cm], runs.size) / W
+        slope = np.concatenate([[vot[0]], between, [vot[-1]]])[
+            np.searchsorted(pos, np.arange(n_paths - 1), side="right")
+        ]
+        # past a huge gap the reduced cost overflows to +inf: never added
+        with np.errstate(over="ignore", invalid="ignore"):
+            ahead = np.concatenate([[0.0], np.cumsum(gaps * slope)])
+            reduced = -(pi @ incidence) - ahead[pos[-1]] + ahead
+        price_tol = ENTER_TOL * (1.0 + vot[0] * times[pos[-1]])
+        priced = ~master & (reduced < -price_tol)
+        if not (broken or priced.any()):
+            break
+        cuts.update(dict.fromkeys(broken))
+        master |= priced
+
+    if totals.min(initial=0.0) < -_FLOW_TOL:
         raise SchemeError("LP produced a significantly negative flow")
-    totals = np.empty(n_paths)
-    totals[columns] = np.clip(slow_totals, 0.0, None)
+    totals = np.clip(totals, 0.0, None)
 
-    tol = 1e-7 * (1.0 + np.abs(link_target).max(initial=0.0))
+    tol = 1e-7 * scale
     demand_err = abs(totals.sum() - bounds[-1])
-    link_err = np.abs(paths.incidence @ totals - link_target).max(initial=0.0)
+    link_err = np.abs(incidence @ totals - link_target).max(initial=0.0)
     if demand_err > tol or link_err > tol:
         raise SchemeError(
             f"LP solution violates flow constraints (demand {demand_err:.3e}, "
             f"link {link_err:.3e})"
         )
 
-    filled = np.concatenate([[0.0], np.cumsum(totals[fastest])])
-    riding = np.diff(np.interp(filled, bounds, mass))
+    riding = np.diff(np.interp(np.concatenate([[0.0], np.cumsum(totals)]), bounds, mass))
+    path_totals = np.empty(n_paths)
+    path_totals[fastest] = totals
     return SubscriberAssignment(
-        subscriber_path_flows=totals,
-        outsider_path_flows=(d_out / d_sub) * totals,
-        weighted_cost=float(riding @ times[fastest]),
+        subscriber_path_flows=path_totals,
+        outsider_path_flows=(d_out / d_sub) * path_totals,
+        weighted_cost=float(riding @ times),
         rounds=rounds,
         cuts=len(cuts),
-        master_shape=sol.lp.A.shape,
-        cold_pivots=cold_pivots,
-        dual_pivots=dual_pivots,
+        columns=int(master.sum()),
+        master_shape=lp.A.shape,
+        pivots=pivots,
         demand_residual=float(demand_err),
         link_residual=float(link_err),
     )
 
 
-def _master_lp(incidence, link_target, cut_A, cut_b, weight) -> StandardLp:
-    """Equality form of the first cutting-plane master.
+def _greedy_decomposition(incidence, target, floor: float = 0.0) -> np.ndarray:
+    """Path flows that take ``target`` link by link, greedily.
 
-    Columns are the path totals, one surplus per cut, then ``y = -z >= 0``
-    for each gap; rows are the links, then the cuts ``cut_A`` with their
-    surpluses. Every cut is a tangent of the concave, non-negative ``G``,
-    so at a master optimum ``z_k = max(cuts) <= -G(C_k) <= 0`` and ``z``
-    needs no positive part. The surpluses come first: with ``z`` ahead of
-    them the chains took 3-4x the pivots.
+    Each column of ``incidence`` in turn carries the smallest residual
+    target on its links, when that exceeds ``floor``, and the residual
+    drops by it along the column. A column taken leaves one of its links
+    at zero, which no later column taken uses, so the columns taken are
+    linearly independent: at most rank(incidence) of them.
     """
-    n_links, n_paths = incidence.shape
-    n_cuts, width = cut_A.shape
-    rows = np.arange(n_cuts)
-    A = np.zeros((n_links + n_cuts, width))
-    A[:n_links, :n_paths] = incidence
-    A[n_links:] = cut_A
-    A[n_links + rows, n_paths + rows] = -1.0
-    b = np.concatenate([link_target, cut_b])
-    c = np.concatenate([np.zeros(width - weight.size), -weight])
-    return StandardLp(c=c, A=A, b=b)
+    path, link = np.nonzero(np.asarray(incidence).T)
+    first = np.flatnonzero(np.diff(path, prepend=-1))  # each column's first link
+    ends = [*first.tolist(), path.size]
+    link = link.tolist()
+    flows = np.zeros(incidence.shape[1])
+    residual = np.asarray(target, dtype=float).tolist()
+    for p, lo, hi in zip(path[first].tolist(), ends, ends[1:]):
+        links = link[lo:hi]
+        flow = min(residual[a] for a in links)
+        if flow > floor:
+            flows[p] = flow
+            for a in links:
+                residual[a] -= flow
+    return flows
 
 
 def build_outcome(

@@ -8,15 +8,8 @@ variable. Pivoting follows Bland's rule (smallest eligible index enters,
 smallest-index basic variable leaves on ratio ties), which cannot cycle
 and makes the returned basic solution a deterministic function of the
 input. Redundant equality rows are detected and dropped at the end of
-phase 1.
-
-An optimal solution keeps its phase-2 tableau, so :func:`append_rows` can
-add ``a x - s = r`` rows, each with its own new surplus column ``s``, and
-re-optimise from the last basis instead of solving again: each new
-surplus starts basic in its row, which keeps every reduced cost, and dual
-simplex restores feasibility under dual Bland's rule (the infeasible row
-whose basic variable has the lowest index leaves; the lowest index among
-ratio ties enters), which cannot cycle either.
+phase 1. An optimal solution carries duals for every original row: the
+least-norm solution of ``A_B.T y = c_B`` on its final basis ``B``.
 
 The tableau is kept dense; problems here have at most a few hundred rows
 and columns.
@@ -24,7 +17,7 @@ and columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,10 +60,8 @@ class LpSolution:
     status: str                      # "optimal" | "infeasible" | "unbounded"
     iterations: int = 0
     residual: float = 0.0
-    # of an optimal solution: the LP solved and its final phase-2 tableau
-    # (rows, reduced-cost row, basis), which append_rows grows
-    lp: StandardLp | None = field(default=None, repr=False)
-    tableau: tuple | None = field(default=None, repr=False)
+    # of an optimal solution: y with c - A.T @ y >= 0 and b @ y = objective
+    duals: np.ndarray | None = None
 
     @property
     def optimal(self) -> bool:
@@ -82,7 +73,7 @@ class LpSolution:
 def solve_lp(lp: StandardLp) -> LpSolution:
     """Solve the LP, returning an optimal basic solution when one exists."""
     m, n = lp.A.shape
-    feas_tol = 1e-7 * _b_scale(lp)
+    feas_tol = 1e-7 * (1.0 + float(np.abs(lp.b).max(initial=0.0)))
 
     # rows with negative rhs are flipped so the starting basis is feasible
     A = lp.A.copy()
@@ -137,93 +128,27 @@ def solve_lp(lp: StandardLp) -> LpSolution:
             x=np.zeros(n), objective=-np.inf, status="unbounded", iterations=pivots
         )
 
-    return _optimal(lp, T, obj, basis, pivots)
-
-
-# an overflow leaves an inf or NaN that fails the residual check below
-@np.errstate(over="ignore", invalid="ignore")
-def append_rows(solution: LpSolution, rows, rhs) -> LpSolution:
-    """Re-optimise ``solution``'s LP after adding the rows ``rows @ x - s = rhs``.
-
-    Each row gets its own surplus column ``s >= 0``, placed after the
-    existing columns in row order. ``solution`` must be optimal and is left
-    unchanged; the result solves the grown LP (its ``lp``) and counts only
-    the pivots made here.
-    """
-    if solution.tableau is None:
-        raise ValueError("only an optimal solution can take more rows")
-    lp = solution.lp
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    (m, n), k = lp.A.shape, rhs.size
-    A = np.zeros((m + k, n + k))
-    A[:m, :n], A[m:, :n], A[m:, n:] = lp.A, rows, -np.eye(k)
-    grown = StandardLp(
-        c=np.concatenate([lp.c, np.zeros(k)]), A=A, b=np.concatenate([lp.b, rhs])
-    )
-    T_old, obj_old, basis_old = solution.tableau
-    r = len(basis_old)  # phase 1 may have dropped redundant rows
-    T = np.zeros((r + k, n + k + 1))
-    T[:r, :n], T[:r, -1] = T_old[:, :n], T_old[:, -1]
-    # the new rows read s - rows @ x = -rhs with s basic; eliminating the
-    # basic columns leaves each s at its value rows @ x - rhs
-    T[r:, :n], T[r:, n:-1], T[r:, -1] = -rows, np.eye(k), -rhs
-    T[r:] -= T[r:, basis_old] @ T[:r]
-    basis = basis_old + list(range(n, n + k))
-    obj = np.insert(obj_old, [n] * k, 0.0)
-
-    # a basic value below -leave_tol is infeasible: the reduced-cost
-    # tolerance, scaled like the residual check
-    leave_tol = ENTER_TOL * _b_scale(grown)
-    pivots = 0
-    while True:
-        infeasible = np.flatnonzero(T[:, -1] < -leave_tol)
-        if infeasible.size == 0:
-            break
-        leave_row = min(infeasible, key=lambda i: basis[i])
-        row = T[leave_row, :-1]
-        cols = np.flatnonzero(row < -PIVOT_TOL)
-        if cols.size == 0:
-            return LpSolution(
-                x=np.zeros(n + k), objective=np.nan, status="infeasible",
-                iterations=pivots,
-            )
-        # reduced costs are non-negative up to ENTER_TOL; clipping keeps a
-        # rounding-negative one from winning the ratio test
-        ratios = np.maximum(obj[cols], 0.0) / -row[cols]
-        best = ratios.min()
-        entering = int(cols[ratios <= best + PIVOT_TOL * (1 + best)][0])
-        _pivot(T, obj, basis, leave_row, entering)
-        pivots += 1
-        if pivots > _MAX_PIVOTS:
-            raise SimplexError("pivot limit exceeded; LP appears numerically unstable")
-    return _optimal(grown, T, obj, basis, pivots)
-
-
-def _optimal(lp: StandardLp, T, obj, basis, pivots: int) -> LpSolution:
-    """The basic solution of an optimal tableau, checked against ``lp``."""
-    n = lp.c.size
     x = np.zeros(n)
     x[basis] = T[:, -1]
-    feas_tol = 1e-7 * _b_scale(lp)
     residual = float(np.abs(lp.A @ x - lp.b).max(initial=0.0))
     if not residual <= feas_tol:
         raise SimplexError(
             f"solution residual {residual:.3e} exceeds tolerance {feas_tol:.3e}"
         )
+    # duals solve A_B.T y = c_B on the final basis, in the flipped rows'
+    # signs. A dropped tableau row is a combination of the original rows,
+    # not one of them, so the kept original rows can be dependent: the
+    # system is solved over every row, and its least-norm solution taken
+    duals = np.linalg.lstsq(A[:, basis].T, lp.c[basis], rcond=None)[0]
+    duals[neg] *= -1.0
     return LpSolution(
         x=x,
         objective=float(lp.c @ x),
         status="optimal",
         iterations=pivots,
         residual=residual,
-        lp=lp,
-        tableau=(T, obj, basis),
+        duals=duals,
     )
-
-
-def _b_scale(lp: StandardLp) -> float:
-    return 1.0 + float(np.abs(lp.b).max(initial=0.0))
 
 
 def _pivot_until_optimal(T, obj, basis, allow_cols: int) -> tuple[int, bool]:

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare production code against.
 
 Each one solves a problem the package also solves, by a slower and more
-direct route: the class-by-path subscriber LP in full, the sort-and-fill
+direct route: the class-by-path subscriber LP in full, the path-total
+cutting-plane master over every enumerated path, the sort-and-fill
 coupling as a loop, an exhaustive lattice search, the O(n^2) payment sums,
 the strategy-proofness search over every (true, declared) lattice pair
 and over the partition points one at a time, the simplex's artificial
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from pathpay.scheme import MINUTES_PER_HOUR, vot_ranks
-from pathpay.simplex import PIVOT_TOL, StandardLp, _pivot
+from pathpay.simplex import PIVOT_TOL, StandardLp, _pivot, solve_lp
 from pathpay.vot import VotError
 
 
@@ -45,6 +46,62 @@ def class_path_lp(so, classes, net, paths) -> StandardLp:
         b[n_links + m] = classes.class_demand[m]
     c = (classes.class_mean[:, None] * so.path_times[None, :]).ravel()
     return StandardLp(c=c, A=A, b=b)
+
+
+def full_path_master(so, classes, net, paths) -> float:
+    """Minimum VOT-weighted time of the subscriber routing LP by Kelley's
+    cutting planes on a master over every enumerated path.
+
+    With paths sorted fastest first by ``(time, index)``, the master
+    minimises ``-sum_k w_k y_k`` over the path totals and one ``y_k >= 0``
+    per positive time gap ``w_k``, under the link rows and the cuts
+    ``v_m C_k - y_k >= v_m D_{m-1} - G(D_{m-1})``. It starts from the piece
+    of ``G`` holding each ``C_k`` at the SO path split, adds the piece
+    holding each new ``C_k`` and re-solves from scratch until no piece is
+    new. Returns ``sum_k t_k (G(C_k) - G(C_{k-1}))`` at the final totals.
+    """
+    n_links, n_paths = paths.incidence.shape
+    M = classes.M
+    share = net.subscriber_demand / net.demand
+    link_target = so.link_flows * share
+    by_vot = np.lexsort((np.arange(M), -classes.class_mean))
+    vot = classes.class_mean[by_vot]
+    bounds = np.concatenate([[0.0], np.cumsum(classes.class_demand[by_vot])])
+    mass = np.concatenate([[0.0], np.cumsum(vot * np.diff(bounds))])
+    rhs = vot * bounds[:-1] - mass[:-1]
+
+    fastest = np.lexsort((np.arange(n_paths), so.path_times))
+    times = so.path_times[fastest]
+    gaps = np.diff(times)
+    ks = np.flatnonzero(gaps > 0)
+    incidence = paths.incidence[:, fastest]
+    # prefix[j] @ T is the total on the ks[j] + 1 fastest paths
+    prefix = (np.arange(n_paths)[None, :] <= ks[:, None]).astype(float)
+
+    def pieces(totals):
+        held = np.minimum(np.searchsorted(bounds[1:], prefix @ totals), M - 1)
+        return list(enumerate(held.tolist()))
+
+    cuts = dict.fromkeys(pieces(share * so.path_flows[fastest]))
+    while True:
+        j, m = np.array(list(cuts), dtype=int).reshape(-1, 2).T
+        K = j.size
+        A = np.zeros((n_links + K, n_paths + K + ks.size))
+        A[:n_links, :n_paths] = incidence
+        A[n_links:, :n_paths] = vot[m, None] * prefix[j]
+        A[n_links + np.arange(K), n_paths + np.arange(K)] = -1.0
+        A[n_links + np.arange(K), n_paths + K + j] = -1.0
+        c = np.concatenate([np.zeros(n_paths + K), -gaps[ks]])
+        sol = solve_lp(StandardLp(c=c, A=A, b=np.concatenate([link_target, rhs[m]])))
+        if not sol.optimal:
+            raise OracleError(f"full-path master is {sol.status}")
+        totals = np.clip(sol.x[:n_paths], 0.0, None)
+        new = [cut for cut in pieces(totals) if cut not in cuts]
+        if not new:
+            break
+        cuts.update(dict.fromkeys(new))
+    filled = np.concatenate([[0.0], np.cumsum(totals)])
+    return float(np.diff(np.interp(filled, bounds, mass)) @ times)
 
 
 def loop_payments(sorted_times, partition, rho) -> np.ndarray:

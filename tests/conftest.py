@@ -14,7 +14,8 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+REPO_DIR = Path(__file__).resolve().parent.parent
+FIXTURE_DIR = REPO_DIR / "fixtures"
 
 
 @pytest.fixture(scope="session")

@@ -492,8 +492,8 @@ def test_ue_solved_only_when_read(tmp_path, monkeypatch, command, solves):
 
 def test_outputs_leave_solver_diagnostics_out(tmp_path, monkeypatch):
     # the gap history, the Newton step count and the subscriber master's
-    # rounds, shape, pivots and residuals explain a solve; like the cost
-    # passes, they never reach an output file
+    # rounds, columns, shape, pivots and residuals explain a solve; like
+    # the cost passes, they never reach an output file
     def outputs(out):
         with redirect_stdout(io.StringIO()):
             assert main(["equilibria", "--network", NETWORK, "--out", str(out)]) == 0
@@ -513,8 +513,8 @@ def test_outputs_leave_solver_diagnostics_out(tmp_path, monkeypatch):
 
     def rerouted(*args):
         return dataclasses.replace(
-            route(*args), rounds=9, cuts=99, master_shape=(1, 2), cold_pivots=7,
-            dual_pivots=5, demand_residual=0.25, link_residual=0.5,
+            route(*args), rounds=9, cuts=99, columns=5, master_shape=(1, 2),
+            pivots=7, demand_residual=0.25, link_residual=0.5,
         )
 
     monkeypatch.setattr(pathpay.scheme, "solve_subscriber_lp", rerouted)

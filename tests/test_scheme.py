@@ -1,13 +1,15 @@
+import importlib.util
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _instances import random_chain, random_network, random_vot
-from _oracles import class_path_lp, greedy_weighted_cost
-from conftest import FIXTURE_DIR
+from _instances import make_table, random_chain, random_grid, random_network, random_vot
+from _oracles import class_path_lp, full_path_master, greedy_weighted_cost
+from conftest import FIXTURE_DIR, REPO_DIR
 from pathpay import (
     FlowSolution,
     Link,
@@ -31,6 +33,7 @@ from pathpay import (
     solve_ue,
     vot_ranks,
 )
+from pathpay.scheme import _greedy_decomposition
 from pathpay.simplex import solve_lp
 from pathpay.verify import SP_DEFAULT_GRID
 
@@ -130,6 +133,35 @@ class TestSubscriberLp:
         with pytest.raises(SchemeError, match="violates flow constraints"):
             solve_subscriber_lp(demo_run.so, classes, demo_network, demo_run.paths)
 
+    def test_cycle_left_by_greedy_start(self):
+        # the flow rides both paths through the A-B cycle; taken fastest
+        # first, the greedy start takes (1)+(5), (2)+(6) and (2)+(4)+(5)
+        # and leaves a circulation on links 3 and 4 that its paths cannot
+        # carry, so the master is re-solved over every path
+        f = LinkCostFn.linear(1.0, 0.01)
+        net = Network(
+            ("O", "A", "B", "D"),
+            tuple(
+                Link(i + 1, tail, head, f)
+                for i, (tail, head) in enumerate(
+                    [("O", "A"), ("O", "B"), ("A", "B"), ("B", "A"), ("A", "D"), ("B", "D")]
+                )
+            ),
+            "O", "D", demand=100.0, subscriber_demand=80.0,
+        )
+        paths = enumerate_paths(net)
+        assert paths.labels() == ["(1)+(3)+(6)", "(1)+(5)", "(2)+(4)+(5)", "(2)+(6)"]
+        flows = np.array([40.0, 0.0, 60.0, 0.0])
+        so = replace(
+            solve_so(net, paths),
+            path_flows=flows,
+            link_flows=paths.incidence @ flows,
+            path_times=np.array([10.0, 1.0, 30.0, 20.0]),
+        )
+        classes = discretize(VotDistribution.uniform(5.0, 45.0), 80.0, 5)
+        assign = assert_matches_class_path_lp(so, classes, net, paths)
+        assert assign.rounds > 1 and assign.columns == len(paths)
+
     def test_greedy_sort_oracle_equivalence(self, demo_run):
         cost = greedy_weighted_cost(
             demo_run.classes,
@@ -176,6 +208,43 @@ def assert_matches_class_path_lp(so, classes, net, paths):
     return assign
 
 
+def assert_matches_full_path_master(so, classes, net, paths):
+    assign = solve_subscriber_lp(so, classes, net, paths)
+    expect = full_path_master(so, classes, net, paths)
+    assert assign.weighted_cost == pytest.approx(expect, rel=1e-9)
+    return assign
+
+
+def assert_one_small_round(assign, net):
+    """The greedy start was optimal: one master solve, whose rows are the
+    links and at most two cuts per master path."""
+    assert assign.rounds == 1
+    assert assign.master_shape[0] <= len(net.links) + 2 * assign.columns
+
+
+def chain_or_grid(rng, shape, kind):
+    """A grid of side ``shape``, or a chain of segment widths ``shape``."""
+    if isinstance(shape, int):
+        return random_grid(rng, shape, kind)
+    return random_chain(rng, shape, kind)
+
+
+def benchmark_chains(directory, seed):
+    """(network, VOT distribution, classes) of the benchmark's many-paths
+    chains written for ``seed``."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_instances", REPO_DIR / "benchmarks" / "instances.py"
+    )
+    instances = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = instances  # its dataclasses look themselves up
+    spec.loader.exec_module(instances)
+    chains = []
+    for inst in instances.write_workload("many-paths", seed, directory):
+        dist, M = parse_vot(inst.vot.read_text())
+        chains.append((parse_network(inst.network.read_text()), dist, inst.classes or M))
+    return chains
+
+
 class TestPathTotalRouting:
     def test_objective_matches_class_path_lp(self):
         rng = np.random.default_rng(31)
@@ -220,9 +289,9 @@ class TestPathTotalRouting:
 
     @pytest.mark.parametrize("kind, widths", [("linear", (3, 3, 3, 3)), ("bpr", (3, 3, 3))])
     def test_benchmark_chains_match_class_path_lp(self, demo_vot, kind, widths):
-        # the benchmark's many-paths chains at M=10; arbitrary path times
-        # leave the first master short of cuts, so later rounds run on the
-        # grown tableau
+        # chains of the benchmark's many-paths shapes at M=10; arbitrary
+        # path times leave the first master short of paths and cuts, so
+        # later rounds price paths in and re-solve a grown master
         rng = np.random.default_rng(15)
         dist, _ = demo_vot
         rounds = []
@@ -243,9 +312,9 @@ class TestPathTotalRouting:
         assert_matches_class_path_lp(demo_run.so, classes, demo_network, demo_run.paths)
 
     def test_fixture_master_stays_small(self, demo_run, demo_network, demo_vot):
-        # 400 classes, yet the master holds a few cuts: the 4 link rows,
-        # then one row per cut; the columns are the 4 paths, one surplus
-        # per cut and y for the 3 positive time gaps
+        # 400 classes, yet one round on a master of the 3 greedy paths: the
+        # 4 link rows, then one row per cut; the columns are the paths, one
+        # surplus per cut and y for the 2 runs between the paths
         dist, _ = demo_vot
         classes = discretize(dist, demo_network.subscriber_demand, 400)
         assign = solve_subscriber_lp(
@@ -254,9 +323,75 @@ class TestPathTotalRouting:
         assert assign.subscriber_path_flows == pytest.approx(
             [0.0, 200.0, 360.0, 240.0], abs=1e-4
         )
-        assert assign.master_shape == (4 + assign.cuts, 4 + assign.cuts + 3)
-        assert assign.master_shape[0] < classes.M
-        assert assign.rounds == 2 and assign.cold_pivots > 0
+        assert assign.columns == 3
+        assert assign.master_shape == (4 + assign.cuts, 3 + assign.cuts + 2)
+        assert assign.rounds == 1 and assign.pivots > 0
+
+    def test_cut_met_up_to_rounding_is_skipped(self):
+        # one class per ridden path, so a class bound sits on every
+        # cumulative total; the master's totals land within rounding of
+        # the bounds, on the far side of some, where the next piece's cut
+        # is met up to 1e-13 and adds nothing but a second round
+        net = random_network(np.random.default_rng(3))
+        paths = enumerate_paths(net)
+        so = solve_so(net, paths)
+        classes = discretize(VotDistribution.uniform(5.0, 45.0), net.subscriber_demand, 10)
+        totals = solve_subscriber_lp(so, classes, net, paths).subscriber_path_flows
+        ridden = totals[np.lexsort((np.arange(len(paths)), so.path_times))]
+        ridden = ridden[ridden > 0]
+        means = np.linspace(5.0, 45.0, ridden.size)  # slowest path, lowest VOT
+        classes = make_table(ridden[::-1], means)
+        assign = assert_matches_class_path_lp(so, classes, net, paths)
+        assert assign.rounds == 1
+
+    @pytest.mark.parametrize("M", [100, 400])
+    def test_fixture_matches_full_path_master(self, demo_run, demo_network, demo_vot, M):
+        dist, _ = demo_vot
+        classes = discretize(dist, demo_network.subscriber_demand, M)
+        assign = assert_matches_full_path_master(
+            demo_run.so, classes, demo_network, demo_run.paths
+        )
+        assert_one_small_round(assign, demo_network)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_chains_match_full_path_master(self, tmp_path, seed):
+        for net, dist, M in benchmark_chains(tmp_path, seed):
+            paths = enumerate_paths(net)
+            so = solve_so(net, paths)
+            classes = discretize(dist, net.subscriber_demand, M)
+            assign = assert_matches_full_path_master(so, classes, net, paths)
+            assert_one_small_round(assign, net)
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 3), (3, 3, 3), (2, 2, 2, 2), 3, 4, 5], ids=str
+    )
+    @pytest.mark.parametrize("kind", ["linear", "bpr"])
+    def test_chains_and_grids_match_full_path_master(self, kind, shape):
+        net = chain_or_grid(np.random.default_rng(41), shape, kind)
+        dist = VotDistribution.uniform(5.0, 45.0)
+        paths = enumerate_paths(net)
+        so = solve_so(net, paths)
+        for M in (3, 30):
+            classes = discretize(dist, net.subscriber_demand, M)
+            assert_matches_full_path_master(so, classes, net, paths)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3, 3), (2, 4, 3), 3, 4, 5, 6], ids=str)
+    def test_greedy_start_is_a_small_basis(self, shape):
+        # fastest first, as the solver takes them: the start meets every
+        # link target and its paths are independent columns
+        rng = np.random.default_rng(42)
+        for kind in ("linear", "bpr"):
+            net = chain_or_grid(rng, shape, kind)
+            paths = enumerate_paths(net)
+            so = solve_so(net, paths)
+            target = so.link_flows * (net.subscriber_demand / net.demand)
+            incidence = paths.incidence[:, np.lexsort((np.arange(len(paths)), so.path_times))]
+            flows = _greedy_decomposition(incidence, target)
+            taken = incidence[:, flows > 0]
+            assert flows.min() >= 0.0
+            assert incidence @ flows == pytest.approx(target, abs=1e-9 * target.max())
+            assert np.linalg.matrix_rank(taken) == taken.shape[1]
+            assert taken.shape[1] <= np.linalg.matrix_rank(paths.incidence)
 
     def test_residuals_reported(self, demo_run, demo_network):
         assign = demo_run.assignment

@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import loop_drive_out_artificials
 from pathpay import simplex
-from pathpay.simplex import StandardLp, append_rows, solve_lp
+from pathpay.simplex import ENTER_TOL, StandardLp, solve_lp
 
 
 def vertex_oracle(lp):
@@ -223,80 +223,65 @@ class TestDriveOutArtificials:
         assert outcomes["pivoted"] > 0 and outcomes["dropped"] > 0, outcomes
 
 
-class TestAppendRows:
+class TestDuals:
     @staticmethod
-    def cuts(rng, sol, x0, k):
-        """``k`` rows ``a @ x >= r`` that the optimum violates and ``x0``
-        meets, over the columns of ``sol``'s LP (``x0`` padded with the
-        surpluses it would have)."""
-        n = sol.x.size
-        rows = rng.normal(size=(k, n))
-        rows *= np.sign(rows @ (x0 - sol.x))[:, None]
-        gap = rows @ (x0 - sol.x)
-        return rows, rows @ sol.x + rng.uniform(0.3, 0.9, size=k) * gap
+    def assert_dual_optimal(lp, sol):
+        """``b @ duals`` is the objective and no reduced cost is negative
+        beyond the entering tolerance, scaled like the duals."""
+        assert sol.optimal, sol.status
+        assert sol.duals.shape == lp.b.shape
+        assert lp.b @ sol.duals == pytest.approx(
+            sol.objective, rel=1e-9, abs=1e-9
+        )
+        reduced = lp.c - lp.A.T @ sol.duals
+        scale = 1.0 + np.abs(lp.c).max() + np.abs(sol.duals).max()
+        assert reduced.min() >= -ENTER_TOL * scale
 
-    def test_cut_off_optimum_matches_cold_and_oracle(self):
-        rng = np.random.default_rng(515)
+    def test_random_feasible_lps(self):
+        # rows negated at random, so some start flipped for a negative
+        # right-hand side and their duals are flipped back
+        rng = np.random.default_rng(611)
+        flipped = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 8))
+            m = int(rng.integers(1, n))
+            lp, _ = random_bounded_lp(rng, n, m)
+            sign = rng.choice([-1.0, 1.0], size=lp.b.size)
+            lp = StandardLp(c=lp.c, A=sign[:, None] * lp.A, b=sign * lp.b)
+            flipped += int((lp.b < 0).sum())
+            self.assert_dual_optimal(lp, solve_lp(lp))
+        assert flipped > 0
+
+    def test_redundant_rows_dropped(self, monkeypatch):
+        # rows that are combinations of others: phase 1 drops a tableau row
+        # for each, and the original rows it keeps can be dependent, so
+        # the duals still price every column of the full system
+        real = simplex._drive_out_artificials
+        dropped = []
+
+        def counted(T, basis, n):
+            keep = real(T, basis, n)
+            dropped.append(T.shape[0] - len(keep))
+            return keep
+
+        monkeypatch.setattr(simplex, "_drive_out_artificials", counted)
+        rng = np.random.default_rng(2024)
         for _ in range(40):
-            # n > m + 1, so the optimum is not the only feasible point
-            n = int(rng.integers(3, 6))
-            m = int(rng.integers(1, n - 1))
-            lp, x0 = random_bounded_lp(rng, n, m)
-            sol = solve_lp(lp)
-            assert sol.optimal, sol.status
-            k = int(rng.integers(1, 4))
-            rows, rhs = self.cuts(rng, sol, x0, k)
-            warm = append_rows(sol, rows, rhs)
-            assert warm.optimal, warm.status
-            assert warm.iterations >= 1
-            assert warm.lp.A.shape == (m + 1 + k, n + k)
-            # one more row on the grown tableau
-            x0 = np.concatenate([x0, rows @ x0 - rhs])
-            twice = append_rows(warm, *self.cuts(rng, warm, x0, 1))
-            assert twice.optimal, twice.status
-            for grown in (warm, twice):
-                cold = solve_lp(grown.lp)
-                expect = vertex_oracle(grown.lp)
-                assert cold.objective == pytest.approx(
-                    expect, abs=1e-9 * (1.0 + abs(expect))
-                )
-                assert grown.objective == pytest.approx(
-                    expect, abs=1e-9 * (1.0 + abs(expect))
-                )
-                assert grown.x.min() >= -1e-9
-                assert grown.residual <= 1e-9 * (1.0 + np.abs(grown.lp.b).max())
+            n = int(rng.integers(2, 9))
+            m = int(rng.integers(1, n))
+            A = rng.integers(-2, 3, size=(m, n)).astype(float)
+            mix = rng.integers(-1, 2, size=(int(rng.integers(1, 4)), m))
+            A = np.vstack([A, mix @ A, np.ones(n)])
+            lp = StandardLp(c=rng.normal(size=n), A=A, b=A @ rng.integers(0, 3, size=n))
+            self.assert_dual_optimal(lp, solve_lp(lp))
+        assert sum(dropped) > 0
 
-    def test_tight_row_takes_no_pivots(self):
-        rng = np.random.default_rng(516)
-        for _ in range(20):
-            lp, _ = random_bounded_lp(rng, 5, 2)
-            sol = solve_lp(lp)
-            row = rng.normal(size=(1, 5))
-            warm = append_rows(sol, row, row @ sol.x)
-            assert warm.optimal
-            assert warm.iterations == 0
-            assert warm.x == pytest.approx(np.append(sol.x, 0.0), abs=1e-12)
-            assert warm.objective == pytest.approx(sol.objective, abs=1e-12)
+    def test_no_rows(self):
+        sol = solve_lp(StandardLp(c=[1.0, 2.0], A=np.zeros((0, 2)), b=[]))
+        assert sol.duals.shape == (0,)
 
-    def test_reruns_bit_identical(self):
-        rng = np.random.default_rng(517)
-        lp, x0 = random_bounded_lp(rng, 6, 3)
-        sol = solve_lp(lp)
-        rows, rhs = self.cuts(rng, sol, x0, 3)
-        first = append_rows(sol, rows, rhs)
-        # the solution appended to is left as it was
-        second = append_rows(sol, rows, rhs)
-        assert first.iterations > 0
-        assert np.array_equal(first.x, second.x)
-        assert first.objective == second.objective
-        assert first.iterations == second.iterations
-
-    def test_infeasible_row(self):
-        # x0 + x1 = 1 cannot also reach x0 + x1 >= 2
-        sol = solve_lp(StandardLp(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0]))
-        assert append_rows(sol, [[1.0, 1.0]], [2.0]).status == "infeasible"
-
-    def test_needs_optimal_solution(self):
-        sol = solve_lp(StandardLp(c=[-1.0, 0.0], A=[[1.0, -1.0]], b=[0.0]))
-        with pytest.raises(ValueError):
-            append_rows(sol, [[1.0, 0.0]], [1.0])
+    def test_not_optimal_has_no_duals(self):
+        infeasible = StandardLp(c=[1.0], A=[[1.0]], b=[-1.0])
+        unbounded = StandardLp(c=[-1.0, 0.0], A=[[1.0, -1.0]], b=[0.0])
+        assert solve_lp(infeasible).duals is None
+        assert solve_lp(unbounded).duals is None
