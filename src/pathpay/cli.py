@@ -24,11 +24,12 @@ import math
 import operator
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import DEFAULT_TOL, average_time, check_tol, solve_so, solve_ue
+from .equilibrium import DEFAULT_TOL, check_tol, solve_so, solve_ue
 from .network import enumerate_paths, parse_network
 from .scheme import (
     SchemeError,
@@ -105,27 +106,20 @@ def cmd_equilibria(args) -> int:
     paths = enumerate_paths(net)
     so = solve_so(net, paths, tol=args.tol)
     ue = solve_ue(net, paths, tol=args.tol)
+    payload = {"links": [ln.id for ln in net.links],
+               "ue": _solution_dict(ue, net), "so": _solution_dict(so, net)}
 
-    ids = [ln.id for ln in net.links]
-    lines = [
-        _row("Link", [f"({i})" for i in ids]),
-        _row("UE flow", [f"{v:.1f}" for v in ue.link_flows]),
-        _row("UE time (min)", [f"{v:.1f}" for v in net.link_times(ue.link_flows)]),
-        _row("SO flow", [f"{v:.1f}" for v in so.link_flows]),
-        _row("SO time (min)", [f"{v:.1f}" for v in net.link_times(so.link_flows)]),
-    ]
+    # the text table is formatted from the JSON records
+    regimes = [(key.upper(), payload[key]) for key in ("ue", "so")]
+    lines = [_row("Link", [f"({i})" for i in payload["links"]])]
+    for regime, record in regimes:
+        lines.append(_row(f"{regime} flow", [f"{v:.1f}" for v in record["flows"]]))
+        lines.append(_row(f"{regime} time (min)", [f"{v:.1f}" for v in record["times_min"]]))
     if net.demand > 0:
-        lines.append("")
-        lines.append(
-            f"Average time (min): UE {average_time(ue):.1f}, SO {average_time(so):.1f}"
-        )
+        averages = ", ".join(f"{regime} {record['average_min']:.1f}" for regime, record in regimes)
+        lines += ["", f"Average time (min): {averages}"]
     text = "\n".join(lines) + "\n"
 
-    payload = {
-        "links": ids,
-        "ue": _solution_dict(ue, net),
-        "so": _solution_dict(so, net),
-    }
     out = Path(args.out)
     _write(out / "equilibria.txt", text)
     _write_json(out / "equilibria.json", payload)
@@ -205,8 +199,8 @@ def cmd_scheme(args) -> int:
         _row("Payment ($)", [pay_cell(e) for e in entries], width),
         "",
         f"Verification: {'PASS' if verification.passed else 'FAIL'}"
-        f" (worst misreport margin {verification.strategy_proof.worst_margin:.3e} $,"
-        f" revenue residual {verification.revenue_neutral.residual:.3e} $)",
+        f" (worst misreport margin {verification.strategy_proof.worst_margin_usd:.3e} $,"
+        f" revenue residual {verification.revenue_neutral.residual_usd:.3e} $)",
     ]
     text = "\n".join(lines) + "\n"
 
@@ -235,20 +229,18 @@ def cmd_improvement(args) -> int:
     _check_grid(args.grid)
     report = _run_with_baseline(args, args.grid)[-1]
 
-    # a cell is the repr of a Python float, its shortest round-trip form
-    # (numpy 2 spells a numpy float's repr np.float64(...)); NaN is empty
-    rows = np.column_stack([report.beta_grid, report.subscriber_cost, report.quitter_cost,
-                            report.ue_cost, report.improvement_subscriber_pct,
-                            report.improvement_outsider_pct]).tolist()
-    header = ("beta,subscriber_cost,quitter_cost,ue_cost,"
-              "improvement_subscriber_pct,improvement_outsider_pct\n")
+    # the header is the report's field names, a column each; a cell is the
+    # repr of a Python float, its shortest round-trip form (numpy 2 spells a
+    # numpy float's repr np.float64(...)); NaN is empty
+    names = [field.name for field in fields(report)]
+    rows = np.column_stack([getattr(report, name) for name in names]).tolist()
+    lines = [names] + [["" if v != v else repr(v) for v in row] for row in rows]
     out = Path(args.out)
-    _write(out / "improvement.csv", header + "".join(
-        ",".join("" if v != v else repr(v) for v in row) + "\n" for row in rows))
+    _write(out / "improvement.csv", "".join(",".join(line) + "\n" for line in lines))
 
     pareto = check_pareto(report)
     print(
-        f"wrote {out / 'improvement.csv'} ({report.beta_grid.size} rows); "
+        f"wrote {out / 'improvement.csv'} ({report.beta.size} rows); "
         f"cost ordering {'PASS' if pareto.passed else 'FAIL'}"
     )
     if not pareto.passed:

@@ -93,7 +93,8 @@ class Guidance(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class CostReport:
-    """Per-VOT trip costs (dollars) under three regimes, on a uniform grid.
+    """Per-VOT trip costs (dollars) under three regimes, on a uniform grid
+    ``beta`` ($/h); the fields in order are the columns of ``improvement.csv``.
 
     ``subscriber_cost`` is time cost plus payment on the assigned path,
     ``quitter_cost`` the expected time cost of taking guidance without
@@ -101,7 +102,7 @@ class CostReport:
     columns are percentages relative to ``ue_cost`` (NaN where that is 0).
     """
 
-    beta_grid: np.ndarray
+    beta: np.ndarray
     subscriber_cost: np.ndarray
     quitter_cost: np.ndarray
     ue_cost: np.ndarray
@@ -475,7 +476,7 @@ def cost_report(
         imp_out = np.where(ue_cost > 0, (ue_cost - quit_cost) / ue_cost * 100.0, np.nan)
 
     return CostReport(
-        beta_grid=beta,
+        beta=beta,
         subscriber_cost=sub_cost,
         quitter_cost=quit_cost,
         ue_cost=ue_cost,

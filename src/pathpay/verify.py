@@ -7,7 +7,7 @@ their inputs and can run on any outcome, not just the bundled fixture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,28 +24,31 @@ SP_TOL = 1e-9
 class StrategyProofResult:
     """Worst misreport margin over a (true VOT, declared VOT) lattice.
 
-    ``worst_margin`` is min over all pairs of (cost when lying) minus (cost
-    when truthful); non-negative means lying never helps.
-    ``boundary_worst_abs`` is the largest absolute margin over the
-    indifference pairs, where a subscriber sits exactly on a partition point
-    and declares into the next interval. ``tolerance`` is
-    ``SP_TOL * (1 + max payment - min payment)``.
+    ``worst_margin_usd`` is min over all pairs of (cost when lying) minus
+    (cost when truthful); non-negative means lying never helps.
+    ``worst_true_vot`` and ``worst_declared_vot`` are the first pair in
+    lattice order whose margin is within ``tolerance_usd`` of the worst, so
+    a passing run reports the truthful pair at the support minimum however
+    the payments round. ``boundary_worst_abs_usd`` is the largest absolute
+    margin over the indifference pairs, where a subscriber sits exactly on
+    a partition point and declares into the next interval.
+    ``tolerance_usd`` is ``SP_TOL * (1 + max payment - min payment)``.
     """
 
     passed: bool
-    worst_margin: float
-    worst_true: float
-    worst_declared: float
-    boundary_worst_abs: float
+    worst_margin_usd: float
+    worst_true_vot: float
+    worst_declared_vot: float
+    boundary_worst_abs_usd: float
     grid: int
-    tolerance: float
+    tolerance_usd: float
 
 
 @dataclass(frozen=True, eq=False)
 class RevenueResult:
     passed: bool
-    residual: float
-    tolerance: float
+    residual_usd: float
+    tolerance_usd: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,14 +56,17 @@ class ParetoResult:
     """Worst margins of the cost chain no-policy >= quitter >= subscriber."""
 
     passed: bool
-    worst_ue_vs_quit: float
-    worst_quit_vs_join: float
+    worst_ue_vs_quit_usd: float
+    worst_quit_vs_join_usd: float
     at_beta_ue_vs_quit: float
     at_beta_quit_vs_join: float
 
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
+    """The three checks; ``to_dict`` is ``verification.json``, whose keys
+    are the results' field names."""
+
     strategy_proof: StrategyProofResult
     revenue_neutral: RevenueResult
     pareto: ParetoResult
@@ -74,33 +80,7 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
-        sp = self.strategy_proof
-        rn = self.revenue_neutral
-        pa = self.pareto
-        return {
-            "passed": self.passed,
-            "strategy_proof": {
-                "passed": sp.passed,
-                "worst_margin_usd": sp.worst_margin,
-                "worst_true_vot": sp.worst_true,
-                "worst_declared_vot": sp.worst_declared,
-                "boundary_worst_abs_usd": sp.boundary_worst_abs,
-                "grid": sp.grid,
-                "tolerance_usd": sp.tolerance,
-            },
-            "revenue_neutral": {
-                "passed": rn.passed,
-                "residual_usd": rn.residual,
-                "tolerance_usd": rn.tolerance,
-            },
-            "pareto": {
-                "passed": pa.passed,
-                "worst_ue_vs_quit_usd": pa.worst_ue_vs_quit,
-                "worst_quit_vs_join_usd": pa.worst_quit_vs_join,
-                "at_beta_ue_vs_quit": pa.at_beta_ue_vs_quit,
-                "at_beta_quit_vs_join": pa.at_beta_quit_vs_join,
-            },
-        }
+        return {"passed": self.passed, **asdict(self)}
 
 
 def check_strategy_proof(
@@ -110,7 +90,8 @@ def check_strategy_proof(
 
     The lattice is a uniform grid over the support with every partition
     point spliced in, because the binding pairs sit exactly on interval
-    boundaries.
+    boundaries. The reported pair is the first in lattice order (true VOT,
+    then declared VOT) whose margin is within the tolerance of the worst.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -122,13 +103,13 @@ def check_strategy_proof(
     hours = lattice / MINUTES_PER_HOUR
     # margins[i, c]: true VOT lattice[i] declares into rank used[c]. A
     # declared VOT matters only through its rank, and ranks rise along the
-    # lattice, so the first declared VOT of a rank stands for all of them and
-    # the first-occurrence argmin is that of the full lattice x lattice search
+    # lattice, so the first declared VOT of a rank stands for all of them:
+    # the first pair in row-major order is that of the lattice x lattice search
     used, first = np.unique(ranks, return_index=True)
     margins = _margins(outcome, hours[:, None], ranks[:, None], used)
-
-    i, c = np.unravel_index(np.argmin(margins), margins.shape)
-    worst = float(margins[i, c])
+    worst = float(margins.min())
+    tol = SP_TOL * (1.0 + float(np.ptp(outcome.payments)))
+    i, c = np.unravel_index(np.argmax(margins <= worst + tol), margins.shape)
 
     # indifference pairs: a subscriber exactly on an inner partition point
     # declares into the next rank
@@ -136,17 +117,15 @@ def check_strategy_proof(
     points = points[(lo < points) & (points < hi)]
     true_rank = vot_ranks(outcome, points)
     boundary = _margins(outcome, points / MINUTES_PER_HOUR, true_rank, true_rank + 1)
-    boundary_worst = float(np.abs(boundary).max(initial=0.0))
 
-    tol = SP_TOL * (1.0 + float(np.ptp(outcome.payments)))
     return StrategyProofResult(
         passed=worst >= -tol,
-        worst_margin=worst,
-        worst_true=float(lattice[i]),
-        worst_declared=float(lattice[first[c]]),
-        boundary_worst_abs=boundary_worst,
+        worst_margin_usd=worst,
+        worst_true_vot=float(lattice[i]),
+        worst_declared_vot=float(lattice[first[c]]),
+        boundary_worst_abs_usd=float(np.abs(boundary).max(initial=0.0)),
         grid=grid,
-        tolerance=tol,
+        tolerance_usd=tol,
     )
 
 
@@ -172,12 +151,12 @@ def check_revenue_neutral(outcome: SchemeOutcome) -> RevenueResult:
     let a real residual pass."""
     residual = float(outcome.rho @ outcome.payments)
     tol = 1e-9 * float(outcome.rho @ np.abs(outcome.payments)) + 1e-12
-    return RevenueResult(passed=abs(residual) <= tol, residual=residual, tolerance=tol)
+    return RevenueResult(abs(residual) <= tol, residual, tol)
 
 
 def check_pareto(report: CostReport) -> ParetoResult:
     """Check no-policy cost >= quitter cost >= subscriber cost pointwise."""
-    if report.beta_grid.size == 0:
+    if report.beta.size == 0:
         raise ValueError("cost report grid is empty")
     tol = 1e-9 * (1.0 + report.ue_cost)
     ue_vs_quit = report.ue_cost - report.quitter_cost
@@ -189,10 +168,10 @@ def check_pareto(report: CostReport) -> ParetoResult:
     )
     return ParetoResult(
         passed=passed,
-        worst_ue_vs_quit=float(ue_vs_quit[i]),
-        worst_quit_vs_join=float(quit_vs_join[j]),
-        at_beta_ue_vs_quit=float(report.beta_grid[i]),
-        at_beta_quit_vs_join=float(report.beta_grid[j]),
+        worst_ue_vs_quit_usd=float(ue_vs_quit[i]),
+        worst_quit_vs_join_usd=float(quit_vs_join[j]),
+        at_beta_ue_vs_quit=float(report.beta[i]),
+        at_beta_quit_vs_join=float(report.beta[j]),
     )
 
 

@@ -223,10 +223,10 @@ def brute_force_lp_oracle(classes, subscriber_path_totals, times, step) -> float
     return float(best)
 
 
-def lattice_strategy_proof(outcome, grid):
-    """(worst margin, its true VOT, its declared VOT) of the misreport search
-    over the full lattice x lattice cost matrix, first occurrence in row-major
-    order on ties."""
+def lattice_strategy_proof(outcome, grid, tol):
+    """(worst margin, true VOT, declared VOT) of the misreport search over
+    the full lattice x lattice cost matrix; the pair is the first in
+    row-major order whose margin is within ``tol`` of the worst."""
     lo, hi = outcome.support
     lattice = np.unique(np.concatenate([np.linspace(lo, hi, grid), outcome.partition]))
     ranks = vot_ranks(outcome, lattice)
@@ -237,8 +237,9 @@ def lattice_strategy_proof(outcome, grid):
     margins = hours[:, None] * (times[None, :] - times[:, None]) + (
         pays[None, :] - pays[:, None]
     )
-    i, j = divmod(int(np.argmin(margins)), margins.shape[1])
-    return float(margins[i, j]), float(lattice[i]), float(lattice[j])
+    worst = float(margins.min())
+    i, j = divmod(int(np.flatnonzero(margins <= worst + tol)[0]), margins.shape[1])
+    return worst, float(lattice[i]), float(lattice[j])
 
 
 def loop_boundary_worst(outcome) -> float:

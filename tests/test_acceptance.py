@@ -125,12 +125,12 @@ def test_criterion_4_payment_consistency():
 def test_criterion_5_strategy_proof(demo_run, random_suite):
     with criterion(5, "no profitable VOT misreport on fixture or 100 random runs"):
         check = check_strategy_proof(demo_run.outcome, grid=201)
-        assert check.worst_margin >= -1e-9
-        assert check.boundary_worst_abs <= 1e-9
+        assert check.worst_margin_usd >= -1e-9
+        assert check.boundary_worst_abs_usd <= 1e-9
         for outcome, _ in random_suite:
             result = check_strategy_proof(outcome, grid=201)
-            assert result.worst_margin >= -1e-9, result
-            assert result.boundary_worst_abs <= 1e-9, result
+            assert result.worst_margin_usd >= -1e-9, result
+            assert result.boundary_worst_abs_usd <= 1e-9, result
 
 
 def test_criterion_6_revenue_neutral(demo_run, random_suite):

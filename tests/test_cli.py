@@ -95,6 +95,24 @@ class TestOutputFormat:
             for keys in key_lists:
                 assert keys == sorted(keys), name
 
+    def test_verification_keys(self, fixture_outputs):
+        # the file is the report's fields: a field added to a result
+        # reaches it, so this set changes with it
+        data = json.loads((fixture_outputs / "verification.json").read_text())
+        assert {key: sorted(value) if isinstance(value, dict) else None
+                for key, value in data.items()} == {
+            "passed": None,
+            "strategy_proof": [
+                "boundary_worst_abs_usd", "grid", "passed", "tolerance_usd",
+                "worst_declared_vot", "worst_margin_usd", "worst_true_vot",
+            ],
+            "revenue_neutral": ["passed", "residual_usd", "tolerance_usd"],
+            "pareto": [
+                "at_beta_quit_vs_join", "at_beta_ue_vs_quit", "passed",
+                "worst_quit_vs_join_usd", "worst_ue_vs_quit_usd",
+            ],
+        }
+
     def test_improvement_cells_are_repr(self, fixture_outputs):
         rows = list(csv.reader(io.StringIO((fixture_outputs / "improvement.csv").read_text())))
         assert rows[0] == ["beta", "subscriber_cost", "quitter_cost", "ue_cost",
@@ -249,17 +267,58 @@ class TestInputBoundary:
         ],
     )
     def test_bad_field_named(self, tmp_path, capsys, file, path, value, field):
+        bad = self.scheme_on_edited(tmp_path, file, path, value)
+        assert single_error_line(capsys).startswith(f"error: {bad}: {field} must be")
+
+    @pytest.mark.parametrize(
+        "file, path, value, message",
+        [
+            ("network", ["links", 0, "cost"], {"kind": "polynomial", "params": []},
+             "links[0].cost: polynomial cost needs at least one coefficient"),
+            ("network", ["links", 0, "cost"], {"kind": "bpr", "params": [10.0, 100.0]},
+             "links[0].cost: bpr cost needs params (t0, cap, alpha, power)"),
+            ("network", ["links", 0, "to"], "A", "link 1: self-loops are not allowed"),
+            ("network", ["nodes"], ["A", "B", "C", "B"], "duplicate node names"),
+            ("network", ["demand", "destination"], "Z", "unknown endpoint node 'Z'"),
+            ("network", [], [], "top-level JSON value must be an object"),
+            ("network", ["demand"], [1000.0], "'demand' must be an object"),
+            # an integer beyond the float range
+            ("network", ["demand", "total"], 10**399, "demand.total must be a finite number"),
+            ("vot", ["params", "knots"], [5.0, 17.2, 17.2, 45.0],
+             "knots must be strictly increasing"),
+            ("vot", ["params", "knots"], [10.0, 17.2, 31.6, 45.0],
+             "piecewise_linear knots must span the declared support"),
+            ("vot", [], {"kind": "empirical", "support": [5.0, 45.0]},
+             "empirical distribution needs params.samples"),
+        ],
+        ids=["polynomial-no-params", "bpr-two-params", "self-loop", "duplicate-nodes",
+             "unknown-destination", "top-level-list", "demand-list", "huge-integer",
+             "repeated-knots", "knots-short-of-support", "empirical-no-samples"],
+    )
+    def test_malformed_input_one_error_line(self, tmp_path, capsys, file, path, value,
+                                            message):
+        bad = self.scheme_on_edited(tmp_path, file, path, value)
+        assert single_error_line(capsys).startswith(f"error: {bad}: {message}")
+
+    @staticmethod
+    def scheme_on_edited(tmp_path, file, path, value):
+        """Run ``scheme`` on the fixture with the ``file`` input's entry at
+        ``path`` set to ``value`` (the whole document for an empty path),
+        assert that it exits 1 and return the edited file's path."""
         inputs = {"network": NETWORK, "vot": VOT}
         data = json.loads(Path(inputs[file]).read_text())
-        parent = data
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
+        if path:
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            data = value
         inputs[file] = tmp_path / f"{file}.json"
         inputs[file].write_text(json.dumps(data))
         assert run(["scheme", "--network", str(inputs["network"]),
                     "--vot", str(inputs["vot"]), "--out", str(tmp_path / "o")]) == 1
-        assert single_error_line(capsys).startswith(f"error: {inputs[file]}: {field} must be")
+        return inputs[file]
 
     @pytest.mark.parametrize(
         "content, message",
@@ -363,6 +422,31 @@ class TestInputBoundary:
         assert "verification failed" in single_error_line(capsys)
         check = json.loads((out / "verification.json").read_text())
         assert not check["strategy_proof"]["passed"]
+
+    def test_failed_cost_ordering_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # $1 more on every payment makes subscribing cost more than quitting
+        compute_payments = pathpay.scheme.compute_payments
+        monkeypatch.setattr(pathpay.scheme, "compute_payments",
+                            lambda *args: compute_payments(*args) + 1.0)
+        out = tmp_path / "o"
+        assert run(["improvement", "--network", NETWORK, "--vot", VOT, "--out", str(out)]) == 1
+        assert single_error_line(capsys) == (
+            "error: cost ordering no-policy >= quitter >= subscriber failed"
+        )
+        assert len((out / "improvement.csv").read_text().splitlines()) == 402
+
+    def test_tiny_subscriber_demand_passes(self, tmp_path):
+        # the greedy start fits no path to a 1e-15 share of the SO flows,
+        # so the master starts from every path
+        data = json.loads(Path(NETWORK).read_text())
+        data["demand"]["subscribers"] = 1e-12
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        with redirect_stdout(io.StringIO()):
+            assert run(["scheme", "--network", str(network), "--vot", VOT,
+                        "--out", str(out)]) == 0
+        assert json.loads((out / "verification.json").read_text())["passed"] is True
 
     def test_huge_costs_pass_strategy_proofness(self, tmp_path, capsys):
         # every link cost scaled by 1e100 leaves misreport margins of

@@ -525,6 +525,19 @@ class TestPayments:
                 np.array([0.5, 0.4]),                    # shares do not sum to 1
             )
 
+    @pytest.mark.parametrize(
+        "partition, rho, message",
+        [
+            ([0.0, 1.0], [0.5, 0.5], "partition must have one more entry than paths"),
+            ([0.0, 1.0, 2.0, 3.0], [0.5, 0.5], "partition must have one more entry"),
+            ([0.0, 1.0, 2.0], [1.0], "rho must have one entry per path"),
+            ([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], "rho must have one entry per path"),
+        ],
+    )
+    def test_lengths_checked(self, partition, rho, message):
+        with pytest.raises(SchemeError, match=message):
+            compute_payments(np.array([20.0, 10.0]), np.array(partition), np.array(rho))
+
     @given(
         drops=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6),
         raw_rho=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=7),
@@ -666,7 +679,7 @@ class TestCostReport:
     def test_grid_of_two_hits_endpoints(self, demo_run, demo_ue, demo_vot):
         dist, _ = demo_vot
         report = cost_report(demo_run.outcome, demo_ue, 2)
-        assert report.beta_grid.tolist() == [dist.support[0], dist.support[1]]
+        assert report.beta.tolist() == [dist.support[0], dist.support[1]]
 
     def test_requires_ue_solution(self, demo_run):
         with pytest.raises(SchemeError):

@@ -30,8 +30,8 @@ class TestStrategyProof:
     def test_fixture_lattice(self, demo_run):
         result = check_strategy_proof(demo_run.outcome, grid=201)
         assert result.passed
-        assert result.worst_margin >= -1e-9
-        assert result.boundary_worst_abs <= 1e-9
+        assert result.worst_margin_usd >= -1e-9
+        assert result.boundary_worst_abs_usd <= 1e-9
 
     def test_perturbed_payment_detected(self, demo_run):
         o = demo_run.outcome
@@ -40,9 +40,9 @@ class TestStrategyProof:
         broken = replace(o, payments=bad)
         result = check_strategy_proof(broken, grid=201)
         assert not result.passed
-        assert result.worst_margin < -1e-9
+        assert result.worst_margin_usd < -1e-9
         # the profitable lie is declaring a lower VOT than the truth
-        assert result.worst_declared < result.worst_true
+        assert result.worst_declared_vot < result.worst_true_vot
 
     def test_common_payment_offset(self, demo_run):
         # margins depend on payment differences only: equal payments near
@@ -54,11 +54,12 @@ class TestStrategyProof:
             for pay in (0.0, -1e183)
         ]
         fields = [
-            (r.passed, r.worst_margin, r.worst_true, r.worst_declared, r.boundary_worst_abs)
+            (r.passed, r.worst_margin_usd, r.worst_true_vot, r.worst_declared_vot,
+             r.boundary_worst_abs_usd)
             for r in results
         ]
         assert fields[0] == fields[1]
-        assert results[1].worst_margin < -1.0
+        assert results[1].worst_margin_usd < -1.0
 
     def test_tolerance_scales_with_payment_spread(self, demo_run):
         # margins carry the payments' rounding: at 1e100 times the
@@ -68,7 +69,7 @@ class TestStrategyProof:
         spread = float(np.ptp(o.payments))
         result = check_strategy_proof(o)
         assert result.passed
-        assert result.tolerance == pytest.approx(1e-9 * (1.0 + spread), rel=1e-12)
+        assert result.tolerance_usd == pytest.approx(1e-9 * (1.0 + spread), rel=1e-12)
         noisy = o.payments.copy()
         noisy[-1] -= 1e-8
         assert not check_strategy_proof(replace(o, payments=noisy)).passed
@@ -76,8 +77,32 @@ class TestStrategyProof:
         noisy = big.payments.copy()
         noisy[-1] -= 1e84
         result = check_strategy_proof(replace(big, payments=noisy))
-        assert result.worst_margin < 0
+        assert result.worst_margin_usd < 0
         assert result.passed
+
+    def test_worst_pair_stable_under_one_ulp(self, demo_run):
+        # one ulp on every payment once moved the fixture's reported pair
+        # from (5, 5) to (31.6, 31.6) or (17.2, 17.2); a passing run now
+        # reports the truthful pair at the support minimum, and a failing
+        # run the first pair within tolerance of the worst
+        o = demo_run.outcome
+        overcharged = o.payments.copy()
+        overcharged[-1] += 0.10
+        reported = []
+        for payments in (o.payments, overcharged):
+            results = {
+                (r.passed, r.worst_true_vot, r.worst_declared_vot)
+                for r in (
+                    check_strategy_proof(replace(o, payments=p))
+                    for p in (payments, np.nextafter(payments, -np.inf),
+                              np.nextafter(payments, np.inf))
+                )
+            }
+            assert len(results) == 1
+            reported += results
+        lo = o.support[0]
+        assert reported[0] == (True, lo, lo)
+        assert reported[1][0] is False
 
     def test_single_path_trivially_passes(self):
         outcome = SchemeOutcome(
@@ -90,7 +115,7 @@ class TestStrategyProof:
         )
         result = check_strategy_proof(outcome, grid=51)
         assert result.passed
-        assert result.worst_margin == 0.0
+        assert result.worst_margin_usd == 0.0
 
     def test_random_instances(self):
         rng = np.random.default_rng(5)
@@ -114,9 +139,9 @@ class TestStrategyProof:
         for grid in (2, 7, 201):
             for o in outcomes:
                 check = check_strategy_proof(o, grid=grid)
-                got = (check.worst_margin, check.worst_true, check.worst_declared)
-                assert got == lattice_strategy_proof(o, grid)
-                assert check.boundary_worst_abs == loop_boundary_worst(o)
+                got = (check.worst_margin_usd, check.worst_true_vot, check.worst_declared_vot)
+                assert got == lattice_strategy_proof(o, grid, check.tolerance_usd)
+                assert check.boundary_worst_abs_usd == loop_boundary_worst(o)
 
 
 class TestRevenueNeutral:
@@ -129,7 +154,7 @@ class TestRevenueNeutral:
     def test_fixture_internal(self, demo_run):
         result = check_revenue_neutral(demo_run.outcome)
         assert result.passed
-        assert abs(result.residual) <= 1e-9 * np.abs(
+        assert abs(result.residual_usd) <= 1e-9 * np.abs(
             demo_run.outcome.payments
         ).max()
 
@@ -142,7 +167,7 @@ class TestRevenueNeutral:
             payments=np.zeros(2),
             support=(0.0, 1.0),
         )
-        assert check_revenue_neutral(outcome).residual == 0.0
+        assert check_revenue_neutral(outcome).residual_usd == 0.0
 
     def test_unused_path_payment_leaves_tolerance(self):
         # the slowest path carries no one, so its -1e199 $ is paid by no
@@ -157,8 +182,8 @@ class TestRevenueNeutral:
             support=(0.0, 1.0),
         )
         result = check_revenue_neutral(outcome)
-        assert result.residual == pytest.approx(1e-3, rel=1e-9)
-        assert result.tolerance == pytest.approx(1.001e-9 + 1e-12, rel=1e-12)
+        assert result.residual_usd == pytest.approx(1e-3, rel=1e-9)
+        assert result.tolerance_usd == pytest.approx(1.001e-9 + 1e-12, rel=1e-12)
         assert not result.passed
 
     def test_shift_breaks_neutrality(self, demo_run):
@@ -168,7 +193,7 @@ class TestRevenueNeutral:
         broken = replace(o, payments=shifted)
         result = check_revenue_neutral(broken)
         assert not result.passed
-        assert result.residual == pytest.approx(0.25, abs=1e-6)
+        assert result.residual_usd == pytest.approx(0.25, abs=1e-6)
 
 
 class TestPareto:
@@ -176,8 +201,8 @@ class TestPareto:
         report = cost_report(demo_run.outcome, demo_ue, 401)
         result = check_pareto(report)
         assert result.passed
-        assert result.worst_ue_vs_quit > 0
-        assert result.worst_quit_vs_join > 0
+        assert result.worst_ue_vs_quit_usd > 0
+        assert result.worst_quit_vs_join_usd > 0
 
     def test_single_path_all_equal(self, demo_vot):
         import json
@@ -200,8 +225,8 @@ class TestPareto:
         report = cost_report(result.outcome, solve_ue(net, result.paths), 51)
         check = check_pareto(report)
         assert check.passed
-        assert check.worst_ue_vs_quit == pytest.approx(0.0, abs=1e-9)
-        assert check.worst_quit_vs_join == pytest.approx(0.0, abs=1e-9)
+        assert check.worst_ue_vs_quit_usd == pytest.approx(0.0, abs=1e-9)
+        assert check.worst_quit_vs_join_usd == pytest.approx(0.0, abs=1e-9)
 
     def test_so_times_as_baseline_never_invert(self, demo_run, demo_ue):
         # baseline travel time lowered to the guided expectation: the first
@@ -211,7 +236,7 @@ class TestPareto:
         report = cost_report(o, replace(demo_ue, ue_time=expected), 101)
         check = check_pareto(report)
         assert check.passed
-        assert check.worst_ue_vs_quit == pytest.approx(0.0, abs=1e-12)
+        assert check.worst_ue_vs_quit_usd == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPaymentReconstruction:
