@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -105,7 +106,7 @@ def cmd_equilibria(args) -> int:
     net = _parse_file(parse_network, args.network)
     paths = enumerate_paths(net)
     so = solve_so(net, paths, tol=args.tol)
-    ue = solve_ue(net, paths, tol=args.tol)
+    ue = solve_ue(net, paths, tol=args.tol, start=so.path_flows)
     payload = {"links": [ln.id for ln in net.links],
                "ue": _solution_dict(ue, net), "so": _solution_dict(so, net)}
 
@@ -147,10 +148,11 @@ def _solution_dict(sol, net) -> dict:
 def _run_with_baseline(args, report_grid: int):
     """The network, scheme result, user equilibrium and ``report_grid``-point
     cost report that ``scheme`` and ``improvement`` share. The UE is solved
-    last, so input and subscriber-LP errors are reported ahead of its own."""
+    last, so input and subscriber-LP errors are reported ahead of its own,
+    and it starts from the SO's path flows."""
     net, dist, M = _load_inputs(args)
     result = run_scheme(net, dist, M, tol=args.tol)
-    ue = solve_ue(net, result.paths, tol=args.tol)
+    ue = solve_ue(net, result.paths, tol=args.tol, start=result.so.path_flows)
     return net, result, ue, cost_report(result.outcome, ue, report_grid)
 
 
@@ -430,7 +432,11 @@ def _declared_vot(cell, where: str, support) -> float:
 # -- argument parsing --------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing reads it but never changes it, and each call to
+    ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="pathpay",
         description="Charge-and-subsidy path guidance for a single O-D network.",

@@ -38,8 +38,18 @@ is one cost pass. The root of the directional derivative is found by
 Newton steps kept inside a bracket of the feasible step interval; the first
 step is already exact when the costs are linear.
 
+A solve starts from the all-or-nothing point (all demand on the cheapest
+path of the empty network), or from the path flows passed as ``start``,
+scaled to the demand. The active set gains at most one path per iteration,
+so a start that already carries the optimum's paths saves the iterations
+that would find them: the no-policy UE started from the SO's path flows
+takes 5 iterations where the cold solve takes 8 and 10 on the benchmark's
+linear and BPR chains. A path of the start that the optimum leaves unused
+costs one step that empties it, so a start riding many such paths can take
+more iterations than the cold solve.
+
 Everything is deterministic: ties break toward the lowest path index, so
-rerunning a solve reproduces bit-identical flows.
+rerunning a solve from the same start reproduces bit-identical flows.
 """
 
 from __future__ import annotations
@@ -53,8 +63,10 @@ from .network import Network, PathSet
 
 DEFAULT_TOL = 1e-8
 # iterations before a solve gives up, on top of two per path: the active
-# set gains at most one path per iteration, so an optimum that uses k paths
-# takes k - 1 iterations to reach, plus one for each step that empties one
+# set gains at most one path per iteration, so from the all-or-nothing start
+# an optimum that uses k paths takes k - 1 iterations to reach, plus one for
+# each step that empties one; a warm start begins with its own paths active,
+# and each it holds that the optimum leaves unused costs one emptying step
 MAX_ITER = 400
 # a direction descends only if its slope is below this fraction of the sum
 # of the slope's absolute terms; smaller slopes are rounding (256 ulps)
@@ -100,18 +112,29 @@ class FlowSolution:
     ue_time: float | None = None
 
 
-def solve_so(net: Network, paths: PathSet, tol: float = DEFAULT_TOL) -> FlowSolution:
-    """Minimize total system travel time; link flows are unique by convexity."""
-    return _solve(net, paths, "SO", tol)
+def solve_so(
+    net: Network, paths: PathSet, tol: float = DEFAULT_TOL, start=None
+) -> FlowSolution:
+    """Minimize total system travel time; link flows are unique by convexity.
+
+    ``start``, when given, holds the path flows to begin from instead of
+    the all-or-nothing point: one finite, non-negative flow per path, with
+    a positive sum, scaled to the demand. It is ignored at zero demand."""
+    return _solve(net, paths, "SO", tol, start)
 
 
-def solve_ue(net: Network, paths: PathSet, tol: float = DEFAULT_TOL) -> FlowSolution:
-    """Minimize the Beckmann potential; used paths share one travel time."""
-    return _solve(net, paths, "UE", tol)
+def solve_ue(
+    net: Network, paths: PathSet, tol: float = DEFAULT_TOL, start=None
+) -> FlowSolution:
+    """Minimize the Beckmann potential; used paths share one travel time.
+
+    ``start`` is as for :func:`solve_so`; the SO's path flows on the same
+    ``paths`` usually save iterations, as the module docstring explains."""
+    return _solve(net, paths, "UE", tol, start)
 
 
-def _solve(net, paths, regime, tol) -> FlowSolution:
-    f, q, stats = _projected_newton(net, paths, regime, tol)
+def _solve(net, paths, regime, tol, start) -> FlowSolution:
+    f, q, stats = _projected_newton(net, paths, regime, tol, start)
     times = net.link_times(q)
     path_times = paths.incidence.T @ times
     total = float(q @ times)
@@ -137,6 +160,27 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be a finite number in (0, 1)")
 
 
+def _check_start(start, n_paths: int) -> np.ndarray:
+    """``start`` as a float array, after checking that it holds
+    ``n_paths`` finite, non-negative path flows with a positive, finite
+    sum; a ValueError names the first bad entry."""
+    f = np.array(start, dtype=float)
+    if f.shape != (n_paths,):
+        raise ValueError(
+            f"start must hold one flow per path: shape {f.shape} for {n_paths} paths"
+        )
+    bad = np.flatnonzero(~(np.isfinite(f) & (f >= 0)))
+    if bad.size:
+        raise ValueError(
+            f"start[{bad[0]}] is {float(f[bad[0]])!r}; "
+            "path flows must be finite and non-negative"
+        )
+    total = float(f.sum())
+    if not 0 < total < math.inf:
+        raise ValueError(f"start's path flows sum to {total!r}, not a positive finite number")
+    return f
+
+
 def average_time(sol: FlowSolution) -> float:
     """Mean travel time per trip, minutes."""
     if sol.demand <= 0:
@@ -146,9 +190,11 @@ def average_time(sol: FlowSolution) -> float:
 
 # overflow is detected from the iterates, so numpy need not warn about it
 @np.errstate(over="ignore", invalid="ignore")
-def _projected_newton(net, paths, regime, tol):
+def _projected_newton(net, paths, regime, tol, start):
     """Path flows and link flows of the ``regime`` ("SO" or "UE") optimum,
-    and the solve's counters as ``FlowSolution`` fields."""
+    reached from the path flows ``start`` (scaled to the demand) or, when it
+    is None, from all-or-nothing, and the solve's counters as
+    ``FlowSolution`` fields. With zero demand ``start`` is ignored."""
     check_tol(tol)
     d = net.demand
     incidence = paths.incidence
@@ -164,10 +210,14 @@ def _projected_newton(net, paths, regime, tol):
         passes += 1
         return net.link_objective(q, regime)
 
-    # all-or-nothing start on the cheapest empty-network path
-    _, gradient, _ = cost_pass(np.zeros(len(net.links)))
-    f = np.zeros(n_paths)
-    f[int(np.argmin(incidence.T @ gradient))] = d
+    if start is None:
+        # all-or-nothing start on the cheapest empty-network path
+        _, gradient, _ = cost_pass(np.zeros(len(net.links)))
+        f = np.zeros(n_paths)
+        f[int(np.argmin(incidence.T @ gradient))] = d
+    else:
+        f = _check_start(start, n_paths)
+        f = d * (f / f.sum())
 
     history = []
     newton_steps = 0

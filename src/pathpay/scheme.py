@@ -27,6 +27,7 @@ compares them against, solved by the caller that wants the comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -178,7 +179,12 @@ def solve_subscriber_lp(
     n_links, n_paths = paths.incidence.shape
     M = classes.M
     share = d_sub / net.demand
-    link_target = so.link_flows * share
+    # flows are solved in units of about the subscriber demand, so that the
+    # tolerances below are relative to it; the unit is a power of two, so
+    # that scaling by it is exact, and where no tolerance decides otherwise
+    # the totals are bit for bit those of a solve in vehicles
+    unit = math.ldexp(1.0, math.frexp(d_sub)[1] - 1)
+    link_target = so.link_flows * share / unit
     scale = 1.0 + np.abs(link_target).max(initial=0.0)
 
     # G's pieces, highest class mean first: piece m covers cumulative demand
@@ -186,7 +192,7 @@ def solve_subscriber_lp(
     # vot[m] * C - y >= rhs[m]
     by_vot = np.lexsort((np.arange(M), -classes.class_mean))
     vot = classes.class_mean[by_vot]
-    demand = classes.class_demand[by_vot]
+    demand = classes.class_demand[by_vot] / unit
     bounds = np.concatenate([[0.0], np.cumsum(demand)])
     mass = np.concatenate([[0.0], np.cumsum(vot * demand)])  # G at the bounds
     rhs = vot * bounds[:-1] - mass[:-1]
@@ -285,24 +291,24 @@ def solve_subscriber_lp(
     link_err = np.abs(incidence @ totals - link_target).max(initial=0.0)
     if demand_err > tol or link_err > tol:
         raise SchemeError(
-            f"LP solution violates flow constraints (demand {demand_err:.3e}, "
-            f"link {link_err:.3e})"
+            f"LP solution violates flow constraints (demand {demand_err * unit:.3e}, "
+            f"link {link_err * unit:.3e})"
         )
 
     riding = np.diff(np.interp(np.concatenate([[0.0], np.cumsum(totals)]), bounds, mass))
     path_totals = np.empty(n_paths)
-    path_totals[fastest] = totals
+    path_totals[fastest] = totals * unit
     return SubscriberAssignment(
         subscriber_path_flows=path_totals,
         outsider_path_flows=(d_out / d_sub) * path_totals,
-        weighted_cost=float(riding @ times),
+        weighted_cost=float(riding @ times) * unit,
         rounds=rounds,
         cuts=len(cuts),
         columns=int(master.sum()),
         master_shape=lp.A.shape,
         pivots=pivots,
-        demand_residual=float(demand_err),
-        link_residual=float(link_err),
+        demand_residual=float(demand_err) * unit,
+        link_residual=float(link_err) * unit,
     )
 
 

@@ -11,8 +11,14 @@ input. Redundant equality rows are detected and dropped at the end of
 phase 1. An optimal solution carries duals for every original row: the
 least-norm solution of ``A_B.T y = c_B`` on its final basis ``B``.
 
-The tableau is kept dense; problems here have at most a few hundred rows
-and columns.
+The tableau is kept dense. The largest problems it gets are the subscriber
+masters of ``scheme.solve_subscriber_lp``: a row per link and per cut, a
+column per master path, per cut and per run of the VOT-mass curve. Column
+generation holds the master to the paths it prices in, so it has about
+links + 2 x (master paths) rows; the cuts kept over the rounds can exceed
+that (a 6x6 linear grid, 60 links and 252 paths, ends at 185 x 232 with 54
+paths and 125 cuts). Only the all-path fallback, taken when the greedy
+start cannot make the master feasible, has a column per enumerated path.
 """
 
 from __future__ import annotations

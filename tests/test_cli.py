@@ -436,17 +436,29 @@ class TestInputBoundary:
         assert len((out / "improvement.csv").read_text().splitlines()) == 402
 
     def test_tiny_subscriber_demand_passes(self, tmp_path):
-        # the greedy start fits no path to a 1e-15 share of the SO flows,
-        # so the master starts from every path
+        # the subscriber LP is solved in units of the subscriber demand, so
+        # a tiny one routes like the fixture's 800: the same shares, and
+        # outsider flows that add up to the outsider demand (absolute
+        # tolerances once let them sum to 1.12x it at 1e-10 and 2.2x at
+        # 1e-12, on two paths)
         data = json.loads(Path(NETWORK).read_text())
-        data["demand"]["subscribers"] = 1e-12
-        network = tmp_path / "network.json"
-        network.write_text(json.dumps(data))
-        out = tmp_path / "o"
-        with redirect_stdout(io.StringIO()):
-            assert run(["scheme", "--network", str(network), "--vot", VOT,
-                        "--out", str(out)]) == 0
-        assert json.loads((out / "verification.json").read_text())["passed"] is True
+        for subscribers in (1e-6, 1e-10, 1e-12):
+            data["demand"]["subscribers"] = subscribers
+            network = tmp_path / f"network-{subscribers}.json"
+            network.write_text(json.dumps(data))
+            out = tmp_path / f"o-{subscribers}"
+            with redirect_stdout(io.StringIO()):
+                assert run(["scheme", "--network", str(network), "--vot", VOT,
+                            "--out", str(out)]) == 0
+            assert json.loads((out / "verification.json").read_text())["passed"] is True
+            scheme = json.loads((out / "scheme.json").read_text())
+            outsiders = sum(entry["outsiders"] for entry in scheme["paths"])
+            assert outsiders == pytest.approx(scheme["outsider_demand"], rel=1e-9)
+            shares = {entry["label"]: entry["share"] for entry in scheme["paths"]}
+            assert shares == pytest.approx(
+                {"(1)+(3)": 0.0, "(1)+(4)": 0.25, "(2)+(3)": 0.45, "(2)+(4)": 0.30},
+                abs=1e-9,
+            )
 
     def test_huge_costs_pass_strategy_proofness(self, tmp_path, capsys):
         # every link cost scaled by 1e100 leaves misreport margins of
@@ -551,6 +563,34 @@ def test_long_series_chain(tmp_path, capsys, command):
         argv += ["--vot", VOT]
     assert run(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_parser_built_once(tmp_path):
+    # every call shares one parser, and no flag or default of one call
+    # reaches the next: each parse starts from a fresh namespace
+    parser = cli.build_parser()
+    inputs = ["--network", NETWORK, "--vot", VOT]
+    roster = tmp_path / "roster.csv"
+    roster.write_text("user_id,role,vot\nu1,subscriber,20\nu2,outsider,\n")
+    with redirect_stdout(io.StringIO()):
+        assert main(["scheme", *inputs, "--classes", "400", "--out", str(tmp_path / "a")]) == 0
+        assert main(["scheme", *inputs, "--out", str(tmp_path / "b")]) == 0
+        assert main(["assign", *inputs, "--roster", str(roster),
+                     "--out", str(tmp_path / "c")]) == 0
+    assert cli.build_parser() is parser
+    classes = [json.loads((tmp_path / out / "scheme.json").read_text())["vot_classes"]
+               for out in ("a", "b")]
+    assert classes == [400, 100]
+    assert (tmp_path / "c" / "assignments.csv").read_text().startswith("user_id,")
+    assert vars(parser.parse_args(["scheme", *inputs])) == {
+        "command": "scheme", "network": NETWORK, "vot": VOT, "classes": None,
+        "tol": pathpay.equilibrium.DEFAULT_TOL, "out": "out", "func": cli.cmd_scheme,
+    }
+    assert vars(parser.parse_args(["assign", *inputs, "--roster", str(roster)])) == {
+        "command": "assign", "network": NETWORK, "vot": VOT, "classes": None,
+        "tol": pathpay.equilibrium.DEFAULT_TOL, "out": "out", "roster": str(roster),
+        "seed": 0, "func": cli.cmd_assign,
+    }
 
 
 @pytest.mark.parametrize("command, solves", [("scheme", 1), ("improvement", 1), ("assign", 0)])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -451,13 +452,7 @@ class TestInvariants:
         # chains of 2-4 segments of 2-3 links and 3x3 or 4x4 grids, with
         # linear or BPR costs: the certificate holds, the link flows match
         # the oracle and a rerun repeats every bit
-        rng = np.random.default_rng([12, seed])
-        kind = ("linear", "bpr")[seed % 2]
-        if seed % 4 < 2:
-            widths = tuple(int(w) for w in rng.integers(2, 4, size=rng.integers(2, 5)))
-            net = random_chain(rng, widths, kind)
-        else:
-            net = random_grid(rng, int(rng.integers(3, 5)), kind)
+        net = seeded_chain_or_grid(seed)
         paths = enumerate_paths(net)
         for solver, regime in ((solve_so, "SO"), (solve_ue, "UE")):
             sol = solver(net, paths)
@@ -495,6 +490,106 @@ class TestInvariants:
         self._check_solution(net, paths, sol, 1e-8)
         assert sol.newton_steps == newton_steps
         assert capfd.readouterr().err == ""
+
+
+def seeded_chain_or_grid(seed: int) -> Network:
+    """A chain of 2-4 segments of 2-3 links (seed % 4 < 2) or a 3x3 or 4x4
+    grid, with linear (even seed) or BPR (odd seed) costs."""
+    rng = np.random.default_rng([12, seed])
+    kind = ("linear", "bpr")[seed % 2]
+    if seed % 4 < 2:
+        widths = tuple(int(w) for w in rng.integers(2, 4, size=rng.integers(2, 5)))
+        return random_chain(rng, widths, kind)
+    return random_grid(rng, int(rng.integers(3, 5)), kind)
+
+
+class TestWarmStart:
+    """The UE started from the SO's path flows, as the CLI solves it."""
+
+    INSTANCES = {
+        # the benchmark's two chain shapes
+        "linear-3x3x3x3": lambda: random_chain(np.random.default_rng(1), (3, 3, 3, 3), "linear"),
+        "bpr-3x3x3": lambda: random_chain(np.random.default_rng(1), (3, 3, 3), "bpr"),
+        **{f"seeded-{seed}": (lambda seed=seed: seeded_chain_or_grid(seed)) for seed in range(8)},
+    }
+
+    # each path of the start that the UE leaves unused costs a step that
+    # empties it: on seeded-5, a 3x3 BPR chain, the SO rides 7 of the 9
+    # paths and the UE 4, and the warm solve takes 8 iterations to the cold
+    # solve's 6. Its (cold, warm) iterations are pinned so that a change to
+    # either shows
+    SLOWER_WARM = {"seeded-5": (6, 8)}
+
+    @pytest.mark.parametrize("instance", ["fixture", *INSTANCES])
+    def test_matches_cold_solve(self, demo_network, instance):
+        net = demo_network if instance == "fixture" else self.INSTANCES[instance]()
+        paths = enumerate_paths(net)
+        tol = 1e-8
+        so = solve_so(net, paths, tol=tol)
+        cold = solve_ue(net, paths, tol=tol)
+        warm = solve_ue(net, paths, tol=tol, start=so.path_flows)
+        TestInvariants()._check_solution(net, paths, warm, tol)
+        assert warm.link_flows == pytest.approx(cold.link_flows, abs=tol * net.demand)
+        assert warm.ue_time == pytest.approx(cold.ue_time, rel=tol)
+        if instance in self.SLOWER_WARM:
+            assert (cold.iterations, warm.iterations) == self.SLOWER_WARM[instance]
+        else:
+            assert warm.iterations <= cold.iterations
+        again = solve_ue(net, paths, tol=tol, start=so.path_flows)
+        assert np.array_equal(again.path_flows, warm.path_flows)
+
+    def test_saves_iterations_on_benchmark_chains(self):
+        # on chains of the benchmark's shapes the SO already rides the
+        # paths the cold UE spends its iterations finding: 8 -> 1 on the
+        # linear chain here, 8 -> 5 on the BPR chain
+        for instance in ("linear-3x3x3x3", "bpr-3x3x3"):
+            net = self.INSTANCES[instance]()
+            paths = enumerate_paths(net)
+            so = solve_so(net, paths)
+            cold = solve_ue(net, paths)
+            warm = solve_ue(net, paths, start=so.path_flows)
+            assert warm.iterations < cold.iterations
+            assert warm.cost_passes < cold.cost_passes
+
+    def test_start_at_optimum_scaled_to_demand(self, demo_network):
+        # a start is scaled to the demand, so three times the optimum is
+        # the optimum: the solve returns it without an iteration
+        paths = enumerate_paths(demo_network)
+        for solver in (solve_so, solve_ue):
+            sol = solver(demo_network, paths)
+            again = solver(demo_network, paths, start=3 * sol.path_flows)
+            assert again.iterations == 0
+            assert again.path_flows == pytest.approx(sol.path_flows, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            ([500.0, -1.0, 0.0, 500.0], r"start\[1\] is -1\.0"),
+            ([500.0, 0.0, math.nan, 500.0], r"start\[2\] is nan"),
+            ([math.inf, 0.0, 0.0, 0.0], r"start\[0\] is inf"),
+            ([500.0, 500.0, 0.0], r"one flow per path: shape \(3,\) for 4 paths"),
+            ([[500.0, 500.0, 0.0, 0.0]], r"shape \(1, 4\) for 4 paths"),
+            ([0.0, 0.0, 0.0, 0.0], r"sum to 0\.0"),
+            ([1e308, 1e308, 0.0, 0.0], r"sum to inf"),
+        ],
+        ids=["negative", "nan", "inf", "short", "2-d", "all-zero", "overflowing-sum"],
+    )
+    def test_bad_start_rejected(self, demo_network, start, message):
+        paths = enumerate_paths(demo_network)
+        for solver in (solve_so, solve_ue):
+            with pytest.raises(ValueError, match=message):
+                solver(demo_network, paths, start=start)
+
+    def test_zero_demand_ignores_start(self):
+        # the SO's path flows at zero demand are all zero, which a solve
+        # with demand would reject
+        net = two_link_net([1.0, 2.0], [0.1, 0.1], demand=0.0)
+        paths = enumerate_paths(net)
+        so = solve_so(net, paths)
+        for solver in (solve_so, solve_ue):
+            sol = solver(net, paths, start=so.path_flows)
+            assert sol.iterations == 0
+            assert sol.path_flows.tolist() == [0.0, 0.0]
 
 
 def kkt_direction(incidence, curvature, path_costs, members):
