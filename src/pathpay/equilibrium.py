@@ -39,14 +39,15 @@ Newton steps kept inside a bracket of the feasible step interval; the first
 step is already exact when the costs are linear.
 
 A solve starts from the all-or-nothing point (all demand on the cheapest
-path of the empty network), or from the path flows passed as ``start``,
-scaled to the demand. The active set gains at most one path per iteration,
-so a start that already carries the optimum's paths saves the iterations
-that would find them: the no-policy UE started from the SO's path flows
-takes 5 iterations where the cold solve takes 8 and 10 on the benchmark's
-linear and BPR chains. A path of the start that the optimum leaves unused
-costs one step that empties it, so a start riding many such paths can take
-more iterations than the cold solve.
+path of the empty network); ``solve_ue`` starts instead from the path
+flows passed as ``start``, scaled to the demand, when given. The active
+set gains at most one path per iteration, so a start that already
+carries the optimum's paths saves the iterations that would find them:
+the no-policy UE started from the SO's path flows takes 5 iterations
+where the cold solve takes 8 and 10 on the benchmark's linear and BPR
+chains. A path of the start that the optimum leaves unused costs one
+step that empties it, so a start riding many such paths can take more
+iterations than the cold solve.
 
 Everything is deterministic: ties break toward the lowest path index, so
 rerunning a solve from the same start reproduces bit-identical flows.
@@ -112,15 +113,9 @@ class FlowSolution:
     ue_time: float | None = None
 
 
-def solve_so(
-    net: Network, paths: PathSet, tol: float = DEFAULT_TOL, start=None
-) -> FlowSolution:
-    """Minimize total system travel time; link flows are unique by convexity.
-
-    ``start``, when given, holds the path flows to begin from instead of
-    the all-or-nothing point: one finite, non-negative flow per path, with
-    a positive sum, scaled to the demand. It is ignored at zero demand."""
-    return _solve(net, paths, "SO", tol, start)
+def solve_so(net: Network, paths: PathSet, tol: float = DEFAULT_TOL) -> FlowSolution:
+    """Minimize total system travel time; link flows are unique by convexity."""
+    return _solve(net, paths, "SO", tol, None)
 
 
 def solve_ue(
@@ -128,8 +123,11 @@ def solve_ue(
 ) -> FlowSolution:
     """Minimize the Beckmann potential; used paths share one travel time.
 
-    ``start`` is as for :func:`solve_so`; the SO's path flows on the same
-    ``paths`` usually save iterations, as the module docstring explains."""
+    ``start``, when given, holds the path flows to begin from instead of
+    the all-or-nothing point: one finite, non-negative flow per path, with
+    a positive sum, scaled to the demand. It is ignored at zero demand.
+    The SO's path flows on the same ``paths`` usually save iterations, as
+    the module docstring explains."""
     return _solve(net, paths, "UE", tol, start)
 
 

@@ -209,8 +209,6 @@ def solve_subscriber_lp(
 
     totals = _greedy_decomposition(incidence, link_target, _FLOW_TOL * scale)
     master = totals > 0
-    if not master.any():  # no path fits the target: let the LP say why
-        master[:] = True
     C = np.cumsum(totals)
 
     cuts: dict[tuple[int, int], None] = {}  # (run's first gap, piece), ordered

@@ -555,11 +555,10 @@ class TestWarmStart:
         # a start is scaled to the demand, so three times the optimum is
         # the optimum: the solve returns it without an iteration
         paths = enumerate_paths(demo_network)
-        for solver in (solve_so, solve_ue):
-            sol = solver(demo_network, paths)
-            again = solver(demo_network, paths, start=3 * sol.path_flows)
-            assert again.iterations == 0
-            assert again.path_flows == pytest.approx(sol.path_flows, rel=1e-12)
+        sol = solve_ue(demo_network, paths)
+        again = solve_ue(demo_network, paths, start=3 * sol.path_flows)
+        assert again.iterations == 0
+        assert again.path_flows == pytest.approx(sol.path_flows, rel=1e-12)
 
     @pytest.mark.parametrize(
         "start, message",
@@ -576,9 +575,8 @@ class TestWarmStart:
     )
     def test_bad_start_rejected(self, demo_network, start, message):
         paths = enumerate_paths(demo_network)
-        for solver in (solve_so, solve_ue):
-            with pytest.raises(ValueError, match=message):
-                solver(demo_network, paths, start=start)
+        with pytest.raises(ValueError, match=message):
+            solve_ue(demo_network, paths, start=start)
 
     def test_zero_demand_ignores_start(self):
         # the SO's path flows at zero demand are all zero, which a solve
@@ -586,10 +584,9 @@ class TestWarmStart:
         net = two_link_net([1.0, 2.0], [0.1, 0.1], demand=0.0)
         paths = enumerate_paths(net)
         so = solve_so(net, paths)
-        for solver in (solve_so, solve_ue):
-            sol = solver(net, paths, start=so.path_flows)
-            assert sol.iterations == 0
-            assert sol.path_flows.tolist() == [0.0, 0.0]
+        sol = solve_ue(net, paths, start=so.path_flows)
+        assert sol.iterations == 0
+        assert sol.path_flows.tolist() == [0.0, 0.0]
 
 
 def kkt_direction(incidence, curvature, path_costs, members):
