@@ -27,6 +27,7 @@ import re
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -40,8 +41,9 @@ from .scheme import (
     run_scheme,
     vot_ranks,
 )
-# not a flag: misreport margins are linear in VOT between partition points,
-# which every lattice holds. ``benchmarks/tracing.py`` reads the name
+# not a flag: a misreport margin is linear in VOT within a rank, and the
+# check takes every rank at both ends, so any lattice gives the exact worst
+# margin. ``benchmarks/tracing.py`` reads the name
 from .verify import SP_DEFAULT_GRID as DEFAULT_SP_GRID  # noqa: F401
 from .verify import check_pareto, run_verification
 from .vot import check_class_count, parse_vot
@@ -70,10 +72,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _parse_file(parse, path):
-    """``parse`` applied to the text of the file at ``path``; an error in
-    the text, its encoding or its nesting depth names the file."""
+    """``parse`` applied to the UTF-8 text of the file at ``path``, less a
+    leading byte order mark; an error in the text, its encoding or its
+    nesting depth names the file."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -87,12 +90,6 @@ def _load_inputs(args):
         check_class_count(args.classes, "--classes")
         M = args.classes
     return net, dist, M
-
-
-def _check_grid(grid: int) -> None:
-    """Refuse a ``--grid`` outside ``[2, MAX_GRID]`` before any solve."""
-    if not 2 <= grid <= MAX_GRID:
-        raise ValueError(f"--grid must be an integer in [2, {MAX_GRID}]")
 
 
 def _row(label: str, cells, width: int = 12) -> str:
@@ -228,7 +225,8 @@ def cmd_scheme(args) -> int:
 
 
 def cmd_improvement(args) -> int:
-    _check_grid(args.grid)
+    if not 2 <= args.grid <= MAX_GRID:  # before any file is read
+        raise ValueError(f"--grid must be an integer in [2, {MAX_GRID}]")
     report = _run_with_baseline(args, args.grid)[-1]
 
     # the header is the report's field names, a column each; a cell is the
@@ -337,7 +335,8 @@ def _user_cells(user_ids) -> list:
 
 def _read_roster(path, support) -> tuple[list, list[float]]:
     """User ids and declared VOTs of a roster, in file order, read and
-    checked in one pass; an outsider's VOT is NaN.
+    checked in one pass; an outsider's VOT is NaN. A leading byte order
+    mark, as spreadsheet exports write, is not part of the header.
 
     As with ``csv.DictReader``, blank lines are skipped, a repeated column
     name resolves to its last occurrence and a missing cell reads as None.
@@ -345,7 +344,7 @@ def _read_roster(path, support) -> tuple[list, list[float]]:
     after ``.strip().lower()``. A subscriber's VOT passes when
     ``lo <= float(cell) <= hi`` on the support ``(lo, hi)``; NaN, inf and a
     parse failure fail it, and only then is the message built
-    (:func:`_declared_vot`). The first bad row in file order raises, located
+    (:func:`_vot_error`). The first bad row in file order raises, located
     by ``reader.line_num``: the line on which the row ends. Bytes that are
     not UTF-8 are located by :func:`_undecodable_line`.
     """
@@ -353,7 +352,7 @@ def _read_roster(path, support) -> tuple[list, list[float]]:
     nan = math.nan
     user_ids, vots = [], []
     add_user, add_vot = user_ids.append, vots.append
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -384,9 +383,7 @@ def _read_roster(path, support) -> tuple[list, list[float]]:
                 except (TypeError, ValueError):
                     vot = nan
                 if not lo <= vot <= hi:
-                    vot = _declared_vot(
-                        cell, f"line {reader.line_num}: subscriber {user!r}", support
-                    )
+                    _vot_error(cell, f"line {reader.line_num}: subscriber {user!r}", support)
                 add_user(user)
                 add_vot(vot)
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
@@ -409,24 +406,22 @@ def _undecodable_line(path) -> int:
             return number
 
 
-def _declared_vot(cell, where: str, support) -> float:
-    """A subscriber's VOT cell as a float, or an error located by ``where``:
-    a missing VOT first, then one that is not a finite number, then one
-    outside the support."""
-    text = cell.strip() if cell is not None else ""
-    if not text:
+def _vot_error(cell, where: str, support) -> NoReturn:
+    """Raise the error, located by ``where``, for a subscriber's VOT cell
+    that failed ``lo <= float(cell) <= hi``: a missing VOT first, then one
+    that is not a finite number, then one outside the support."""
+    if cell is None or not cell.strip():
         raise ValueError(f"{where} missing VOT")
     try:
-        vot = float(text)
+        vot = float(cell)
     except ValueError:
         vot = math.nan
     if not math.isfinite(vot):
-        raise ValueError(f"{where}: VOT {text!r} is not a finite number")
+        raise ValueError(f"{where}: VOT {cell!r} is not a finite number")
     try:
         check_declared_vot(support, vot)
     except SchemeError as exc:
         raise SchemeError(f"{where}: {exc}") from None
-    return vot
 
 
 # -- argument parsing --------------------------------------------------------

@@ -78,18 +78,6 @@ class LinkCostFn:
                     "bpr cost needs t0 > 0, cap > 0, alpha >= 0 and power >= 1"
                 )
 
-    @classmethod
-    def linear(cls, a0: float, a1: float) -> LinkCostFn:
-        return cls("linear", (a0, a1))
-
-    @classmethod
-    def polynomial(cls, coeffs) -> LinkCostFn:
-        return cls("polynomial", tuple(coeffs))
-
-    @classmethod
-    def bpr(cls, t0: float, cap: float, alpha: float, power: float) -> LinkCostFn:
-        return cls("bpr", (t0, cap, alpha, power))
-
 
 @dataclass(frozen=True, eq=False)
 class _CostArrays:

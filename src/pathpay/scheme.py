@@ -310,7 +310,7 @@ def solve_subscriber_lp(
     )
 
 
-def _greedy_decomposition(incidence, target, floor: float = 0.0) -> np.ndarray:
+def _greedy_decomposition(incidence, target, floor: float) -> np.ndarray:
     """Path flows that take ``target`` link by link, greedily.
 
     Each column of ``incidence`` in turn carries the smallest residual

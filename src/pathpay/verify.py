@@ -22,16 +22,18 @@ SP_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class StrategyProofResult:
-    """Worst misreport margin over a (true VOT, declared VOT) lattice.
+    """Worst misreport margin over every (true VOT, declared VOT) pair.
 
     ``worst_margin_usd`` is min over all pairs of (cost when lying) minus
     (cost when truthful); non-negative means lying never helps.
     ``worst_true_vot`` and ``worst_declared_vot`` are the first pair in
     lattice order whose margin is within ``tolerance_usd`` of the worst, so
     a passing run reports the truthful pair at the support minimum however
-    the payments round. ``boundary_worst_abs_usd`` is the largest absolute
-    margin over the indifference pairs, where a subscriber sits exactly on
-    a partition point and declares into the next interval.
+    the payments round; a true VOT on a partition point may stand for the
+    limit from above, in the rank above the point.
+    ``boundary_worst_abs_usd`` is the largest absolute margin over the
+    indifference pairs, where a subscriber at the open lower end of a rank
+    declares into the rank of the partition point itself.
     ``tolerance_usd`` is ``SP_TOL * (1 + max payment - min payment)``.
     """
 
@@ -86,12 +88,15 @@ class VerificationReport:
 def check_strategy_proof(
     outcome: SchemeOutcome, grid: int = SP_DEFAULT_GRID
 ) -> StrategyProofResult:
-    """Exhaustively search a VOT lattice for a profitable misreport.
+    """Exhaustively search (true VOT, true rank) rows for a profitable
+    misreport into each rank.
 
-    The lattice is a uniform grid over the support with every partition
-    point spliced in, because the binding pairs sit exactly on interval
-    boundaries. The reported pair is the first in lattice order (true VOT,
-    then declared VOT) whose margin is within the tolerance of the worst.
+    The rows are a uniform grid over the support with every partition point
+    spliced in, each in its own rank, then each inner partition point again
+    as the open lower end of the rank above it, its true VOT the limit from
+    above. A margin is linear in the true VOT within a rank, so the worst
+    margin is exact at any ``grid``. The reported pair is the first row,
+    then the first declared VOT of a rank, within the tolerance of the worst.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -100,28 +105,31 @@ def check_strategy_proof(
         np.concatenate([np.linspace(lo, hi, grid), outcome.partition])
     )
     ranks = vot_ranks(outcome, lattice)
-    hours = lattice / MINUTES_PER_HOUR
-    # margins[i, c]: true VOT lattice[i] declares into rank used[c]. A
-    # declared VOT matters only through its rank, and ranks rise along the
-    # lattice, so the first declared VOT of a rank stands for all of them:
-    # the first pair in row-major order is that of the lattice x lattice search
+    # an inner partition point in [lo, hi) is also the open lower end of the
+    # rank a right-side search gives it: a second row, right after its first
+    above = np.searchsorted(outcome.partition[1:-1], lattice, side="right")
+    lower = (above > ranks) & (lo <= lattice) & (lattice < hi)
+    rows = np.repeat(np.arange(lattice.size), 1 + lower)
+    at_lower = np.flatnonzero(rows[1:] == rows[:-1]) + 1
+    true_rank = ranks[rows]
+    true_rank[at_lower] = above[rows[at_lower]]
+    # margins[i, c]: row i declares into rank used[c]. A declared VOT matters
+    # only through its rank, and ranks rise along the lattice, so the first
+    # declared VOT of a rank stands for all of them
     used, first = np.unique(ranks, return_index=True)
-    margins = _margins(outcome, hours[:, None], ranks[:, None], used)
+    margins = _margins(
+        outcome, lattice[rows, None] / MINUTES_PER_HOUR, true_rank[:, None], used
+    )
     worst = float(margins.min())
     tol = SP_TOL * (1.0 + float(np.ptp(outcome.payments)))
     i, c = np.unravel_index(np.argmax(margins <= worst + tol), margins.shape)
-
-    # indifference pairs: a subscriber exactly on an inner partition point
-    # declares into the next rank
-    points = outcome.partition[1:-1]
-    points = points[(lo < points) & (points < hi)]
-    true_rank = vot_ranks(outcome, points)
-    boundary = _margins(outcome, points / MINUTES_PER_HOUR, true_rank, true_rank + 1)
+    # indifference pairs: a lower end declares into the rank its point maps to
+    boundary = margins[at_lower, np.searchsorted(used, ranks[rows[at_lower]])]
 
     return StrategyProofResult(
         passed=worst >= -tol,
         worst_margin_usd=worst,
-        worst_true_vot=float(lattice[i]),
+        worst_true_vot=float(lattice[rows[i]]),
         worst_declared_vot=float(lattice[first[c]]),
         boundary_worst_abs_usd=float(np.abs(boundary).max(initial=0.0)),
         grid=grid,

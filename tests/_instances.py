@@ -36,10 +36,10 @@ def random_network(rng: np.random.Generator) -> Network:
                     id=lid,
                     tail=nodes[seg],
                     head=nodes[seg + 1],
-                    cost_fn=LinkCostFn.linear(
+                    cost_fn=LinkCostFn("linear", (
                         float(rng.uniform(1.0, 30.0)),
                         float(rng.uniform(0.005, 0.1)),
-                    ),
+                    )),
                 )
             )
             lid += 1
@@ -114,8 +114,8 @@ def random_transportation_instance(rng: np.random.Generator, step: float = 1.0):
 def _probe_cost(rng: np.random.Generator, kind: str, t0_range, slope_range):
     t0 = float(rng.uniform(*t0_range))
     if kind == "linear":
-        return LinkCostFn.linear(t0, float(rng.uniform(*slope_range)))
-    return LinkCostFn.bpr(t0, float(rng.uniform(200.0, 500.0)), 0.15, 4.0)
+        return LinkCostFn("linear", (t0, float(rng.uniform(*slope_range))))
+    return LinkCostFn("bpr", (t0, float(rng.uniform(200.0, 500.0)), 0.15, 4.0))
 
 
 def random_grid(rng: np.random.Generator, n: int, kind: str) -> Network:

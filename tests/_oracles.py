@@ -4,11 +4,12 @@ Each one solves a problem the package also solves, by a slower and more
 direct route: the class-by-path subscriber LP in full, the path-total
 cutting-plane master over every enumerated path, the sort-and-fill
 coupling as a loop, an exhaustive lattice search, the O(n^2) payment sums,
-the strategy-proofness search over every (true, declared) lattice pair
-and over the partition points one at a time, the simplex's artificial
-drive-out as a scan over basis membership, the VOT quantile and class
-table as per-point and per-class loops, Frank-Wolfe with a regula-falsi
-line search, and path enumeration by a recursive search without pruning.
+the strategy-proofness search over every (true, declared) lattice pair,
+the ranks' lower ends included, and over the partition points one at a
+time, the simplex's artificial drive-out as a scan over basis membership,
+the VOT quantile and class table as per-point and per-class loops,
+Frank-Wolfe with a regula-falsi line search, and path enumeration by a
+recursive search without pruning.
 """
 
 from __future__ import annotations
@@ -225,39 +226,51 @@ def brute_force_lp_oracle(classes, subscriber_path_totals, times, step) -> float
 
 def lattice_strategy_proof(outcome, grid, tol):
     """(worst margin, true VOT, declared VOT) of the misreport search over
-    the full lattice x lattice cost matrix; the pair is the first in
-    row-major order whose margin is within ``tol`` of the worst."""
+    the full rows x lattice cost matrix; the pair is the first in
+    row-major order whose margin is within ``tol`` of the worst.
+
+    The rows are the lattice VOTs in their own ranks, each inner partition
+    point in ``[lo, hi)`` followed by itself in the rank above it, the last
+    rank whose interval's lower end is not above the point."""
     lo, hi = outcome.support
     lattice = np.unique(np.concatenate([np.linspace(lo, hi, grid), outcome.partition]))
     ranks = vot_ranks(outcome, lattice)
-    times = outcome.sorted_times[ranks]
-    pays = outcome.payments[ranks]
-    hours = lattice / MINUTES_PER_HOUR
+    inner = outcome.partition[1:-1].tolist()
+    true_vot, true_rank = [], []
+    for vot, rank in zip(lattice.tolist(), ranks.tolist()):
+        true_vot.append(vot)
+        true_rank.append(rank)
+        if vot in inner and lo <= vot < hi:
+            true_vot.append(vot)
+            true_rank.append(sum(point <= vot for point in inner))
+    times = outcome.sorted_times
+    pays = outcome.payments
+    hours = np.array(true_vot) / MINUTES_PER_HOUR
     # the time and payment differences apart, as the check takes them
-    margins = hours[:, None] * (times[None, :] - times[:, None]) + (
-        pays[None, :] - pays[:, None]
+    margins = hours[:, None] * (times[ranks][None, :] - times[true_rank][:, None]) + (
+        pays[ranks][None, :] - pays[true_rank][:, None]
     )
     worst = float(margins.min())
     i, j = divmod(int(np.flatnonzero(margins <= worst + tol)[0]), margins.shape[1])
-    return worst, float(lattice[i]), float(lattice[j])
+    return worst, true_vot[i], float(lattice[j])
 
 
 def loop_boundary_worst(outcome) -> float:
     """Largest absolute margin over the indifference pairs, one partition
-    point at a time: a subscriber exactly on an inner partition point rides
-    the first rank whose interval's upper end is not below it, and declares
-    into the next rank."""
+    point at a time: a subscriber at the open lower end of the rank above
+    an inner partition point in ``[lo, hi)`` declares into the first rank
+    whose interval's upper end is not below the point."""
     lo, hi = outcome.support
     uppers = outcome.partition[1:].tolist()
     boundary_worst = 0.0
     for point in uppers[:-1]:
-        if not lo < point < hi:
+        if not lo <= point < hi:
             continue
-        true_rank = next(i for i, upper in enumerate(uppers) if point <= upper)
-        nxt = true_rank + 1
+        declared = next(i for i, upper in enumerate(uppers) if point <= upper)
+        above = sum(upper <= point for upper in uppers[:-1])
         lie = point / MINUTES_PER_HOUR * (
-            outcome.sorted_times[nxt] - outcome.sorted_times[true_rank]
-        ) + (outcome.payments[nxt] - outcome.payments[true_rank])
+            outcome.sorted_times[declared] - outcome.sorted_times[above]
+        ) + (outcome.payments[declared] - outcome.payments[above])
         boundary_worst = max(boundary_worst, abs(lie))
     return boundary_worst
 

@@ -157,7 +157,7 @@ class TestEdgeCases:
         # MAX_ITER iterations, and the cap grows with the path count
         n, demand = 405, 1000.0
         free = 10.0 + 0.01 * np.arange(n)
-        net = parallel_network([LinkCostFn.linear(a, 1.0) for a in free])
+        net = parallel_network([LinkCostFn("linear", (a, 1.0)) for a in free])
         net = dataclasses.replace(net, demand=demand, subscriber_demand=demand / 2)
         paths = enumerate_paths(net)
         sol = solve_so(net, paths)
@@ -234,15 +234,17 @@ def newton_step(net, regime, q, delta, step_max, affine=None):
 # two have an unbounded (1.5) or zero (4) second derivative at zero flow
 search_cost = st.one_of(
     st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 1.0)).map(
-        lambda p: LinkCostFn.linear(*p)
+        lambda p: LinkCostFn("linear", p)
     ),
-    st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5).map(LinkCostFn.polynomial),
+    st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5).map(
+        lambda p: LinkCostFn("polynomial", p)
+    ),
     st.tuples(
         st.floats(0.1, 50.0),
         st.floats(10.0, 500.0),
         st.floats(0.0, 2.0),
         st.sampled_from([1.0, 1.5, 4.0]),
-    ).map(lambda p: LinkCostFn.bpr(*p)),
+    ).map(lambda p: LinkCostFn("bpr", p)),
 )
 search_flow = st.one_of(st.just(0.0), st.floats(0.0, 200.0))
 
@@ -330,7 +332,7 @@ def bpr_chain(widths=(3, 3, 3)):
     links = []
     for s, width in enumerate(widths):
         for k in range(width):
-            fn = LinkCostFn.bpr(8.0 + 4.0 * k, 200.0 + 100.0 * k, 0.15, 4.0)
+            fn = LinkCostFn("bpr", (8.0 + 4.0 * k, 200.0 + 100.0 * k, 0.15, 4.0))
             links.append(Link(len(links) + 1, nodes[s], nodes[s + 1], fn))
     return Network(nodes, tuple(links), nodes[0], nodes[-1], 1000.0, 800.0)
 
@@ -414,16 +416,17 @@ class TestInvariants:
     def test_random_networks_match_oracle_solver(self):
         rng = np.random.default_rng(43)
         kinds = (
-            lambda: LinkCostFn.linear(rng.uniform(1.0, 30.0), rng.uniform(0.005, 0.1)),
-            lambda: LinkCostFn.polynomial(
+            lambda: LinkCostFn("linear", (rng.uniform(1.0, 30.0), rng.uniform(0.005, 0.1))),
+            lambda: LinkCostFn(
+                "polynomial",
                 [rng.uniform(1.0, 30.0), 0.0, rng.uniform(1e-5, 1e-4), 1e-7]
             ),
-            lambda: LinkCostFn.bpr(
+            lambda: LinkCostFn("bpr", (
                 rng.uniform(1.0, 30.0),
                 rng.uniform(100.0, 1000.0),
                 0.15,
                 float(rng.choice([1.0, 1.5, 4.0])),
-            ),
+            )),
         )
         for _ in range(20):
             net = random_network(rng)
@@ -480,7 +483,8 @@ class TestInvariants:
         net = random_chain(np.random.default_rng(0), (3, 2), "bpr")
         links = tuple(
             dataclasses.replace(
-                ln, cost_fn=LinkCostFn.bpr(t0 * (1 + 0.1 * i), cap * (1 + 0.2 * i), 0.15, power)
+                ln,
+                cost_fn=LinkCostFn("bpr", (t0 * (1 + 0.1 * i), cap * (1 + 0.2 * i), 0.15, power)),
             )
             for i, ln in enumerate(net.links)
         )

@@ -240,14 +240,14 @@ def link_values(fn, flow):
 
 class TestCostFns:
     def test_table_value(self):
-        time, _, _, _ = link_values(LinkCostFn.linear(10.0, 0.05), 250.0)
+        time, _, _, _ = link_values(LinkCostFn("linear", (10.0, 0.05)), 250.0)
         assert time == pytest.approx(22.5, abs=1e-12)
 
     def test_zero_flow_marginal_equals_cost(self):
         fns = [
-            LinkCostFn.linear(7.0, 0.3),
-            LinkCostFn.polynomial([2.0, 0.1, 0.01]),
-            LinkCostFn.bpr(5.0, 100.0, 0.15, 4.0),
+            LinkCostFn("linear", (7.0, 0.3)),
+            LinkCostFn("polynomial", [2.0, 0.1, 0.01]),
+            LinkCostFn("bpr", (5.0, 100.0, 0.15, 4.0)),
         ]
         for fn in fns:
             time, marginal, _, _ = link_values(fn, 0.0)
@@ -255,25 +255,25 @@ class TestCostFns:
             assert marginal == pytest.approx(time)
 
     def test_hand_marginal(self):
-        time, marginal, _, _ = link_values(LinkCostFn.linear(5.0, 0.02), 750.0)
+        time, marginal, _, _ = link_values(LinkCostFn("linear", (5.0, 0.02)), 750.0)
         assert time == pytest.approx(20.0)
         assert marginal == pytest.approx(35.0)
 
     def test_negative_flow_rejected(self):
-        net = parallel_network([LinkCostFn.linear(1.0, 1.0)])
+        net = parallel_network([LinkCostFn("linear", (1.0, 1.0))])
         with pytest.raises(NetworkError):
             net.link_times([-0.5])
 
     def test_bad_params(self):
         with pytest.raises(NetworkError):
-            LinkCostFn.linear(-1.0, 0.0)
+            LinkCostFn("linear", (-1.0, 0.0))
         with pytest.raises(NetworkError):
-            LinkCostFn.bpr(1.0, 10.0, 0.15, 0.5)
+            LinkCostFn("bpr", (1.0, 10.0, 0.15, 0.5))
         with pytest.raises(NetworkError):
-            LinkCostFn.polynomial([1.0, -2.0])
+            LinkCostFn("polynomial", [1.0, -2.0])
 
     def test_bpr_shape(self):
-        net = parallel_network([LinkCostFn.bpr(10.0, 500.0, 0.15, 4.0)])
+        net = parallel_network([LinkCostFn("bpr", (10.0, 500.0, 0.15, 4.0))])
         assert net.link_times([500.0])[0] == pytest.approx(11.5)
         assert net.link_times([0.0])[0] == pytest.approx(10.0)
 
@@ -281,16 +281,16 @@ class TestCostFns:
 def cost_fn_strategy():
     linear = st.tuples(
         st.floats(0.0, 100.0), st.floats(0.0, 10.0)
-    ).map(lambda p: LinkCostFn.linear(*p))
+    ).map(lambda p: LinkCostFn("linear", p))
     poly = st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4).map(
-        LinkCostFn.polynomial
+        lambda p: LinkCostFn("polynomial", p)
     )
     bpr = st.tuples(
         st.floats(0.1, 50.0),
         st.floats(10.0, 1000.0),
         st.floats(0.0, 2.0),
         st.floats(1.0, 6.0),
-    ).map(lambda p: LinkCostFn.bpr(*p))
+    ).map(lambda p: LinkCostFn("bpr", p))
     return st.one_of(linear, poly, bpr)
 
 
@@ -301,7 +301,7 @@ def test_cost_monotone(fn, q1, q2):
 
 
 @given(fn=cost_fn_strategy(), q=st.floats(0.01, 1000.0))
-@example(fn=LinkCostFn.bpr(33, 10, 2, 1.5), q=0.01)
+@example(fn=LinkCostFn("bpr", (33, 10, 2, 1.5)), q=0.01)
 def test_derivative_matches_finite_difference(fn, q):
     # near zero flow the third derivative of a power-p cost grows like
     # q**(p-3); a step relative to q keeps the central difference's
@@ -340,7 +340,7 @@ mixed_link = st.tuples(
     st.one_of(
         cost_fn_strategy(),
         st.lists(st.floats(0.0, 5.0), min_size=1, max_size=5).map(
-            LinkCostFn.polynomial
+            lambda p: LinkCostFn("polynomial", p)
         ),
     ),
     st.one_of(st.just(0.0), st.floats(0.0, 1000.0)),
@@ -404,9 +404,9 @@ def test_unused_powers_do_not_overflow():
     # q**5 and (q/1)**2 overflow at these flows, but only a link whose own
     # cost has that power may see them
     fns = [
-        LinkCostFn.linear(1.0, 2.0),
-        LinkCostFn.polynomial([1.0, 0.0, 0.0, 0.0, 1e-300]),
-        LinkCostFn.bpr(2.0, 10.0, 0.15, 4.0),
+        LinkCostFn("linear", (1.0, 2.0)),
+        LinkCostFn("polynomial", [1.0, 0.0, 0.0, 0.0, 1e-300]),
+        LinkCostFn("bpr", (2.0, 10.0, 0.15, 4.0)),
     ]
     q = np.array([1e100, 1e60, 1e50])
     net = parallel_network(fns)
@@ -432,16 +432,16 @@ def test_unused_powers_do_not_overflow():
 
 
 def test_linear_costs():
-    assert parallel_network([LinkCostFn.linear(1.0, 0.5)]).linear_costs
-    assert parallel_network([LinkCostFn.polynomial([2.0])]).linear_costs
-    curved = (LinkCostFn.polynomial([1.0, 0.0, 1e-3]), LinkCostFn.bpr(1.0, 9.0, 0.0, 1.0))
+    assert parallel_network([LinkCostFn("linear", (1.0, 0.5))]).linear_costs
+    assert parallel_network([LinkCostFn("polynomial", [2.0])]).linear_costs
+    curved = (LinkCostFn("polynomial", [1.0, 0.0, 1e-3]), LinkCostFn("bpr", (1.0, 9.0, 0.0, 1.0)))
     for fn in curved:
-        assert not parallel_network([LinkCostFn.linear(1.0, 0.5), fn]).linear_costs
+        assert not parallel_network([LinkCostFn("linear", (1.0, 0.5)), fn]).linear_costs
 
 
 def test_network_rejects_negative_flow():
     net = parallel_network(
-        [LinkCostFn.linear(1.0, 0.5), LinkCostFn.bpr(2.0, 10.0, 0.15, 4.0)]
+        [LinkCostFn("linear", (1.0, 0.5)), LinkCostFn("bpr", (2.0, 10.0, 0.15, 4.0))]
     )
     with pytest.raises(NetworkError, match="non-negative"):
         net.link_times([3.0, -1e-9])

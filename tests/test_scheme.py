@@ -138,7 +138,7 @@ class TestSubscriberLp:
         # first, the greedy start takes (1)+(5), (2)+(6) and (2)+(4)+(5)
         # and leaves a circulation on links 3 and 4 that its paths cannot
         # carry, so the master is re-solved over every path
-        f = LinkCostFn.linear(1.0, 0.01)
+        f = LinkCostFn("linear", (1.0, 0.01))
         net = Network(
             ("O", "A", "B", "D"),
             tuple(
@@ -190,9 +190,9 @@ def chain_network(widths, rng) -> Network:
     links = []
     for seg, width in enumerate(widths):
         for _ in range(width):
-            cost = LinkCostFn.linear(
+            cost = LinkCostFn("linear", (
                 float(rng.uniform(2.0, 20.0)), float(rng.uniform(0.005, 0.05))
-            )
+            ))
             links.append(Link(len(links) + 1, nodes[seg], nodes[seg + 1], cost))
     return Network(
         nodes=tuple(nodes), links=tuple(links), origin=nodes[0],
@@ -386,7 +386,7 @@ class TestPathTotalRouting:
             so = solve_so(net, paths)
             target = so.link_flows * (net.subscriber_demand / net.demand)
             incidence = paths.incidence[:, np.lexsort((np.arange(len(paths)), so.path_times))]
-            flows = _greedy_decomposition(incidence, target)
+            flows = _greedy_decomposition(incidence, target, 0.0)
             taken = incidence[:, flows > 0]
             assert flows.min() >= 0.0
             assert incidence @ flows == pytest.approx(target, abs=1e-9 * target.max())

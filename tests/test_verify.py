@@ -44,6 +44,25 @@ class TestStrategyProof:
         # the profitable lie is declaring a lower VOT than the truth
         assert result.worst_declared_vot < result.worst_true_vot
 
+    @pytest.mark.parametrize(
+        "ranks, overcharge, liar", [(slice(1, None), 0.003, 17.3), (slice(2, 3), 0.005, 31.7)]
+    )
+    def test_overcharge_between_lattice_points_detected(self, demo_run, ranks, overcharge, liar):
+        # partition points off the lattice's 0.2 $/h step: a subscriber just
+        # above 17.3 or 31.7 $/h gains the overcharge by declaring into the
+        # rank below, less a time cost that vanishes at the point, and the
+        # nearest lattice VOT above it pays more time cost than that
+        o = demo_run.outcome
+        partition = np.array([5.0, 17.3, 31.7, 45.0])
+        payments = compute_payments(o.sorted_times, partition, o.rho)
+        fair = replace(o, partition=partition, payments=payments.copy())
+        assert check_strategy_proof(fair).passed
+        payments[ranks] += overcharge
+        result = check_strategy_proof(replace(fair, payments=payments))
+        assert not result.passed
+        assert result.worst_margin_usd == pytest.approx(-overcharge, abs=1e-12)
+        assert result.worst_true_vot == liar
+
     def test_common_payment_offset(self, demo_run):
         # margins depend on payment differences only: equal payments near
         # -1e183 must leave the lie into a faster path exactly as profitable
@@ -131,6 +150,13 @@ class TestStrategyProof:
         for _ in range(20):
             net, dist = random_network(rng), random_vot(rng)
             outcomes.append(run_scheme(net, dist, int(rng.integers(1, 40))).outcome)
+        # sample atoms at 5 and 20 $/h: an inner point on the support
+        # minimum, and one repeated, so that the rank above it is two up
+        times, rho = np.array([40.0, 35.0, 30.0, 25.0]), np.array([0.1, 0.3, 0.2, 0.4])
+        partition = np.array([5.0, 5.0, 20.0, 20.0, 45.0])
+        outcomes.append(SchemeOutcome(order=(0, 1, 2, 3), sorted_times=times, partition=partition,
+                                      rho=rho, payments=compute_payments(times, partition, rho),
+                                      support=(5.0, 45.0)))
         # noisy payments make lying pay, so the worst pair is strict somewhere
         outcomes += [
             replace(o, payments=o.payments + rng.normal(0.0, 0.5, o.payments.size))

@@ -237,7 +237,22 @@ class TestDiscretize:
         with pytest.raises(VotError, match="M must be"):
             discretize(dist, 10.0, MAX_CLASS_COUNT + 1)
 
-    @given(dist=dist_strategy(), M=st.integers(1, 40))
+    @given(
+        dist=st.one_of(
+            dist_strategy(),
+            # samples on a 1/100 grid of the support: ties and both ends
+            st.tuples(
+                st.floats(0.0, 20.0),
+                st.floats(5.0, 40.0),
+                st.lists(st.integers(0, 100), min_size=1, max_size=40),
+            ).map(
+                lambda p: VotDistribution.empirical(
+                    p[0] + np.array(p[2]) / 100 * p[1], support=(p[0], p[0] + p[1])
+                )
+            ),
+        ),
+        M=st.integers(1, 40),
+    )
     def test_mass_weighted_means_reconstruct_mean(self, dist, M):
         table = discretize(dist, 1000.0, M)
         mean = dist.mean()
