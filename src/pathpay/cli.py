@@ -31,7 +31,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .equilibrium import DEFAULT_TOL, check_tol, solve_so, solve_ue
+from .equilibrium import DEFAULT_TOL, average_time, check_tol, solve_so, solve_ue
 from .network import enumerate_paths, parse_network
 from .scheme import (
     SchemeError,
@@ -136,7 +136,7 @@ def _solution_dict(sol, net) -> dict:
         "iterations": sol.iterations,
     }
     if net.demand > 0:
-        data["average_min"] = sol.total_time / net.demand
+        data["average_min"] = average_time(sol)
     if sol.ue_time is not None:
         data["equilibrium_time_min"] = sol.ue_time
     return data

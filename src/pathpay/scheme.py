@@ -82,7 +82,11 @@ class SchemeOutcome:
     partition: np.ndarray
     rho: np.ndarray
     payments: np.ndarray
-    support: tuple[float, float]
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """(lo, hi) in $/hour: the partition's ends, the VOT support."""
+        return float(self.partition[0]), float(self.partition[-1])
 
 
 class Guidance(NamedTuple):
@@ -370,7 +374,6 @@ def build_outcome(
         partition=partition,
         rho=rho,
         payments=payments,
-        support=dist.support,
     )
 
 

@@ -1,18 +1,20 @@
 """Value-of-time (VOT) distributions over a bounded support.
 
-A distribution answers three questions for the payment scheme: the cdf mass
-below a VOT, the quantile (inverse cdf) of a mass, and the split of the
+A distribution answers two questions for the payment scheme: the quantile
+(inverse cdf) of a mass, which cuts the partition, and the split of the
 subscriber population into equal-width VOT classes with per-class demand and
-mean VOT.
+mean VOT, which the subscriber LP prices.
 
 Every kind shares one representation: a piecewise-linear pdf given by knot
 positions, the density at the knots, the cdf at the knots and one density
-slope per segment. ``uniform``, ``triangular`` and ``piecewise_linear``
-densities are continuous. An ``empirical`` sample becomes the density whose
-cdf runs linearly between the distinct sample values: its segments are flat
-(slope 0) and each knot holds the density of the segment to its right. The
-queries are array formulas over this representation; only the mean and the
-class table of an empirical distribution come from the sample itself.
+slope per segment; the support is the first and last knot. ``uniform``,
+``triangular`` and ``piecewise_linear`` densities are continuous. An
+``empirical`` sample becomes the density whose cdf runs linearly between the
+distinct sample values: its segments are flat (slope 0) and each knot holds
+the density of the segment to its right. The queries are array formulas over
+this representation; only the mean and the class table of an empirical
+distribution weight each knot by its share of the samples, the cdf step
+``np.diff(cum, prepend=0)``, in place of the density.
 """
 
 from __future__ import annotations
@@ -52,12 +54,15 @@ class VotDistribution:
     """
 
     kind: str
-    support: tuple[float, float]
     knots: np.ndarray = field(repr=False)       # pdf knot positions
     density: np.ndarray = field(repr=False)     # pdf values at knots
     cum: np.ndarray = field(repr=False)         # cdf values at knots
     slope: np.ndarray = field(repr=False)       # pdf slope on each segment
-    samples: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """(lo, hi) in $/hour: the first and last knot."""
+        return float(self.knots[0]), float(self.knots[-1])
 
     # -- constructors ------------------------------------------------------
 
@@ -106,9 +111,9 @@ class VotDistribution:
         cum[-1] = 1.0
         with np.errstate(over="ignore"):  # _build rejects an overflow
             seg = np.diff(cum) / np.diff(knots)
-        # the last knot repeats the last segment's density, so pdf() still
-        # integrates to one
-        return cls._build("empirical", knots, np.r_[seg, seg[-1]], cum, np.zeros_like(seg), s)
+        # one density per knot, as for the other kinds: the last knot
+        # repeats the last segment's
+        return cls._build("empirical", knots, np.r_[seg, seg[-1]], cum, np.zeros_like(seg))
 
     @classmethod
     def _from_pdf_knots(cls, kind, knots, density) -> VotDistribution:
@@ -136,43 +141,30 @@ class VotDistribution:
         return cls._build(kind, x, p, cum, slope)
 
     @classmethod
-    def _build(cls, kind, knots, density, cum, slope, samples=None) -> VotDistribution:
+    def _build(cls, kind, knots, density, cum, slope) -> VotDistribution:
         if not (np.all(np.isfinite(density)) and np.all(np.isfinite(slope))):
             raise VotError("density overflows: knots or samples are too close together")
-        return cls(
-            kind=kind,
-            support=(float(knots[0]), float(knots[-1])),
-            knots=knots,
-            density=density,
-            cum=cum,
-            slope=slope,
-            samples=samples,
-        )
+        return cls(kind=kind, knots=knots, density=density, cum=cum, slope=slope)
 
     # -- queries -----------------------------------------------------------
 
-    def _locate(self, x):
-        """Segment of each x and its offset into it, clipped to the segment."""
+    def cdf(self, b):
+        """P(VOT <= b) inside the support; 0 at and below its minimum, 1 at
+        and above its maximum.
+
+        An atom on the minimum counts only above it: for samples
+        ``[0, 0, 1]``, ``cdf(0)`` is 0 and ``cdf(1e-9)`` just over 2/3. So
+        ``cdf(p1) - cdf(lo)`` is the whole mass of the first interval
+        ``[lo, p1]``, atom included.
+        """
+        x = np.asarray(b, dtype=float)
         k = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, self.knots.size - 2)
         x0 = self.knots[k]
-        return k, np.clip(x - x0, 0.0, self.knots[k + 1] - x0)
-
-    def pdf(self, b):
-        """Density at b ($/hour), zero outside the support."""
-        x = np.asarray(b, dtype=float)
-        k, dx = self._locate(x)
-        val = self.density[k] + self.slope[k] * dx
-        val = np.where((x < self.support[0]) | (x > self.support[1]), 0.0, val)
-        return val if val.ndim else float(val)
-
-    def cdf(self, b):
-        """P(VOT <= b); 0 below the support and 1 above it."""
-        x = np.asarray(b, dtype=float)
-        k, dx = self._locate(x)
+        dx = np.clip(x - x0, 0.0, self.knots[k + 1] - x0)
         val = self.cum[k] + self.density[k] * dx + 0.5 * self.slope[k] * dx * dx
         val = np.clip(val, 0.0, 1.0)
-        val = np.where(x <= self.support[0], 0.0, val)
-        val = np.where(x >= self.support[1], 1.0, val)
+        val = np.where(x <= self.knots[0], 0.0, val)
+        val = np.where(x >= self.knots[-1], 1.0, val)
         return val if val.ndim else float(val)
 
     def inverse_cdf(self, u):
@@ -196,12 +188,12 @@ class VotDistribution:
             root = np.sqrt(np.maximum(p0 * p0 + 2.0 * self.slope[k] * delta, 0.0))
             dx = 2.0 * delta / (p0 + root)
         val = x0 + np.clip(dx, 0.0, self.knots[k + 1] - x0)
-        val = np.where(u == 0.0, self.support[0], np.where(u == 1.0, self.support[1], val))
+        val = np.where(u == 0.0, self.knots[0], np.where(u == 1.0, self.knots[-1], val))
         return val if val.ndim else float(val)
 
     def mean(self) -> float:
         if self.kind == "empirical":
-            return float(self.samples.mean())
+            return float(np.diff(self.cum, prepend=0.0) @ self.knots)
         mass, moment = self._mass_and_moment(*self.support)
         return float(moment / mass)
 
@@ -254,9 +246,10 @@ def discretize(dist: VotDistribution, subscriber_demand: float, M: int) -> VotCl
     boundaries[-1] = hi
 
     if dist.kind == "empirical":
-        bins = np.minimum(((dist.samples - lo) / ((hi - lo) / M)).astype(int), M - 1)
-        mass = np.bincount(bins, minlength=M) / dist.samples.size
-        moment = np.bincount(bins, weights=dist.samples, minlength=M) / dist.samples.size
+        shares = np.diff(dist.cum, prepend=0.0)
+        bins = np.minimum(((dist.knots - lo) / ((hi - lo) / M)).astype(int), M - 1)
+        mass = np.bincount(bins, weights=shares, minlength=M)
+        moment = np.bincount(bins, weights=shares * dist.knots, minlength=M)
     else:
         mass, moment = dist._mass_and_moment(boundaries[:-1], boundaries[1:])
     means = np.divide(

@@ -357,20 +357,22 @@ def loop_mass_and_moment(dist, a: float, b: float) -> tuple[float, float]:
     return mass, moment
 
 
-def loop_discretize(dist, subscriber_demand: float, M: int):
+def loop_discretize(dist, subscriber_demand: float, M: int, samples=None):
     """(class demands, class means) of M equal-width classes, one class at a
-    time: sample counts and sample means for an empirical distribution,
-    ``loop_mass_and_moment`` otherwise, the midpoint for an empty class."""
+    time: counts and means of ``samples``, the values an empirical
+    distribution was built from, ``loop_mass_and_moment`` for the other
+    kinds, the midpoint for an empty class."""
     lo, hi = dist.support
     boundaries = lo + (hi - lo) * np.arange(M + 1) / M
     boundaries[-1] = hi
     masses = np.empty(M)
     means = np.empty(M)
     if dist.kind == "empirical":
-        bins = np.minimum(((dist.samples - lo) / ((hi - lo) / M)).astype(int), M - 1)
+        samples = np.asarray(samples, dtype=float)
+        bins = np.minimum(((samples - lo) / ((hi - lo) / M)).astype(int), M - 1)
         for m in range(M):
-            members = dist.samples[bins == m]
-            masses[m] = members.size / dist.samples.size
+            members = samples[bins == m]
+            masses[m] = members.size / samples.size
             midpoint = 0.5 * (boundaries[m] + boundaries[m + 1])
             means[m] = members.mean() if members.size else midpoint
     else:

@@ -108,11 +108,14 @@ class TestEdgeCases:
                 average_time(sol)
 
     def test_symmetric_split(self):
+        # at tol 0.6 neither path carries more than tol * demand, so the
+        # certificate's spread is 0
         net = two_link_net([5.0, 5.0], [0.1, 0.1], demand=100.0)
         paths = enumerate_paths(net)
         for solver in (solve_so, solve_ue):
-            sol = solver(net, paths)
-            assert sol.link_flows == pytest.approx([50.0, 50.0], abs=1e-6)
+            for tol in (1e-8, 0.6):
+                sol = solver(net, paths, tol=tol)
+                assert sol.link_flows == pytest.approx([50.0, 50.0], abs=1e-6)
 
     def test_single_path_ue_equals_so(self):
         net = parse_network(
@@ -268,6 +271,15 @@ class TestLineSearch:
                 slope = float(self.delta @ gradient)
                 scale = float(np.abs(self.delta) @ gradient)
                 assert abs(slope) <= 8 * np.finfo(float).eps * scale
+        # two equal links 2**-46 off their even split: the first Newton step
+        # is below the search's resolution (2**-50 of step_max), so it is
+        # taken without a cost pass
+        even = two_link_net([5.0, 5.0], [0.1, 0.1], demand=100.0)
+        near = np.array([50.0 + 2.0**-46, 50.0 - 2.0**-46])
+        for regime in ("UE", "SO"):
+            step, passes = newton_step(even, regime, near, self.delta, 1.0, affine=False)
+            assert 0.0 < step <= 2.0**-50
+            assert passes == 0
 
     def test_returns_step_max_when_still_descending(self):
         for affine, trials in ((True, 0), (False, 1)):

@@ -271,6 +271,11 @@ class TestCostFns:
             LinkCostFn("bpr", (1.0, 10.0, 0.15, 0.5))
         with pytest.raises(NetworkError):
             LinkCostFn("polynomial", [1.0, -2.0])
+        # non-finite parameters given to the constructor, which the parser
+        # rejects before it
+        for params in ((np.nan, 1.0), (1.0, np.inf)):
+            with pytest.raises(NetworkError, match="parameters must be finite"):
+                LinkCostFn("linear", params)
 
     def test_bpr_shape(self):
         net = parallel_network([LinkCostFn("bpr", (10.0, 500.0, 0.15, 4.0))])

@@ -94,7 +94,7 @@ class TestSubscriberLp:
             [0.0] * 4, abs=1e-9
         )
 
-    def test_zero_subscribers_rejected(self, demo_vot):
+    def test_zero_subscribers_rejected(self, demo_vot, demo_run):
         dist, _ = demo_vot
         net = parse_network(
             json.dumps(
@@ -109,6 +109,10 @@ class TestSubscriberLp:
         )
         with pytest.raises(SchemeError):
             run_scheme(net, dist, 10)
+        # an assignment no path is ridden on has no outcome
+        idle = replace(demo_run.assignment, subscriber_path_flows=np.zeros(4))
+        with pytest.raises(SchemeError, match="positive subscriber demand"):
+            build_outcome(idle, dist, demo_run.so.path_times)
 
     def test_inconsistent_inputs_rejected(self, demo_run, demo_network, demo_vot):
         so = demo_run.so
@@ -473,11 +477,20 @@ class TestBuildOutcome:
         )
 
     def test_partition_monotone_spans_support(self, demo_run, demo_vot):
-        dist, _ = demo_vot
-        o = demo_run.outcome
-        assert o.partition[0] == dist.support[0]
-        assert o.partition[-1] == dist.support[1]
-        assert np.all(np.diff(o.partition) >= 0)
+        # the outcome's support is its partition's ends, so they must be the
+        # distribution's exactly: also with two of three samples on the
+        # minimum, and with no mass in the top class
+        dists = [
+            demo_vot[0],
+            VotDistribution.empirical([5.0, 5.0, 45.0], support=(5.0, 45.0)),
+            VotDistribution.piecewise_linear([5.0, 30.0, 45.0], [1.0, 0.0, 0.0]),
+        ]
+        for dist in dists:
+            o = build_outcome(demo_run.assignment, dist, demo_run.so.path_times)
+            assert o.partition[0] == dist.support[0]
+            assert o.partition[-1] == dist.support[1]
+            assert o.support == dist.support
+            assert np.all(np.diff(o.partition) >= 0)
 
 
 class TestPayments:
@@ -626,7 +639,6 @@ class TestAssignOutsider:
             partition=np.array([0.0, 1.0, 1.0, 1.0]),
             rho=np.array([1.0, 0.0, 0.0]),
             payments=np.zeros(3),
-            support=(0.0, 1.0),
         )
         assert all(assign_outsider(outcome, seed) == 2 for seed in range(5))
 

@@ -130,11 +130,12 @@ class TestStrategyProof:
             partition=np.array([2.0, 8.0]),
             rho=np.array([1.0]),
             payments=np.array([0.0]),
-            support=(2.0, 8.0),
         )
         result = check_strategy_proof(outcome, grid=51)
         assert result.passed
         assert result.worst_margin_usd == 0.0
+        with pytest.raises(ValueError, match="grid must be >= 2"):
+            check_strategy_proof(outcome, grid=1)
 
     def test_random_instances(self):
         rng = np.random.default_rng(5)
@@ -155,8 +156,7 @@ class TestStrategyProof:
         times, rho = np.array([40.0, 35.0, 30.0, 25.0]), np.array([0.1, 0.3, 0.2, 0.4])
         partition = np.array([5.0, 5.0, 20.0, 20.0, 45.0])
         outcomes.append(SchemeOutcome(order=(0, 1, 2, 3), sorted_times=times, partition=partition,
-                                      rho=rho, payments=compute_payments(times, partition, rho),
-                                      support=(5.0, 45.0)))
+                                      rho=rho, payments=compute_payments(times, partition, rho)))
         # noisy payments make lying pay, so the worst pair is strict somewhere
         outcomes += [
             replace(o, payments=o.payments + rng.normal(0.0, 0.5, o.payments.size))
@@ -191,7 +191,6 @@ class TestRevenueNeutral:
             partition=np.array([0.0, 0.5, 1.0]),
             rho=np.array([0.5, 0.5]),
             payments=np.zeros(2),
-            support=(0.0, 1.0),
         )
         assert check_revenue_neutral(outcome).residual_usd == 0.0
 
@@ -205,7 +204,6 @@ class TestRevenueNeutral:
             partition=np.array([0.0, 0.0, 0.5, 1.0]),
             rho=np.array([0.0, 0.5, 0.5]),
             payments=np.array([-1e199, -1.0, 1.002]),
-            support=(0.0, 1.0),
         )
         result = check_revenue_neutral(outcome)
         assert result.residual_usd == pytest.approx(1e-3, rel=1e-9)
@@ -229,6 +227,8 @@ class TestPareto:
         assert result.passed
         assert result.worst_ue_vs_quit_usd > 0
         assert result.worst_quit_vs_join_usd > 0
+        with pytest.raises(ValueError, match="cost report grid is empty"):
+            check_pareto(replace(report, beta=report.beta[:0]))
 
     def test_single_path_all_equal(self, demo_vot):
         import json

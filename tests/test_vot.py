@@ -27,6 +27,14 @@ def dist_strategy():
     return st.one_of(uniform, tri, pl)
 
 
+def _grid_samples(args):
+    """An empirical distribution of samples on a 1/100 grid of its support,
+    and the samples."""
+    lo, width, ticks = args
+    samples = lo + np.array(ticks) / 100 * width
+    return VotDistribution.empirical(samples, support=(lo, lo + width)), samples
+
+
 def _build_pl(args):
     lo, dens, widths = args
     n = min(len(dens), len(widths) + 1)
@@ -36,9 +44,10 @@ def _build_pl(args):
 
 @st.composite
 def any_dist(draw):
-    """A distribution of any of the four kinds: triangular modes at the
-    support ends, piecewise-linear densities with zero knots, and empirical
-    samples with ties and samples on the support ends."""
+    """A distribution of any of the four kinds and the samples it was drawn
+    from (None for the continuous kinds): triangular modes at the support
+    ends, piecewise-linear densities with zero knots, and empirical samples
+    with ties and samples on the support ends."""
     lo = draw(st.one_of(st.just(0.0), st.floats(0.5, 20.0)))
     width = draw(st.floats(1.0, 60.0))
     hi = lo + width
@@ -47,9 +56,9 @@ def any_dist(draw):
                      st.floats(0.0, 1.0))
     try:
         if kind == "uniform":
-            return VotDistribution.uniform(lo, hi)
+            return VotDistribution.uniform(lo, hi), None
         if kind == "triangular":
-            return VotDistribution.triangular(lo, min(lo + draw(frac) * width, hi), hi)
+            return VotDistribution.triangular(lo, min(lo + draw(frac) * width, hi), hi), None
         if kind == "piecewise_linear":
             inner = draw(st.lists(st.integers(1, 99), max_size=5, unique=True))
             knots = lo + width * np.array([0.0, *sorted(inner), 100.0]) / 100.0
@@ -57,9 +66,10 @@ def any_dist(draw):
                                  min_size=knots.size, max_size=knots.size))
             if not any(dens):
                 dens[0] = 1.0
-            return VotDistribution.piecewise_linear(knots, dens)
+            return VotDistribution.piecewise_linear(knots, dens), None
         samples = lo + width * np.array(draw(st.lists(frac, min_size=1, max_size=40)))
-        return VotDistribution.empirical(np.minimum(samples, hi), support=(lo, hi))
+        samples = np.minimum(samples, hi)
+        return VotDistribution.empirical(samples, support=(lo, hi)), samples
     except VotError as exc:
         # a mode or samples a subnormal apart (test_density_overflow_rejected)
         if "too close together" not in str(exc):
@@ -95,8 +105,9 @@ class TestCdf:
         quantiles = dist.inverse_cdf(dist.cum)
         assert np.all((quantiles >= dist.knots[0]) & (quantiles <= dist.knots[-1]))
 
-    @given(dist=any_dist())
-    def test_knot_cdf_monotone_within_unit_interval(self, dist):
+    @given(drawn=any_dist())
+    def test_knot_cdf_monotone_within_unit_interval(self, drawn):
+        dist, _ = drawn
         assert dist.cum[0] >= 0.0 and dist.cum[-1] == 1.0
         assert np.all(np.diff(dist.cum) >= 0.0)
         assert dist.cum.max() <= 1.0
@@ -104,7 +115,7 @@ class TestCdf:
     def test_pdf_normalized(self, demo_vot):
         dist, _ = demo_vot
         grid = np.linspace(*dist.support, 200_001)
-        pdf = dist.pdf(grid)
+        pdf = np.interp(grid, dist.knots, dist.density)
         area = np.sum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))  # trapezoid rule
         assert area == pytest.approx(1.0, abs=1e-9)
 
@@ -166,17 +177,19 @@ class TestInverseCdf:
 class TestOracles:
     """The array queries against per-point and per-class loops."""
 
-    @given(dist=any_dist(), extra=st.lists(st.floats(0.0, 1.0), max_size=20))
-    def test_inverse_cdf_matches_scalar(self, dist, extra):
+    @given(drawn=any_dist(), extra=st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_inverse_cdf_matches_scalar(self, drawn, extra):
+        dist, _ = drawn
         u = np.array([0.0, 1.0, *dist.cum, *extra])
         expected = [scalar_inverse_cdf(dist, float(v)) for v in u]
         lo, hi = dist.support
         assert dist.inverse_cdf(u) == pytest.approx(expected, rel=0, abs=1e-9 * (hi - lo))
 
-    @given(dist=any_dist(), M=st.integers(1, 400))
-    def test_discretize_matches_loop(self, dist, M):
+    @given(drawn=any_dist(), M=st.integers(1, 400))
+    def test_discretize_matches_loop(self, drawn, M):
+        dist, samples = drawn
         table = discretize(dist, 800.0, M)
-        demand, mean = loop_discretize(dist, 800.0, M)
+        demand, mean = loop_discretize(dist, 800.0, M, samples)
         lo, hi = dist.support
         assert table.class_demand == pytest.approx(demand, rel=0, abs=1e-12 * 800.0)
         assert table.class_mean == pytest.approx(mean, rel=0, abs=1e-9 * (hi - lo))
@@ -207,7 +220,7 @@ class TestDiscretize:
         # brute numerical integration on a million-point grid
         n = 1_000_000
         grid = np.linspace(*dist.support, n + 1)
-        pdf = dist.pdf(grid)
+        pdf = np.interp(grid, dist.knots, dist.density)
         dx = grid[1] - grid[0]
         cum_mass = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2 * dx)])
         xpdf = grid * pdf
@@ -238,26 +251,25 @@ class TestDiscretize:
             discretize(dist, 10.0, MAX_CLASS_COUNT + 1)
 
     @given(
-        dist=st.one_of(
-            dist_strategy(),
+        drawn=st.one_of(
+            dist_strategy().map(lambda d: (d, None)),
             # samples on a 1/100 grid of the support: ties and both ends
             st.tuples(
                 st.floats(0.0, 20.0),
                 st.floats(5.0, 40.0),
                 st.lists(st.integers(0, 100), min_size=1, max_size=40),
-            ).map(
-                lambda p: VotDistribution.empirical(
-                    p[0] + np.array(p[2]) / 100 * p[1], support=(p[0], p[0] + p[1])
-                )
-            ),
+            ).map(_grid_samples),
         ),
         M=st.integers(1, 40),
     )
-    def test_mass_weighted_means_reconstruct_mean(self, dist, M):
+    def test_mass_weighted_means_reconstruct_mean(self, drawn, M):
+        # the empirical mean is the drawn samples', not the distribution's
+        dist, samples = drawn
         table = discretize(dist, 1000.0, M)
-        mean = dist.mean()
+        mean = dist.mean() if samples is None else float(np.mean(samples))
         recon = float(table.class_demand @ table.class_mean) / 1000.0
         assert recon == pytest.approx(mean, abs=1e-6 * max(mean, 1e-9))
+        assert dist.mean() == pytest.approx(mean, abs=1e-6 * max(mean, 1e-9))
 
     @given(dist=dist_strategy(), M=st.integers(1, 30))
     def test_refinement_stability(self, dist, M):
@@ -299,6 +311,9 @@ class TestEmpirical:
         # have no smallest quantile and map to the minimum, not below it
         d = VotDistribution.empirical([0.0, 0.0, 1.0], support=(0.0, 1.0))
         assert d.inverse_cdf([0.5, 2 / 3]).tolist() == [0.0, 0.0]
+        # the cdf counts the atom only above the minimum
+        assert d.cdf(0.0) == 0.0
+        assert d.cdf(1e-9) == pytest.approx(2 / 3, abs=1e-9)
         assert d.inverse_cdf(5 / 6) == pytest.approx(0.5, abs=1e-12)
         all_at_minimum = VotDistribution.empirical([0.0], support=(0.0, 1.0))
         assert all_at_minimum.inverse_cdf(0.5) == 0.0
@@ -364,6 +379,16 @@ class TestParse:
             VotDistribution.empirical([], support=(0.0, 1.0))
         with pytest.raises(VotError):
             VotDistribution.empirical([5.0], support=(0.0, 1.0))
+        # non-finite values given to the constructors, which the parser
+        # rejects before them
+        with pytest.raises(VotError, match="samples must be finite"):
+            VotDistribution.empirical([0.5, np.nan], support=(0.0, 1.0))
+        with pytest.raises(VotError, match="knots and densities must be finite"):
+            VotDistribution.piecewise_linear([0.0, np.inf], [1.0, 1.0])
+        with pytest.raises(VotError, match="knots and densities must be finite"):
+            VotDistribution.piecewise_linear([0.0, 1.0], [1.0, np.nan])
+        with pytest.raises(VotError, match="support bounds must be finite"):
+            VotDistribution.uniform(0.0, np.inf)
 
     @pytest.mark.parametrize(
         "knots, message",
