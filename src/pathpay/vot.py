@@ -12,9 +12,11 @@ slope per segment; the support is the first and last knot. ``uniform``,
 ``empirical`` sample becomes the density whose cdf runs linearly between the
 distinct sample values: its segments are flat (slope 0) and each knot holds
 the density of the segment to its right. The queries are array formulas over
-this representation; only the mean and the class table of an empirical
-distribution weight each knot by its share of the samples, the cdf step
-``np.diff(cum, prepend=0)``, in place of the density.
+this representation. A class table sums mass and moment terms into the
+class ``[b_m, b_{m+1})`` their start lies in, the last class also holding
+the support maximum: one term per distinct sample value of an empirical
+distribution, its share ``np.diff(cum, prepend=0)``, and one closed-form term
+per piece of a continuous density cut at the class boundaries and the knots.
 """
 
 from __future__ import annotations
@@ -191,37 +193,15 @@ class VotDistribution:
         val = np.where(u == 0.0, self.knots[0], np.where(u == 1.0, self.knots[-1], val))
         return val if val.ndim else float(val)
 
-    def mean(self) -> float:
-        if self.kind == "empirical":
-            return float(np.diff(self.cum, prepend=0.0) @ self.knots)
-        mass, moment = self._mass_and_moment(*self.support)
-        return float(moment / mass)
-
-    def _mass_and_moment(self, a, b):
-        """Closed-form (integral of pdf, integral of x*pdf) over [a, b], for
-        arrays of interval ends a <= b."""
-        mass = moment = 0.0
-        segments = zip(self.knots[:-1], self.knots[1:], self.density[:-1], self.slope)
-        for x0, x1, p0, slope in segments:
-            # an interval outside the segment clips to one of its ends and adds 0
-            ta = np.clip(a, x0, x1) - x0
-            tb = np.clip(b, x0, x1) - x0
-            mass = mass + (p0 * (tb - ta) + 0.5 * slope * (tb * tb - ta * ta))
-            moment = moment + (
-                x0 * p0 * (tb - ta)
-                + (p0 + x0 * slope) * (tb * tb - ta * ta) / 2.0
-                # float_power is the scalar libm pow, which ** on an array is not
-                + slope * (np.float_power(tb, 3) - np.float_power(ta, 3)) / 3.0
-            )
-        return mass, moment
-
 
 @dataclass(frozen=True, eq=False)
 class VotClassTable:
     """Equal-width discretization of a VOT distribution.
 
-    ``class_demand[m]`` is the subscriber flow whose VOT falls in class m and
-    ``class_mean[m]`` the average VOT of that class.
+    Class m covers ``[boundaries[m], boundaries[m + 1])``, and the last class
+    also holds the support maximum. ``class_demand[m]`` is the subscriber
+    flow whose VOT falls in class m and ``class_mean[m]`` the average VOT of
+    that class.
     """
 
     M: int
@@ -231,27 +211,38 @@ class VotClassTable:
 
 
 def discretize(dist: VotDistribution, subscriber_demand: float, M: int) -> VotClassTable:
-    """Split subscriber demand into M equal-width VOT classes.
-
-    Class demand comes from the cdf mass of each interval (sample counts for
-    empirical distributions); the class mean is the conditional mean of the
-    distribution on the interval (the sample mean for empirical ones),
-    falling back to the interval midpoint for classes of negligible mass.
+    """Split subscriber demand into M equal-width VOT classes in one pass
+    over every kind's mass and moment terms (see the module docstring),
+    summed per class in position order. A class mean is its moment over its
+    mass, or its midpoint for a class of negligible mass.
     """
     check_class_count(M)
-    if subscriber_demand < 0:
-        raise VotError("subscriber demand must be non-negative")
+    if not 0 <= subscriber_demand < np.inf:
+        raise VotError("subscriber demand must be finite and non-negative")
     lo, hi = dist.support
     boundaries = lo + (hi - lo) * np.arange(M + 1) / M
     boundaries[-1] = hi
 
     if dist.kind == "empirical":
-        shares = np.diff(dist.cum, prepend=0.0)
-        bins = np.minimum(((dist.knots - lo) / ((hi - lo) / M)).astype(int), M - 1)
-        mass = np.bincount(bins, weights=shares, minlength=M)
-        moment = np.bincount(bins, weights=shares * dist.knots, minlength=M)
+        start = dist.knots
+        mass = np.diff(dist.cum, prepend=0.0)
+        moment = mass * start
     else:
-        mass, moment = dist._mass_and_moment(boundaries[:-1], boundaries[1:])
+        cuts = np.union1d(boundaries, dist.knots)
+        start = cuts[:-1]
+        k = np.searchsorted(dist.knots, start, side="right") - 1
+        x0, p0, slope = dist.knots[k], dist.density[k], dist.slope[k]
+        ta, tb = start - x0, cuts[1:] - x0
+        mass = p0 * (tb - ta) + 0.5 * slope * (tb * tb - ta * ta)
+        moment = (
+            x0 * p0 * (tb - ta)
+            + (p0 + x0 * slope) * (tb * tb - ta * ta) / 2.0
+            # float_power is the scalar libm pow, which ** on an array is not
+            + slope * (np.float_power(tb, 3) - np.float_power(ta, 3)) / 3.0
+        )
+    cls = np.minimum(np.searchsorted(boundaries, start, side="right") - 1, M - 1)
+    mass = np.bincount(cls, weights=mass, minlength=M)
+    moment = np.bincount(cls, weights=moment, minlength=M)
     means = np.divide(
         moment, mass,
         out=0.5 * (boundaries[:-1] + boundaries[1:]),

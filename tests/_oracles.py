@@ -361,7 +361,9 @@ def loop_discretize(dist, subscriber_demand: float, M: int, samples=None):
     """(class demands, class means) of M equal-width classes, one class at a
     time: counts and means of ``samples``, the values an empirical
     distribution was built from, ``loop_mass_and_moment`` for the other
-    kinds, the midpoint for an empty class."""
+    kinds, the midpoint for an empty class. Class m holds the samples in
+    ``[boundaries[m], boundaries[m + 1])``, the last class also those on
+    the support maximum."""
     lo, hi = dist.support
     boundaries = lo + (hi - lo) * np.arange(M + 1) / M
     boundaries[-1] = hi
@@ -369,9 +371,9 @@ def loop_discretize(dist, subscriber_demand: float, M: int, samples=None):
     means = np.empty(M)
     if dist.kind == "empirical":
         samples = np.asarray(samples, dtype=float)
-        bins = np.minimum(((samples - lo) / ((hi - lo) / M)).astype(int), M - 1)
         for m in range(M):
-            members = samples[bins == m]
+            top = samples <= hi if m == M - 1 else samples < boundaries[m + 1]
+            members = samples[(samples >= boundaries[m]) & top]
             masses[m] = members.size / samples.size
             midpoint = 0.5 * (boundaries[m] + boundaries[m + 1])
             means[m] = members.mean() if members.size else midpoint

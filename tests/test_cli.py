@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import pathpay.equilibrium
 import pathpay.scheme
+import pathpay.simplex
 from _instances import network_document, parallel_network
 from conftest import FIXTURE_DIR
 from pathpay import LinkCostFn, assign_outsider, assign_subscriber, cli
@@ -422,6 +423,15 @@ class TestInputBoundary:
         assert "verification failed" in single_error_line(capsys)
         check = json.loads((out / "verification.json").read_text())
         assert not check["strategy_proof"]["passed"]
+
+    def test_simplex_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # with no pivot allowed, the subscriber LP raises SimplexError
+        monkeypatch.setattr(pathpay.simplex, "_MAX_PIVOTS", 0)
+        assert run(["scheme", "--network", NETWORK, "--vot", VOT,
+                    "--out", str(tmp_path / "o")]) == 1
+        assert single_error_line(capsys) == (
+            "error: pivot limit exceeded; LP appears numerically unstable"
+        )
 
     def test_failed_cost_ordering_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         # $1 more on every payment makes subscribing cost more than quitting

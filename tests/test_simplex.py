@@ -81,6 +81,20 @@ class TestBasics:
             StandardLp(c=[np.nan], A=[[1.0]], b=[1.0])
 
 
+class TestNumericalFailure:
+    def test_pivot_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
+        # x enters the slack's basis: one pivot
+        lp = StandardLp(c=[-1.0, 0.0], A=[[1.0, 1.0]], b=[5.0])
+        with pytest.raises(simplex.SimplexError, match="pivot limit"):
+            solve_lp(lp)
+
+    def test_pivot_below_tolerance_raises(self):
+        T = np.array([[0.5 * simplex.PIVOT_TOL, 1.0, 1.0]])
+        with pytest.raises(simplex.SimplexError, match="below tolerance"):
+            simplex._pivot(T, np.zeros(3), [1], 0, 0)
+
+
 def random_bounded_lp(rng, n, m):
     """A random LP and an interior point ``x0 > 0`` of it: feasible by
     construction, ``b = A @ x0``, and bounded by an appended mass row

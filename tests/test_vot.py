@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, strategies as st
 
-from _oracles import loop_discretize, scalar_inverse_cdf
+from _oracles import loop_discretize, loop_mass_and_moment, scalar_inverse_cdf
 from pathpay import VotDistribution, VotError, discretize, parse_vot
 from pathpay.vot import MAX_CLASS_COUNT
 
@@ -33,6 +33,12 @@ def _grid_samples(args):
     lo, width, ticks = args
     samples = lo + np.array(ticks) / 100 * width
     return VotDistribution.empirical(samples, support=(lo, lo + width)), samples
+
+
+def loop_mean(dist) -> float:
+    """The mean of a continuous distribution, one knot segment at a time."""
+    mass, moment = loop_mass_and_moment(dist, *dist.support)
+    return moment / mass
 
 
 def _build_pl(args):
@@ -194,6 +200,25 @@ class TestOracles:
         assert table.class_demand == pytest.approx(demand, rel=0, abs=1e-12 * 800.0)
         assert table.class_mean == pytest.approx(mean, rel=0, abs=1e-9 * (hi - lo))
 
+    @pytest.mark.parametrize("M", [1, 7, 400])
+    def test_many_knots_match_loop(self, M):
+        # 2 000 knots, so a class spans many segments: every boundary of 7
+        # classes and every fourth of 400 is a knot, and one run of 20 knots
+        # in every 200 has zero density
+        rng = np.random.default_rng(11)
+        lo, hi = 5.0, 45.0
+        on_boundaries = np.r_[lo + (hi - lo) * np.arange(8) / 7,
+                              lo + (hi - lo) * np.arange(0, 401, 4) / 400]
+        knots = np.union1d(on_boundaries, rng.uniform(lo, hi, 1_893))
+        assert knots.size == 2_000
+        density = rng.uniform(0.0, 3.0, knots.size)
+        density[(np.arange(knots.size) // 20) % 10 == 3] = 0.0
+        dist = VotDistribution.piecewise_linear(knots, density)
+        table = discretize(dist, 800.0, M)
+        demand, mean = loop_discretize(dist, 800.0, M)
+        assert table.class_demand == pytest.approx(demand, rel=0, abs=1e-12 * 800.0)
+        assert table.class_mean == pytest.approx(mean, rel=0, abs=1e-9 * (hi - lo))
+
 
 class TestDiscretize:
     def test_uniform_split(self):
@@ -206,7 +231,7 @@ class TestDiscretize:
         dist, _ = demo_vot
         table = discretize(dist, 800.0, 1)
         assert table.class_demand == pytest.approx([800.0])
-        assert table.class_mean[0] == pytest.approx(dist.mean(), rel=1e-12)
+        assert table.class_mean[0] == pytest.approx(loop_mean(dist), rel=1e-12)
 
     def test_fixture_against_trapezoid_oracle(self, demo_vot):
         dist, _ = demo_vot
@@ -247,6 +272,9 @@ class TestDiscretize:
             discretize(dist, 10.0, 0)
         with pytest.raises(VotError):
             discretize(dist, -1.0, 4)
+        for demand in (np.nan, np.inf):
+            with pytest.raises(VotError, match="finite"):
+                discretize(dist, demand, 4)
         with pytest.raises(VotError, match="M must be"):
             discretize(dist, 10.0, MAX_CLASS_COUNT + 1)
 
@@ -266,10 +294,11 @@ class TestDiscretize:
         # the empirical mean is the drawn samples', not the distribution's
         dist, samples = drawn
         table = discretize(dist, 1000.0, M)
-        mean = dist.mean() if samples is None else float(np.mean(samples))
+        mean = loop_mean(dist) if samples is None else float(np.mean(samples))
         recon = float(table.class_demand @ table.class_mean) / 1000.0
         assert recon == pytest.approx(mean, abs=1e-6 * max(mean, 1e-9))
-        assert dist.mean() == pytest.approx(mean, abs=1e-6 * max(mean, 1e-9))
+        single = discretize(dist, 1000.0, 1).class_mean[0]
+        assert single == pytest.approx(mean, abs=1e-6 * max(mean, 1e-9))
 
     @given(dist=dist_strategy(), M=st.integers(1, 30))
     def test_refinement_stability(self, dist, M):
@@ -280,7 +309,7 @@ class TestDiscretize:
         )
         w1 = float(t1.class_demand @ t1.class_mean)
         w2 = float(t2.class_demand @ t2.class_mean)
-        assert abs(w1 - w2) <= 1e-6 * 500.0 * max(dist.mean(), 1e-9)
+        assert abs(w1 - w2) <= 1e-6 * 500.0 * max(loop_mean(dist), 1e-9)
 
 
 class TestEmpirical:
@@ -291,6 +320,14 @@ class TestEmpirical:
         assert table.class_demand == pytest.approx([6.0, 4.0])
         assert table.class_mean[0] == pytest.approx(np.mean([1.0, 1.0, 3.0]))
         assert table.class_mean[1] == pytest.approx(np.mean([5.0, 9.0]))
+
+    def test_sample_on_boundary_starts_its_class(self):
+        # each sample sits on the lower boundary of its own class
+        d = VotDistribution.empirical([0.3, 0.4, 0.5], support=(0.0, 1.0))
+        table = discretize(d, 3.0, 10)
+        assert np.flatnonzero(table.class_demand).tolist() == [3, 4, 5]
+        assert table.class_demand[[3, 4, 5]] == pytest.approx([1.0, 1.0, 1.0])
+        assert table.class_mean[[3, 4, 5]].tolist() == [0.3, 0.4, 0.5]
 
     def test_cdf_monotone_continuous(self):
         d = VotDistribution.empirical([2.0, 2.0, 4.0, 8.0], support=(0.0, 10.0))
