@@ -9,9 +9,11 @@ Subcommands
 ``assign``        per-user guidance for a roster of subscribers/outsiders
 
 All output files are deterministic: rerunning a subcommand with identical
-inputs (and seed) reproduces them byte for byte. JSON and ``improvement.csv``
-floats are written in the shortest round-trip form; the text tables and
-``assignments.csv`` round to display precision (0.1 min, $0.01, 0.1 $/h).
+inputs (and seed) reproduces them byte for byte. A rerun replaces each file
+rather than writing into it, so a symlink in its place is replaced, not
+followed. JSON and ``improvement.csv`` floats are written in the shortest
+round-trip form; the text tables and ``assignments.csv`` round to display
+precision (0.1 min, $0.01, 0.1 $/h).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import operator
 import re
 import sys
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NoReturn
 
@@ -56,10 +59,15 @@ MAX_GRID = 100_000
 # -- output files ------------------------------------------------------------
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, text: str, lines=()) -> None:
+    """Write ``text``, then the strings ``lines``, to a new file at ``path``
+    in place of whatever was there: unlinking it first, not truncating it,
+    spares a rerun the flush ext4 gives a truncated file when it is closed."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    path.unlink(missing_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
+        handle.writelines(lines)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -93,7 +101,7 @@ def _load_inputs(args):
 
 
 def _row(label: str, cells, width: int = 12) -> str:
-    return label.ljust(16) + "".join(str(c).rjust(width) for c in cells)
+    return label.ljust(16) + (f"{{:>{width}}}" * len(cells)).format(*cells)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -153,49 +161,39 @@ def _run_with_baseline(args, report_grid: int):
     return net, result, ue, cost_report(result.outcome, ue, report_grid)
 
 
+# one entry of scheme.json's "paths" list as json.dumps(indent=2,
+# sort_keys=True) lays it out; field {i} takes the JSON of _PATH_FIELDS[i]
+_PATH_FIELDS = ("label", "path", "time_min", "subscribers", "outsiders", "share",
+                "vot_low", "vot_high", "payment_usd")
+_PATH_RECORD = "    {{\n%s\n    }}" % ",\n".join(
+    f'      "{key}": {{{_PATH_FIELDS.index(key)}}}' for key in sorted(_PATH_FIELDS))
+
+
 def cmd_scheme(args) -> int:
     net, result, ue, report = _run_with_baseline(args, DEFAULT_REPORT_GRID)
-    outcome = result.outcome
-    paths = result.paths
+    outcome, paths = result.outcome, result.paths
     verification = run_verification(outcome, report)
 
-    # per-path rows in enumeration order; a path not in the outcome is unused
+    # per-path columns in enumeration order; a path not in the outcome is
+    # unused: share 0, and None for its VOT range and payment ("-" and null)
+    table = np.full((7, len(paths)), None, dtype=object)
+    table[:3] = (result.so.path_times, result.assignment.subscriber_path_flows,
+                 result.assignment.outsider_path_flows)
+    table[3] = 0.0
+    table[3:, outcome.order] = (outcome.rho, outcome.partition[:-1],
+                                outcome.partition[1:], outcome.payments)
+    times, subscribers, outsiders, share, low, high, payment = columns = table.tolist()
+
     labels = paths.labels()
-    rank_of = {path: rank for rank, path in enumerate(outcome.order)}
-    entries = []
-    for r in range(len(paths)):
-        rank = rank_of.get(r)
-        entries.append(
-            {
-                "path": list(paths.paths[r]),
-                "label": labels[r],
-                "time_min": float(result.so.path_times[r]),
-                "subscribers": float(result.assignment.subscriber_path_flows[r]),
-                "outsiders": float(result.assignment.outsider_path_flows[r]),
-                "share": 0.0 if rank is None else float(outcome.rho[rank]),
-                "vot_low": None if rank is None else float(outcome.partition[rank]),
-                "vot_high": None if rank is None else float(outcome.partition[rank + 1]),
-                "payment_usd": None if rank is None else float(outcome.payments[rank]),
-            }
-        )
-
     width = max(12, max(len(s) for s in labels) + 2)
-
-    def vot_cell(e):
-        if e["vot_low"] is None:
-            return "-"
-        return f"({e['vot_low']:.1f},{e['vot_high']:.1f}]"
-
-    def pay_cell(e):
-        return "-" if e["payment_usd"] is None else f"{e['payment_usd']:.2f}"
-
     lines = [
         _row("Path", labels, width),
-        _row("Time (min)", [f"{e['time_min']:.1f}" for e in entries], width),
-        _row("Subscribers", [f"{e['subscribers']:.1f}" for e in entries], width),
-        _row("Outsiders", [f"{e['outsiders']:.1f}" for e in entries], width),
-        _row("VOT ($/h)", [vot_cell(e) for e in entries], width),
-        _row("Payment ($)", [pay_cell(e) for e in entries], width),
+        _row("Time (min)", [f"{v:.1f}" for v in times], width),
+        _row("Subscribers", [f"{v:.1f}" for v in subscribers], width),
+        _row("Outsiders", [f"{v:.1f}" for v in outsiders], width),
+        _row("VOT ($/h)", ["-" if a is None else f"({a:.1f},{b:.1f}]"
+                           for a, b in zip(low, high)], width),
+        _row("Payment ($)", ["-" if v is None else f"{v:.2f}" for v in payment], width),
         "",
         f"Verification: {'PASS' if verification.passed else 'FAIL'}"
         f" (worst misreport margin {verification.strategy_proof.worst_margin_usd:.3e} $,"
@@ -203,18 +201,22 @@ def cmd_scheme(args) -> int:
     ]
     text = "\n".join(lines) + "\n"
 
-    payload = {
-        "paths": entries,
-        "subscriber_demand": net.subscriber_demand,
-        "outsider_demand": net.outsider_demand,
-        "weighted_cost": result.assignment.weighted_cost,
-        "so_relative_gap": result.so.relative_gap,
-        "ue_relative_gap": ue.relative_gap,
-        "vot_classes": result.classes.M,
-    }
+    # each cell's JSON text, from one encoding of the columns; NaN and inf raise ValueError
+    cells = [c.split(", ") for c in json.dumps(columns, allow_nan=False)[2:-2].split("], [")]
+    records = ",\n".join(map(
+        _PATH_RECORD.format, map(encode_basestring_ascii, labels),
+        ["[\n        %s\n      ]" % ",\n        ".join(map(str, p)) for p in paths.paths], *cells))
+    payload = {"paths": [], "subscriber_demand": net.subscriber_demand,
+               "outsider_demand": net.outsider_demand,
+               "weighted_cost": result.assignment.weighted_cost,
+               "so_relative_gap": result.so.relative_gap,
+               "ue_relative_gap": ue.relative_gap, "vot_classes": result.classes.M}
+    document = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False).replace(
+        '"paths": []', f'"paths": [\n{records}\n  ]', 1)
+
     out = Path(args.out)
     _write(out / "scheme.txt", text)
-    _write_json(out / "scheme.json", payload)
+    _write(out / "scheme.json", document + "\n")
     _write_json(out / "verification.json", verification.to_dict())
     print(text, end="")
     if not verification.passed:
@@ -293,10 +295,8 @@ def cmd_assign(args) -> int:
 
     cells = _user_cells(user_ids)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "assignments.csv", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("user_id,role,path,time_min,payment_usd\n")
-        handle.writelines(map(operator.add, cells, map(tails.__getitem__, which)))
+    _write(out / "assignments.csv", "user_id,role,path,time_min,payment_usd\n",
+           map(operator.add, cells, map(tails.__getitem__, which)))
     print(f"wrote {out / 'assignments.csv'} ({len(user_ids)} users)")
     return 0
 

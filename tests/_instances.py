@@ -10,6 +10,11 @@ so runs are reproducible.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from pathpay import (
@@ -179,3 +184,16 @@ def network_document(net: Network) -> dict:
             "subscribers": net.subscriber_demand,
         },
     }
+
+
+@functools.cache
+def benchmark_instances():
+    """The benchmark's seeded input writer, ``benchmarks/instances.py``,
+    loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_instances", Path(__file__).resolve().parent.parent / "benchmarks" / "instances.py"
+    )
+    instances = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = instances  # its dataclasses look themselves up
+    spec.loader.exec_module(instances)
+    return instances

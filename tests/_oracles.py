@@ -8,11 +8,14 @@ the strategy-proofness search over every (true, declared) lattice pair,
 the ranks' lower ends included, and over the partition points one at a
 time, the simplex's artificial drive-out as a scan over basis membership,
 the VOT quantile and class table as per-point and per-class loops,
-Frank-Wolfe with a regula-falsi line search, and path enumeration by a
-recursive search without pruning.
+Frank-Wolfe with a regula-falsi line search, path enumeration by a
+recursive search without pruning, and ``scheme.json``/``scheme.txt`` from
+one dict per path through ``json.dumps``.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -495,3 +498,67 @@ def recursive_paths(net) -> tuple[tuple[int, ...], ...]:
 
     walk(net.origin)
     return tuple(found)
+
+
+def dict_scheme_files(net, result, ue, verification) -> tuple[str, str]:
+    """The text of ``scheme.txt`` and ``scheme.json`` built from one dict per
+    path, in enumeration order (a path not in the outcome is unused), the
+    JSON through ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``."""
+    outcome, paths = result.outcome, result.paths
+    labels = paths.labels()
+    rank_of = {path: rank for rank, path in enumerate(outcome.order)}
+    entries = []
+    for r in range(len(paths)):
+        rank = rank_of.get(r)
+        entries.append(
+            {
+                "path": list(paths.paths[r]),
+                "label": labels[r],
+                "time_min": float(result.so.path_times[r]),
+                "subscribers": float(result.assignment.subscriber_path_flows[r]),
+                "outsiders": float(result.assignment.outsider_path_flows[r]),
+                "share": 0.0 if rank is None else float(outcome.rho[rank]),
+                "vot_low": None if rank is None else float(outcome.partition[rank]),
+                "vot_high": None if rank is None else float(outcome.partition[rank + 1]),
+                "payment_usd": None if rank is None else float(outcome.payments[rank]),
+            }
+        )
+
+    width = max(12, max(len(s) for s in labels) + 2)
+
+    def row(label, cells):
+        return label.ljust(16) + "".join(str(c).rjust(width) for c in cells)
+
+    def vot_cell(e):
+        if e["vot_low"] is None:
+            return "-"
+        return f"({e['vot_low']:.1f},{e['vot_high']:.1f}]"
+
+    def pay_cell(e):
+        return "-" if e["payment_usd"] is None else f"{e['payment_usd']:.2f}"
+
+    lines = [
+        row("Path", labels),
+        row("Time (min)", [f"{e['time_min']:.1f}" for e in entries]),
+        row("Subscribers", [f"{e['subscribers']:.1f}" for e in entries]),
+        row("Outsiders", [f"{e['outsiders']:.1f}" for e in entries]),
+        row("VOT ($/h)", [vot_cell(e) for e in entries]),
+        row("Payment ($)", [pay_cell(e) for e in entries]),
+        "",
+        f"Verification: {'PASS' if verification.passed else 'FAIL'}"
+        f" (worst misreport margin {verification.strategy_proof.worst_margin_usd:.3e} $,"
+        f" revenue residual {verification.revenue_neutral.residual_usd:.3e} $)",
+    ]
+    payload = {
+        "paths": entries,
+        "subscriber_demand": net.subscriber_demand,
+        "outsider_demand": net.outsider_demand,
+        "weighted_cost": result.assignment.weighted_cost,
+        "so_relative_gap": result.so.relative_gap,
+        "ue_relative_gap": ue.relative_gap,
+        "vot_classes": result.classes.M,
+    }
+    return (
+        "\n".join(lines) + "\n",
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+    )

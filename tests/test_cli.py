@@ -17,7 +17,10 @@ from hypothesis import given, settings, strategies as st
 import pathpay.equilibrium
 import pathpay.scheme
 import pathpay.simplex
-from _instances import network_document, parallel_network
+from _instances import (
+    benchmark_instances, network_document, parallel_network, random_chain, random_grid,
+)
+from _oracles import dict_scheme_files
 from conftest import FIXTURE_DIR
 from pathpay import LinkCostFn, assign_outsider, assign_subscriber, cli
 from pathpay.cli import main
@@ -239,12 +242,127 @@ class TestScheme:
         for name in ("scheme.json", "scheme.txt", "verification.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_files_match_dict_oracle(self, tmp_path, monkeypatch):
+        # scheme.txt and scheme.json, written from columns, equal byte for
+        # byte what one dict per path through json.dumps gives: on the
+        # fixture (an unused path, so null cells), every benchmark instance
+        # of seeds 1-3, parallel links (single-link paths), a one-link
+        # network, and a chain and a grid with two-digit link ids
+        seen = {}
+        for name in ("_run_with_baseline", "run_verification"):
+            def kept(*args, _call=getattr(cli, name), _name=name):
+                seen[_name] = _call(*args)
+                return seen[_name]
+
+            monkeypatch.setattr(cli, name, kept)
+
+        cases = [("fixture", NETWORK, VOT, None)]
+        bench = benchmark_instances()
+        for seed in (1, 2, 3):
+            for workload in bench.WORKLOADS:
+                for inst in bench.write_workload(workload, seed, tmp_path / f"seed{seed}"):
+                    cases.append((f"{workload} {inst.name} seed {seed}", inst.network,
+                                  inst.vot, inst.classes))
+        rng = np.random.default_rng(3)
+        parallel = network_document(parallel_network(
+            [LinkCostFn("linear", (10.0 + k, 0.01 + 0.002 * k)) for k in range(12)]))
+        parallel["demand"].update(total=1000.0, subscribers=800.0)
+        networks = {"parallel": parallel,
+                    "one link": network_document(random_chain(rng, (1,), "linear")),
+                    "chain": network_document(random_chain(rng, (1, 3, 2, 4), "bpr")),
+                    "grid": network_document(random_grid(rng, 4, "linear"))}
+        for name, document in networks.items():
+            network = tmp_path / f"{name}.json"
+            network.write_text(json.dumps(document))
+            cases.append((name, network, VOT, None))
+
+        out = tmp_path / "o"
+        nulls = 0
+        for name, network, vot, classes in cases:
+            argv = ["scheme", "--network", str(network), "--vot", str(vot), "--out", str(out)]
+            if classes is not None:
+                argv += ["--classes", str(classes)]
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, name
+            net, result, ue, _ = seen["_run_with_baseline"]
+            text, document = dict_scheme_files(net, result, ue, seen["run_verification"])
+            assert (out / "scheme.txt").read_bytes() == text.encode(), name
+            assert (out / "scheme.json").read_bytes() == document.encode(), name
+            nulls += document.count("null")
+        assert len(cases) == 1 + 3 * 6 + 4 and nulls > 0
+
+    @pytest.mark.parametrize("field", ["payment", "path time"])
+    def test_non_finite_value_is_one_error_line(self, tmp_path, capsys, monkeypatch, field):
+        # a value JSON cannot hold stops the run before any file is written
+        solve = cli.run_scheme
+
+        def broken(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            if field == "payment":
+                payments = result.outcome.payments.copy()
+                payments[0] = math.nan
+                outcome = dataclasses.replace(result.outcome, payments=payments)
+                return dataclasses.replace(result, outcome=outcome)
+            times = result.so.path_times.copy()
+            times[-1] = math.inf
+            return dataclasses.replace(result, so=dataclasses.replace(result.so, path_times=times))
+
+        monkeypatch.setattr(cli, "run_scheme", broken)
+        out = tmp_path / "o"
+        assert run(["scheme", "--network", NETWORK, "--vot", VOT, "--out", str(out)]) == 1
+        assert "not JSON compliant" in single_error_line(capsys)
+        assert not out.exists()
+
     def test_class_override(self, tmp_path):
         out = tmp_path / "o"
         assert run(["scheme", "--network", NETWORK, "--vot", VOT,
                     "--classes", "50", "--out", str(out)]) == 0
         data = json.loads((out / "scheme.json").read_text())
         assert data["vot_classes"] == 50
+
+
+@pytest.mark.parametrize("command", ["equilibria", "scheme", "improvement", "assign"])
+def test_rerun_replaces_output_files(tmp_path, command):
+    # a rerun writes each output as a new file: a longer stale file leaves
+    # no tail, and a symlink in an output's place is replaced, not followed
+    roster = tmp_path / "roster.csv"
+    roster.write_text("user_id,role,vot\nu1,subscriber,20\nu2,outsider,\n")
+    argv = [command, "--network", NETWORK]
+    argv += {"equilibria": [], "assign": ["--vot", VOT, "--roster", str(roster)]}.get(
+        command, ["--vot", VOT])
+
+    def outputs(out):
+        with redirect_stdout(io.StringIO()):
+            assert main(argv + ["--out", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    expected = outputs(tmp_path / "fresh")
+    out = tmp_path / "rerun"
+    out.mkdir()
+    for name, data in expected.items():
+        (out / name).write_bytes(b"stale" * (len(data) + 1))
+    linked = tmp_path / "elsewhere.txt"
+    linked.write_text("not an output")
+    first = out / min(expected)
+    first.unlink()
+    first.symlink_to(linked)
+    assert outputs(out) == expected
+    assert not first.is_symlink()
+    assert linked.read_text() == "not an output"
+
+
+@pytest.mark.parametrize("command, name", [("scheme", "scheme.json"),
+                                           ("assign", "assignments.csv")])
+def test_output_path_that_is_a_directory(tmp_path, capsys, command, name):
+    roster = tmp_path / "roster.csv"
+    roster.write_text("user_id,role,vot\nu1,subscriber,20\n")
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    argv = [command, "--network", NETWORK, "--vot", VOT, "--out", str(out)]
+    if command == "assign":
+        argv += ["--roster", str(roster)]
+    assert run(argv) == 1
+    assert name in single_error_line(capsys)
 
 
 class TestInputBoundary:

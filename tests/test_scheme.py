@@ -1,15 +1,15 @@
-import importlib.util
 import json
-import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _instances import make_table, random_chain, random_grid, random_network, random_vot
+from _instances import (
+    benchmark_instances, make_table, random_chain, random_grid, random_network, random_vot,
+)
 from _oracles import class_path_lp, full_path_master, greedy_weighted_cost
-from conftest import FIXTURE_DIR, REPO_DIR
+from conftest import FIXTURE_DIR
 from pathpay import (
     FlowSolution,
     Link,
@@ -236,14 +236,8 @@ def chain_or_grid(rng, shape, kind):
 def benchmark_chains(directory, seed):
     """(network, VOT distribution, classes) of the benchmark's many-paths
     chains written for ``seed``."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_instances", REPO_DIR / "benchmarks" / "instances.py"
-    )
-    instances = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = instances  # its dataclasses look themselves up
-    spec.loader.exec_module(instances)
     chains = []
-    for inst in instances.write_workload("many-paths", seed, directory):
+    for inst in benchmark_instances().write_workload("many-paths", seed, directory):
         dist, M = parse_vot(inst.vot.read_text())
         chains.append((parse_network(inst.network.read_text()), dist, inst.classes or M))
     return chains
