@@ -22,10 +22,9 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
-import operator
-import re
 import sys
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
@@ -54,6 +53,9 @@ from .vot import check_class_count, parse_vot
 DEFAULT_REPORT_GRID = 401
 # the largest --grid: the cost report holds a few float arrays of this size
 MAX_GRID = 100_000
+# strings of ``lines`` joined per write: a write call per string costs more
+# than the joining, and a larger block only holds more of the file in memory
+_WRITE_BLOCK = 8192
 
 
 # -- output files ------------------------------------------------------------
@@ -62,12 +64,16 @@ MAX_GRID = 100_000
 def _write(path: Path, text: str, lines=()) -> None:
     """Write ``text``, then the strings ``lines``, to a new file at ``path``
     in place of whatever was there: unlinking it first, not truncating it,
-    spares a rerun the flush ext4 gives a truncated file when it is closed."""
+    spares a rerun the flush ext4 gives a truncated file when it is closed.
+    ``lines`` may be any iterable; it is written in blocks of
+    ``_WRITE_BLOCK`` strings, each joined into one write."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.unlink(missing_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
-        handle.writelines(lines)
+        lines = iter(lines)
+        while block := list(itertools.islice(lines, _WRITE_BLOCK)):
+            handle.write("".join(block))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -236,9 +242,9 @@ def cmd_improvement(args) -> int:
     # numpy float's repr np.float64(...)); NaN is empty
     names = [field.name for field in fields(report)]
     rows = np.column_stack([getattr(report, name) for name in names]).tolist()
-    lines = [names] + [["" if v != v else repr(v) for v in row] for row in rows]
     out = Path(args.out)
-    _write(out / "improvement.csv", "".join(",".join(line) + "\n" for line in lines))
+    _write(out / "improvement.csv", ",".join(names) + "\n",
+           (",".join(["" if v != v else repr(v) for v in row]) + "\n" for row in rows))
 
     pareto = check_pareto(report)
     print(
@@ -259,8 +265,8 @@ def cmd_assign(args) -> int:
     solve, so a bad row fails fast. Guidance needs no user equilibrium, so
     none is solved. Subscribers get their paths from one
     :func:`vot_ranks` lookup, outsiders from one seeded draw in file order.
-    Each row is the user's cell plus a tail formatted once per (path,
-    role), streamed to the file.
+    Each row is the user's cell and a tail formatted once per (path,
+    role), passed as two strings and written in joined blocks.
     """
     if args.seed < 0:
         raise ValueError("--seed must be a non-negative integer")
@@ -270,7 +276,7 @@ def cmd_assign(args) -> int:
     outcome = result.outcome
 
     order = np.asarray(outcome.order)
-    vots = np.array(vots)
+    vots = np.fromiter(vots, float, len(vots))
     is_subscriber = ~np.isnan(vots)
     user_paths = np.empty(vots.size, dtype=int)
     user_paths[is_subscriber] = order[vot_ranks(outcome, vots[is_subscriber])]
@@ -296,7 +302,7 @@ def cmd_assign(args) -> int:
     cells = _user_cells(user_ids)
     out = Path(args.out)
     _write(out / "assignments.csv", "user_id,role,path,time_min,payment_usd\n",
-           map(operator.add, cells, map(tails.__getitem__, which)))
+           itertools.chain.from_iterable(zip(cells, map(tails.__getitem__, which))))
     print(f"wrote {out / 'assignments.csv'} ({len(user_ids)} users)")
     return 0
 
@@ -308,27 +314,29 @@ def _csv_line(cells) -> str:
     return buffer.getvalue()
 
 
-# characters that can make csv.writer quote a field; Python 3.11 leaves a
-# bare \r unquoted, and an id with \r still goes to csv.writer, so its cell
-# follows whatever the running version does
-_NEEDS_CSV = re.compile('[,"\r\n]').search
+def _plain(text: str) -> bool:
+    """Whether ``text`` holds none of the characters that can make
+    ``csv.writer`` quote a field. Python 3.11 leaves a bare \\r unquoted, and
+    an id with \\r still goes to ``csv.writer``, so its cell follows whatever
+    the running version does."""
+    return "," not in text and '"' not in text and "\r" not in text and "\n" not in text
 
 
 def _user_cells(user_ids) -> list:
     """Each user id as ``csv.writer`` writes it first in a row.
 
     An id with no character that could need quoting is its own cell; the
-    common all-plain roster is recognised by one search over the joined
-    ids. A None id (a row cut short) or one that may need quoting gets its
-    cell from ``csv.writer`` itself.
+    common all-plain roster is recognised by four substring tests on the
+    joined ids. A None id (a row cut short) or one that may need quoting
+    gets its cell from ``csv.writer`` itself.
     """
     try:
-        if not _NEEDS_CSV("".join(user_ids)):
+        if _plain("".join(user_ids)):
             return user_ids
     except TypeError:  # a None id
         pass
     return [
-        user if user is not None and not _NEEDS_CSV(user) else _csv_line([user, ""])[:-2]
+        user if user is not None and _plain(user) else _csv_line([user, ""])[:-2]
         for user in user_ids
     ]
 

@@ -9,17 +9,20 @@ the ranks' lower ends included, and over the partition points one at a
 time, the simplex's artificial drive-out as a scan over basis membership,
 the VOT quantile and class table as per-point and per-class loops,
 Frank-Wolfe with a regula-falsi line search, path enumeration by a
-recursive search without pruning, and ``scheme.json``/``scheme.txt`` from
-one dict per path through ``json.dumps``.
+recursive search without pruning, ``scheme.json``/``scheme.txt`` from
+one dict per path through ``json.dumps``, and ``assignments.csv`` from one
+library call per user through ``csv.writer``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import numpy as np
 
-from pathpay.scheme import MINUTES_PER_HOUR, vot_ranks
+from pathpay.scheme import MINUTES_PER_HOUR, assign_outsider, assign_subscriber, vot_ranks
 from pathpay.simplex import PIVOT_TOL, StandardLp, _pivot, solve_lp
 from pathpay.vot import VotError
 
@@ -562,3 +565,24 @@ def dict_scheme_files(net, result, ue, verification) -> tuple[str, str]:
         "\n".join(lines) + "\n",
         json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
     )
+
+
+def per_user_assignments(outcome, labels, users, seed: int) -> str:
+    """The text of ``assignments.csv`` for ``users``, (id, role, declared
+    VOT) triples in roster order, written by ``csv.writer`` a row at a time:
+    one ``assign_subscriber`` call per subscriber and one single
+    ``assign_outsider`` draw per outsider from ``default_rng(seed)``."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["user_id", "role", "path", "time_min", "payment_usd"])
+    gen = np.random.default_rng(seed)
+    for user, role, vot in users:
+        if role == "subscriber":
+            g = assign_subscriber(outcome, vot)
+            writer.writerow([user, role, labels[g.path], f"{g.time_min:.1f}", f"{g.payment:.2f}"])
+        else:
+            path = assign_outsider(outcome, gen)
+            rank = outcome.order.index(path)
+            writer.writerow([user, "outsider", labels[path],
+                             f"{outcome.sorted_times[rank]:.1f}", ""])
+    return text.getvalue()

@@ -20,9 +20,9 @@ import pathpay.simplex
 from _instances import (
     benchmark_instances, network_document, parallel_network, random_chain, random_grid,
 )
-from _oracles import dict_scheme_files
+from _oracles import dict_scheme_files, per_user_assignments
 from conftest import FIXTURE_DIR
-from pathpay import LinkCostFn, assign_outsider, assign_subscriber, cli
+from pathpay import LinkCostFn, cli, parse_network, parse_vot, run_scheme
 from pathpay.cli import main
 
 NETWORK = str(FIXTURE_DIR / "network.json")
@@ -144,6 +144,19 @@ class TestOutputFormat:
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 cli._write_json(tmp_path / "x.json", {"v": [1.0, value]})
+
+    @pytest.mark.parametrize("case", ["empty", "generator", "one_block", "block_and_one",
+                                      "empty_block_and_one"])
+    def test_block_writer(self, tmp_path, case):
+        block = cli._WRITE_BLOCK
+        strings = [f"s{i}\n" for i in range(block + 1)]
+        lines = {"empty": (), "generator": (s for s in strings),
+                 "one_block": strings[:block], "block_and_one": strings,
+                 # a block of empty strings does not end the file
+                 "empty_block_and_one": [""] * block + ["last"]}[case]
+        expected = "head\n" + "".join(strings if case == "generator" else lines)
+        cli._write(tmp_path / "f", "head\n", lines)
+        assert (tmp_path / "f").read_text(encoding="utf-8") == expected
 
 
 def test_outputs_independent_of_hash_seed(tmp_path):
@@ -888,6 +901,19 @@ class TestImprovement:
         assert float(lines[1].split(",")[0]) == 5.0
         assert float(lines[2].split(",")[0]) == 45.0
 
+    def test_grid_over_one_write_block(self, tmp_path):
+        # every row, in grid order, across the writer's block edge
+        grid = cli._WRITE_BLOCK + 2
+        out = tmp_path / "o"
+        with redirect_stdout(io.StringIO()):
+            assert run(["improvement", "--network", NETWORK, "--vot", VOT,
+                        "--grid", str(grid), "--out", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO((out / "improvement.csv").read_text())))
+        assert len(rows) == grid + 1
+        assert [row[0] for row in rows[1:]] == [
+            repr(beta) for beta in np.linspace(5.0, 45.0, grid).tolist()
+        ]
+
 
 class TestAssign:
     def write_roster(self, path, rows):
@@ -1076,34 +1102,64 @@ class TestAssign:
                 row, u = row[:cut], None
             rows.append(row)
             answers.append((u, r.strip().lower(), v))
-        roster = io.StringIO()
-        # every field quoted, since csv.writer leaves a bare \r unquoted
-        csv.writer(roster, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
-
-        expected = io.StringIO()
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(["user_id", "role", "path", "time_min", "payment_usd"])
-        gen = np.random.default_rng(seed)
-        for u, r, v in answers:
-            if r == "subscriber":
-                g = assign_subscriber(outcome, v)
-                writer.writerow([u, r, labels[g.path], f"{g.time_min:.1f}",
-                                 f"{g.payment:.2f}"])
-            else:
-                path = assign_outsider(outcome, gen)
-                rank = outcome.order.index(path)
-                writer.writerow([u, "outsider", labels[path],
-                                 f"{outcome.sorted_times[rank]:.1f}", ""])
-
         work = tmp_path_factory.mktemp("batch")
-        (work / "roster.csv").write_text(roster.getvalue(), newline="")
+        assert self.assigned(work, rows, seed) == (
+            per_user_assignments(outcome, labels, answers, seed).encode()
+        )
+
+    def assigned(self, work, rows, seed) -> bytes:
+        """``assignments.csv`` from ``pathpay assign`` on the fixture over a
+        roster of ``rows``, every field quoted, since csv.writer leaves a
+        bare \\r unquoted."""
+        with open(work / "roster.csv", "w", encoding="utf-8", newline="") as roster:
+            csv.writer(roster, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
         with redirect_stdout(io.StringIO()):
             assert main(["assign", "--network", NETWORK, "--vot", VOT,
                          "--roster", str(work / "roster.csv"), "--seed", str(seed),
                          "--out", str(work / "o")]) == 0
-        assert (work / "o" / "assignments.csv").read_bytes() == (
-            expected.getvalue().encode()
-        )
+        return (work / "o" / "assignments.csv").read_bytes()
+
+    def test_odd_ids_at_write_block_edges(self, demo_run, tmp_path):
+        # a row is two strings to the writer, its id's cell and its tail, so
+        # row j * half starts write block j; each id that csv.writer quotes,
+        # and a row cut short before its id, sits just before, at and just
+        # after some block edge, and the last row is cut short
+        half = cli._WRITE_BLOCK // 2
+        special = ["a,b", 'say "hi"', "cr\rid", "lf\nid", None]
+        n = len(special) * half + 3
+        odd = {j * half + d: special[(j + d) % len(special)]
+               for j in range(1, len(special) + 1) for d in (-1, 0, 1)}
+        odd[n - 1] = None
+        lo, hi = demo_run.outcome.support
+        rows, answers = [["role", "vot", "user_id"]], []
+        for k in range(n):
+            user = odd.get(k, f"u{k}")
+            role = "subscriber" if k % 3 else "outsider"
+            vot = lo + (hi - lo) * (k % 97) / 96 if role == "subscriber" else None
+            rows.append([role, "" if vot is None else repr(vot)]
+                        + ([] if user is None else [user]))
+            answers.append((user, role, vot))
+        assert self.assigned(tmp_path, rows, 3) == per_user_assignments(
+            demo_run.outcome, demo_run.paths.labels(), answers, 3).encode()
+
+    @pytest.mark.parametrize("workload", ["many-classes", "many-paths"])
+    def test_benchmark_rosters_match_per_user_answers(self, tmp_path, workload):
+        (inst,) = [i for i in benchmark_instances().write_workload(workload, 1, tmp_path)
+                   if i.roster is not None]
+        net = parse_network(inst.network.read_text())
+        dist, M = parse_vot(inst.vot.read_text())
+        result = run_scheme(net, dist, inst.classes or M)
+        with open(inst.roster, newline="") as roster:
+            users = [(user, role, float(vot) if role == "subscriber" else None)
+                     for user, role, vot in list(csv.reader(roster))[1:]]
+        argv = ["assign", "--network", str(inst.network), "--vot", str(inst.vot),
+                "--roster", str(inst.roster), "--seed", "1", "--out", str(tmp_path / "o")]
+        if inst.classes is not None:
+            argv += ["--classes", str(inst.classes)]
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert (tmp_path / "o" / "assignments.csv").read_bytes() == per_user_assignments(
+            result.outcome, result.paths.labels(), users, 1).encode()
 
 
 ROSTER_ROWS = [
