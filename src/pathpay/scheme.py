@@ -55,10 +55,12 @@ class SubscriberAssignment:
     outsider_path_flows: np.ndarray    # (n_paths,)
     weighted_cost: float               # VOT-weighted time objective
     # how the master solve went; none of it reaches an output file
-    rounds: int                        # master solves
+    rounds: int                        # master solves, the first in closed form
     cuts: int                          # cuts in the final master
     columns: int                       # paths in the final master
-    master_shape: tuple[int, int]      # final master's (rows, columns)
+    # final master's (links + cuts, paths + cuts + runs), also when it is
+    # the first one, which is solved without building its tableau
+    master_shape: tuple[int, int]
     pivots: int                        # simplex pivots over every round
     demand_residual: float             # |sum of totals - subscriber demand|
     link_residual: float               # max |incidence @ totals - target|
@@ -151,9 +153,15 @@ def solve_subscriber_lp(
     ``G``, so ``y <= G(C)``. The first master holds the greedy path
     decomposition of the link target, fastest first, so at most
     rank(incidence) paths; a run starts with the cut of the piece holding
-    its ``C`` there. Each round solves the master cold, then adds the cut
-    of the piece holding each run's ``C`` where the solution breaks it by
-    more than rounding, and every path of negative reduced cost. With
+    its ``C`` there. That first master needs no simplex: its paths are
+    independent columns, so the link rows fix their totals at the greedy
+    ones, each run's one cut holds with ``y`` its value at ``C`` and dual
+    ``W``, and the link duals are the least-norm solution of
+    ``a_p . pi = -sum_runs W v_m [p at or ahead of the run]`` over the
+    master paths. Every later round solves the master cold by the simplex.
+    Each round then adds the cut of the piece holding each run's ``C``
+    where the solution breaks it by more than rounding, and every path of
+    negative reduced cost. With
     ``g_k`` the slope of ``G`` at gap ``k`` (its run's cut duals
     ``sum_m mu_m v_m`` spread over the run by weight, and ``v_0`` ahead of
     the fastest master path, where ``C = 0``) and link duals ``pi``, that
@@ -163,12 +171,14 @@ def solve_subscriber_lp(
     ``C = D``: one sort and one prefix sum price every path. With no cut
     and no path to add, the master's duals so extended are feasible for
     the LP over every path and every cut, which proves the totals
-    optimal. A master the greedy paths cannot make feasible is re-solved
-    over every path.
+    optimal. A greedy start that misses the link target by more than the
+    simplex's feasibility tolerance goes to the simplex, and a master the
+    greedy paths cannot make feasible is re-solved over every path.
 
-    Where the optimal totals are not unique, the result is the basic
-    optimum that Bland's rule reaches on the final master, so it depends
-    on the greedy start and the paths priced in, not on every path. The
+    Where the optimal totals are not unique, the result is the greedy one
+    when the first master is final, else the basic optimum that Bland's
+    rule reaches on the final master, so it depends on the greedy start
+    and the paths priced in, not on every path. The
     master's columns are its paths slowest first, then one surplus per
     cut in the order the cuts were added, then ``y`` per run, fastest
     first; the surplus of each cut with a negative right-hand side starts
@@ -214,6 +224,7 @@ def solve_subscriber_lp(
     totals = _greedy_decomposition(incidence, link_target, _FLOW_TOL * scale)
     master = totals > 0
     C = np.cumsum(totals)
+    greedy_err = np.abs(incidence @ totals - link_target).max(initial=0.0)
 
     cuts: dict[tuple[int, int], None] = {}  # (run's first gap, piece), ordered
     rounds = pivots = 0
@@ -233,33 +244,44 @@ def solve_subscriber_lp(
         cs, cm = np.array(list(cuts), dtype=int).reshape(-1, 2).T
         cj = np.searchsorted(runs, cs)
         P, K = pos.size, cs.size
-        A = np.zeros((n_links + K, P + K + runs.size))
-        A[:n_links, :P] = incidence[:, cols]
-        A[n_links:, :P] = vot[cm, None] * (cols[None, :] <= cs[:, None])
-        A[n_links + np.arange(K), P + np.arange(K)] = -1.0
-        A[n_links + np.arange(K), P + K + cj] = -1.0
-        lp = StandardLp(
-            c=np.concatenate([np.zeros(P + K), -W]),
-            A=A,
-            b=np.concatenate([link_target, rhs[cm]]),
-        )
-        sol = solve_lp(lp)
+        master_shape = (n_links + K, P + K + runs.size)
+        cut_rows = vot[cm, None] * (cols[None, :] <= cs[:, None])
+        b = np.concatenate([link_target, rhs[cm]])
         rounds += 1
-        pivots += sol.iterations
-        if not sol.optimal:
-            if master.all():
-                raise SchemeError(
-                    f"subscriber routing LP is {sol.status}; system-optimal "
-                    "link flows and class demands are inconsistent"
-                )
-            master[:] = True
-            continue
+        # round 1 in closed form, when the greedy start meets the link rows
+        # within the simplex's feasibility tolerance; else phase 1 decides
+        if rounds == 1 and greedy_err <= 1e-7 * (1.0 + np.abs(b).max()):
+            # the greedy paths are independent columns, so the link rows fix
+            # the totals; each run has one cut, in run order, which is tight
+            # and whose dual is the run's W
+            x = totals[cols]
+            y = vot[cm] * C[runs] - rhs[cm]
+            mu = W
+            pi = np.linalg.lstsq(incidence[:, cols].T, -(mu @ cut_rows), rcond=None)[0]
+        else:
+            A = np.zeros(master_shape)
+            A[:n_links, :P] = incidence[:, cols]
+            A[n_links:, :P] = cut_rows
+            A[n_links + np.arange(K), P + np.arange(K)] = -1.0
+            A[n_links + np.arange(K), P + K + cj] = -1.0
+            sol = solve_lp(StandardLp(c=np.concatenate([np.zeros(P + K), -W]), A=A, b=b))
+            pivots += sol.iterations
+            if not sol.optimal:
+                if master.all():
+                    raise SchemeError(
+                        f"subscriber routing LP is {sol.status}; system-optimal "
+                        "link flows and class demands are inconsistent"
+                    )
+                master[:] = True
+                continue
+            x, y = sol.x[:P], sol.x[P + K:]
+            pi, mu = sol.duals[:n_links], sol.duals[n_links:]
 
         totals = np.zeros(n_paths)
-        totals[cols] = sol.x[:P]
+        totals[cols] = x
         C = np.cumsum(totals)
         held = piece(C[runs])
-        slack = vot[held] * C[runs] - sol.x[P + K:] - rhs[held]
+        slack = vot[held] * C[runs] - y - rhs[held]
         broken = [
             cut
             for cut, met in zip(zip(runs.tolist(), held.tolist()), slack.tolist())
@@ -267,7 +289,6 @@ def solve_subscriber_lp(
         ]
         # each gap's slope of G: v_0 ahead of the fastest master path, its
         # run's cut duals spread by weight, the lowest VOT past the slowest
-        pi, mu = sol.duals[:n_links], sol.duals[n_links:]
         between = np.zeros(P - 1)
         between[weight > 0] = np.bincount(cj, mu * vot[cm], runs.size) / W
         slope = np.concatenate([[vot[0]], between, [vot[-1]]])[
@@ -307,7 +328,7 @@ def solve_subscriber_lp(
         rounds=rounds,
         cuts=len(cuts),
         columns=int(master.sum()),
-        master_shape=lp.A.shape,
+        master_shape=master_shape,
         pivots=pivots,
         demand_residual=float(demand_err) * unit,
         link_residual=float(link_err) * unit,

@@ -156,6 +156,17 @@ def random_chain(rng: np.random.Generator, widths, kind: str) -> Network:
     return Network(nodes, tuple(links), nodes[0], nodes[-1], 1000.0, 800.0)
 
 
+def seeded_chain_or_grid(seed: int) -> Network:
+    """A chain of 2-4 segments of 2-3 links (seed % 4 < 2) or a 3x3 or 4x4
+    grid, with linear (even seed) or BPR (odd seed) costs."""
+    rng = np.random.default_rng([12, seed])
+    kind = ("linear", "bpr")[seed % 2]
+    if seed % 4 < 2:
+        widths = tuple(int(w) for w in rng.integers(2, 4, size=rng.integers(2, 5)))
+        return random_chain(rng, widths, kind)
+    return random_grid(rng, int(rng.integers(3, 5)), kind)
+
+
 def stall_grid() -> Network:
     """The seeded 5 x 5 BPR grid (70 paths) on which, at one system-optimum
     iterate, the cheapest path carries no flow and the Newton direction over

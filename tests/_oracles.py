@@ -2,7 +2,8 @@
 
 Each one solves a problem the package also solves, by a slower and more
 direct route: the class-by-path subscriber LP in full, the path-total
-cutting-plane master over every enumerated path, the sort-and-fill
+cutting-plane master over every enumerated path, its first round over the
+greedy paths by the simplex, the sort-and-fill
 coupling as a loop, an exhaustive lattice search, the O(n^2) payment sums,
 the strategy-proofness search over every (true, declared) lattice pair,
 the ranks' lower ends included, and over the partition points one at a
@@ -19,11 +20,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import numpy as np
 
-from pathpay.scheme import MINUTES_PER_HOUR, assign_outsider, assign_subscriber, vot_ranks
-from pathpay.simplex import PIVOT_TOL, StandardLp, _pivot, solve_lp
+from pathpay.scheme import (
+    MINUTES_PER_HOUR, _greedy_decomposition, assign_outsider, assign_subscriber, vot_ranks,
+)
+from pathpay.simplex import ENTER_TOL, PIVOT_TOL, StandardLp, _pivot, solve_lp
 from pathpay.vot import VotError
 
 
@@ -109,6 +113,76 @@ def full_path_master(so, classes, net, paths) -> float:
         cuts.update(dict.fromkeys(new))
     filled = np.concatenate([[0.0], np.cumsum(totals)])
     return float(np.diff(np.interp(filled, bounds, mass)) @ times)
+
+
+def first_master_lp(so, classes, net, paths):
+    """Round 1 of ``scheme.solve_subscriber_lp`` by the simplex: the master
+    over the greedy decomposition's paths, one cut per run (the piece of
+    ``G`` holding its ``C``), assembled as a ``StandardLp`` and solved with
+    ``solve_lp``, then priced from the simplex's duals.
+
+    Returns ``(totals, priced)``: the master's per-path subscriber totals in
+    vehicles, by original path index, and the sorted original indices of
+    the paths outside the master whose reduced cost is negative.
+    """
+    n_links, n_paths = paths.incidence.shape
+    M = classes.M
+    d_sub = net.subscriber_demand
+    unit = math.ldexp(1.0, math.frexp(d_sub)[1] - 1)
+    link_target = so.link_flows * (d_sub / net.demand) / unit
+    scale = 1.0 + np.abs(link_target).max(initial=0.0)
+    by_vot = np.lexsort((np.arange(M), -classes.class_mean))
+    vot = classes.class_mean[by_vot]
+    demand = classes.class_demand[by_vot] / unit
+    bounds = np.concatenate([[0.0], np.cumsum(demand)])
+    mass = np.concatenate([[0.0], np.cumsum(vot * demand)])
+    rhs = vot * bounds[:-1] - mass[:-1]
+
+    fastest = np.lexsort((np.arange(n_paths), so.path_times))
+    times = so.path_times[fastest]
+    incidence = paths.incidence[:, fastest]
+    greedy = _greedy_decomposition(incidence, link_target, 1e-9 * scale)
+    pos = np.flatnonzero(greedy > 0)
+    cols = pos[::-1]  # slowest first
+    weight = np.diff(times[pos])
+    runs, W = pos[:-1][weight > 0], weight[weight > 0]
+    held = np.minimum(np.searchsorted(bounds[1:], np.cumsum(greedy)[runs]), M - 1)
+    P, K = pos.size, runs.size
+    A = np.zeros((n_links + K, P + 2 * K))
+    A[:n_links, :P] = incidence[:, cols]
+    A[n_links:, :P] = vot[held, None] * (cols[None, :] <= runs[:, None])
+    A[n_links + np.arange(K), P + np.arange(K)] = -1.0
+    A[n_links + np.arange(K), P + K + np.arange(K)] = -1.0
+    sol = solve_lp(StandardLp(
+        c=np.concatenate([np.zeros(P + K), -W]),
+        A=A,
+        b=np.concatenate([link_target, rhs[held]]),
+    ))
+    if not sol.optimal:
+        raise OracleError(f"first master is {sol.status}")
+    totals = np.zeros(n_paths)
+    totals[cols] = sol.x[:P]
+
+    # a gap's slope of G: v_0 ahead of the fastest master path, its run's
+    # cut dual times the cut's VOT over the run's weight inside, the lowest
+    # VOT past the slowest; a path's reduced cost sums them over the gaps
+    # from it to the slowest master path
+    pi, mu = sol.duals[:n_links], sol.duals[n_links:]
+    slope = np.full(n_paths - 1, vot[-1])
+    slope[: pos[0]] = vot[0]
+    slope[pos[0] : pos[-1]] = 0.0  # between master paths of equal time
+    for k, start in enumerate(runs.tolist()):
+        stop = pos[np.searchsorted(pos, start) + 1]
+        slope[start:stop] = mu[k] * vot[held[k]] / W[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ahead = np.concatenate([[0.0], np.cumsum(np.diff(times) * slope)])
+        reduced = -(pi @ incidence) - ahead[pos[-1]] + ahead
+    outside = np.ones(n_paths, dtype=bool)
+    outside[pos] = False
+    priced = outside & (reduced < -ENTER_TOL * (1.0 + vot[0] * times[pos[-1]]))
+    path_totals = np.empty(n_paths)
+    path_totals[fastest] = totals * unit
+    return path_totals, sorted(fastest[priced].tolist())
 
 
 def loop_payments(sorted_times, partition, rho) -> np.ndarray:

@@ -556,13 +556,39 @@ class TestInputBoundary:
         assert not check["strategy_proof"]["passed"]
 
     def test_simplex_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        # with no pivot allowed, the subscriber LP raises SimplexError
+        # the fixture's first master is solved in closed form; on this grid
+        # it prices in paths, so a later round reaches the simplex, which
+        # raises SimplexError with no pivot allowed
+        network = tmp_path / "grid.json"
+        network.write_text(json.dumps(network_document(
+            random_grid(np.random.default_rng(1), 5, "linear"))))
         monkeypatch.setattr(pathpay.simplex, "_MAX_PIVOTS", 0)
-        assert run(["scheme", "--network", NETWORK, "--vot", VOT,
+        assert run(["scheme", "--network", str(network), "--vot", VOT,
                     "--out", str(tmp_path / "o")]) == 1
         assert single_error_line(capsys) == (
             "error: pivot limit exceeded; LP appears numerically unstable"
         )
+
+    def test_negative_lp_flow_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # the grid's first master prices in paths, so the simplex solves
+        # round 2; a total it returns at -1e-6 subscriber demands is far
+        # below rounding and stops the run
+        network = tmp_path / "grid.json"
+        network.write_text(json.dumps(network_document(
+            random_grid(np.random.default_rng(1), 5, "linear"))))
+        solve_lp = pathpay.scheme.solve_lp
+
+        def negative_total(lp):
+            sol = solve_lp(lp)
+            x = sol.x.copy()
+            x[0] = -1e-6
+            return dataclasses.replace(sol, x=x)
+
+        monkeypatch.setattr(pathpay.scheme, "solve_lp", negative_total)
+        out = tmp_path / "o"
+        assert run(["scheme", "--network", str(network), "--vot", VOT, "--out", str(out)]) == 1
+        assert single_error_line(capsys) == "error: LP produced a significantly negative flow"
+        assert not out.exists()
 
     def test_failed_cost_ordering_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         # $1 more on every payment makes subscribing cost more than quitting
@@ -602,24 +628,27 @@ class TestInputBoundary:
             )
 
     def test_huge_costs_pass_strategy_proofness(self, tmp_path, capsys):
-        # every link cost scaled by 1e100 leaves misreport margins of
-        # rounding size (the worst is -3.9e84 $ beside payments near
-        # 1.4e100 $); the tolerance scales with the payments' spread
-        data = json.loads(Path(NETWORK).read_text())
-        for link in data["links"]:
-            link["cost"]["params"] = [1e100 * p for p in link["cost"]["params"]]
-        network = tmp_path / "network.json"
-        network.write_text(json.dumps(data))
-        out = tmp_path / "o"
-        assert run(["scheme", "--network", str(network), "--vot", VOT,
-                    "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        check = json.loads((out / "verification.json").read_text())["strategy_proof"]
-        paid = [p["payment_usd"] for p in json.loads(
-            (out / "scheme.json").read_text())["paths"] if p["payment_usd"] is not None]
-        assert check["passed"] and check["worst_margin_usd"] < 0
-        spread = max(paid) - min(paid)
-        assert check["tolerance_usd"] == pytest.approx(1e-9 * (1 + spread), rel=1e-9)
+        # every link cost scaled by 3e100 or 7e99 leaves misreport margins
+        # of rounding size (the worst are -7.8e84 and -1.9e84 $ beside
+        # payments near 4e100 and 1e100 $); the tolerance scales with the
+        # payments' spread. At 1e100 the exact greedy totals round to a
+        # worst margin of exactly 0, which would not show the tolerance
+        for factor in (3e100, 7e99):
+            data = json.loads(Path(NETWORK).read_text())
+            for link in data["links"]:
+                link["cost"]["params"] = [factor * p for p in link["cost"]["params"]]
+            network = tmp_path / f"network-{factor}.json"
+            network.write_text(json.dumps(data))
+            out = tmp_path / f"o-{factor}"
+            assert run(["scheme", "--network", str(network), "--vot", VOT,
+                        "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            check = json.loads((out / "verification.json").read_text())["strategy_proof"]
+            paid = [p["payment_usd"] for p in json.loads(
+                (out / "scheme.json").read_text())["paths"] if p["payment_usd"] is not None]
+            assert check["passed"] and check["worst_margin_usd"] < 0
+            spread = max(paid) - min(paid)
+            assert check["tolerance_usd"] == pytest.approx(1e-9 * (1 + spread), rel=1e-9)
 
     @pytest.mark.parametrize("link, cost", [(1, 1e300), (0, 1e200), (1, 1e200)])
     def test_misreport_gain_beside_huge_payments(self, tmp_path, capsys, link, cost):

@@ -11,8 +11,8 @@ import pathpay.equilibrium
 from _instances import (
     parallel_network,
     random_chain,
-    random_grid,
     random_network,
+    seeded_chain_or_grid,
     stall_grid,
 )
 from _oracles import frank_wolfe_oracle, regula_falsi_step
@@ -506,17 +506,6 @@ class TestInvariants:
         self._check_solution(net, paths, sol, 1e-8)
         assert sol.newton_steps == newton_steps
         assert capfd.readouterr().err == ""
-
-
-def seeded_chain_or_grid(seed: int) -> Network:
-    """A chain of 2-4 segments of 2-3 links (seed % 4 < 2) or a 3x3 or 4x4
-    grid, with linear (even seed) or BPR (odd seed) costs."""
-    rng = np.random.default_rng([12, seed])
-    kind = ("linear", "bpr")[seed % 2]
-    if seed % 4 < 2:
-        widths = tuple(int(w) for w in rng.integers(2, 4, size=rng.integers(2, 5)))
-        return random_chain(rng, widths, kind)
-    return random_grid(rng, int(rng.integers(3, 5)), kind)
 
 
 class TestWarmStart:

@@ -1,14 +1,17 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pathpay.scheme
 from _instances import (
     benchmark_instances, make_table, random_chain, random_grid, random_network, random_vot,
+    seeded_chain_or_grid,
 )
-from _oracles import class_path_lp, full_path_master, greedy_weighted_cost
+from _oracles import class_path_lp, first_master_lp, full_path_master, greedy_weighted_cost
 from conftest import FIXTURE_DIR
 from pathpay import (
     FlowSolution,
@@ -312,7 +315,8 @@ class TestPathTotalRouting:
     def test_fixture_master_stays_small(self, demo_run, demo_network, demo_vot):
         # 400 classes, yet one round on a master of the 3 greedy paths: the
         # 4 link rows, then one row per cut; the columns are the paths, one
-        # surplus per cut and y for the 2 runs between the paths
+        # surplus per cut and y for the 2 runs between the paths. That round
+        # is solved in closed form, so the simplex makes no pivot
         dist, _ = demo_vot
         classes = discretize(dist, demo_network.subscriber_demand, 400)
         assign = solve_subscriber_lp(
@@ -323,7 +327,7 @@ class TestPathTotalRouting:
         )
         assert assign.columns == 3
         assert assign.master_shape == (4 + assign.cuts, 3 + assign.cuts + 2)
-        assert assign.rounds == 1 and assign.pivots > 0
+        assert assign.rounds == 1 and assign.pivots == 0
 
     def test_cut_met_up_to_rounding_is_skipped(self):
         # one class per ridden path, so a class bound sits on every
@@ -414,6 +418,102 @@ class TestPathTotalRouting:
             first.subscriber_path_flows, second.subscriber_path_flows
         )
         assert first.weighted_cost == second.weighted_cost
+
+
+def assert_first_round_matches_oracle(monkeypatch, so, classes, net, paths):
+    """Round 1, solved in closed form, against ``first_master_lp``: its
+    totals, the greedy ones, match the simplex's within 1e-12 x scale, and
+    it prices in the same paths. Those are read off the first master the
+    simplex gets, round 2's; with none, the solve ended in round 1 and its
+    totals are the result."""
+    seen = {}
+    greedy, solve_lp = pathpay.scheme._greedy_decomposition, pathpay.scheme.solve_lp
+
+    def record_greedy(*args):
+        seen["greedy"] = greedy(*args)
+        return seen["greedy"]
+
+    def record_lp(lp):
+        seen.setdefault("lp", lp)
+        return solve_lp(lp)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pathpay.scheme, "_greedy_decomposition", record_greedy)
+        patch.setattr(pathpay.scheme, "solve_lp", record_lp)
+        assign = solve_subscriber_lp(so, classes, net, paths)
+    expect, priced = first_master_lp(so, classes, net, paths)
+
+    fastest = np.lexsort((np.arange(len(paths)), so.path_times))
+    unit = math.ldexp(1.0, math.frexp(net.subscriber_demand)[1] - 1)
+    totals = np.empty(len(paths))
+    totals[fastest] = seen["greedy"] * unit
+    target = so.link_flows * (net.subscriber_demand / net.demand)
+    assert np.abs(totals - expect).max() <= 1e-12 * (unit + target.max())
+    if "lp" not in seen:
+        assert priced == []
+        assert assign.rounds == 1 and assign.pivots == 0
+        assert np.array_equal(assign.subscriber_path_flows, totals)
+        return assign
+    by_links = {tuple(np.flatnonzero(col)): r for r, col in enumerate(paths.incidence.T)}
+    link_rows = seen["lp"].A[: len(net.links)]
+    master = {by_links[tuple(np.flatnonzero(col))] for col in link_rows.T if col.any()}
+    assert master == set(fastest[seen["greedy"] > 0].tolist()) | set(priced)
+    assert assign.rounds > 1
+    return assign
+
+
+def grid_instance(seed, kind):
+    """A seeded 5x5 grid at M=50 on a uniform VOT, whose first master often
+    prices in paths."""
+    net = random_grid(np.random.default_rng(seed), 5, kind)
+    paths = enumerate_paths(net)
+    so = solve_so(net, paths)
+    classes = discretize(VotDistribution.uniform(5.0, 45.0), net.subscriber_demand, 50)
+    return so, classes, net, paths
+
+
+class TestClosedFormFirstRound:
+    @pytest.mark.parametrize("M", [100, 400])
+    def test_fixture(self, monkeypatch, demo_run, demo_network, demo_vot, M):
+        classes = discretize(demo_vot[0], demo_network.subscriber_demand, M)
+        assign = assert_first_round_matches_oracle(
+            monkeypatch, demo_run.so, classes, demo_network, demo_run.paths
+        )
+        assert assign.rounds == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_instances(self, monkeypatch, tmp_path, seed):
+        instances = benchmark_instances()
+        for workload in instances.WORKLOADS:
+            for inst in instances.write_workload(workload, seed, tmp_path):
+                net = parse_network(inst.network.read_text())
+                dist, M = parse_vot(inst.vot.read_text())
+                paths = enumerate_paths(net)
+                so = solve_so(net, paths)
+                classes = discretize(dist, net.subscriber_demand, inst.classes or M)
+                assign = assert_first_round_matches_oracle(monkeypatch, so, classes, net, paths)
+                assert assign.rounds == 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_chains_and_grids(self, monkeypatch, seed):
+        net = seeded_chain_or_grid(seed)
+        paths = enumerate_paths(net)
+        so = solve_so(net, paths)
+        classes = discretize(VotDistribution.uniform(5.0, 45.0), net.subscriber_demand, 50)
+        assert_first_round_matches_oracle(monkeypatch, so, classes, net, paths)
+
+    @pytest.mark.parametrize("kind", ["linear", "bpr"])
+    def test_grids_that_price_paths(self, monkeypatch, kind):
+        rounds = []
+        for seed in range(1, 11):
+            instance = grid_instance(seed, kind)
+            assign = assert_first_round_matches_oracle(monkeypatch, *instance)
+            if assign.rounds > 1:
+                expect = full_path_master(*instance)
+                assert assign.weighted_cost == pytest.approx(expect, rel=1e-9)
+            rounds.append(assign.rounds)
+        # 5 linear and 7 BPR seeds take 3 to 7 rounds
+        assert sum(r > 1 for r in rounds) >= 5
 
 
 class TestBuildOutcome:
