@@ -17,9 +17,14 @@ demand fixed. The system is scaled to a unit largest diagonal first, and
 ``p`` is re-centred to sum to exactly 0. When the cheapest path carries no
 flow and the direction would take flow off it, no positive step exists
 (the step would stall at 0), so that path leaves S and the direction is
-solved again on the face of the paths that carry flow. A ratio test caps
-the step where the first path empties (at most the full Newton step), and
-an exact line search picks the step.
+solved again on the face of the paths that carry flow.
+
+The unit step is tried first, along the projected arc ``max(0, f + p)``
+scaled by ``d / sum`` back onto the demand ``d``, so one step can empty
+any number of paths. It is taken when its value is at most ``value +
+1e-4 * c @ (step - f)`` (Armijo's test), and its cost pass is then the
+next iterate's. Otherwise an exact line search along the ray ``f + a p``
+picks the step, capped where the first path empties (at most 1).
 
 When the Newton direction is not a descent direction, or its step leaves
 the path flows unchanged, the iteration takes the Frank-Wolfe step with
@@ -29,25 +34,17 @@ linearly (Lacoste-Julien & Jaggi 2015) given an exact line search, so every
 iterate is covered. A direction whose slope is within rounding of zero
 (``_SLOPE_RESOLUTION`` of the slope's absolute terms) counts as no descent;
 an iterate where neither direction descends stops the solve as stalled.
-
-The line search works in link space: a path direction moves the link flows
-along ``delta = incidence @ direction``, so the directional derivative at
-step ``a`` is ``delta @ gradient(q + a*delta)`` and its derivative
-``delta**2 @ curvature(q + a*delta)``. Each trial point, like each iterate,
-is one cost pass. The root of the directional derivative is found by
-Newton steps kept inside a bracket of the feasible step interval; the first
-step is already exact when the costs are linear.
+Both line searches work in link space (``_line_search``), one cost pass
+per trial point and none on linear costs.
 
 A solve starts from the all-or-nothing point (all demand on the cheapest
 path of the empty network); ``solve_ue`` starts instead from the path
 flows passed as ``start``, scaled to the demand, when given. The active
-set gains at most one path per iteration, so a start that already
-carries the optimum's paths saves the iterations that would find them:
-the no-policy UE started from the SO's path flows takes 5 iterations
-where the cold solve takes 8 and 10 on the benchmark's linear and BPR
-chains. A path of the start that the optimum leaves unused costs one
-step that empties it, so a start riding many such paths can take more
-iterations than the cold solve.
+set gains at most one path per iteration, so a start that carries the
+optimum's paths saves the iterations that would find them, and a unit
+step empties the start's unused paths together: the no-policy UE started
+from the SO's path flows takes 4 iterations where the cold solve takes 8
+and 10 on the benchmark's linear and BPR chains.
 
 Everything is deterministic: ties break toward the lowest path index, so
 rerunning a solve from the same start reproduces bit-identical flows.
@@ -65,9 +62,8 @@ from .network import Network, PathSet
 DEFAULT_TOL = 1e-8
 # iterations before a solve gives up, on top of two per path: the active
 # set gains at most one path per iteration, so from the all-or-nothing start
-# an optimum that uses k paths takes k - 1 iterations to reach, plus one for
-# each step that empties one; a warm start begins with its own paths active,
-# and each it holds that the optimum leaves unused costs one emptying step
+# an optimum that uses k paths takes k - 1 iterations to reach; a unit step
+# can empty many paths, one that falls back to the line search one at most
 MAX_ITER = 400
 # a direction descends only if its slope is below this fraction of the sum
 # of the slope's absolute terms; smaller slopes are rounding (256 ulps)
@@ -75,6 +71,8 @@ _SLOPE_RESOLUTION = 2.0**-44
 # the line search stops once the step is bracketed this finely, relative to
 # the largest feasible step: double precision
 _STEP_RESOLUTION = 2.0**-50
+# Armijo's test: a unit step must give this share of its predicted decrease
+_ARMIJO = 1e-4
 
 
 class ConvergenceError(RuntimeError):
@@ -92,11 +90,12 @@ class FlowSolution:
     ``total_time`` is ``sum q_a t_a(q_a)`` in flow-minutes; ``ue_time`` is
     the common travel time of used paths and is only set for the UE regime.
     Three diagnostics explain a solve, and the output files leave them out:
-    ``cost_passes`` counts the passes over the link costs, one per iterate
-    and one per line-search trial point; ``gap_history`` holds the relative
-    gap at each iterate, from the start to the returned one (so its last
-    entry is ``relative_gap``); ``newton_steps`` counts the iterations that
-    took the Newton direction rather than the Frank-Wolfe step.
+    ``cost_passes`` counts the passes over the link costs: one per iterate
+    (a taken unit step's pass is the next iterate's), one per rejected unit
+    step and one per line-search trial point; ``gap_history`` holds the
+    relative gap at each iterate, from the start to the returned one (so
+    its last entry is ``relative_gap``); ``newton_steps`` counts the
+    iterations that took the Newton direction, not the Frank-Wolfe step.
     """
 
     regime: str
@@ -126,8 +125,8 @@ def solve_ue(
     ``start``, when given, holds the path flows to begin from instead of
     the all-or-nothing point: one finite, non-negative flow per path, with
     a positive sum, scaled to the demand. It is ignored at zero demand.
-    The SO's path flows on the same ``paths`` usually save iterations, as
-    the module docstring explains."""
+    The SO's path flows on the same ``paths`` save iterations where the SO
+    rides the UE's paths, as the module docstring explains."""
     return _solve(net, paths, "UE", tol, start)
 
 
@@ -220,10 +219,10 @@ def _projected_newton(net, paths, regime, tol, start):
     history = []
     newton_steps = 0
     max_iter = MAX_ITER + 2 * n_paths
+    q = incidence @ f
+    point = (q, *cost_pass(q))
     for iteration in range(1, max_iter + 1):
-        # f is clipped at zero, so the link flows are non-negative
-        q = incidence @ f
-        value, gradient, curvature = cost_pass(q)
+        q, value, gradient, curvature = point
         path_costs = incidence.T @ gradient
         cheapest = int(np.argmin(path_costs))
         carried = float(path_costs @ f)
@@ -241,7 +240,11 @@ def _projected_newton(net, paths, regime, tol, start):
         gap_rel = float(fw_gap / scale)
         history.append(gap_rel)
         if gap_rel <= tol:
-            spread, bound = _used_cost_spread(f, path_costs, d, tol)
+            # the optimality certificate: every path carrying more than
+            # tol*d costs at most tol*(1 + cheapest cost) above the cheapest
+            used = f > tol * d
+            spread = path_costs[used].max() - path_costs[cheapest] if used.any() else 0.0
+            bound = tol * (1.0 + abs(path_costs[cheapest]))
             if spread <= bound:
                 return f, q, dict(
                     relative_gap=gap_rel,
@@ -251,16 +254,15 @@ def _projected_newton(net, paths, regime, tol, start):
                     newton_steps=newton_steps,
                 )
 
-        at = (cost_pass, incidence, net.linear_costs, f, q, path_costs, curvature)
-        newton = _newton_direction(incidence, curvature, path_costs, f, cheapest)
-        moved = _descend(*at, *newton)
+        at = (cost_pass, incidence, net.linear_costs, d, f, q, value, path_costs, curvature)
+        direction = _newton_direction(incidence, curvature, path_costs, f, cheapest)
+        moved, point = _descend(*at, direction, arc=True)
         if moved is f:
-            moved = _descend(*at, *_toward_or_away(f, path_costs, cheapest, carried, d))
+            moved, point = _descend(*at, *_toward_or_away(f, path_costs, cheapest, carried, d))
         else:
             newton_steps += 1
         if moved is f:
-            # f is the solver's only state, so every later iteration would
-            # repeat this one
+            # f is the solver's only state: every later iteration repeats this
             stop = f", stalled at iteration {iteration} (path flows unchanged)"
             break
         f = moved
@@ -278,9 +280,7 @@ def _projected_newton(net, paths, regime, tol, start):
 
 
 def _newton_direction(incidence, curvature, path_costs, f, cheapest):
-    """The Newton direction on the active set, its largest step (where the
-    first path empties, at most the full step 1) and the path that empties
-    there (None when none does)."""
+    """The Newton direction on the active set, zero off it."""
 
     def solve_on(S):
         A = incidence[:, S]
@@ -309,27 +309,38 @@ def _newton_direction(incidence, curvature, path_costs, f, cheapest):
         p = solve_on(S)
     direction = np.zeros(f.size)
     direction[S] = p
-    shrinking = S[p < 0]
-    ratios = f[shrinking] / -p[p < 0]
-    if ratios.size and ratios.min() < 1.0:
-        k = int(np.argmin(ratios))
-        return direction, float(ratios[k]), int(shrinking[k])
-    return direction, 1.0, None
+    return direction
 
 
-def _descend(cost_pass, incidence, affine, f, q, path_costs, curvature,
-             direction, step_max, emptied):
-    """The iterate an exact line search along the path ``direction`` reaches
-    from path flows ``f`` (link flows ``q``, path costs ``path_costs``, link
-    curvature ``curvature``) within ``[0, step_max]``, with path ``emptied``
-    set to exactly 0 when the step reaches ``step_max``; ``f`` itself when
-    the direction does not descend or the step leaves ``f`` unchanged.
-    ``cost_pass`` and ``affine`` are as for ``_line_search``."""
+def _descend(cost_pass, incidence, affine, d, f, q, value, path_costs, curvature,
+             direction, cap=1.0, arc=False):
+    """The iterate reached from path flows ``f`` (link flows ``q``, value
+    ``value``, path costs ``path_costs``, link curvature ``curvature``) along
+    the path ``direction`` with its ``(q, *cost_pass(q))``, or ``(f, None)``
+    when the direction does not descend or the step leaves ``f`` unchanged.
+    With ``arc``, the unit step along the projected arc, put back on the
+    demand ``d``, is taken if it passes Armijo's test. Else an exact line
+    search picks the step, up to where the first path empties (that path is
+    then set to exactly 0) and at most ``cap``. ``cost_pass`` and ``affine``
+    are as for ``_line_search``."""
     terms = path_costs * direction
     slope = float(terms.sum())
-    rounding = _SLOPE_RESOLUTION * float(np.abs(terms).sum())
-    if step_max <= 0 or not slope < -rounding:
-        return f
+    if not slope < -_SLOPE_RESOLUTION * float(np.abs(terms).sum()):
+        return f, None
+    if arc:
+        trial = np.maximum(f + direction, 0.0)
+        trial *= d / trial.sum()
+        if not np.array_equal(trial, f):
+            trial_q = incidence @ trial
+            point = (trial_q, *cost_pass(trial_q))
+            if point[1] <= value + _ARMIJO * float(path_costs @ (trial - f)):
+                return trial, point
+    shrinking = np.flatnonzero(direction < 0)
+    ratios = f[shrinking] / -direction[shrinking]
+    step_max, emptied = cap, None
+    if ratios.size and ratios.min() <= cap:
+        k = int(np.argmin(ratios))
+        step_max, emptied = float(ratios[k]), int(shrinking[k])
     delta = incidence @ direction
     step = _line_search(
         cost_pass, q, delta, slope, float((delta * delta) @ curvature), step_max, affine
@@ -338,36 +349,26 @@ def _descend(cost_pass, incidence, affine, f, q, path_costs, curvature,
     np.maximum(moved, 0.0, out=moved)
     if step == step_max and emptied is not None:
         moved[emptied] = 0.0
-    return f if np.array_equal(moved, f) else moved
+    if np.array_equal(moved, f):
+        return f, None
+    q = incidence @ moved  # moved is clipped at zero, so q is non-negative
+    return moved, (q, *cost_pass(q))
 
 
 def _toward_or_away(f, path_costs, cheapest, carried, d):
     """The Frank-Wolfe direction with the larger gap, toward the cheapest
-    path or away from the costliest path carrying flow, its largest step
-    and the path that empties there (None for the toward step)."""
+    path or away from the costliest path carrying flow, and its largest
+    step: 1, or where the costliest path empties."""
     active = np.flatnonzero(f > 0)
     worst = int(active[np.argmax(path_costs[active])])
     if carried - d * path_costs[cheapest] >= d * path_costs[worst] - carried:
         direction = -f.copy()
         direction[cheapest] += d
-        return direction, 1.0, None
+        return direction, 1.0
     direction = f.copy()
     direction[worst] -= d
     denom = d - f[worst]
-    return direction, (f[worst] / denom if denom > 0 else 0.0), worst
-
-
-def _used_cost_spread(f, path_costs, d, tol) -> tuple[float, float]:
-    """The optimality certificate's spread and bound: how far the costliest
-    path carrying more than tol*d lies above the cheapest path (0 when none
-    carries that much), and tol*(1 + cheapest cost). The certificate holds
-    when the spread is within the bound."""
-    cheapest = path_costs.min()
-    bound = tol * (1.0 + abs(cheapest))
-    used = f > tol * d
-    if not used.any():
-        return 0.0, bound
-    return path_costs[used].max() - cheapest, bound
+    return direction, (f[worst] / denom if denom > 0 else 0.0)
 
 
 def _line_search(cost_pass, q, delta, slope0, curve0, step_max, affine):
@@ -379,19 +380,18 @@ def _line_search(cost_pass, q, delta, slope0, curve0, step_max, affine):
     and its derivative ``delta**2 @ curvature`` at 0, and ``cost_pass(q)``
     returns the objective's value, gradient and curvature at link flows
     ``q``. When ``affine`` (every link cost is linear) the slope is affine
-    in the step, so the first Newton step is the root and no pass is needed
-    to confirm it.
+    in the step, so the first Newton step is the root and needs no pass.
 
-    Otherwise each step is Newton's from the latest trial point, as long as
-    it stays strictly inside the bracket ``[lo, hi]`` that holds the root
-    and is at most half as long as the step before last. Where it is not,
-    or where the curvature is not finite and positive (as when every link
-    the direction moves is empty and its cost has zero slope there, like a
-    BPR cost of power above 1), the step goes to ``step_max`` while the
-    slope there is unknown, then to the middle of the bracket. The search
-    stops when the slope is zero up to rounding (within
-    ``_SLOPE_RESOLUTION`` of ``|delta| @ |gradient|``), or when the Newton
-    step or the bracket is below ``_STEP_RESOLUTION * step_max``.
+    Otherwise each step is Newton's from the latest trial point while it
+    stays strictly inside the bracket ``[lo, hi]`` that holds the root and
+    is at most half as long as the step before last. Else, or where the
+    curvature is not finite and positive (as when every link the direction
+    moves is empty and its cost has zero slope there, like a BPR cost of
+    power above 1), the step goes to ``step_max`` while the slope there is
+    unknown, then to the middle of the bracket. The search stops when the
+    slope is zero up to rounding (within ``_SLOPE_RESOLUTION`` of
+    ``|delta| @ |gradient|``), or when the Newton step or the bracket is
+    below ``_STEP_RESOLUTION * step_max``.
     """
     if step_max <= 0 or slope0 >= 0:
         return 0.0
