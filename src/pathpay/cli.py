@@ -235,7 +235,7 @@ def cmd_scheme(args) -> int:
 def cmd_improvement(args) -> int:
     if not 2 <= args.grid <= MAX_GRID:  # before any file is read
         raise ValueError(f"--grid must be an integer in [2, {MAX_GRID}]")
-    report = _run_with_baseline(args, args.grid)[-1]
+    _, result, _, report = _run_with_baseline(args, args.grid)
 
     # the header is the report's field names, a column each; a cell is the
     # repr of a Python float, its shortest round-trip form (numpy 2 spells a
@@ -246,7 +246,7 @@ def cmd_improvement(args) -> int:
     _write(out / "improvement.csv", ",".join(names) + "\n",
            (",".join(["" if v != v else repr(v) for v in row]) + "\n" for row in rows))
 
-    pareto = check_pareto(report)
+    pareto = check_pareto(result.outcome, report)
     print(
         f"wrote {out / 'improvement.csv'} ({report.beta.size} rows); "
         f"cost ordering {'PASS' if pareto.passed else 'FAIL'}"

@@ -37,14 +37,20 @@ an iterate where neither direction descends stops the solve as stalled.
 Both line searches work in link space (``_line_search``), one cost pass
 per trial point and none on linear costs.
 
-A solve starts from the all-or-nothing point (all demand on the cheapest
-path of the empty network); ``solve_ue`` starts instead from the path
-flows passed as ``start``, scaled to the demand, when given. The active
-set gains at most one path per iteration, so a start that carries the
-optimum's paths saves the iterations that would find them, and a unit
-step empties the start's unused paths together: the no-policy UE started
-from the SO's path flows takes 4 iterations where the cold solve takes 8
-and 10 on the benchmark's linear and BPR chains.
+The active set gains at most one path per iteration, so a solve is
+cheapest from a start that already carries the optimum's paths. A cold
+solve loads the demand incrementally (Sheffi 1985, ch. 5): it splits the
+demand into ``K = max(1, links - nodes + 2)`` equal parts and puts each on
+the cheapest path under the regime's link gradient at the flows loaded so
+far, one cost pass per part. A basic optimum rides at most as many paths
+as the path space has dimensions, which for one origin-destination pair
+is ``K``. On the benchmark's linear and BPR chains the loaded start
+carries 5 of the SO's 10 and 4 of its 9 paths, and the cold SO takes 6
+and 5 iterations; on 405 parallel links at demand 1000 it carries all
+405, and the SO takes 1. ``solve_ue`` starts instead from the path flows
+passed as ``start``, scaled to the demand, when given; a unit step
+empties the start's unused paths together, so the no-policy UE started
+from the SO's path flows takes 1 to 2 and 4 iterations on those chains.
 
 Everything is deterministic: ties break toward the lowest path index, so
 rerunning a solve from the same start reproduces bit-identical flows.
@@ -61,9 +67,10 @@ from .network import Network, PathSet
 
 DEFAULT_TOL = 1e-8
 # iterations before a solve gives up, on top of two per path: the active
-# set gains at most one path per iteration, so from the all-or-nothing start
-# an optimum that uses k paths takes k - 1 iterations to reach; a unit step
-# can empty many paths, one that falls back to the line search one at most
+# set gains at most one path per iteration, so from a start carrying one
+# path an optimum that uses k paths takes k - 1 iterations to reach; a unit
+# step can empty many paths, one that falls back to the line search one at
+# most
 MAX_ITER = 400
 # a direction descends only if its slope is below this fraction of the sum
 # of the slope's absolute terms; smaller slopes are rounding (256 ulps)
@@ -73,6 +80,8 @@ _SLOPE_RESOLUTION = 2.0**-44
 _STEP_RESOLUTION = 2.0**-50
 # Armijo's test: a unit step must give this share of its predicted decrease
 _ARMIJO = 1e-4
+# the smallest objective scale the relative gap divides by
+_TINY = np.finfo(float).tiny
 
 
 class ConvergenceError(RuntimeError):
@@ -90,9 +99,10 @@ class FlowSolution:
     ``total_time`` is ``sum q_a t_a(q_a)`` in flow-minutes; ``ue_time`` is
     the common travel time of used paths and is only set for the UE regime.
     Three diagnostics explain a solve, and the output files leave them out:
-    ``cost_passes`` counts the passes over the link costs: one per iterate
-    (a taken unit step's pass is the next iterate's), one per rejected unit
-    step and one per line-search trial point; ``gap_history`` holds the
+    ``cost_passes`` counts the passes over the link costs: one per part of
+    a cold start's incremental loading, one per iterate (a taken unit
+    step's pass is the next iterate's), one per rejected unit step and one
+    per line-search trial point; ``gap_history`` holds the
     relative gap at each iterate, from the start to the returned one (so
     its last entry is ``relative_gap``); ``newton_steps`` counts the
     iterations that took the Newton direction, not the Frank-Wolfe step.
@@ -123,10 +133,10 @@ def solve_ue(
     """Minimize the Beckmann potential; used paths share one travel time.
 
     ``start``, when given, holds the path flows to begin from instead of
-    the all-or-nothing point: one finite, non-negative flow per path, with
-    a positive sum, scaled to the demand. It is ignored at zero demand.
-    The SO's path flows on the same ``paths`` save iterations where the SO
-    rides the UE's paths, as the module docstring explains."""
+    the incremental loading of the demand: one finite, non-negative flow
+    per path, with a positive sum, scaled to the demand. It is ignored at
+    zero demand. The SO's path flows on the same ``paths`` save iterations
+    where the SO rides the UE's paths, as the module docstring explains."""
     return _solve(net, paths, "UE", tol, start)
 
 
@@ -190,7 +200,7 @@ def average_time(sol: FlowSolution) -> float:
 def _projected_newton(net, paths, regime, tol, start):
     """Path flows and link flows of the ``regime`` ("SO" or "UE") optimum,
     reached from the path flows ``start`` (scaled to the demand) or, when it
-    is None, from all-or-nothing, and the solve's counters as
+    is None, from the incremental loading, and the solve's counters as
     ``FlowSolution`` fields. With zero demand ``start`` is ignored."""
     check_tol(tol)
     d = net.demand
@@ -208,10 +218,17 @@ def _projected_newton(net, paths, regime, tol, start):
         return net.link_objective(q, regime)
 
     if start is None:
-        # all-or-nothing start on the cheapest empty-network path
-        _, gradient, _ = cost_pass(np.zeros(len(net.links)))
+        # incremental loading: each of K equal parts of the demand goes to
+        # the cheapest path at the flows loaded so far (lowest index on ties)
+        parts = max(1, len(net.links) - len(net.nodes) + 2)
+        part = d / parts
         f = np.zeros(n_paths)
-        f[int(np.argmin(incidence.T @ gradient))] = d
+        q = np.zeros(len(net.links))
+        for _ in range(parts):
+            _, gradient, _ = cost_pass(q)
+            k = (incidence.T @ gradient).argmin()
+            f[k] += part
+            q = q + part * incidence[:, k]
     else:
         f = _check_start(start, n_paths)
         f = d * (f / f.sum())
@@ -224,7 +241,7 @@ def _projected_newton(net, paths, regime, tol, start):
     for iteration in range(1, max_iter + 1):
         q, value, gradient, curvature = point
         path_costs = incidence.T @ gradient
-        cheapest = int(np.argmin(path_costs))
+        cheapest = int(path_costs.argmin())
         carried = float(path_costs @ f)
         fw_gap = carried - d * path_costs[cheapest]
         # a non-finite path cost reaches fw_gap through path_costs @ f,
@@ -236,7 +253,7 @@ def _projected_newton(net, paths, regime, tol, start):
                 "cost parameters down",
                 achieved_gap=float("nan"),
             )
-        scale = max(abs(value), np.finfo(float).tiny)
+        scale = max(abs(value), _TINY)
         gap_rel = float(fw_gap / scale)
         history.append(gap_rel)
         if gap_rel <= tol:
@@ -302,7 +319,9 @@ def _newton_direction(incidence, curvature, path_costs, f, cheapest):
         return p - p.sum() / n  # the demand stays exact whatever the rounding
 
     on_face = f > 0
-    S = np.flatnonzero(on_face | (np.arange(f.size) == cheapest))
+    active = on_face.copy()
+    active[cheapest] = True
+    S = np.flatnonzero(active)
     p = solve_on(S)
     if not on_face[cheapest] and p[np.searchsorted(S, cheapest)] < 0:
         S = np.flatnonzero(on_face)
@@ -330,7 +349,7 @@ def _descend(cost_pass, incidence, affine, d, f, q, value, path_costs, curvature
     if arc:
         trial = np.maximum(f + direction, 0.0)
         trial *= d / trial.sum()
-        if not np.array_equal(trial, f):
+        if (trial != f).any():
             trial_q = incidence @ trial
             point = (trial_q, *cost_pass(trial_q))
             if point[1] <= value + _ARMIJO * float(path_costs @ (trial - f)):
@@ -339,7 +358,7 @@ def _descend(cost_pass, incidence, affine, d, f, q, value, path_costs, curvature
     ratios = f[shrinking] / -direction[shrinking]
     step_max, emptied = cap, None
     if ratios.size and ratios.min() <= cap:
-        k = int(np.argmin(ratios))
+        k = int(ratios.argmin())
         step_max, emptied = float(ratios[k]), int(shrinking[k])
     delta = incidence @ direction
     step = _line_search(
@@ -349,7 +368,7 @@ def _descend(cost_pass, incidence, affine, d, f, q, value, path_costs, curvature
     np.maximum(moved, 0.0, out=moved)
     if step == step_max and emptied is not None:
         moved[emptied] = 0.0
-    if np.array_equal(moved, f):
+    if not (moved != f).any():
         return f, None
     q = incidence @ moved  # moved is clipped at zero, so q is non-negative
     return moved, (q, *cost_pass(q))

@@ -479,6 +479,15 @@ def assign_outsider(outcome: SchemeOutcome, rng, size: int | None = None):
     return picked if size is not None else int(picked)
 
 
+def trip_costs(outcome: SchemeOutcome, beta, ranks):
+    """Subscriber and quitter trip costs ($) at the VOTs ``beta`` ($/h):
+    time cost plus payment on the path of slow-to-fast rank ``ranks``, and
+    the expected time cost over the path shares."""
+    hours = beta / MINUTES_PER_HOUR
+    sub_cost = outcome.sorted_times[ranks] * hours + outcome.payments[ranks]
+    return sub_cost, float(outcome.rho @ outcome.sorted_times) * hours
+
+
 def cost_report(
     outcome: SchemeOutcome,
     ue: FlowSolution,
@@ -492,12 +501,8 @@ def cost_report(
     lo, hi = outcome.support
     beta = np.linspace(lo, hi, grid_size)
 
-    ranks = vot_ranks(outcome, beta)
-    hours = beta / MINUTES_PER_HOUR
-    sub_cost = outcome.sorted_times[ranks] * hours + outcome.payments[ranks]
-    expected_time = float(outcome.rho @ outcome.sorted_times)
-    quit_cost = expected_time * hours
-    ue_cost = ue.ue_time * hours
+    sub_cost, quit_cost = trip_costs(outcome, beta, vot_ranks(outcome, beta))
+    ue_cost = ue.ue_time * (beta / MINUTES_PER_HOUR)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         imp_sub = np.where(ue_cost > 0, (ue_cost - sub_cost) / ue_cost * 100.0, np.nan)

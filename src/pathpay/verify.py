@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .scheme import CostReport, SchemeOutcome, MINUTES_PER_HOUR, vot_ranks
+from .scheme import CostReport, SchemeOutcome, MINUTES_PER_HOUR, trip_costs, vot_ranks
 
 SP_DEFAULT_GRID = 201
 # strategy-proofness tolerance per dollar of payment spread: margins are
@@ -162,24 +162,37 @@ def check_revenue_neutral(outcome: SchemeOutcome) -> RevenueResult:
     return RevenueResult(abs(residual) <= tol, residual, tol)
 
 
-def check_pareto(report: CostReport) -> ParetoResult:
-    """Check no-policy cost >= quitter cost >= subscriber cost pointwise."""
+def check_pareto(outcome: SchemeOutcome, report: CostReport) -> ParetoResult:
+    """Check no-policy cost >= quitter cost >= subscriber cost at every VOT
+    of the support, exactly at the partition points.
+
+    Within a rank the quitter's cost minus the subscriber's is linear in the
+    VOT, so its worst is at an end of a rank: both ends of every rank are
+    checked, slowest rank first, and each inner partition point once per
+    rank it ends. The no-policy cost minus the quitter's is proportional to
+    the VOT, so its worst is at the report's first or last VOT, the
+    support's ends. Each margin may fall ``1e-9 * (1 + no-policy cost)``
+    below 0."""
     if report.beta.size == 0:
         raise ValueError("cost report grid is empty")
-    tol = 1e-9 * (1.0 + report.ue_cost)
-    ue_vs_quit = report.ue_cost - report.quitter_cost
-    quit_vs_join = report.quitter_cost - report.subscriber_cost
-    i = int(np.argmin(ue_vs_quit))
-    j = int(np.argmin(quit_vs_join))
+    ends = np.repeat(outcome.partition, 2)[1:-1]
+    sub_cost, quit_cost = trip_costs(outcome, ends, np.arange(ends.size) // 2)
+    quit_vs_join = quit_cost - sub_cost
+    join_tol = 1e-9 * (1.0 + np.interp(ends, report.beta, report.ue_cost))
+    outer = [0, -1]
+    ue_vs_quit = report.ue_cost[outer] - report.quitter_cost[outer]
+    quit_tol = 1e-9 * (1.0 + report.ue_cost[outer])
+    i = int(ue_vs_quit.argmin())
+    j = int(quit_vs_join.argmin())
     passed = bool(
-        np.all(ue_vs_quit >= -tol) and np.all(quit_vs_join >= -tol)
+        np.all(ue_vs_quit >= -quit_tol) and np.all(quit_vs_join >= -join_tol)
     )
     return ParetoResult(
         passed=passed,
         worst_ue_vs_quit_usd=float(ue_vs_quit[i]),
         worst_quit_vs_join_usd=float(quit_vs_join[j]),
-        at_beta_ue_vs_quit=float(report.beta[i]),
-        at_beta_quit_vs_join=float(report.beta[j]),
+        at_beta_ue_vs_quit=float(report.beta[outer[i]]),
+        at_beta_quit_vs_join=float(ends[j]),
     )
 
 
@@ -191,5 +204,5 @@ def run_verification(
     return VerificationReport(
         strategy_proof=check_strategy_proof(outcome, grid=sp_grid),
         revenue_neutral=check_revenue_neutral(outcome),
-        pareto=check_pareto(report),
+        pareto=check_pareto(outcome, report),
     )

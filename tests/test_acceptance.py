@@ -145,11 +145,11 @@ def test_criterion_6_revenue_neutral(demo_run, random_suite):
 def test_criterion_7_pareto_chain(demo_run, demo_ue, random_suite):
     with criterion(7, "joining beats quitting beats no-policy, for every VOT"):
         report = cost_report(demo_run.outcome, demo_ue, 401)
-        assert check_pareto(report).passed
+        assert check_pareto(demo_run.outcome, report).passed
         assert report.improvement_subscriber_pct[0] == pytest.approx(34.0, abs=1.0)
         assert np.ptp(report.improvement_outsider_pct) <= 0.01
-        for _, rnd_report in random_suite:
-            assert check_pareto(rnd_report).passed
+        for rnd_outcome, rnd_report in random_suite:
+            assert check_pareto(rnd_outcome, rnd_report).passed
 
 
 def test_criterion_8_lp_oracle_equivalence():

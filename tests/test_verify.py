@@ -223,12 +223,12 @@ class TestRevenueNeutral:
 class TestPareto:
     def test_fixture_chain(self, demo_run, demo_ue):
         report = cost_report(demo_run.outcome, demo_ue, 401)
-        result = check_pareto(report)
+        result = check_pareto(demo_run.outcome, report)
         assert result.passed
         assert result.worst_ue_vs_quit_usd > 0
         assert result.worst_quit_vs_join_usd > 0
         with pytest.raises(ValueError, match="cost report grid is empty"):
-            check_pareto(replace(report, beta=report.beta[:0]))
+            check_pareto(demo_run.outcome, replace(report, beta=report.beta[:0]))
 
     def test_single_path_all_equal(self, demo_vot):
         import json
@@ -249,10 +249,34 @@ class TestPareto:
         dist, _ = demo_vot
         result = run_scheme(net, dist, 10)
         report = cost_report(result.outcome, solve_ue(net, result.paths), 51)
-        check = check_pareto(report)
+        check = check_pareto(result.outcome, report)
         assert check.passed
         assert check.worst_ue_vs_quit_usd == pytest.approx(0.0, abs=1e-9)
         assert check.worst_quit_vs_join_usd == pytest.approx(0.0, abs=1e-9)
+
+    def test_violation_between_grid_points(self, demo_ue):
+        # two paths 3.5 min apart, cut at 31.65 $/h, between the report's
+        # grid points 31.6 and 31.7: the quitter's cost minus the
+        # subscriber's is least at the cut, where the payments leave it at
+        # -1e-3 $, and at least 3e-4 $ at every grid point
+        times, rho, cut = np.array([25.0, 21.5]), np.array([0.45, 0.55]), 31.65
+        expected = float(rho @ times)
+        low = (expected - times[0]) * cut / 60 + 1e-3
+        o = SchemeOutcome(
+            order=(0, 1),
+            sorted_times=times,
+            partition=np.array([5.0, cut, 45.0]),
+            rho=rho,
+            payments=np.array([low, low + (times[0] - times[1]) * cut / 60]),
+        )
+        report = cost_report(o, replace(demo_ue, ue_time=expected + 1.0), 401)
+        assert (report.quitter_cost - report.subscriber_cost).min() >= 3e-4
+        check = check_pareto(o, report)
+        assert not check.passed
+        assert check.worst_quit_vs_join_usd == pytest.approx(-1e-3, abs=1e-12)
+        assert check.at_beta_quit_vs_join == cut
+        assert check.worst_ue_vs_quit_usd == pytest.approx(5 / 60, rel=1e-12)
+        assert check.at_beta_ue_vs_quit == 5.0
 
     def test_so_times_as_baseline_never_invert(self, demo_run, demo_ue):
         # baseline travel time lowered to the guided expectation: the first
@@ -260,7 +284,7 @@ class TestPareto:
         o = demo_run.outcome
         expected = float(o.rho @ o.sorted_times)
         report = cost_report(o, replace(demo_ue, ue_time=expected), 101)
-        check = check_pareto(report)
+        check = check_pareto(o, report)
         assert check.passed
         assert check.worst_ue_vs_quit_usd == pytest.approx(0.0, abs=1e-12)
 
