@@ -43,14 +43,14 @@ from .scheme import (
     run_scheme,
     vot_ranks,
 )
-# not a flag: a misreport margin is linear in VOT within a rank, and the
-# check takes every rank at both ends, so any lattice gives the exact worst
-# margin. ``benchmarks/tracing.py`` reads the name
-from .verify import SP_DEFAULT_GRID as DEFAULT_SP_GRID  # noqa: F401
-from .verify import check_pareto, run_verification
+from .verify import StrategyProofResult, check_pareto, run_verification
 from .vot import check_class_count, parse_vot
 
 DEFAULT_REPORT_GRID = 401
+# not a flag: the strategy-proofness check takes both ends of every rank and
+# no lattice. Kept only for ``benchmarks/tracing.py``; delete it when the
+# trace stops reading it
+DEFAULT_SP_GRID = StrategyProofResult.grid
 # the largest --grid: the cost report holds a few float arrays of this size
 MAX_GRID = 100_000
 # strings of ``lines`` joined per write: a write call per string costs more

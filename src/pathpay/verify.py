@@ -8,12 +8,12 @@ their inputs and can run on any outcome, not just the bundled fixture.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .scheme import CostReport, SchemeOutcome, MINUTES_PER_HOUR, trip_costs, vot_ranks
+from .scheme import CostReport, SchemeOutcome, MINUTES_PER_HOUR, trip_costs
 
-SP_DEFAULT_GRID = 201
 # strategy-proofness tolerance per dollar of payment spread: margins are
 # differences of payments, so they carry rounding of the payments' size,
 # and a payment offset common to every path cancels in them
@@ -27,22 +27,26 @@ class StrategyProofResult:
     ``worst_margin_usd`` is min over all pairs of (cost when lying) minus
     (cost when truthful); non-negative means lying never helps.
     ``worst_true_vot`` and ``worst_declared_vot`` are the first pair in
-    lattice order whose margin is within ``tolerance_usd`` of the worst, so
-    a passing run reports the truthful pair at the support minimum however
-    the payments round; a true VOT on a partition point may stand for the
-    limit from above, in the rank above the point.
+    rank-ends order whose margin is within ``tolerance_usd`` of the worst,
+    so a passing run reports the truthful pair at the support minimum
+    however the payments round; a true VOT on a partition point may stand
+    for the limit from above, in the rank above the point.
     ``boundary_worst_abs_usd`` is the largest absolute margin over the
     indifference pairs, where a subscriber at the open lower end of a rank
-    declares into the rank of the partition point itself.
+    declares into the rank below it, the rank of the partition point itself.
     ``tolerance_usd`` is ``SP_TOL * (1 + max payment - min payment)``.
     """
+
+    # not a field: the uniform lattice size whose rows, with the partition
+    # points spliced in, are the rank ends. Kept only for
+    # ``benchmarks/tracing.py``; delete it when the trace stops reading it
+    grid: ClassVar[int] = 2
 
     passed: bool
     worst_margin_usd: float
     worst_true_vot: float
     worst_declared_vot: float
     boundary_worst_abs_usd: float
-    grid: int
     tolerance_usd: float
 
 
@@ -85,54 +89,42 @@ class VerificationReport:
         return {"passed": self.passed, **asdict(self)}
 
 
-def check_strategy_proof(
-    outcome: SchemeOutcome, grid: int = SP_DEFAULT_GRID
-) -> StrategyProofResult:
-    """Exhaustively search (true VOT, true rank) rows for a profitable
-    misreport into each rank.
+def check_strategy_proof(outcome: SchemeOutcome) -> StrategyProofResult:
+    """Search both ends of every rank for a profitable misreport into each
+    rank.
 
-    The rows are a uniform grid over the support with every partition point
-    spliced in, each in its own rank, then each inner partition point again
-    as the open lower end of the rank above it, its true VOT the limit from
-    above. A margin is linear in the true VOT within a rank, so the worst
-    margin is exact at any ``grid``. The reported pair is the first row,
-    then the first declared VOT of a rank, within the tolerance of the worst.
+    The ranks that hold a VOT are rank 0, which holds the support minimum,
+    and each rank above it whose interval ``(p_k, p_k+1]`` is not empty. A
+    row is an end of one of them in that rank, lower end first, slowest
+    rank first; a lower end above rank 0 is its partition point's limit
+    from above. A margin is linear in the true VOT within a rank, so the
+    ends give the exact worst. A declared VOT matters only through its
+    rank: rank 0 declares the support minimum, every other rank its upper
+    end. The reported pair is the first row, then the first rank, within
+    the tolerance of the worst.
     """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    lo, hi = outcome.support
-    lattice = np.unique(
-        np.concatenate([np.linspace(lo, hi, grid), outcome.partition])
-    )
-    ranks = vot_ranks(outcome, lattice)
-    # an inner partition point in [lo, hi) is also the open lower end of the
-    # rank a right-side search gives it: a second row, right after its first
-    above = np.searchsorted(outcome.partition[1:-1], lattice, side="right")
-    lower = (above > ranks) & (lo <= lattice) & (lattice < hi)
-    rows = np.repeat(np.arange(lattice.size), 1 + lower)
-    at_lower = np.flatnonzero(rows[1:] == rows[:-1]) + 1
-    true_rank = ranks[rows]
-    true_rank[at_lower] = above[rows[at_lower]]
-    # margins[i, c]: row i declares into rank used[c]. A declared VOT matters
-    # only through its rank, and ranks rise along the lattice, so the first
-    # declared VOT of a rank stands for all of them
-    used, first = np.unique(ranks, return_index=True)
+    points = outcome.partition
+    live = np.flatnonzero(np.r_[True, points[1:-1] < points[2:]])
+    vots = np.column_stack([points[live], points[live + 1]]).ravel()
+    declared = points[live + 1]
+    declared[0] = points[0]
+    # margins[i, c]: row i declares into rank live[c]
     margins = _margins(
-        outcome, lattice[rows, None] / MINUTES_PER_HOUR, true_rank[:, None], used
+        outcome, vots[:, None] / MINUTES_PER_HOUR, np.repeat(live, 2)[:, None], live
     )
     worst = float(margins.min())
     tol = SP_TOL * (1.0 + float(np.ptp(outcome.payments)))
     i, c = np.unravel_index(np.argmax(margins <= worst + tol), margins.shape)
-    # indifference pairs: a lower end declares into the rank its point maps to
-    boundary = margins[at_lower, np.searchsorted(used, ranks[rows[at_lower]])]
+    # indifference pairs: each lower end above rank 0 declares the rank below
+    above = np.arange(1, live.size)
+    boundary = margins[2 * above, above - 1]
 
     return StrategyProofResult(
         passed=worst >= -tol,
         worst_margin_usd=worst,
-        worst_true_vot=float(lattice[rows[i]]),
-        worst_declared_vot=float(lattice[first[c]]),
+        worst_true_vot=float(vots[i]),
+        worst_declared_vot=float(declared[c]),
         boundary_worst_abs_usd=float(np.abs(boundary).max(initial=0.0)),
-        grid=grid,
         tolerance_usd=tol,
     )
 
@@ -197,12 +189,12 @@ def check_pareto(outcome: SchemeOutcome, report: CostReport) -> ParetoResult:
 
 
 def run_verification(
-    outcome: SchemeOutcome,
-    report: CostReport,
-    sp_grid: int = SP_DEFAULT_GRID,
+    outcome: SchemeOutcome, report: CostReport, sp_grid: int | None = None
 ) -> VerificationReport:
+    """The three checks. ``sp_grid`` is ignored: it is kept only for
+    ``benchmarks/tracing.py``; delete it when the trace stops passing it."""
     return VerificationReport(
-        strategy_proof=check_strategy_proof(outcome, grid=sp_grid),
+        strategy_proof=check_strategy_proof(outcome),
         revenue_neutral=check_revenue_neutral(outcome),
         pareto=check_pareto(outcome, report),
     )

@@ -150,25 +150,6 @@ class VotDistribution:
 
     # -- queries -----------------------------------------------------------
 
-    def cdf(self, b):
-        """P(VOT <= b) inside the support; 0 at and below its minimum, 1 at
-        and above its maximum.
-
-        An atom on the minimum counts only above it: for samples
-        ``[0, 0, 1]``, ``cdf(0)`` is 0 and ``cdf(1e-9)`` just over 2/3. So
-        ``cdf(p1) - cdf(lo)`` is the whole mass of the first interval
-        ``[lo, p1]``, atom included.
-        """
-        x = np.asarray(b, dtype=float)
-        k = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, self.knots.size - 2)
-        x0 = self.knots[k]
-        dx = np.clip(x - x0, 0.0, self.knots[k + 1] - x0)
-        val = self.cum[k] + self.density[k] * dx + 0.5 * self.slope[k] * dx * dx
-        val = np.clip(val, 0.0, 1.0)
-        val = np.where(x <= self.knots[0], 0.0, val)
-        val = np.where(x >= self.knots[-1], 1.0, val)
-        return val if val.ndim else float(val)
-
     def inverse_cdf(self, u):
         """Smallest b with cdf(b) >= u, for u in [0, 1].
 

@@ -198,13 +198,13 @@ def network_document(net: Network) -> dict:
 
 
 @functools.cache
-def benchmark_instances():
-    """The benchmark's seeded input writer, ``benchmarks/instances.py``,
-    loaded as a module."""
+def benchmark_module(name: str):
+    """``benchmarks/<name>.py`` loaded as a module: ``instances``, the
+    benchmark's seeded input writer, or ``tracing``, its stage-by-stage run."""
     spec = importlib.util.spec_from_file_location(
-        "bench_instances", Path(__file__).resolve().parent.parent / "benchmarks" / "instances.py"
+        f"bench_{name}", Path(__file__).resolve().parent.parent / "benchmarks" / f"{name}.py"
     )
-    instances = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = instances  # its dataclasses look themselves up
-    spec.loader.exec_module(instances)
-    return instances
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module

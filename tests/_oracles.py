@@ -12,7 +12,9 @@ the VOT quantile and class table as per-point and per-class loops,
 Frank-Wolfe with a regula-falsi line search, path enumeration by a
 recursive search without pruning, ``scheme.json``/``scheme.txt`` from
 one dict per path through ``json.dumps``, and ``assignments.csv`` from one
-library call per user through ``csv.writer``.
+library call per user through ``csv.writer``. ``cdf``, the VOT cdf, alone
+has no twin in the package: the quantile tests check ``inverse_cdf``
+against it.
 """
 
 from __future__ import annotations
@@ -375,6 +377,28 @@ def loop_drive_out_artificials(T, basis, n: int) -> list[int]:
             _pivot(T, dummy_obj, basis, i, swap)
             keep.append(i)
     return keep
+
+
+def cdf(dist, b):
+    """P(VOT <= b) of ``dist`` inside its support; 0 at and below its
+    minimum, 1 at and above its maximum: the bisection oracle and the
+    round-trip tests check ``inverse_cdf`` against it, and the scheme tests
+    the partition's masses.
+
+    An atom on the minimum counts only above it: for samples ``[0, 0, 1]``,
+    ``cdf(0)`` is 0 and ``cdf(1e-9)`` just over 2/3. So ``cdf(p1) -
+    cdf(lo)`` is the whole mass of the first interval ``[lo, p1]``, atom
+    included.
+    """
+    x = np.asarray(b, dtype=float)
+    k = np.clip(np.searchsorted(dist.knots, x, side="right") - 1, 0, dist.knots.size - 2)
+    x0 = dist.knots[k]
+    dx = np.clip(x - x0, 0.0, dist.knots[k + 1] - x0)
+    val = dist.cum[k] + dist.density[k] * dx + 0.5 * dist.slope[k] * dx * dx
+    val = np.clip(val, 0.0, 1.0)
+    val = np.where(x <= dist.knots[0], 0.0, val)
+    val = np.where(x >= dist.knots[-1], 1.0, val)
+    return val if val.ndim else float(val)
 
 
 def scalar_inverse_cdf(dist, u: float) -> float:

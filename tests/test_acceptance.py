@@ -15,7 +15,7 @@ from _instances import (
     random_vot,
     transportation_lp,
 )
-from _oracles import brute_force_lp_oracle
+from _oracles import brute_force_lp_oracle, lattice_strategy_proof, loop_boundary_worst
 from conftest import FIXTURE_DIR
 from pathpay import (
     average_time,
@@ -124,13 +124,17 @@ def test_criterion_4_payment_consistency():
 
 def test_criterion_5_strategy_proof(demo_run, random_suite):
     with criterion(5, "no profitable VOT misreport on fixture or 100 random runs"):
-        check = check_strategy_proof(demo_run.outcome, grid=201)
-        assert check.worst_margin_usd >= -1e-9
-        assert check.boundary_worst_abs_usd <= 1e-9
-        for outcome, _ in random_suite:
-            result = check_strategy_proof(outcome, grid=201)
+        for outcome in [demo_run.outcome] + [outcome for outcome, _ in random_suite]:
+            result = check_strategy_proof(outcome)
             assert result.worst_margin_usd >= -1e-9, result
             assert result.boundary_worst_abs_usd <= 1e-9, result
+            # the check is exact: its rows are the 2-point lattice's, and a
+            # finer lattice only adds rows inside ranks
+            tol = result.tolerance_usd
+            got = (result.worst_margin_usd, result.worst_true_vot, result.worst_declared_vot)
+            assert got == lattice_strategy_proof(outcome, 2, tol)
+            assert result.worst_margin_usd == lattice_strategy_proof(outcome, 201, tol)[0]
+            assert result.boundary_worst_abs_usd == loop_boundary_worst(outcome)
 
 
 def test_criterion_6_revenue_neutral(demo_run, random_suite):

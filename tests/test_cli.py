@@ -18,7 +18,7 @@ import pathpay.equilibrium
 import pathpay.scheme
 import pathpay.simplex
 from _instances import (
-    benchmark_instances, network_document, parallel_network, random_chain, random_grid,
+    benchmark_module, network_document, parallel_network, random_chain, random_grid,
 )
 from _oracles import dict_scheme_files, per_user_assignments
 from conftest import FIXTURE_DIR
@@ -107,7 +107,7 @@ class TestOutputFormat:
                 for key, value in data.items()} == {
             "passed": None,
             "strategy_proof": [
-                "boundary_worst_abs_usd", "grid", "passed", "tolerance_usd",
+                "boundary_worst_abs_usd", "passed", "tolerance_usd",
                 "worst_declared_vot", "worst_margin_usd", "worst_true_vot",
             ],
             "revenue_neutral": ["passed", "residual_usd", "tolerance_usd"],
@@ -270,7 +270,7 @@ class TestScheme:
             monkeypatch.setattr(cli, name, kept)
 
         cases = [("fixture", NETWORK, VOT, None)]
-        bench = benchmark_instances()
+        bench = benchmark_module("instances")
         for seed in (1, 2, 3):
             for workload in bench.WORKLOADS:
                 for inst in bench.write_workload(workload, seed, tmp_path / f"seed{seed}"):
@@ -1175,7 +1175,7 @@ class TestAssign:
 
     @pytest.mark.parametrize("workload", ["many-classes", "many-paths"])
     def test_benchmark_rosters_match_per_user_answers(self, tmp_path, workload):
-        (inst,) = [i for i in benchmark_instances().write_workload(workload, 1, tmp_path)
+        (inst,) = [i for i in benchmark_module("instances").write_workload(workload, 1, tmp_path)
                    if i.roster is not None]
         net = parse_network(inst.network.read_text())
         dist, M = parse_vot(inst.vot.read_text())

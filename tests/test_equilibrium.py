@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import pathpay.equilibrium
 from _instances import (
-    benchmark_instances,
+    benchmark_module,
     parallel_network,
     random_chain,
     random_network,
@@ -638,7 +638,7 @@ class TestWarmStart:
         # on the benchmark's chains the SO already rides the paths the cold
         # UE spends its iterations finding: 5 -> 1 on the linear chain,
         # 6 -> 4 on the BPR chain. The loaded cold SO takes 6 and 5
-        for inst in benchmark_instances().write_workload("many-paths", 1, tmp_path):
+        for inst in benchmark_module("instances").write_workload("many-paths", 1, tmp_path):
             net = parse_network(inst.network.read_text())
             paths = enumerate_paths(net)
             so = solve_so(net, paths)

@@ -8,10 +8,12 @@ from hypothesis import given, strategies as st
 
 import pathpay.scheme
 from _instances import (
-    benchmark_instances, make_table, random_chain, random_grid, random_network, random_vot,
+    benchmark_module, make_table, random_chain, random_grid, random_network, random_vot,
     seeded_chain_or_grid,
 )
-from _oracles import class_path_lp, first_master_lp, full_path_master, greedy_weighted_cost
+from _oracles import (
+    cdf, class_path_lp, first_master_lp, full_path_master, greedy_weighted_cost,
+)
 from conftest import FIXTURE_DIR
 from pathpay import (
     FlowSolution,
@@ -38,7 +40,6 @@ from pathpay import (
 )
 from pathpay.scheme import _greedy_decomposition
 from pathpay.simplex import solve_lp
-from pathpay.verify import SP_DEFAULT_GRID
 
 # hand-computed payments for the reference scenario: sorted times
 # (43, 40.5, 39.5, 37) min, shares (0.25, 0.30, 0, 0.45), partition
@@ -240,7 +241,7 @@ def benchmark_chains(directory, seed):
     """(network, VOT distribution, classes) of the benchmark's many-paths
     chains written for ``seed``."""
     chains = []
-    for inst in benchmark_instances().write_workload("many-paths", seed, directory):
+    for inst in benchmark_module("instances").write_workload("many-paths", seed, directory):
         dist, M = parse_vot(inst.vot.read_text())
         chains.append((parse_network(inst.network.read_text()), dist, inst.classes or M))
     return chains
@@ -483,7 +484,7 @@ class TestClosedFormFirstRound:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_benchmark_instances(self, monkeypatch, tmp_path, seed):
-        instances = benchmark_instances()
+        instances = benchmark_module("instances")
         for workload in instances.WORKLOADS:
             for inst in instances.write_workload(workload, seed, tmp_path):
                 net = parse_network(inst.network.read_text())
@@ -556,7 +557,7 @@ class TestBuildOutcome:
         dist, _ = demo_vot
         o = demo_run.outcome
         for i in range(len(o.rho)):
-            mass = dist.cdf(o.partition[i + 1]) - dist.cdf(o.partition[i])
+            mass = cdf(dist, o.partition[i + 1]) - cdf(dist, o.partition[i])
             assert mass == pytest.approx(float(o.rho[i]), abs=1e-9)
 
     def test_mass_balance(self, demo_run, demo_network):
@@ -717,7 +718,7 @@ class TestVotRanks:
             lo, hi = o.support
             report_grid = np.linspace(lo, hi, 401)
             lattice = np.unique(
-                np.concatenate([np.linspace(lo, hi, SP_DEFAULT_GRID), o.partition])
+                np.concatenate([np.linspace(lo, hi, 201), o.partition])
             )
             for vots in (report_grid, lattice):
                 ranks = vot_ranks(o, vots)
@@ -840,7 +841,7 @@ class TestRandomPipelines:
             assert np.all(np.diff(o.partition) >= 0)
             assert np.all(np.diff(o.payments) >= -1e-12)
             for i in range(len(o.rho)):
-                mass = dist.cdf(o.partition[i + 1]) - dist.cdf(o.partition[i])
+                mass = cdf(dist, o.partition[i + 1]) - cdf(dist, o.partition[i])
                 assert mass == pytest.approx(float(o.rho[i]), abs=1e-9)
             cost = greedy_weighted_cost(
                 result.classes, a.subscriber_path_flows, result.so.path_times

@@ -89,6 +89,21 @@ class TestNumericalFailure:
         with pytest.raises(simplex.SimplexError, match="pivot limit"):
             solve_lp(lp)
 
+    def test_residual_above_tolerance_raises(self, monkeypatch):
+        # no input reaches it: the right-hand side drifts by 1 after each
+        # pivoting phase, so the basic solution misses A x = b
+        pivot_until_optimal = simplex._pivot_until_optimal
+
+        def drifting(T, obj, basis, allow_cols):
+            result = pivot_until_optimal(T, obj, basis, allow_cols)
+            T[:, -1] += 1.0
+            return result
+
+        monkeypatch.setattr(simplex, "_pivot_until_optimal", drifting)
+        lp = StandardLp(c=[-1.0, 0.0], A=[[1.0, 1.0]], b=[5.0])
+        with pytest.raises(simplex.SimplexError, match="solution residual 2.000e"):
+            solve_lp(lp)
+
     def test_pivot_below_tolerance_raises(self):
         T = np.array([[0.5 * simplex.PIVOT_TOL, 1.0, 1.0]])
         with pytest.raises(simplex.SimplexError, match="below tolerance"):

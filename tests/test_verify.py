@@ -28,7 +28,7 @@ from pathpay.simplex import solve_lp
 
 class TestStrategyProof:
     def test_fixture_lattice(self, demo_run):
-        result = check_strategy_proof(demo_run.outcome, grid=201)
+        result = check_strategy_proof(demo_run.outcome)
         assert result.passed
         assert result.worst_margin_usd >= -1e-9
         assert result.boundary_worst_abs_usd <= 1e-9
@@ -38,20 +38,25 @@ class TestStrategyProof:
         bad = o.payments.copy()
         bad[-1] += 0.10  # overcharge the fastest path
         broken = replace(o, payments=bad)
-        result = check_strategy_proof(broken, grid=201)
+        result = check_strategy_proof(broken)
         assert not result.passed
-        assert result.worst_margin_usd < -1e-9
-        # the profitable lie is declaring a lower VOT than the truth
-        assert result.worst_declared_vot < result.worst_true_vot
+        assert result.worst_margin_usd == pytest.approx(-0.10, abs=1e-12)
+        # the profitable lie saves the whole overcharge: a subscriber at the
+        # open lower end of the fastest rank declares the rank below, whose
+        # representative VOT is its upper end, the same partition point
+        point = o.partition[2]
+        assert (result.worst_true_vot, result.worst_declared_vot) == (point, point)
 
     @pytest.mark.parametrize(
         "ranks, overcharge, liar", [(slice(1, None), 0.003, 17.3), (slice(2, 3), 0.005, 31.7)]
     )
     def test_overcharge_between_lattice_points_detected(self, demo_run, ranks, overcharge, liar):
-        # partition points off the lattice's 0.2 $/h step: a subscriber just
-        # above 17.3 or 31.7 $/h gains the overcharge by declaring into the
-        # rank below, less a time cost that vanishes at the point, and the
-        # nearest lattice VOT above it pays more time cost than that
+        # partition points off a 201-point lattice's 0.2 $/h step: a
+        # subscriber just above 17.3 or 31.7 $/h gains the overcharge by
+        # declaring into the rank below, less a time cost that vanishes at
+        # the point, and the nearest lattice VOT above it pays more time
+        # cost than that: the whole gain shows only at the rank's open
+        # lower end
         o = demo_run.outcome
         partition = np.array([5.0, 17.3, 31.7, 45.0])
         payments = compute_payments(o.sorted_times, partition, o.rho)
@@ -131,17 +136,15 @@ class TestStrategyProof:
             rho=np.array([1.0]),
             payments=np.array([0.0]),
         )
-        result = check_strategy_proof(outcome, grid=51)
+        result = check_strategy_proof(outcome)
         assert result.passed
         assert result.worst_margin_usd == 0.0
-        with pytest.raises(ValueError, match="grid must be >= 2"):
-            check_strategy_proof(outcome, grid=1)
 
     def test_random_instances(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             result = run_scheme(random_network(rng), random_vot(rng), 12)
-            check = check_strategy_proof(result.outcome, grid=101)
+            check = check_strategy_proof(result.outcome)
             assert check.passed, check
 
 
@@ -152,22 +155,31 @@ class TestStrategyProof:
             net, dist = random_network(rng), random_vot(rng)
             outcomes.append(run_scheme(net, dist, int(rng.integers(1, 40))).outcome)
         # sample atoms at 5 and 20 $/h: an inner point on the support
-        # minimum, and one repeated, so that the rank above it is two up
+        # minimum, and one repeated, so that the rank above it is two up;
+        # an atom at 45 $/h leaves the top rank empty, and one holding all
+        # the mass leaves only rank 0
         times, rho = np.array([40.0, 35.0, 30.0, 25.0]), np.array([0.1, 0.3, 0.2, 0.4])
-        partition = np.array([5.0, 5.0, 20.0, 20.0, 45.0])
-        outcomes.append(SchemeOutcome(order=(0, 1, 2, 3), sorted_times=times, partition=partition,
-                                      rho=rho, payments=compute_payments(times, partition, rho)))
+        for partition in ([5.0, 5.0, 20.0, 20.0, 45.0], [5.0, 10.0, 20.0, 45.0, 45.0],
+                          [45.0] * 5):
+            partition = np.array(partition)
+            outcomes.append(SchemeOutcome(
+                order=(0, 1, 2, 3), sorted_times=times, partition=partition, rho=rho,
+                payments=compute_payments(times, partition, rho)))
         # noisy payments make lying pay, so the worst pair is strict somewhere
         outcomes += [
             replace(o, payments=o.payments + rng.normal(0.0, 0.5, o.payments.size))
             for o in outcomes
         ]
-        for grid in (2, 7, 201):
-            for o in outcomes:
-                check = check_strategy_proof(o, grid=grid)
-                got = (check.worst_margin_usd, check.worst_true_vot, check.worst_declared_vot)
-                assert got == lattice_strategy_proof(o, grid, check.tolerance_usd)
-                assert check.boundary_worst_abs_usd == loop_boundary_worst(o)
+        # the rank ends are the 2-point lattice's rows; a finer lattice only
+        # adds rows inside ranks, so its worst margin is the same float
+        for o in outcomes:
+            check = check_strategy_proof(o)
+            tol = check.tolerance_usd
+            got = (check.worst_margin_usd, check.worst_true_vot, check.worst_declared_vot)
+            assert got == lattice_strategy_proof(o, 2, tol)
+            for grid in (7, 201):
+                assert check.worst_margin_usd == lattice_strategy_proof(o, grid, tol)[0]
+            assert check.boundary_worst_abs_usd == loop_boundary_worst(o)
 
 
 class TestRevenueNeutral:
@@ -365,5 +377,5 @@ class TestVerificationReport:
         assert ver.passed
         data = ver.to_dict()
         assert data["passed"] is True
-        assert data["strategy_proof"]["grid"] == 201
+        assert "grid" not in data["strategy_proof"]
         assert abs(data["revenue_neutral"]["residual_usd"]) <= 1e-9
