@@ -30,7 +30,8 @@ class StrategyProofResult:
     rank-ends order whose margin is within ``tolerance_usd`` of the worst,
     so a passing run reports the truthful pair at the support minimum
     however the payments round; a true VOT on a partition point may stand
-    for the limit from above, in the rank above the point.
+    for the limit from above, in the rank above the point. A declared VOT
+    stands for its rank; above rank 0 it lies inside the rank.
     ``boundary_worst_abs_usd`` is the largest absolute margin over the
     indifference pairs, where a subscriber at the open lower end of a rank
     declares into the rank below it, the rank of the partition point itself.
@@ -99,14 +100,17 @@ def check_strategy_proof(outcome: SchemeOutcome) -> StrategyProofResult:
     rank first; a lower end above rank 0 is its partition point's limit
     from above. A margin is linear in the true VOT within a rank, so the
     ends give the exact worst. A declared VOT matters only through its
-    rank: rank 0 declares the support minimum, every other rank its upper
-    end. The reported pair is the first row, then the first rank, within
-    the tolerance of the worst.
+    rank: rank 0 declares the support minimum, every other rank a VOT
+    inside it, its midpoint, so that it never reads as a partition point.
+    The reported pair is the first row, then the first rank, within the
+    tolerance of the worst.
     """
     points = outcome.partition
     live = np.flatnonzero(np.r_[True, points[1:-1] < points[2:]])
-    vots = np.column_stack([points[live], points[live + 1]]).ravel()
-    declared = points[live + 1]
+    lower, upper = points[live], points[live + 1]
+    vots = np.column_stack([lower, upper]).ravel()
+    # the upper end only where no float lies between the ends
+    declared = np.maximum(lower / 2 + upper / 2, np.nextafter(lower, np.inf))
     declared[0] = points[0]
     # margins[i, c]: row i declares into rank live[c]
     margins = _margins(

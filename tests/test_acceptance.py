@@ -31,6 +31,7 @@ from pathpay import (
     solve_so,
     solve_subscriber_lp,
     solve_ue,
+    vot_ranks,
 )
 from pathpay.cli import main as cli_main
 from pathpay.simplex import solve_lp
@@ -128,11 +129,13 @@ def test_criterion_5_strategy_proof(demo_run, random_suite):
             result = check_strategy_proof(outcome)
             assert result.worst_margin_usd >= -1e-9, result
             assert result.boundary_worst_abs_usd <= 1e-9, result
-            # the check is exact: its rows are the 2-point lattice's, and a
-            # finer lattice only adds rows inside ranks
+            # the check is exact: its rows are the 2-point lattice's, its
+            # declared VOTs stand for that lattice's ranks, and a finer
+            # lattice only adds rows inside ranks
             tol = result.tolerance_usd
-            got = (result.worst_margin_usd, result.worst_true_vot, result.worst_declared_vot)
-            assert got == lattice_strategy_proof(outcome, 2, tol)
+            worst, true_vot, declared = lattice_strategy_proof(outcome, 2, tol)
+            assert (result.worst_margin_usd, result.worst_true_vot) == (worst, true_vot)
+            assert vot_ranks(outcome, result.worst_declared_vot) == vot_ranks(outcome, declared)
             assert result.worst_margin_usd == lattice_strategy_proof(outcome, 201, tol)[0]
             assert result.boundary_worst_abs_usd == loop_boundary_worst(outcome)
 

@@ -22,6 +22,7 @@ from pathpay import (
     run_scheme,
     run_verification,
     solve_ue,
+    vot_ranks,
 )
 from pathpay.simplex import solve_lp
 
@@ -42,10 +43,25 @@ class TestStrategyProof:
         assert not result.passed
         assert result.worst_margin_usd == pytest.approx(-0.10, abs=1e-12)
         # the profitable lie saves the whole overcharge: a subscriber at the
-        # open lower end of the fastest rank declares the rank below, whose
-        # representative VOT is its upper end, the same partition point
-        point = o.partition[2]
-        assert (result.worst_true_vot, result.worst_declared_vot) == (point, point)
+        # open lower end of the fastest rank declares the rank below, which
+        # the midpoint of its interval stands for
+        low, point = o.partition[1:3]
+        assert (result.worst_true_vot, result.worst_declared_vot) == (point, low / 2 + point / 2)
+
+    def test_declared_rank_without_inner_float(self):
+        # a rank (10, 10 + ulp] holds one float, its upper end; the midpoint
+        # of its ends rounds to 10, which is in the rank below
+        times, rho = np.array([40.0, 30.0, 25.0]), np.array([0.3, 0.3, 0.4])
+        partition = np.array([5.0, 10.0, np.nextafter(10.0, np.inf), 20.0])
+        payments = compute_payments(times, partition, rho)
+        payments[1] -= 0.5
+        outcome = SchemeOutcome(
+            order=(0, 1, 2), sorted_times=times, partition=partition, rho=rho,
+            payments=payments)
+        result = check_strategy_proof(outcome)
+        assert not result.passed
+        assert result.worst_declared_vot == partition[2]
+        assert vot_ranks(outcome, result.worst_declared_vot) == 1
 
     @pytest.mark.parametrize(
         "ranks, overcharge, liar", [(slice(1, None), 0.003, 17.3), (slice(2, 3), 0.005, 31.7)]
@@ -170,13 +186,17 @@ class TestStrategyProof:
             replace(o, payments=o.payments + rng.normal(0.0, 0.5, o.payments.size))
             for o in outcomes
         ]
-        # the rank ends are the 2-point lattice's rows; a finer lattice only
-        # adds rows inside ranks, so its worst margin is the same float
+        # the rank ends are the 2-point lattice's rows, and its columns hold
+        # one VOT per rank, the rank's first; a finer lattice only adds rows
+        # inside ranks, so its worst margin is the same float
         for o in outcomes:
             check = check_strategy_proof(o)
             tol = check.tolerance_usd
-            got = (check.worst_margin_usd, check.worst_true_vot, check.worst_declared_vot)
-            assert got == lattice_strategy_proof(o, 2, tol)
+            worst, true_vot, declared = lattice_strategy_proof(o, 2, tol)
+            assert (check.worst_margin_usd, check.worst_true_vot) == (worst, true_vot)
+            rank = vot_ranks(o, check.worst_declared_vot)
+            assert rank == vot_ranks(o, declared)
+            assert rank == 0 or check.worst_declared_vot not in o.partition
             for grid in (7, 201):
                 assert check.worst_margin_usd == lattice_strategy_proof(o, grid, tol)[0]
             assert check.boundary_worst_abs_usd == loop_boundary_worst(o)
