@@ -35,7 +35,8 @@ iterate is covered. A direction whose slope is within rounding of zero
 (``_SLOPE_RESOLUTION`` of the slope's absolute terms) counts as no descent;
 an iterate where neither direction descends stops the solve as stalled.
 Both line searches work in link space (``_line_search``), one cost pass
-per trial point and none on linear costs.
+per trial point; on linear costs the first Newton step is the root, and one
+pass confirms it.
 
 The active set gains at most one path per iteration, so a solve is
 cheapest from a start that already carries the optimum's paths. A cold
@@ -271,7 +272,7 @@ def _projected_newton(net, paths, regime, tol, start):
                     newton_steps=newton_steps,
                 )
 
-        at = (cost_pass, incidence, net.linear_costs, d, f, q, value, path_costs, curvature)
+        at = (cost_pass, incidence, d, f, q, value, path_costs, curvature)
         direction = _newton_direction(incidence, curvature, path_costs, f, cheapest)
         moved, point = _descend(*at, direction, arc=True)
         if moved is f:
@@ -331,7 +332,7 @@ def _newton_direction(incidence, curvature, path_costs, f, cheapest):
     return direction
 
 
-def _descend(cost_pass, incidence, affine, d, f, q, value, path_costs, curvature,
+def _descend(cost_pass, incidence, d, f, q, value, path_costs, curvature,
              direction, cap=1.0, arc=False):
     """The iterate reached from path flows ``f`` (link flows ``q``, value
     ``value``, path costs ``path_costs``, link curvature ``curvature``) along
@@ -340,8 +341,8 @@ def _descend(cost_pass, incidence, affine, d, f, q, value, path_costs, curvature
     With ``arc``, the unit step along the projected arc, put back on the
     demand ``d``, is taken if it passes Armijo's test. Else an exact line
     search picks the step, up to where the first path empties (that path is
-    then set to exactly 0) and at most ``cap``. ``cost_pass`` and ``affine``
-    are as for ``_line_search``."""
+    then set to exactly 0) and at most ``cap``. ``cost_pass`` is as for
+    ``_line_search``."""
     terms = path_costs * direction
     slope = float(terms.sum())
     if not slope < -_SLOPE_RESOLUTION * float(np.abs(terms).sum()):
@@ -361,9 +362,7 @@ def _descend(cost_pass, incidence, affine, d, f, q, value, path_costs, curvature
         k = int(ratios.argmin())
         step_max, emptied = float(ratios[k]), int(shrinking[k])
     delta = incidence @ direction
-    step = _line_search(
-        cost_pass, q, delta, slope, float((delta * delta) @ curvature), step_max, affine
-    )
+    step = _line_search(cost_pass, q, delta, slope, float((delta * delta) @ curvature), step_max)
     moved = f + step * direction
     np.maximum(moved, 0.0, out=moved)
     if step == step_max and emptied is not None:
@@ -390,7 +389,7 @@ def _toward_or_away(f, path_costs, cheapest, carried, d):
     return direction, (f[worst] / denom if denom > 0 else 0.0)
 
 
-def _line_search(cost_pass, q, delta, slope0, curve0, step_max, affine):
+def _line_search(cost_pass, q, delta, slope0, curve0, step_max):
     """Exact line search along the link direction ``delta`` from flows ``q``.
 
     Returns the step in ``[0, step_max]`` where the directional derivative
@@ -398,10 +397,9 @@ def _line_search(cost_pass, q, delta, slope0, curve0, step_max, affine):
     convex objective, changes sign; ``slope0`` and ``curve0`` are its value
     and its derivative ``delta**2 @ curvature`` at 0, and ``cost_pass(q)``
     returns the objective's value, gradient and curvature at link flows
-    ``q``. When ``affine`` (every link cost is linear) the slope is affine
-    in the step, so the first Newton step is the root and needs no pass.
+    ``q``.
 
-    Otherwise each step is Newton's from the latest trial point while it
+    Each step is Newton's from the latest trial point while it
     stays strictly inside the bracket ``[lo, hi]`` that holds the root and
     is at most half as long as the step before last. Else, or where the
     curvature is not finite and positive (as when every link the direction
@@ -414,10 +412,6 @@ def _line_search(cost_pass, q, delta, slope0, curve0, step_max, affine):
     """
     if step_max <= 0 or slope0 >= 0:
         return 0.0
-    if affine:  # slope(a) = slope0 + a * curve0, so Newton's step is the root
-        if slope0 + step_max * curve0 <= 0:
-            return step_max
-        return min(-slope0 / curve0, step_max)
     resolution = _STEP_RESOLUTION * step_max
     delta2 = delta * delta
     lo, hi, hi_known = 0.0, step_max, False

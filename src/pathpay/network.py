@@ -255,14 +255,6 @@ class Network:
     def _costs(self) -> _CostArrays:
         return _CostArrays.compile([ln.cost_fn for ln in self.links])
 
-    @cached_property
-    def linear_costs(self) -> bool:
-        """Whether every link cost is linear in its flow."""
-        return all(
-            ln.cost_fn.kind != "bpr" and len(ln.cost_fn.params) <= 2
-            for ln in self.links
-        )
-
     def link_times(self, link_flows) -> np.ndarray:
         """Per-link travel times at the given flow vector."""
         q = np.asarray(link_flows, dtype=float)

@@ -55,7 +55,9 @@ class SubscriberAssignment:
     outsider_path_flows: np.ndarray    # (n_paths,)
     weighted_cost: float               # VOT-weighted time objective
     # how the master solve went; none of it reaches an output file
-    rounds: int                        # master solves, the first in closed form
+    # master solves; the first is in closed form when it holds the greedy
+    # start, and over every path when that start misses the link target
+    rounds: int
     cuts: int                          # cuts in the final master
     columns: int                       # paths in the final master
     # final master's (links + cuts, paths + cuts + runs), also when it is
@@ -172,8 +174,12 @@ def solve_subscriber_lp(
     and no path to add, the master's duals so extended are feasible for
     the LP over every path and every cut, which proves the totals
     optimal. A greedy start that misses the link target by more than the
-    simplex's feasibility tolerance goes to the simplex, and a master the
-    greedy paths cannot make feasible is re-solved over every path.
+    final flow check's tolerance starts the master with every path
+    instead, solved by the simplex from round 1: each path the greedy start
+    takes empties a link that no later one uses, so its totals are the only
+    ones its paths can carry, and no master on them can meet the target.
+    When that master is infeasible too, the link flows and the class
+    demands are inconsistent, and the solve raises.
 
     Where the optimal totals are not unique, the result is the greedy one
     when the first master is final, else the basic optimum that Bland's
@@ -193,11 +199,13 @@ def solve_subscriber_lp(
     n_links, n_paths = paths.incidence.shape
     M = classes.M
     share = d_sub / net.demand
-    # flows are solved in units of about the subscriber demand, so that the
-    # tolerances below are relative to it; the unit is a power of two, so
-    # that scaling by it is exact, and where no tolerance decides otherwise
-    # the totals are bit for bit those of a solve in vehicles
+    # flows are solved in units of about the subscriber demand, and VOTs in
+    # units of about the highest class mean, so that the tolerances below
+    # are relative to them; each unit is a power of two, so that scaling by
+    # it is exact, and where no tolerance decides otherwise the totals are
+    # bit for bit those of a solve in vehicles and $/h
     unit = math.ldexp(1.0, math.frexp(d_sub)[1] - 1)
+    vot_unit = math.ldexp(1.0, math.frexp(classes.class_mean.max())[1] - 1)
     link_target = so.link_flows * share / unit
     scale = 1.0 + np.abs(link_target).max(initial=0.0)
 
@@ -205,7 +213,7 @@ def solve_subscriber_lp(
     # [bounds[m], bounds[m+1]] with slope vot[m]; its cut reads
     # vot[m] * C - y >= rhs[m]
     by_vot = np.lexsort((np.arange(M), -classes.class_mean))
-    vot = classes.class_mean[by_vot]
+    vot = classes.class_mean[by_vot] / vot_unit
     demand = classes.class_demand[by_vot] / unit
     bounds = np.concatenate([[0.0], np.cumsum(demand)])
     mass = np.concatenate([[0.0], np.cumsum(vot * demand)])  # G at the bounds
@@ -221,10 +229,11 @@ def solve_subscriber_lp(
     gaps = np.diff(times)
     incidence = paths.incidence[:, fastest]
 
+    tol = 1e-7 * scale
     totals = _greedy_decomposition(incidence, link_target, _FLOW_TOL * scale)
-    master = totals > 0
+    greedy = np.abs(incidence @ totals - link_target).max(initial=0.0) <= tol
+    master = totals > 0 if greedy else np.ones(n_paths, dtype=bool)
     C = np.cumsum(totals)
-    greedy_err = np.abs(incidence @ totals - link_target).max(initial=0.0)
 
     cuts: dict[tuple[int, int], None] = {}  # (run's first gap, piece), ordered
     rounds = pivots = 0
@@ -248,9 +257,8 @@ def solve_subscriber_lp(
         cut_rows = vot[cm, None] * (cols[None, :] <= cs[:, None])
         b = np.concatenate([link_target, rhs[cm]])
         rounds += 1
-        # round 1 in closed form, when the greedy start meets the link rows
-        # within the simplex's feasibility tolerance; else phase 1 decides
-        if rounds == 1 and greedy_err <= 1e-7 * (1.0 + np.abs(b).max()):
+        # round 1 in closed form, when the master holds the greedy start
+        if rounds == 1 and greedy:
             # the greedy paths are independent columns, so the link rows fix
             # the totals; each run has one cut, in run order, which is tight
             # and whose dual is the run's W
@@ -267,13 +275,10 @@ def solve_subscriber_lp(
             sol = solve_lp(StandardLp(c=np.concatenate([np.zeros(P + K), -W]), A=A, b=b))
             pivots += sol.iterations
             if not sol.optimal:
-                if master.all():
-                    raise SchemeError(
-                        f"subscriber routing LP is {sol.status}; system-optimal "
-                        "link flows and class demands are inconsistent"
-                    )
-                master[:] = True
-                continue
+                raise SchemeError(
+                    f"subscriber routing LP is {sol.status}; system-optimal "
+                    "link flows and class demands are inconsistent"
+                )
             x, y = sol.x[:P], sol.x[P + K:]
             pi, mu = sol.duals[:n_links], sol.duals[n_links:]
 
@@ -309,7 +314,6 @@ def solve_subscriber_lp(
         raise SchemeError("LP produced a significantly negative flow")
     totals = np.clip(totals, 0.0, None)
 
-    tol = 1e-7 * scale
     demand_err = abs(totals.sum() - bounds[-1])
     link_err = np.abs(incidence @ totals - link_target).max(initial=0.0)
     if demand_err > tol or link_err > tol:
@@ -324,7 +328,7 @@ def solve_subscriber_lp(
     return SubscriberAssignment(
         subscriber_path_flows=path_totals,
         outsider_path_flows=(d_out / d_sub) * path_totals,
-        weighted_cost=float(riding @ times) * unit,
+        weighted_cost=float(riding @ times) * unit * vot_unit,
         rounds=rounds,
         cuts=len(cuts),
         columns=int(master.sum()),

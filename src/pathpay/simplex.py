@@ -13,16 +13,15 @@ least-norm solution of ``A_B.T y = c_B`` on its final basis ``B``.
 
 The tableau is kept dense. The largest problems it gets are the subscriber
 masters of ``scheme.solve_subscriber_lp``: a row per link and per cut, a
-column per master path, per cut and per run of the VOT-mass curve. The
-first master, over the greedy paths, is solved in closed form and never
-reaches the simplex, so it gets only the masters of round 2 on, after
-pricing has added a path or a cut, and the greedy master when the greedy
-start misses the link target. Column generation holds the master to the
+column per master path, per cut and per run of the VOT-mass curve. A
+first master over the greedy paths is solved in closed form and never
+reaches the simplex, so it gets the masters of round 2 on, after pricing
+has added a path or a cut. Column generation holds the master to the
 paths it prices in, so it has about links + 2 x (master paths) rows; the
 cuts kept over the rounds can exceed that (a 6x6 linear grid, 60 links and
-252 paths, ends at 185 x 232 with 54 paths and 125 cuts). Only the
-all-path fallback, taken when the greedy start cannot make the master
-feasible, has a column per enumerated path.
+252 paths, ends at 185 x 232 with 54 paths and 125 cuts). Only a master
+started over every path, when the greedy start misses the link target,
+has a column per enumerated path from round 1.
 """
 
 from __future__ import annotations
@@ -179,7 +178,7 @@ def _pivot_until_optimal(T, obj, basis, allow_cols: int) -> tuple[int, bool]:
             return pivots, True
         ratios = T[rows, -1] / col[rows]
         best = ratios.min()
-        tied = rows[np.abs(ratios - best) <= PIVOT_TOL * (1 + best)]
+        tied = rows[np.abs(ratios - best) <= PIVOT_TOL * (1 + abs(best))]
         leave_row = min(tied, key=lambda i: basis[i])
 
         _pivot(T, obj, basis, leave_row, entering)

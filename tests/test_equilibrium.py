@@ -243,10 +243,9 @@ class TestEdgeCases:
         assert int(stalled.group(1)) < 100
 
 
-def newton_step(net, regime, q, delta, step_max, affine=None):
+def newton_step(net, regime, q, delta, step_max):
     """The solver's line search from link flows ``q`` along ``delta``, and
-    the number of cost passes it made at trial points. ``affine`` defaults
-    to what the solver passes: whether every link cost is linear."""
+    the number of cost passes it made at trial points."""
     trials = []
 
     def cost_pass(flows):
@@ -256,9 +255,7 @@ def newton_step(net, regime, q, delta, step_max, affine=None):
     _, gradient, curvature = net.link_objective(q, regime)
     slope0 = float(delta @ gradient)
     curve0 = float((delta * delta) @ curvature)
-    if affine is None:
-        affine = net.linear_costs
-    step = _line_search(cost_pass, q, delta, slope0, curve0, step_max, affine)
+    step = _line_search(cost_pass, q, delta, slope0, curve0, step_max)
     return step, len(trials)
 
 
@@ -290,46 +287,38 @@ class TestLineSearch:
     def test_step_zeroes_the_slope(self):
         # times (UE) are equal at step 1/3, marginals (SO) at step 1/2
         for regime, root in (("UE", 1 / 3), ("SO", 1 / 2)):
-            for affine in (True, False):
-                step, _ = newton_step(
-                    self.net, regime, self.q, self.delta, 1.0, affine
-                )
-                assert step == pytest.approx(root, rel=1e-14)
-                flows = self.q + step * self.delta
-                _, gradient, _ = self.net.link_objective(flows, regime)
-                slope = float(self.delta @ gradient)
-                scale = float(np.abs(self.delta) @ gradient)
-                assert abs(slope) <= 8 * np.finfo(float).eps * scale
+            step, _ = newton_step(self.net, regime, self.q, self.delta, 1.0)
+            assert step == pytest.approx(root, rel=1e-14)
+            flows = self.q + step * self.delta
+            _, gradient, _ = self.net.link_objective(flows, regime)
+            slope = float(self.delta @ gradient)
+            scale = float(np.abs(self.delta) @ gradient)
+            assert abs(slope) <= 8 * np.finfo(float).eps * scale
         # two equal links 2**-46 off their even split: the first Newton step
         # is below the search's resolution (2**-50 of step_max), so it is
         # taken without a cost pass
         even = two_link_net([5.0, 5.0], [0.1, 0.1], demand=100.0)
         near = np.array([50.0 + 2.0**-46, 50.0 - 2.0**-46])
         for regime in ("UE", "SO"):
-            step, passes = newton_step(even, regime, near, self.delta, 1.0, affine=False)
+            step, passes = newton_step(even, regime, near, self.delta, 1.0)
             assert 0.0 < step <= 2.0**-50
             assert passes == 0
 
     def test_returns_step_max_when_still_descending(self):
-        for affine, trials in ((True, 0), (False, 1)):
-            step, passes = newton_step(
-                self.net, "UE", self.q, self.delta, 0.25, affine
-            )
-            assert step == 0.25
-            assert passes == trials
+        # one pass at step_max finds the slope still negative there
+        step, passes = newton_step(self.net, "UE", self.q, self.delta, 0.25)
+        assert step == 0.25
+        assert passes == 1
 
     def test_first_newton_step_exact_on_linear_costs(self):
-        # without the affine shortcut, one trial pass confirms the first
-        # Newton step; with it, no pass is made
-        assert self.net.linear_costs
+        # the slope is affine in the step, so the first Newton step is the
+        # root, bit for bit, and one trial pass confirms it
         for regime in ("UE", "SO"):
-            checked, passes = newton_step(
-                self.net, regime, self.q, self.delta, 1.0, affine=False
-            )
-            assert passes == 1
+            _, gradient, curvature = self.net.link_objective(self.q, regime)
+            root = -float(self.delta @ gradient) / float((self.delta**2) @ curvature)
             step, passes = newton_step(self.net, regime, self.q, self.delta, 1.0)
-            assert passes == 0
-            assert step == pytest.approx(checked, rel=4 * np.finfo(float).eps)
+            assert passes == 1
+            assert step == root
 
     @given(
         links=st.lists(
@@ -702,14 +691,14 @@ class TestWarmStart:
         line_search = pathpay.equilibrium._line_search
         searches = []
 
-        def spy(cost_pass, q, delta, slope0, curve0, step_max, affine):
+        def spy(cost_pass, q, delta, slope0, curve0, step_max):
             passes = []
 
             def counted(flows):
                 passes.append(flows)
                 return cost_pass(flows)
 
-            step = line_search(counted, q, delta, slope0, curve0, step_max, affine)
+            step = line_search(counted, q, delta, slope0, curve0, step_max)
             searches.append((step_max, step, len(passes)))
             return step
 

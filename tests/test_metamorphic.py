@@ -1,0 +1,117 @@
+"""Metamorphic relations of the whole pipeline: a change to the inputs
+whose effect on every output is known, so it holds whatever optimal
+decomposition the solvers pick.
+
+Scaling the VOT support by 2^k scales every VOT-valued output (partition,
+payments, weighted cost) by exactly 2^k and leaves the flows bit for bit:
+the subscriber master is solved in power-of-two flow and VOT units, so the
+solve is the same one at every k.
+"""
+
+import io
+import json
+import math
+from contextlib import redirect_stdout
+
+import numpy as np
+import pytest
+
+import pathpay.scheme
+from _instances import random_grid
+from conftest import FIXTURE_DIR
+from pathpay import (
+    VotDistribution, build_outcome, cost_report, discretize, enumerate_paths,
+    run_verification, solve_so, solve_subscriber_lp, solve_ue,
+)
+from pathpay.cli import DEFAULT_REPORT_GRID, main
+
+# how each VOT parameter scales with the VOT: a density is per $/h
+VOT_POWER = {"knots": 1, "samples": 1, "density": -1}
+
+
+def scaled(value, k):
+    """``value`` (a number, a list of them or None) times 2^k."""
+    if isinstance(value, list):
+        return [scaled(v, k) for v in value]
+    return None if value is None else math.ldexp(value, k)
+
+
+def scaled_vot_document(doc: dict, k: int) -> dict:
+    """The VOT file ``doc`` with its support, and its knots, densities or
+    samples with it, scaled by 2^k."""
+    params = {key: scaled(v, k * VOT_POWER[key]) for key, v in doc.get("params", {}).items()}
+    return {**doc, "support": scaled(doc["support"], k), "params": params}
+
+
+def passed_flags(verification: dict) -> dict:
+    """The ``passed`` flag of a verification.json document and of each of
+    its checks."""
+    return {name: v if name == "passed" else v["passed"] for name, v in verification.items()}
+
+
+def fixture_scheme(monkeypatch, tmp_path, k):
+    """``pathpay scheme`` on the fixture with its VOT scaled by 2^k:
+    scheme.json, verification.json and the subscriber LP's rounds."""
+    doc = json.loads((FIXTURE_DIR / "vot.json").read_text())
+    vot = tmp_path / f"vot{k}.json"
+    vot.write_text(json.dumps(scaled_vot_document(doc, k)))
+    out = tmp_path / f"out{k}"
+    solved = []
+    solve = pathpay.scheme.solve_subscriber_lp
+
+    def record(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pathpay.scheme, "solve_subscriber_lp", record)
+        with redirect_stdout(io.StringIO()):
+            code = main(["scheme", "--network", str(FIXTURE_DIR / "network.json"),
+                         "--vot", str(vot), "--out", str(out)])
+    assert code == 0
+    scheme = json.loads((out / "scheme.json").read_text())
+    verification = json.loads((out / "verification.json").read_text())
+    return scheme, verification, solved[0].rounds
+
+
+def test_fixture_scheme_scales_with_the_vot(monkeypatch, tmp_path):
+    base, base_checks, base_rounds = fixture_scheme(monkeypatch, tmp_path, 0)
+    for k in range(-6, 7):
+        scheme, checks, rounds = fixture_scheme(monkeypatch, tmp_path, k)
+        assert rounds == base_rounds
+        assert passed_flags(checks) == passed_flags(base_checks)
+        assert scheme["weighted_cost"] == scaled(base["weighted_cost"], k)
+        for path, ref in zip(scheme["paths"], base["paths"], strict=True):
+            for key in ("time_min", "subscribers", "outsiders", "share"):
+                assert path[key] == ref[key]
+            for key in ("vot_low", "vot_high", "payment_usd"):
+                assert path[key] == scaled(ref[key], k)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["linear", "bpr"])
+def test_grid_scheme_scales_with_the_vot(kind, seed):
+    # the stages of `pathpay scheme` past the SO and UE, which the VOT does
+    # not enter: at k = 20 and 40 the cut rows once carried raw VOTs, and
+    # the simplex broke on them
+    net = random_grid(np.random.default_rng(seed), 5, kind)
+    paths = enumerate_paths(net)
+    so = solve_so(net, paths)
+    ue = solve_ue(net, paths, start=so.path_flows)
+    runs = {}
+    for k in (0, -40, -20, 20, 40):
+        dist = VotDistribution.uniform(math.ldexp(5.0, k), math.ldexp(45.0, k))
+        assign = solve_subscriber_lp(so, discretize(dist, net.subscriber_demand, 50), net, paths)
+        outcome = build_outcome(assign, dist, so.path_times)
+        verification = run_verification(outcome, cost_report(outcome, ue, DEFAULT_REPORT_GRID))
+        runs[k] = assign, outcome, passed_flags(verification.to_dict())
+    base, base_outcome, base_flags = runs.pop(0)
+    for k, (assign, outcome, flags) in runs.items():
+        assert np.array_equal(assign.subscriber_path_flows, base.subscriber_path_flows)
+        assert np.array_equal(assign.outsider_path_flows, base.outsider_path_flows)
+        assert assign.weighted_cost == math.ldexp(base.weighted_cost, k)
+        assert assign.rounds == base.rounds
+        assert outcome.order == base_outcome.order
+        assert np.array_equal(outcome.partition, np.ldexp(base_outcome.partition, k))
+        assert np.array_equal(outcome.payments, np.ldexp(base_outcome.payments, k))
+        assert flags == base_flags

@@ -436,14 +436,6 @@ def test_unused_powers_do_not_overflow():
     assert ue[0] == pytest.approx(float(integrals.sum()), rel=1e-12)
 
 
-def test_linear_costs():
-    assert parallel_network([LinkCostFn("linear", (1.0, 0.5))]).linear_costs
-    assert parallel_network([LinkCostFn("polynomial", [2.0])]).linear_costs
-    curved = (LinkCostFn("polynomial", [1.0, 0.0, 1e-3]), LinkCostFn("bpr", (1.0, 9.0, 0.0, 1.0)))
-    for fn in curved:
-        assert not parallel_network([LinkCostFn("linear", (1.0, 0.5)), fn]).linear_costs
-
-
 def test_network_rejects_negative_flow():
     net = parallel_network(
         [LinkCostFn("linear", (1.0, 0.5)), LinkCostFn("bpr", (2.0, 10.0, 0.15, 4.0))]

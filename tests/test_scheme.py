@@ -145,7 +145,8 @@ class TestSubscriberLp:
         # the flow rides both paths through the A-B cycle; taken fastest
         # first, the greedy start takes (1)+(5), (2)+(6) and (2)+(4)+(5)
         # and leaves a circulation on links 3 and 4 that its paths cannot
-        # carry, so the master is re-solved over every path
+        # carry: no combination of them meets the link target, so the
+        # master starts with every path and round 1 goes to the simplex
         f = LinkCostFn("linear", (1.0, 0.01))
         net = Network(
             ("O", "A", "B", "D"),
@@ -167,8 +168,19 @@ class TestSubscriberLp:
             path_times=np.array([10.0, 1.0, 30.0, 20.0]),
         )
         classes = discretize(VotDistribution.uniform(5.0, 45.0), 80.0, 5)
+        target = so.link_flows * (net.subscriber_demand / net.demand)
+        incidence = paths.incidence[:, np.lexsort((np.arange(len(paths)), so.path_times))]
+        taken = incidence[:, _greedy_decomposition(incidence, target, 0.0) > 0]
+        fit = np.linalg.lstsq(taken, target, rcond=None)[0]
+        # the final flow check's tolerance, 1e-7 x scale, in vehicles
+        unit = math.ldexp(1.0, math.frexp(net.subscriber_demand)[1] - 1)
+        assert np.abs(taken @ fit - target).max() > 1e-7 * (unit + target.max())
         assign = assert_matches_class_path_lp(so, classes, net, paths)
-        assert assign.rounds > 1 and assign.columns == len(paths)
+        assert assign.columns == len(paths)
+        # round 1 over every path, then one more after pricing adds a cut
+        assert (assign.rounds, assign.pivots) == (2, 11)
+        assert assign.subscriber_path_flows.tolist() == [32.0, 0.0, 48.0, 0.0]
+        assert assign.weighted_cost == 36320.0
 
     def test_greedy_sort_oracle_equivalence(self, demo_run):
         cost = greedy_weighted_cost(
@@ -381,7 +393,8 @@ class TestPathTotalRouting:
     @pytest.mark.parametrize("shape", [(3, 3, 3, 3), (2, 4, 3), 3, 4, 5, 6], ids=str)
     def test_greedy_start_is_a_small_basis(self, shape):
         # fastest first, as the solver takes them: the start meets every
-        # link target and its paths are independent columns
+        # link target and its paths are independent columns, so the greedy
+        # totals are the only ones its paths can carry
         rng = np.random.default_rng(42)
         for kind in ("linear", "bpr"):
             net = chain_or_grid(rng, shape, kind)
@@ -395,6 +408,9 @@ class TestPathTotalRouting:
             assert incidence @ flows == pytest.approx(target, abs=1e-9 * target.max())
             assert np.linalg.matrix_rank(taken) == taken.shape[1]
             assert taken.shape[1] <= np.linalg.matrix_rank(paths.incidence)
+            fit = np.linalg.lstsq(taken, target, rcond=None)[0]
+            unit = math.ldexp(1.0, math.frexp(net.subscriber_demand)[1] - 1)
+            assert np.abs(fit - flows[flows > 0]).max() <= 1e-12 * (unit + target.max())
 
     def test_residuals_reported(self, demo_run, demo_network):
         assign = demo_run.assignment

@@ -104,6 +104,21 @@ class TestNumericalFailure:
         with pytest.raises(simplex.SimplexError, match="solution residual 2.000e"):
             solve_lp(lp)
 
+    def test_ratio_ties_on_a_negative_right_hand_side(self):
+        # basic variables drifted below zero, as rounding on a badly scaled
+        # master can leave them: the best ratio is negative, and the rows
+        # within PIVOT_TOL of it, relative to its size, still tie, so Bland's
+        # rule picks the one with the lowest basic variable
+        T = np.array([
+            [1.0, 0.0, 1.0, 0.0, -4.0 - 4e-12],
+            [1.0, 1.0, 0.0, 0.0, -4.0],
+            [1.0, 0.0, 0.0, 1.0, 3.0],
+        ])
+        obj = np.array([-1.0, 0.0, 0.0, 0.0, 0.0])
+        basis = [2, 1, 3]
+        assert simplex._pivot_until_optimal(T, obj, basis, allow_cols=4) == (1, False)
+        assert basis == [2, 0, 3]
+
     def test_pivot_below_tolerance_raises(self):
         T = np.array([[0.5 * simplex.PIVOT_TOL, 1.0, 1.0]])
         with pytest.raises(simplex.SimplexError, match="below tolerance"):
