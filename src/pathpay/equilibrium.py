@@ -15,28 +15,29 @@ Newton direction ``p`` is the minimum-norm least-squares solution of the
 KKT system ``[H 1; 1.T 0] [p; mu] = [c_min - c_S; 0]``, which keeps the
 demand fixed. The system is scaled to a unit largest diagonal first, and
 ``p`` is re-centred to sum to exactly 0. When the cheapest path carries no
-flow and the direction would take flow off it, no positive step exists
-(the step would stall at 0), so that path leaves S and the direction is
-solved again on the face of the paths that carry flow.
+flow and the direction would take flow off it, every step clips that path
+at 0 and so leaves the Newton direction; that path then leaves S and the
+direction is solved again on the face of the paths that carry flow.
 
-The unit step is tried first, along the projected arc ``max(0, f + p)``
-scaled by ``d / sum`` back onto the demand ``d``, so one step can empty
-any number of paths. It is taken when its value is at most ``value +
-1e-4 * c @ (step - f)`` (Armijo's test), and its cost pass is then the
-next iterate's. Otherwise an exact line search along the ray ``f + a p``
-picks the step, capped where the first path empties (at most 1).
+Every step takes one rule, Armijo backtracking along the projection arc
+(Bertsekas 1982). A trial is ``max(0, f + a p)`` scaled by ``d / sum``
+back onto the demand ``d``, so one step can empty any number of paths. It
+is taken when its value is at most ``value + 1e-4 * c @ (trial - f)``
+(Armijo's test), and its cost pass is then the next iterate's. Otherwise
+``a`` halves, at most ``_HALVINGS`` times; a trial equal to ``f`` ends the
+search. The Newton direction's first trial is ``a = 1``: on linear costs,
+where no path is clipped, that is the minimum on the direction's face.
 
-When the Newton direction is not a descent direction, or its step leaves
-the path flows unchanged, the iteration takes the Frank-Wolfe step with
-away steps instead: toward the cheapest path, or away from the costliest
-path carrying flow, whichever gap is larger. That step alone converges
-linearly (Lacoste-Julien & Jaggi 2015) given an exact line search, so every
-iterate is covered. A direction whose slope is within rounding of zero
-(``_SLOPE_RESOLUTION`` of the slope's absolute terms) counts as no descent;
-an iterate where neither direction descends stops the solve as stalled.
-Both line searches work in link space (``_line_search``), one cost pass
-per trial point; on linear costs the first Newton step is the root, and one
-pass confirms it.
+When the Newton direction is not a descent direction, or none of its
+trials passes, the iteration takes the Frank-Wolfe step with away steps
+instead: toward the cheapest path, or away from the costliest path
+carrying flow, whichever gap is larger, from the longest step that keeps
+the flows non-negative. With backtracking that step alone converges
+linearly (Pedregosa, Negiar, Askari & Jaggi 2020), so every iterate is
+covered. A direction whose slope is within rounding of zero
+(``_SLOPE_RESOLUTION`` of the slope's absolute terms) counts as no
+descent; an iterate where neither direction gives a passing trial stops
+the solve as stalled. Each trial costs one pass over the link costs.
 
 The active set gains at most one path per iteration, so a solve is
 cheapest from a start that already carries the optimum's paths. A cold
@@ -69,18 +70,17 @@ from .network import Network, PathSet
 DEFAULT_TOL = 1e-8
 # iterations before a solve gives up, on top of two per path: the active
 # set gains at most one path per iteration, so from a start carrying one
-# path an optimum that uses k paths takes k - 1 iterations to reach; a unit
-# step can empty many paths, one that falls back to the line search one at
-# most
+# path an optimum that uses k paths takes k - 1 iterations to reach, while
+# one step can empty many paths
 MAX_ITER = 400
 # a direction descends only if its slope is below this fraction of the sum
 # of the slope's absolute terms; smaller slopes are rounding (256 ulps)
 _SLOPE_RESOLUTION = 2.0**-44
-# the line search stops once the step is bracketed this finely, relative to
-# the largest feasible step: double precision
-_STEP_RESOLUTION = 2.0**-50
-# Armijo's test: a unit step must give this share of its predicted decrease
+# Armijo's test: a step must give this share of its predicted decrease
 _ARMIJO = 1e-4
+# a rejected step halves at most this many times before the direction is
+# given up: 2**-50 of the first step is below double precision
+_HALVINGS = 50
 # the smallest objective scale the relative gap divides by
 _TINY = np.finfo(float).tiny
 
@@ -101,12 +101,12 @@ class FlowSolution:
     the common travel time of used paths and is only set for the UE regime.
     Three diagnostics explain a solve, and the output files leave them out:
     ``cost_passes`` counts the passes over the link costs: one per part of
-    a cold start's incremental loading, one per iterate (a taken unit
-    step's pass is the next iterate's), one per rejected unit step and one
-    per line-search trial point; ``gap_history`` holds the
-    relative gap at each iterate, from the start to the returned one (so
-    its last entry is ``relative_gap``); ``newton_steps`` counts the
-    iterations that took the Newton direction, not the Frank-Wolfe step.
+    a cold start's incremental loading, one per iterate (a taken step's
+    pass is the next iterate's) and one per rejected trial step;
+    ``gap_history`` holds the relative gap at each iterate, from the start
+    to the returned one (so its last entry is ``relative_gap``);
+    ``newton_steps`` counts the iterations that took the Newton direction,
+    not the Frank-Wolfe step.
     """
 
     regime: str
@@ -272,9 +272,9 @@ def _projected_newton(net, paths, regime, tol, start):
                     newton_steps=newton_steps,
                 )
 
-        at = (cost_pass, incidence, d, f, q, value, path_costs, curvature)
+        at = (cost_pass, incidence, d, f, value, path_costs)
         direction = _newton_direction(incidence, curvature, path_costs, f, cheapest)
-        moved, point = _descend(*at, direction, arc=True)
+        moved, point = _descend(*at, direction)
         if moved is f:
             moved, point = _descend(*at, *_toward_or_away(f, path_costs, cheapest, carried, d))
         else:
@@ -332,51 +332,38 @@ def _newton_direction(incidence, curvature, path_costs, f, cheapest):
     return direction
 
 
-def _descend(cost_pass, incidence, d, f, q, value, path_costs, curvature,
-             direction, cap=1.0, arc=False):
-    """The iterate reached from path flows ``f`` (link flows ``q``, value
-    ``value``, path costs ``path_costs``, link curvature ``curvature``) along
-    the path ``direction`` with its ``(q, *cost_pass(q))``, or ``(f, None)``
-    when the direction does not descend or the step leaves ``f`` unchanged.
-    With ``arc``, the unit step along the projected arc, put back on the
-    demand ``d``, is taken if it passes Armijo's test. Else an exact line
-    search picks the step, up to where the first path empties (that path is
-    then set to exactly 0) and at most ``cap``. ``cost_pass`` is as for
-    ``_line_search``."""
+def _descend(cost_pass, incidence, d, f, value, path_costs, direction, step=1.0):
+    """The iterate reached from path flows ``f`` (value ``value``, path
+    costs ``path_costs``) along the path ``direction`` with its
+    ``(q, *cost_pass(q))``, or ``(f, None)`` when the direction does not
+    descend or no trial passes. Each trial is the projected arc
+    ``max(0, f + a * direction)`` put back on the demand ``d``, from
+    ``a = step``; it is taken if it passes Armijo's test, else ``a`` halves,
+    at most ``_HALVINGS`` times, and a trial equal to ``f`` ends the search.
+    ``cost_pass(q)`` returns the objective's value, gradient and curvature
+    at link flows ``q``."""
     terms = path_costs * direction
     slope = float(terms.sum())
     if not slope < -_SLOPE_RESOLUTION * float(np.abs(terms).sum()):
         return f, None
-    if arc:
-        trial = np.maximum(f + direction, 0.0)
+    for _ in range(_HALVINGS + 1):
+        trial = np.maximum(f + step * direction, 0.0)
         trial *= d / trial.sum()
-        if (trial != f).any():
-            trial_q = incidence @ trial
-            point = (trial_q, *cost_pass(trial_q))
-            if point[1] <= value + _ARMIJO * float(path_costs @ (trial - f)):
-                return trial, point
-    shrinking = np.flatnonzero(direction < 0)
-    ratios = f[shrinking] / -direction[shrinking]
-    step_max, emptied = cap, None
-    if ratios.size and ratios.min() <= cap:
-        k = int(ratios.argmin())
-        step_max, emptied = float(ratios[k]), int(shrinking[k])
-    delta = incidence @ direction
-    step = _line_search(cost_pass, q, delta, slope, float((delta * delta) @ curvature), step_max)
-    moved = f + step * direction
-    np.maximum(moved, 0.0, out=moved)
-    if step == step_max and emptied is not None:
-        moved[emptied] = 0.0
-    if not (moved != f).any():
-        return f, None
-    q = incidence @ moved  # moved is clipped at zero, so q is non-negative
-    return moved, (q, *cost_pass(q))
+        if not (trial != f).any():
+            break
+        q = incidence @ trial  # trial is clipped at zero, so q is non-negative
+        point = (q, *cost_pass(q))
+        if point[1] <= value + _ARMIJO * float(path_costs @ (trial - f)):
+            return trial, point
+        step *= 0.5
+    return f, None
 
 
 def _toward_or_away(f, path_costs, cheapest, carried, d):
     """The Frank-Wolfe direction with the larger gap, toward the cheapest
-    path or away from the costliest path carrying flow, and its largest
-    step: 1, or where the costliest path empties."""
+    path or away from the costliest path carrying flow, and its first trial
+    step, the largest feasible one: 1, or where the costliest path
+    empties."""
     active = np.flatnonzero(f > 0)
     worst = int(active[np.argmax(path_costs[active])])
     if carried - d * path_costs[cheapest] >= d * path_costs[worst] - carried:
@@ -387,54 +374,3 @@ def _toward_or_away(f, path_costs, cheapest, carried, d):
     direction[worst] -= d
     denom = d - f[worst]
     return direction, (f[worst] / denom if denom > 0 else 0.0)
-
-
-def _line_search(cost_pass, q, delta, slope0, curve0, step_max):
-    """Exact line search along the link direction ``delta`` from flows ``q``.
-
-    Returns the step in ``[0, step_max]`` where the directional derivative
-    ``slope(a) = delta @ gradient(q + a*delta)``, non-decreasing for a
-    convex objective, changes sign; ``slope0`` and ``curve0`` are its value
-    and its derivative ``delta**2 @ curvature`` at 0, and ``cost_pass(q)``
-    returns the objective's value, gradient and curvature at link flows
-    ``q``.
-
-    Each step is Newton's from the latest trial point while it
-    stays strictly inside the bracket ``[lo, hi]`` that holds the root and
-    is at most half as long as the step before last. Else, or where the
-    curvature is not finite and positive (as when every link the direction
-    moves is empty and its cost has zero slope there, like a BPR cost of
-    power above 1), the step goes to ``step_max`` while the slope there is
-    unknown, then to the middle of the bracket. The search stops when the
-    slope is zero up to rounding (within ``_SLOPE_RESOLUTION`` of
-    ``|delta| @ |gradient|``), or when the Newton step or the bracket is
-    below ``_STEP_RESOLUTION * step_max``.
-    """
-    if step_max <= 0 or slope0 >= 0:
-        return 0.0
-    resolution = _STEP_RESOLUTION * step_max
-    delta2 = delta * delta
-    lo, hi, hi_known = 0.0, step_max, False
-    a, slope, curve = 0.0, slope0, curve0
-    older = last = math.inf  # lengths of the last two steps
-    while True:
-        newton = a - slope / curve if 0 < curve < math.inf else math.nan
-        if abs(newton - a) <= resolution:
-            return min(max(newton, lo), hi)
-        if lo < newton < hi and 2 * abs(newton - a) <= older:
-            trial = newton
-        else:
-            trial = 0.5 * (lo + hi) if hi_known else hi
-        older, last = last, abs(trial - a)
-        _, gradient, curvature = cost_pass(np.maximum(q + trial * delta, 0.0))
-        a, slope, curve = trial, float(delta @ gradient), float(delta2 @ curvature)
-        if abs(slope) <= _SLOPE_RESOLUTION * float(np.abs(delta) @ np.abs(gradient)):
-            return a  # zero up to rounding
-        if slope < 0:
-            if a == step_max:  # still descending at the end
-                return a
-            lo = a
-        else:
-            hi, hi_known = a, True
-        if hi - lo <= resolution:
-            return 0.5 * (lo + hi)

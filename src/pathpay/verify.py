@@ -16,7 +16,8 @@ from .scheme import CostReport, SchemeOutcome, MINUTES_PER_HOUR, trip_costs
 
 # strategy-proofness tolerance per dollar of payment spread: margins are
 # differences of payments, so they carry rounding of the payments' size,
-# and a payment offset common to every path cancels in them
+# and a payment offset common to every path cancels in them. No absolute
+# floor: the margins scale with the VOT, whatever its unit
 SP_TOL = 1e-9
 
 
@@ -35,7 +36,7 @@ class StrategyProofResult:
     ``boundary_worst_abs_usd`` is the largest absolute margin over the
     indifference pairs, where a subscriber at the open lower end of a rank
     declares into the rank below it, the rank of the partition point itself.
-    ``tolerance_usd`` is ``SP_TOL * (1 + max payment - min payment)``.
+    ``tolerance_usd`` is ``SP_TOL * (max payment - min payment)``.
     """
 
     # not a field: the uniform lattice size whose rows, with the partition
@@ -117,7 +118,7 @@ def check_strategy_proof(outcome: SchemeOutcome) -> StrategyProofResult:
         outcome, vots[:, None] / MINUTES_PER_HOUR, np.repeat(live, 2)[:, None], live
     )
     worst = float(margins.min())
-    tol = SP_TOL * (1.0 + float(np.ptp(outcome.payments)))
+    tol = SP_TOL * float(np.ptp(outcome.payments))
     i, c = np.unravel_index(np.argmax(margins <= worst + tol), margins.shape)
     # indifference pairs: each lower end above rank 0 declares the rank below
     above = np.arange(1, live.size)
@@ -152,9 +153,10 @@ def check_revenue_neutral(outcome: SchemeOutcome) -> RevenueResult:
     The tolerance scales with what subscribers actually pay, the expected
     absolute payment, not with the largest payment: on an outcome holding
     a path no one rides, as a hand-built one may, that path's payment would
-    let a real residual pass."""
+    let a real residual pass. It has no absolute floor, so it holds at any
+    VOT scale: payments of 1e-12 $ are checked as payments of 1 $ are."""
     residual = float(outcome.rho @ outcome.payments)
-    tol = 1e-9 * float(outcome.rho @ np.abs(outcome.payments)) + 1e-12
+    tol = 1e-9 * float(outcome.rho @ np.abs(outcome.payments))
     return RevenueResult(abs(residual) <= tol, residual, tol)
 
 

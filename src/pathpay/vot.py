@@ -295,7 +295,9 @@ def parse_vot(text: str) -> tuple[VotDistribution, int]:
         except KeyError as exc:
             raise VotError(f"piecewise_linear needs params.{exc.args[0]}") from exc
         dist = VotDistribution.piecewise_linear(knots, density)
-        if abs(dist.support[0] - lo) > 1e-9 or abs(dist.support[1] - hi) > 1e-9:
+        # relative to the support, so that it holds at any VOT unit
+        tol = 1e-9 * hi
+        if abs(dist.support[0] - lo) > tol or abs(dist.support[1] - hi) > tol:
             raise VotError("piecewise_linear knots must span the declared support")
     else:
         if "samples" not in params:

@@ -170,8 +170,8 @@ def seeded_chain_or_grid(seed: int) -> Network:
 def stall_grid() -> Network:
     """The seeded 5 x 5 BPR grid (70 paths) on which, at one system-optimum
     iterate, the cheapest path carries no flow and the Newton direction over
-    the used paths plus that one takes flow off it: a ratio test over that
-    set allows no positive step."""
+    the used paths plus that one takes flow off it: every step along it
+    clips that path at 0."""
     return random_grid(np.random.default_rng(6), 5, "bpr")
 
 

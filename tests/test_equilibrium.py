@@ -5,7 +5,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import pathpay.equilibrium
 from _instances import (
@@ -16,7 +15,7 @@ from _instances import (
     seeded_chain_or_grid,
     stall_grid,
 )
-from _oracles import frank_wolfe_oracle, regula_falsi_step
+from _oracles import frank_wolfe_oracle
 from pathpay import (
     ConvergenceError,
     Link,
@@ -28,7 +27,7 @@ from pathpay import (
     solve_so,
     solve_ue,
 )
-from pathpay.equilibrium import _line_search
+from pathpay.equilibrium import _descend
 
 # closed-form optima for the bundled network: equal marginal costs (SO) and
 # equal travel times (UE) across each pair of parallel links
@@ -243,116 +242,83 @@ class TestEdgeCases:
         assert int(stalled.group(1)) < 100
 
 
-def newton_step(net, regime, q, delta, step_max):
-    """The solver's line search from link flows ``q`` along ``delta``, and
-    the number of cost passes it made at trial points."""
+def descend(net, regime, f, direction):
+    """The solver's step from path flows ``f`` on ``net`` along the path
+    ``direction``: the returned path flows and point, and the link flows of
+    every trial the step made a cost pass at."""
+    paths = enumerate_paths(net)
     trials = []
 
     def cost_pass(flows):
         trials.append(flows)
         return net.link_objective(flows, regime)
 
-    _, gradient, curvature = net.link_objective(q, regime)
-    slope0 = float(delta @ gradient)
-    curve0 = float((delta * delta) @ curvature)
-    step = _line_search(cost_pass, q, delta, slope0, curve0, step_max)
-    return step, len(trials)
-
-
-# linear, polynomials of degree 0-4 and BPR of power 1, 1.5 and 4: the last
-# two have an unbounded (1.5) or zero (4) second derivative at zero flow
-search_cost = st.one_of(
-    st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 1.0)).map(
-        lambda p: LinkCostFn("linear", p)
-    ),
-    st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5).map(
-        lambda p: LinkCostFn("polynomial", p)
-    ),
-    st.tuples(
-        st.floats(0.1, 50.0),
-        st.floats(10.0, 500.0),
-        st.floats(0.0, 2.0),
-        st.sampled_from([1.0, 1.5, 4.0]),
-    ).map(lambda p: LinkCostFn("bpr", p)),
-)
-search_flow = st.one_of(st.just(0.0), st.floats(0.0, 200.0))
-
-
-class TestLineSearch:
-    # shift all 100 trips from link 1 (5 + 0.1 q) to link 2 (10 + 0.05 q)
-    net = two_link_net([5.0, 10.0], [0.1, 0.05], demand=100.0)
-    q = np.array([100.0, 0.0])
-    delta = np.array([-100.0, 100.0])
-
-    def test_step_zeroes_the_slope(self):
-        # times (UE) are equal at step 1/3, marginals (SO) at step 1/2
-        for regime, root in (("UE", 1 / 3), ("SO", 1 / 2)):
-            step, _ = newton_step(self.net, regime, self.q, self.delta, 1.0)
-            assert step == pytest.approx(root, rel=1e-14)
-            flows = self.q + step * self.delta
-            _, gradient, _ = self.net.link_objective(flows, regime)
-            slope = float(self.delta @ gradient)
-            scale = float(np.abs(self.delta) @ gradient)
-            assert abs(slope) <= 8 * np.finfo(float).eps * scale
-        # two equal links 2**-46 off their even split: the first Newton step
-        # is below the search's resolution (2**-50 of step_max), so it is
-        # taken without a cost pass
-        even = two_link_net([5.0, 5.0], [0.1, 0.1], demand=100.0)
-        near = np.array([50.0 + 2.0**-46, 50.0 - 2.0**-46])
-        for regime in ("UE", "SO"):
-            step, passes = newton_step(even, regime, near, self.delta, 1.0)
-            assert 0.0 < step <= 2.0**-50
-            assert passes == 0
-
-    def test_returns_step_max_when_still_descending(self):
-        # one pass at step_max finds the slope still negative there
-        step, passes = newton_step(self.net, "UE", self.q, self.delta, 0.25)
-        assert step == 0.25
-        assert passes == 1
-
-    def test_first_newton_step_exact_on_linear_costs(self):
-        # the slope is affine in the step, so the first Newton step is the
-        # root, bit for bit, and one trial pass confirms it
-        for regime in ("UE", "SO"):
-            _, gradient, curvature = self.net.link_objective(self.q, regime)
-            root = -float(self.delta @ gradient) / float((self.delta**2) @ curvature)
-            step, passes = newton_step(self.net, regime, self.q, self.delta, 1.0)
-            assert passes == 1
-            assert step == root
-
-    @given(
-        links=st.lists(
-            st.tuples(search_cost, search_flow, search_flow), min_size=1, max_size=6
-        ),
-        step_max=st.floats(0.01, 1.0),
-        regime=st.sampled_from(["SO", "UE"]),
+    value, gradient, _ = net.link_objective(paths.incidence @ f, regime)
+    path_costs = paths.incidence.T @ gradient
+    moved, point = _descend(
+        cost_pass, paths.incidence, net.demand, f, value, path_costs, direction
     )
-    def test_matches_regula_falsi_oracle(self, links, step_max, regime):
-        fns, start, end = zip(*links)
-        net = parallel_network(fns)
-        q = np.array(start)
-        # the longest step lands on the end flows: every link drawn at zero
-        # there is emptied
-        delta = (np.array(end) - q) / step_max
-        newton, _ = newton_step(net, regime, q, delta, step_max)
+    return moved, point, trials
 
-        def gradient(flows):
-            return net.link_objective(flows, regime)[1]
 
-        slope0 = float(delta @ gradient(q))
-        oracle = regula_falsi_step(gradient, q, delta, slope0, step_max)
-        assert 0.0 <= newton <= step_max
+class TestBacktracking:
+    # shift all 100 trips from link 1 (5 + 0.1 q) to link 2 (10 + q)
+    net = two_link_net([5.0, 10.0], [0.1, 1.0], demand=100.0)
+    f = np.array([100.0, 0.0])
+    direction = np.array([-100.0, 100.0])
 
-        def value(step):
-            return net.link_objective(np.maximum(q + step * delta, 0.0), regime)[0]
+    @pytest.mark.parametrize("regime, halvings", [("UE", 4), ("SO", 3)])
+    def test_overshooting_step_halves_until_armijo_holds(self, regime, halvings):
+        # the unit step moves every trip to the steep link and raises the
+        # objective; each halving is tried in turn, one cost pass each, and
+        # the first that passes Armijo's test is taken with its pass
+        moved, point, trials = descend(self.net, regime, self.f, self.direction)
+        assert len(trials) == halvings + 1
+        expect = self.f + 2.0**-halvings * self.direction
+        assert moved.tolist() == expect.tolist()
+        assert point[0] is trials[-1]
+        assert point[0].tolist() == moved.tolist()  # one link per path
+        value, gradient, _ = self.net.link_objective(self.f, regime)
+        bound = value + pathpay.equilibrium._ARMIJO * float(gradient @ (moved - self.f))
+        assert point[1] <= bound
+        for flows in trials[:-1]:
+            assert self.net.link_objective(flows, regime)[0] > bound
 
-        # both minimize the objective along the line, up to rounding at the
-        # scale of its values; the step itself is not unique where the
-        # objective is flat
-        best = min(value(newton), value(oracle))
-        rounding = 1e-12 * (abs(best) + abs(value(0.0)))
-        assert value(newton) <= best + rounding
-        assert value(oracle) <= best + rounding
+    @pytest.mark.parametrize("regime", ["UE", "SO"])
+    def test_non_descent_direction_makes_no_pass(self, regime):
+        moved, point, trials = descend(self.net, regime, self.f, -self.direction)
+        assert moved is self.f
+        assert point is None
+        assert trials == []
+
+    @pytest.mark.parametrize(
+        "f, direction, passes",
+        [
+            # every trial moves the flows, down to 2**-50 of the direction
+            ([100.0, 0.0], [-100.0, 100.0], pathpay.equilibrium._HALVINGS + 1),
+            # from 2**-15 of the direction on, a trial rounds back to f
+            ([50.0, 50.0], [1e-10, -1e-10], 15),
+        ],
+        ids=["every-halving", "rounds-to-start"],
+    )
+    def test_direction_that_never_passes_is_given_up(self, f, direction, passes):
+        f = np.array(f)
+        value, gradient, _ = self.net.link_objective(f, "UE")
+        assert float(gradient @ np.array(direction)) < 0  # a descent direction
+        trials = []
+
+        def cost_pass(flows):
+            # an objective that reads higher at every trial than at f
+            trials.append(flows)
+            return (value + 1.0, *self.net.link_objective(flows, "UE")[1:])
+
+        incidence = np.eye(2)
+        moved, point = _descend(
+            cost_pass, incidence, self.net.demand, f, value, gradient, np.array(direction)
+        )
+        assert moved is f
+        assert point is None
+        assert len(trials) == passes
 
 
 def bpr_chain(widths=(3, 3, 3)):
@@ -642,7 +608,7 @@ class TestWarmStart:
         # over 100 seeded chains and grids, the SO and the warm UE take no
         # more iterations, and no more passes net of the loading's, than
         # they took from all-or-nothing (731 and 268 iterations, 937 and 394
-        # passes); these make 321 and 247, 427 and 371. The loaded cold UE
+        # passes); these make 323 and 246, 431 and 358. The loaded cold UE
         # beats the warm one on 12 seeds, so no seed compares the two
         so_iterations = so_passes = warm_iterations = warm_passes = 0
         for seed in range(100):
@@ -680,38 +646,34 @@ class TestWarmStart:
         assert first.sum() == pytest.approx(net.demand, rel=1e-15)
         assert (warm.iterations, warm.newton_steps, warm.cost_passes) == (5, 5, 6)
 
-    def test_rejected_unit_step_falls_back_to_line_search(self, monkeypatch):
-        # on seeded-3, a 4 x 4 BPR grid of 20 paths, one warm unit step
-        # fails Armijo's test: the iteration then searches the Newton ray,
-        # capped where its first path empties, and still takes the Newton
-        # direction
+    def test_rejected_unit_step_halves(self, monkeypatch):
+        # on seeded-3, a 4 x 4 BPR grid of 20 paths, the first warm unit
+        # step fails Armijo's test and the halved step passes it: the
+        # iteration still takes the Newton direction
         net = seeded_chain_or_grid(3)
         paths = enumerate_paths(net)
         start = solve_so(net, paths).path_flows
-        line_search = pathpay.equilibrium._line_search
-        searches = []
+        steps = []
 
-        def spy(cost_pass, q, delta, slope0, curve0, step_max):
-            passes = []
+        def spy(cost_pass, incidence, d, f, value, path_costs, direction, step=1.0):
+            trials = []
 
             def counted(flows):
-                passes.append(flows)
+                trials.append(flows)
                 return cost_pass(flows)
 
-            step = line_search(counted, q, delta, slope0, curve0, step_max)
-            searches.append((step_max, step, len(passes)))
-            return step
+            moved, point = _descend(counted, incidence, d, f, value, path_costs, direction, step)
+            steps.append((moved is not f, len(trials)))
+            return moved, point
 
-        monkeypatch.setattr(pathpay.equilibrium, "_line_search", spy)
+        monkeypatch.setattr(pathpay.equilibrium, "_descend", spy)
         warm = solve_ue(net, paths, start=start)
         TestInvariants()._check_solution(net, paths, warm, 1e-8)
-        assert len(searches) == 1
-        step_max, step, search_passes = searches[0]
-        assert 0 < step <= step_max < 1
-        assert warm.newton_steps == warm.iterations == 4
-        # the start's pass, one per step taken, the rejected unit step's
-        # and the line search's
-        assert warm.cost_passes == 1 + warm.iterations + 1 + search_passes
+        assert steps[0] == (True, 2)
+        assert all(step == (True, 1) for step in steps[1:])
+        assert warm.newton_steps == warm.iterations == len(steps) == 4
+        # the start's pass and one per trial
+        assert warm.cost_passes == 1 + sum(trials for _, trials in steps)
 
     def test_start_at_optimum_scaled_to_demand(self, demo_network):
         # a start is scaled to the demand, so three times the optimum is
@@ -768,9 +730,10 @@ class TestStallGrid:
     """The seeded 5 x 5 BPR grid of ``stall_grid``, and a BPR chain like it.
     Over the used paths plus the cheapest one, the Newton direction at some
     system-optimum iterates takes flow off the cheapest path while it
-    carries none, so a ratio test over that set allows no positive step
-    along the ray, and the line search the unit step falls back to would
-    stall."""
+    carries none, so every trial along the projected arc clips that path at
+    0 and leaves the Newton direction. Taken without the re-solve on the
+    face, such steps raise the SO's cost passes on the 6 x 6 BPR grids of
+    seeds 1-10 from 429 to 2062, and stall the 7 x 7 grid of seed 6."""
 
     @pytest.mark.parametrize(
         "net, iterations, after_used",
@@ -795,8 +758,8 @@ class TestStallGrid:
             p = kkt_direction(incidence, curvature, path_costs, members)
             if f[cheapest] == 0 and p[np.searchsorted(members, cheapest)] < 0:
                 # the direction the solver takes leaves that path empty, and
-                # every path it takes flow off carries some: the ratio test
-                # along it allows a positive step
+                # every path it takes flow off carries some: a positive step
+                # along it keeps every flow non-negative
                 shrinking = direction < 0
                 step_max = float((f[shrinking] / -direction[shrinking]).min())
                 blocked.append((direction[cheapest], step_max, cheapest == members[-1]))

@@ -6,6 +6,12 @@ Scaling the VOT support by 2^k scales every VOT-valued output (partition,
 payments, weighted cost) by exactly 2^k and leaves the flows bit for bit:
 the subscriber master is solved in power-of-two flow and VOT units, so the
 solve is the same one at every k.
+
+Permuting the links' order and ids in the network file leaves the SO and UE
+link flows, mapped back to the old ids, and the weighted cost in place up
+to rounding, and every ``passed`` flag as it was. Path flows and payments
+are not compared: the paths are enumerated in another order, and an
+optimum's decomposition into them need not be unique.
 """
 
 import io
@@ -17,7 +23,7 @@ import numpy as np
 import pytest
 
 import pathpay.scheme
-from _instances import random_grid
+from _instances import network_document, random_grid
 from conftest import FIXTURE_DIR
 from pathpay import (
     VotDistribution, build_outcome, cost_report, discretize, enumerate_paths,
@@ -115,3 +121,56 @@ def test_grid_scheme_scales_with_the_vot(kind, seed):
         assert np.array_equal(outcome.partition, np.ldexp(base_outcome.partition, k))
         assert np.array_equal(outcome.payments, np.ldexp(base_outcome.payments, k))
         assert flags == base_flags
+
+
+def permuted_links(doc: dict, rng: np.random.Generator) -> tuple[dict, dict]:
+    """The network file ``doc`` with its links in a shuffled order under
+    shuffled ids, and the map from each new id to the old one."""
+    links = doc["links"]
+    old_ids = [link["id"] for link in links]
+    new_ids = [int(i) for i in rng.permutation(old_ids)]
+    shuffled = [{**links[i], "id": new_ids[i]} for i in rng.permutation(len(links))]
+    return {**doc, "links": shuffled}, dict(zip(new_ids, old_ids))
+
+
+def scheme_and_equilibria(tmp_path, doc: dict, name: str) -> dict:
+    """``pathpay equilibria`` and ``pathpay scheme`` on the network file
+    ``doc`` under the fixture's VOT: the SO and UE link flows by link id,
+    the weighted cost and the ``passed`` flags."""
+    network = tmp_path / f"{name}.json"
+    network.write_text(json.dumps(doc))
+    out = tmp_path / name
+    with redirect_stdout(io.StringIO()):
+        assert main(["equilibria", "--network", str(network), "--out", str(out)]) == 0
+        assert main(["scheme", "--network", str(network), "--vot",
+                     str(FIXTURE_DIR / "vot.json"), "--out", str(out)]) == 0
+    equilibria = json.loads((out / "equilibria.json").read_text())
+    return {
+        "flows": {regime: dict(zip(equilibria["links"], equilibria[regime]["flows"]))
+                  for regime in ("so", "ue")},
+        "weighted_cost": json.loads((out / "scheme.json").read_text())["weighted_cost"],
+        "passed": passed_flags(json.loads((out / "verification.json").read_text())),
+    }
+
+
+@pytest.mark.parametrize(
+    "instance", ["fixture", *(f"{kind}-{seed}" for kind in ("linear", "bpr") for seed in (1, 2, 3))]
+)
+def test_permuted_links(tmp_path, instance):
+    if instance == "fixture":
+        doc = json.loads((FIXTURE_DIR / "network.json").read_text())
+    else:
+        kind, seed = instance.split("-")
+        doc = network_document(random_grid(np.random.default_rng(int(seed)), 5, kind))
+    permuted, old_id = permuted_links(doc, np.random.default_rng(0))
+    assert [link["id"] for link in permuted["links"]] != [link["id"] for link in doc["links"]]
+    base = scheme_and_equilibria(tmp_path, doc, "base")
+    run = scheme_and_equilibria(tmp_path, permuted, "permuted")
+    demand = doc["demand"]["total"]
+    for regime, flows in run["flows"].items():
+        mapped = {old_id[i]: flow for i, flow in flows.items()}
+        assert mapped.keys() == base["flows"][regime].keys()
+        for i, flow in mapped.items():
+            assert flow == pytest.approx(base["flows"][regime][i], abs=1e-12 * demand)
+    assert run["weighted_cost"] == pytest.approx(base["weighted_cost"], rel=1e-12)
+    assert run["passed"] == base["passed"]

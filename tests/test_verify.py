@@ -109,7 +109,7 @@ class TestStrategyProof:
         spread = float(np.ptp(o.payments))
         result = check_strategy_proof(o)
         assert result.passed
-        assert result.tolerance_usd == pytest.approx(1e-9 * (1.0 + spread), rel=1e-12)
+        assert result.tolerance_usd == pytest.approx(1e-9 * spread, rel=1e-12)
         noisy = o.payments.copy()
         noisy[-1] -= 1e-8
         assert not check_strategy_proof(replace(o, payments=noisy)).passed
@@ -119,6 +119,20 @@ class TestStrategyProof:
         result = check_strategy_proof(replace(big, payments=noisy))
         assert result.worst_margin_usd < 0
         assert result.passed
+
+    def test_overcharge_detected_at_small_vot_scale(self, demo_run):
+        # the fixture at VOT x 2^-40, as the pipeline gives it (see
+        # test_metamorphic.py): payments near 1e-12 $, so a tolerance with a
+        # 1e-9 $ floor passed an overcharge of half the payment spread on
+        # the fastest path
+        o = demo_run.outcome
+        small = replace(o, partition=np.ldexp(o.partition, -40), payments=np.ldexp(o.payments, -40))
+        assert check_strategy_proof(small).passed
+        overcharged = small.payments.copy()
+        overcharged[-1] += np.ptp(small.payments) / 2
+        result = check_strategy_proof(replace(small, payments=overcharged))
+        assert result.worst_margin_usd < 0
+        assert not result.passed
 
     def test_worst_pair_stable_under_one_ulp(self, demo_run):
         # one ulp on every payment once moved the fixture's reported pair
@@ -239,7 +253,18 @@ class TestRevenueNeutral:
         )
         result = check_revenue_neutral(outcome)
         assert result.residual_usd == pytest.approx(1e-3, rel=1e-9)
-        assert result.tolerance_usd == pytest.approx(1.001e-9 + 1e-12, rel=1e-12)
+        assert result.tolerance_usd == pytest.approx(1.001e-9, rel=1e-12)
+        assert not result.passed
+
+    def test_shift_detected_at_small_vot_scale(self, demo_run):
+        # the fixture's payments at VOT x 2^-40: a 1e-12 $ floor passed a
+        # shift of every payment by a quarter of their spread (5.8e-13 $)
+        o = demo_run.outcome
+        small = replace(o, payments=np.ldexp(o.payments, -40))
+        assert check_revenue_neutral(small).passed
+        shifted = small.payments + np.ptp(small.payments) / 4
+        result = check_revenue_neutral(replace(small, payments=shifted))
+        assert result.residual_usd == pytest.approx(np.ptp(small.payments) / 4, rel=1e-6)
         assert not result.passed
 
     def test_shift_breaks_neutrality(self, demo_run):

@@ -427,6 +427,14 @@ class TestParse:
         with pytest.raises(VotError, match="support bounds must be finite"):
             VotDistribution.uniform(0.0, np.inf)
 
+    def test_knots_must_span_a_small_support(self):
+        # an absolute 1e-9 let knots span half of a support of width 1e-12
+        # and silently replace it
+        doc = {"kind": "piecewise_linear", "support": [0, 1e-12],
+               "params": {"knots": [0, 5e-13], "density": [1.0, 1.0]}}
+        with pytest.raises(VotError, match="piecewise_linear knots must span the declared support"):
+            parse_vot(json.dumps(doc))
+
     @pytest.mark.parametrize(
         "knots, message",
         [([-5.0, 5.0], r"support must satisfy 0 <= lo < hi"),
