@@ -19,6 +19,7 @@ precision (0.1 min, $0.01, 0.1 $/h).
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import functools
 import io
@@ -56,20 +57,36 @@ MAX_GRID = 100_000
 # strings of ``lines`` joined per write: a write call per string costs more
 # than the joining, and a larger block only holds more of the file in memory
 _WRITE_BLOCK = 8192
+# assignments.csv rows per write: a block's grid of padded rows, its mask
+# and its gather index take a few hundred KB
+_ROW_BLOCK = 2048
+# bytes of padded ids per write at most, unless one id is longer
+_ID_GRID = 16 * _ROW_BLOCK
+# roster bytes per step of the plain reader: its masks and positions take
+# a few times this, whatever the roster size
+_READ_BLOCK = 1 << 16
 
 
 # -- output files ------------------------------------------------------------
 
 
-def _write(path: Path, text: str, lines=()) -> None:
-    """Write ``text``, then the strings ``lines``, to a new file at ``path``
-    in place of whatever was there: unlinking it first, not truncating it,
-    spares a rerun the flush ext4 gives a truncated file when it is closed.
-    ``lines`` may be any iterable; it is written in blocks of
-    ``_WRITE_BLOCK`` strings, each joined into one write."""
+def _new_file(path: Path, mode: str = "w"):
+    """A new file at ``path``, open in ``mode`` (UTF-8 text with ``\\n``
+    line ends unless binary), in place of whatever was there: unlinking it
+    first, not truncating it, spares a rerun the flush ext4 gives a
+    truncated file when it is closed."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.unlink(missing_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    if "b" in mode:
+        return open(path, mode)
+    return open(path, mode, encoding="utf-8", newline="\n")
+
+
+def _write(path: Path, text: str, lines=()) -> None:
+    """Write ``text``, then the strings ``lines``, to a new file at
+    ``path``. ``lines`` may be any iterable; it is written in blocks of
+    ``_WRITE_BLOCK`` strings, each joined into one write."""
+    with _new_file(path) as handle:
         handle.write(text)
         lines = iter(lines)
         while block := list(itertools.islice(lines, _WRITE_BLOCK)):
@@ -262,21 +279,29 @@ def cmd_assign(args) -> int:
     """Guidance for every roster user, written to ``assignments.csv``.
 
     The roster is read and checked against the VOT support before the
-    solve, so a bad row fails fast. Guidance needs no user equilibrium, so
-    none is solved. Subscribers get their paths from one
-    :func:`vot_ranks` lookup, outsiders from one seeded draw in file order.
-    Each row is the user's cell and a tail formatted once per (path,
-    role), passed as two strings and written in joined blocks.
+    solve, so a bad row fails fast. A roster in the plain grammar is read
+    from its bytes with numpy (:func:`_read_plain_roster`): UTF-8 with no
+    ``"``, CR or NUL byte and no line over ``csv.field_size_limit()``, a
+    header naming ``user_id``, ``role`` and ``vot``, lines of exactly the
+    header's field count, roles exactly ``subscriber`` or ``outsider`` and
+    subscriber VOTs of 1 to 15 plain digits and at most one point, inside
+    the support. Any other roster, each one with an error among them, is
+    read by the ``csv`` module (:func:`_read_roster`), the one source of
+    roster messages. Both give the same ids and VOTs, and so the same
+    output. Guidance needs no user equilibrium, so none is solved.
+    Subscribers get their paths from one :func:`vot_ranks` lookup,
+    outsiders from one seeded draw in file order. Each row is the user's id
+    cell and a tail formatted once per (path, role), copied a block of rows
+    at a time by :func:`_write_rows`.
     """
     if args.seed < 0:
         raise ValueError("--seed must be a non-negative integer")
     net, dist, M = _load_inputs(args)
-    user_ids, vots = _read_roster(args.roster, dist.support)
+    cells, starts, ends, vots = _load_roster(args.roster, dist.support)
     result = run_scheme(net, dist, M, tol=args.tol)
     outcome = result.outcome
 
     order = np.asarray(outcome.order)
-    vots = np.fromiter(vots, float, len(vots))
     is_subscriber = ~np.isnan(vots)
     user_paths = np.empty(vots.size, dtype=int)
     user_paths[is_subscriber] = order[vot_ranks(outcome, vots[is_subscriber])]
@@ -285,26 +310,56 @@ def cmd_assign(args) -> int:
     )
 
     # row tails after the user cell, outsiders' for paths 0..n-1 then
-    # subscribers', indexed by original path index; an unused path has none
+    # subscribers', indexed by original path index; an unused path's is empty
     n = len(result.paths)
     labels = result.paths.labels()
     times = result.so.path_times
     payment = dict(zip(outcome.order, outcome.payments.tolist()))
     tails = [
         _csv_line(["", role, labels[p], f"{times[p]:.1f}",
-                   f"{payment[p]:.2f}" if role == "subscriber" else ""])
-        if p in payment else None
+                   f"{payment[p]:.2f}" if role == "subscriber" else ""]).encode()
+        if p in payment else b""
         for role in ("outsider", "subscriber")
         for p in range(n)
     ]
-    which = (user_paths + n * is_subscriber).tolist()
+    which = user_paths + n * is_subscriber
 
-    cells = _user_cells(user_ids)
     out = Path(args.out)
-    _write(out / "assignments.csv", "user_id,role,path,time_min,payment_usd\n",
-           itertools.chain.from_iterable(zip(cells, map(tails.__getitem__, which))))
-    print(f"wrote {out / 'assignments.csv'} ({len(user_ids)} users)")
+    with _new_file(out / "assignments.csv", "wb") as handle:
+        handle.write(b"user_id,role,path,time_min,payment_usd\n")
+        _write_rows(handle, cells, starts, ends, tails, which)
+    print(f"wrote {out / 'assignments.csv'} ({vots.size} users)")
     return 0
+
+
+def _write_rows(handle, cells: bytes, starts, ends, tails: list, which) -> None:
+    """Write row ``i`` as ``cells[starts[i]:ends[i]]`` followed by
+    ``tails[which[i]]``, up to ``_ROW_BLOCK`` rows per write.
+
+    A block is a grid with a row per user: the id's bytes, padded to the
+    widest id in the block, then the tail's, padded to the longest tail.
+    The bytes that are not padding, read row by row, are the block's text.
+    A block ends early where its ids would outgrow ``_ID_GRID`` bytes, so
+    the memory a block takes stays a few times its text.
+    """
+    lengths = np.array([len(tail) for tail in tails])
+    table = np.zeros((len(tails), lengths.max()), np.uint8)
+    for row, tail in zip(table, tails):
+        row[:len(tail)] = np.frombuffer(tail, np.uint8)
+    unpadded = np.arange(table.shape[1]) < lengths[:, None]
+    source = np.frombuffer(cells, np.uint8)
+    first = 0
+    while first < len(starts):
+        width = ends[first:first + _ROW_BLOCK] - starts[first:first + _ROW_BLOCK]
+        grid_size = np.arange(1, width.size + 1) * np.maximum.accumulate(width)
+        count = max(1, np.count_nonzero(grid_size <= _ID_GRID))
+        rows, width = slice(first, first + count), width[:count]
+        place = np.arange(width.max())
+        # bytes past an id's end are padding, so past the last id the gather clips
+        ids = np.take(source, starts[rows, None] + place, mode="clip")
+        grid = np.hstack((ids, table[which[rows]]))
+        handle.write(grid[np.hstack((place < width[:, None], unpadded[which[rows]]))])
+        first += count
 
 
 def _csv_line(cells) -> str:
@@ -341,10 +396,193 @@ def _user_cells(user_ids) -> list:
     ]
 
 
-def _read_roster(path, support) -> tuple[list, list[float]]:
-    """User ids and declared VOTs of a roster, in file order, read and
-    checked in one pass; an outsider's VOT is NaN. A leading byte order
-    mark, as spreadsheet exports write, is not part of the header.
+def _load_roster(path, support):
+    """The roster file at ``path`` as :func:`_write_rows` takes its users:
+    a buffer, the span ``starts[i]:ends[i]`` of user ``i``'s id cell in it,
+    and the users' VOTs, NaN for an outsider. A roster in the plain grammar
+    is read by :func:`_read_plain_roster`, whose buffer is the file itself;
+    any other by :func:`_read_roster`, whose id cells are joined into one."""
+    data = Path(path).read_bytes()
+    roster = _read_plain_roster(data, support)
+    if roster is not None:
+        return roster
+    user_ids, vots = _read_roster(data, support)
+    # the file and the VOT list go before the cells are joined: the peak
+    # stays the csv reader's own plus the file's bytes
+    del data
+    vots = np.array(vots, dtype=float)
+    cells = _user_cells(user_ids)
+    lengths = np.fromiter((len(cell.encode()) for cell in cells), np.int64, len(cells))
+    ends = np.cumsum(lengths)
+    return "".join(cells).encode(), ends - lengths, ends, vots
+
+
+# the first and the last eight bytes of ``outsider`` (column 0) and of
+# ``subscriber`` (column 1), each read as a little-endian word
+_ROLE_WORDS = np.array([[int.from_bytes(role[at:][:8], "little")
+                         for role in (b"outsider", b"subscriber")] for at in (0, -8)],
+                       dtype=np.uint64)
+# 10^k for the places in a plain VOT; each is exact as a double too
+_POW10 = 10 ** np.arange(16, dtype=np.int64)
+
+
+def _read_plain_roster(data: bytes, support):
+    """The user-id spans and declared VOTs of the roster file ``data`` in
+    the plain grammar, read with numpy; None for any other roster.
+
+    Returns ``data``, the span ``starts[i]:ends[i]`` of row ``i``'s user id
+    in it and the rows' VOTs, NaN for an outsider; no Python object is made
+    per row. The plain grammar is UTF-8 text, less an optional byte order
+    mark, with no ``"``, CR or NUL byte and no line longer than
+    ``csv.field_size_limit()``; a header line that names ``user_id``,
+    ``role`` and ``vot``, where the last of a repeated name counts; and
+    after it, blank lines and lines of exactly the header's field count,
+    each with a role of exactly ``subscriber`` or ``outsider`` and, for a
+    subscriber, a VOT that reads ``[0-9]*\\.?[0-9]*`` with 1 to 15 digits
+    and lies in ``lo <= v <= hi``.
+
+    On such a roster the csv reader splits lines at LF and fields at commas
+    and nowhere else, and ``float`` of a VOT with digits m and k of them
+    after the point is m / 10^k, the correctly rounded quotient of two
+    exact doubles, since m < 2^53 and k <= 22 (Clinger, PLDI 1990). So
+    :func:`_read_roster` would give the same ids and, bit for bit, the same
+    VOTs. Every other roster, each one with an error among them, is left to
+    it. The file is scanned ``_READ_BLOCK`` bytes at a time, whole lines
+    each, finding the line ends and commas first and checking the fields
+    from their positions (Langdale & Lemire, VLDB J. 2019).
+    """
+    if b'"' in data or b"\r" in data or b"\0" in data or not _is_utf8(data):
+        return None
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    limit = csv.field_size_limit()
+    stop = data.find(b"\n", start)  # the header's end
+    if stop < 0:
+        stop = len(data)
+    header = data[start:stop].split(b",")
+    column = {name: i for i, name in enumerate(header)}
+    if stop - start > limit or not {b"user_id", b"role", b"vot"} <= column.keys():
+        return None
+    at_user, at_role, at_vot = column[b"user_id"], column[b"role"], column[b"vot"]
+    lo, hi = support
+
+    size = data.count(b"\n", stop) + 1  # at least the data lines
+    starts, ends = np.empty(size, np.int64), np.empty(size, np.int64)
+    vots = np.empty(size)
+    array = np.frombuffer(data, np.uint8)
+    # word i is bytes i to i + 7 as one little-endian integer, so that one
+    # gather reads eight bytes of a field
+    words = np.ndarray(len(data) - 7, "<u8", data, strides=(1,))
+    rows = 0
+    first = stop + 1
+    while first < len(data):
+        # whole lines, to the last line end in the block or, when a line
+        # is longer than the block, to that line's end
+        last = (data.rfind(b"\n", first, first + _READ_BLOCK) + 1
+                or data.find(b"\n", first) + 1 or len(data))
+        segment = array[first:last]
+        line_ends = np.flatnonzero(segment == ord("\n")) + first
+        if segment[-1] != ord("\n"):
+            line_ends = np.append(line_ends, last)
+        line_starts = np.append(first, line_ends[:-1] + 1)
+        filled = line_ends > line_starts
+        line_starts, line_ends = line_starts[filled], line_ends[filled]
+        commas = np.flatnonzero(segment == ord(",")) + first
+        count = line_starts.size
+        if np.any(line_ends - line_starts > limit) or commas.size != count * (len(header) - 1):
+            return None
+        # the commas in file order, a column of them per line: each line
+        # holds exactly its column when every column lies within its line
+        commas = commas.reshape(len(header) - 1, count, order="F")
+        if np.any(commas[0] < line_starts) or np.any(commas[-1] >= line_ends):
+            return None
+        # field j of line i runs from bounds[j, i] + 1 to bounds[j + 1, i]
+        bounds = np.empty((len(header) + 1, count), np.int64)
+        bounds[0], bounds[1:-1], bounds[-1] = line_starts - 1, commas, line_ends
+
+        subscriber = _roles(words, bounds[at_role] + 1, bounds[at_role + 1])
+        if subscriber is None:
+            return None
+        value = _plain_decimals(
+            words, bounds[at_vot][subscriber] + 1, bounds[at_vot + 1][subscriber])
+        if value is None or not np.all((lo <= value) & (value <= hi)):
+            return None
+
+        here = slice(rows, rows + count)
+        starts[here], ends[here] = bounds[at_user] + 1, bounds[at_user + 1]
+        vots[here] = math.nan
+        vots[here][subscriber] = value
+        rows += count
+        first = last
+    return data, starts[:rows], ends[:rows], vots[:rows]
+
+
+def _is_utf8(data: bytes) -> bool:
+    """Whether ``data`` is UTF-8 text, decoded ``_READ_BLOCK`` bytes at a
+    time when it is not ASCII."""
+    if data.isascii():
+        return True
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    view = memoryview(data)
+    try:
+        for at in range(0, len(data), _READ_BLOCK):
+            decoder.decode(view[at:at + _READ_BLOCK], at + _READ_BLOCK >= len(data))
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _roles(words, begin, end):
+    """Whether each span ``begin:end`` of the bytes under ``words`` is
+    ``subscriber``, and None unless each is that or ``outsider``: a span of
+    the right length matches in its first and its last eight bytes."""
+    subscriber = end - begin == len(b"subscriber")
+    if not np.all(subscriber | (end - begin == len(b"outsider"))):
+        return None
+    first, last = _ROLE_WORDS[:, subscriber.view(np.uint8)]
+    if np.any(words[begin] != first) or np.any(words[end - 8] != last):
+        return None
+    return subscriber
+
+
+def _plain_decimals(words, begin, end):
+    """The value ``float`` reads from each span ``begin:end`` of the bytes
+    under ``words``, or None unless every span reads ``[0-9]*\\.?[0-9]*``
+    with 1 to 15 digits. Every span ends after the header line, which is
+    at least 16 bytes, so the 16 bytes before its end exist."""
+    width = end - begin
+    if width.size == 0:
+        return np.empty(0)
+    if width.max() > 16:
+        return None
+    # the last 8 or 16 bytes up to each span's end, a column each, row p
+    # holding the byte p places left of the end
+    size = 8 if width.max() <= 8 else 16
+    chars = np.column_stack([words[end - at] for at in range(size, 0, -8)])
+    chars = chars.view(np.uint8)[:, ::-1].T.copy()
+    place = np.arange(len(chars), dtype=np.uint8)[:, None]
+    inside = place < width.astype(np.uint8)
+    digit = chars - np.uint8(ord("0"))
+    is_digit = inside & (digit <= 9)
+    is_point = inside & (chars == ord("."))
+    digits = is_digit.sum(axis=0, dtype=np.uint8)
+    points = is_point.sum(axis=0, dtype=np.uint8)
+    if (np.any(inside & ~(is_digit | is_point)) or np.any(points > 1)
+            or np.any((digits < 1) | (digits > 15))):
+        return None
+    # with the point read as a 0 digit, the digits right of it keep their
+    # place and those left of it stand one place too high
+    k = (is_point * place).sum(axis=0, dtype=np.uint8)
+    spread = _POW10[:len(chars)] @ (digit * is_digit)
+    low = spread % _POW10[k]
+    mantissa = np.where(points, (spread - low) // 10 + low, spread)
+    return mantissa / _POW10[k].astype(float)
+
+
+def _read_roster(data: bytes, support) -> tuple[list, list[float]]:
+    """User ids and declared VOTs of the roster file ``data``, in file
+    order, read by the ``csv`` module and checked in one pass; an
+    outsider's VOT is NaN. A leading byte order mark, as spreadsheet
+    exports write, is not part of the header.
 
     As with ``csv.DictReader``, blank lines are skipped, a repeated column
     name resolves to its last occurrence and a missing cell reads as None.
@@ -360,7 +598,7 @@ def _read_roster(path, support) -> tuple[list, list[float]]:
     nan = math.nan
     user_ids, vots = [], []
     add_user, add_vot = user_ids.append, vots.append
-    with open(path, encoding="utf-8-sig", newline="") as handle:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -397,16 +635,16 @@ def _read_roster(path, support) -> tuple[list, list[float]]:
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise ValueError(f"line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
-            raise ValueError(f"line {_undecodable_line(path)}: not UTF-8 text") from None
+            raise ValueError(f"line {_undecodable_line(data)}: not UTF-8 text") from None
     return user_ids, vots
 
 
-def _undecodable_line(path) -> int:
-    """The number of the first line of the file at ``path`` that is not
-    UTF-8 text, counting lines ended by LF, CR or CR LF as the csv reader
-    does. A decode error's own position is relative to the chunk being
-    decoded, so it cannot say where in the file the bad byte is."""
-    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+def _undecodable_line(data: bytes) -> int:
+    """The number of the first line of ``data`` that is not UTF-8 text,
+    counting lines ended by LF, CR or CR LF as the csv reader does. A
+    decode error's own position is relative to the chunk being decoded, so
+    it cannot say where in the file the bad byte is."""
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     for number, line in enumerate(data.split(b"\n"), 1):
         try:
             line.decode("utf-8")

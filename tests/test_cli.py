@@ -9,6 +9,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1151,14 +1152,14 @@ class TestAssign:
         return (work / "o" / "assignments.csv").read_bytes()
 
     def test_odd_ids_at_write_block_edges(self, demo_run, tmp_path):
-        # a row is two strings to the writer, its id's cell and its tail, so
-        # row j * half starts write block j; each id that csv.writer quotes,
-        # and a row cut short before its id, sits just before, at and just
-        # after some block edge, and the last row is cut short
-        half = cli._WRITE_BLOCK // 2
+        # row j * block starts write block j, since no id here is wide
+        # enough to cut a block short; each id that csv.writer quotes, and a
+        # row cut short before its id, sits just before, at and just after
+        # some block edge, and the last row is cut short
+        block = cli._ROW_BLOCK
         special = ["a,b", 'say "hi"', "cr\rid", "lf\nid", None]
-        n = len(special) * half + 3
-        odd = {j * half + d: special[(j + d) % len(special)]
+        n = len(special) * block + 3
+        odd = {j * block + d: special[(j + d) % len(special)]
                for j in range(1, len(special) + 1) for d in (-1, 0, 1)}
         odd[n - 1] = None
         lo, hi = demo_run.outcome.support
@@ -1172,6 +1173,173 @@ class TestAssign:
             answers.append((user, role, vot))
         assert self.assigned(tmp_path, rows, 3) == per_user_assignments(
             demo_run.outcome, demo_run.paths.labels(), answers, 3).encode()
+
+    # spellings of a subscriber's VOT on the support (0.5, 45), each with
+    # whether the plain grammar takes it: [0-9]*\.?[0-9]* with 1 to 15
+    # digits, inside the support
+    PLAIN_SUPPORT = (0.5, 45.0)
+    VOT_SPELLINGS = {
+        "20": True, "007.50": True, "5.": True, ".5": True, "0.5": True, "45": True,
+        "45.0": True, "12.3456789012345": True, "45.0000000000000": True,
+        "000000000000045": True, "0000000000000045": False,
+        "12.34567890123456": False, "045.0000000000000": False,
+        repr(math.nextafter(0.5, 0.0)): False, repr(math.nextafter(45.0, math.inf)): False,
+        "0.4": False, "45.01": False, "+5": False, "5e0": False, " 5": False, "5 ": False,
+        "1_0": False, "-5": False, "": False, ".": False, "5..": False, "1.2.3": False,
+        "nan": False, "inf": False,
+        "\u0665": False,  # an Arabic-Indic five, which float() reads
+    }
+    OTHER_ROLES = ["Subscriber", "subscribEr", "Outsider", " outsider", "driver", ""]
+    # ways out of the plain grammar, one per roster: those in a row, and
+    # those of the roster as a whole
+    GRAMMAR_ROW_FAULTS = ["vot", "role", "short", "long", "long_then_short", "short_then_long", "stray"]
+    GRAMMAR_FAULTS = [None] * 4 + GRAMMAR_ROW_FAULTS + ["no_vot_column", "long_line"]
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_plain_reader_matches_csv_reader(self, data):
+        # rosters in the plain grammar and, with one fault, just outside
+        # it: the plain reader takes exactly those in it, and there gives
+        # the csv reader's ids and, bit for bit, its VOTs
+        fault = data.draw(st.sampled_from(self.GRAMMAR_FAULTS))
+        extra = data.draw(st.lists(st.sampled_from(["note", "vot", "role", "user_id", ""]),
+                                   max_size=2))
+        header = data.draw(st.permutations(["user_id", "role", "vot", *extra]))
+        last = {name: i for i, name in enumerate(header)}
+        good_vots = [v for v, ok in self.VOT_SPELLINGS.items() if ok]
+        users = data.draw(st.lists(st.tuples(
+            st.text(alphabet="u7 _-\u00e9\u20ac", max_size=4),
+            st.sampled_from(["subscriber", "outsider"]),
+            st.sampled_from(good_vots), st.sampled_from(list(self.VOT_SPELLINGS)),
+        ), min_size=2 * (fault in self.GRAMMAR_ROW_FAULTS), max_size=8))
+        rows = [[{"user_id": u, "role": r, "vot": v if r == "subscriber" else junk}.get(name, "n")
+                 if last[name] == j else "zz" for j, name in enumerate(header)]
+                for u, r, v, junk in users]
+
+        i = data.draw(st.integers(0, max(len(rows) - 2, 0)))
+        if fault == "vot":
+            rows[i][last["role"]] = "subscriber"
+            rows[i][last["vot"]] = data.draw(st.sampled_from(
+                [v for v, ok in self.VOT_SPELLINGS.items() if not ok]))
+        elif fault == "role":
+            rows[i][last["role"]] = data.draw(st.sampled_from(self.OTHER_ROLES))
+        elif fault in ("short", "long"):
+            rows[i] = rows[i][:-1] if fault == "short" else rows[i] + ["x"]
+        elif fault in ("long_then_short", "short_then_long"):
+            # the commas still number two rows' worth
+            longer, shorter = (i, i + 1) if fault == "long_then_short" else (i + 1, i)
+            rows[longer].append("x")
+            del rows[shorter][-1]
+        elif fault == "stray":  # marked by \x01 in a user id
+            u = rows[i][last["user_id"]]
+            at = data.draw(st.integers(0, len(u)))
+            rows[i][last["user_id"]] = u[:at] + "\x01" + u[at:]
+        elif fault == "no_vot_column":
+            header = ["vote" if name == "vot" else name for name in header]
+
+        lines = [",".join(header)]
+        for row in rows:
+            lines += [""] * data.draw(st.integers(0, 1)) + [",".join(row)]
+        text = (data.draw(st.sampled_from(["", "\ufeff"])) + "\n".join(lines)
+                + data.draw(st.sampled_from(["", "\n"]))).encode("utf-8")
+        if fault == "stray":
+            text = text.replace(b"\x01", data.draw(st.sampled_from([b'"', b"\r", b"\0", b"\xff"])))
+        # a line as long as the csv field limit is plain; one byte longer is not
+        lines = text.removeprefix("\ufeff".encode()).split(b"\n")
+        limit = max(map(len, lines)) - (fault == "long_line")
+        # a small block puts block edges inside lines and characters
+        block = data.draw(st.sampled_from([8, 64, cli._READ_BLOCK]))
+
+        default_limit = csv.field_size_limit(limit)
+        try:
+            with mock.patch.object(cli, "_READ_BLOCK", block):
+                read = cli._read_plain_roster(text, self.PLAIN_SUPPORT)
+            assert (read is not None) == (fault is None)
+            if read is not None:
+                ids, vots = cli._read_roster(text, self.PLAIN_SUPPORT)
+        finally:
+            csv.field_size_limit(default_limit)
+        if read is not None:
+            cells, starts, ends, plain_vots = read
+            assert [cells[a:b].decode() for a, b in zip(starts, ends)] == ids
+            assert plain_vots.view(np.int64).tolist() == np.array(vots).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("text", [
+        # a role that is "subscriber" in its first eight bytes only
+        b"user_id,role,vot\nu1,subscribEr,20\n",
+        # a quote, CR, NUL or non-UTF-8 byte in an id
+        b'user_id,role,vot\n"u1",outsider,\n',
+        b"user_id,role,vot\nu\r1,outsider,\n",
+        b"user_id,role,vot\nu\x001,outsider,\n",
+        b"user_id,role,vot\nu\xff1,outsider,\n",
+        # a long line, then a short one, and the other way round: the
+        # commas number two lines' worth, and read in order from the first
+        # line's start each second line's fields would look plain
+        b"note,user_id,role,vot\nn,u1,outsider,,x\nu2,outsider,\n",
+        b"user_id,role,vot,note,more\nu1,outsider,,n\na,u2,outsider,,n,m\n",
+    ], ids=["role", "quote", "cr", "nul", "not-utf8", "long-short", "short-long"])
+    def test_plain_reader_declines_just_outside(self, text):
+        assert cli._read_plain_roster(text, self.PLAIN_SUPPORT) is None
+
+    def plain_assigned(self, work, text: str, seed) -> bytes:
+        """``assignments.csv`` from ``pathpay assign`` on the fixture over
+        the roster ``text``, which must be read by the numpy reader."""
+        (work / "roster.csv").write_bytes(text.encode("utf-8"))
+        with mock.patch.object(cli, "_read_roster", side_effect=AssertionError("csv reader")):
+            with redirect_stdout(io.StringIO()):
+                assert main(["assign", "--network", NETWORK, "--vot", VOT,
+                             "--roster", str(work / "roster.csv"), "--seed", str(seed),
+                             "--out", str(work / "o")]) == 0
+        return (work / "o" / "assignments.csv").read_bytes()
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_plain_batch_matches_per_user_answers(self, demo_run, tmp_path_factory, data):
+        outcome = demo_run.outcome
+        lo, hi = outcome.support
+        # short decimals: the support's ends, near each partition point and
+        # anywhere between, in cents
+        vot = st.one_of(
+            st.sampled_from([repr(lo), repr(hi), f"{hi:.13f}", f"00{lo:g}."]
+                            + [f"{p:.12g}" for p in outcome.partition[1:-1]]),
+            st.integers(round(lo * 100), round(hi * 100)).map(lambda c: f"{c / 100:.2f}"),
+        )
+        user = st.text(alphabet="u7 _-\u00e9\u20ac", max_size=5)
+        users = data.draw(st.lists(
+            st.tuples(user, st.sampled_from(["subscriber", "outsider"]), vot, st.booleans()),
+            max_size=60,
+        ))
+        header = data.draw(st.permutations(["user_id", "role", "vot", "note"]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        lines, answers = [",".join(header)], []
+        for u, r, v, blank in users:
+            cells = {"user_id": u, "role": r, "note": "n 1", "vot": v if r == "subscriber" else ""}
+            lines += [""] * blank + [",".join(cells[name] for name in header)]
+            answers.append((u, r, float(v) if r == "subscriber" else None))
+        text = data.draw(st.sampled_from(["", "\ufeff"])) + "\n".join(lines)
+        text += data.draw(st.sampled_from(["", "\n"]))
+        work = tmp_path_factory.mktemp("plain")
+        assert self.plain_assigned(work, text, seed) == (
+            per_user_assignments(outcome, demo_run.paths.labels(), answers, seed).encode()
+        )
+
+    def test_plain_rows_at_block_edges(self, demo_run, tmp_path):
+        # an unquoted roster read by the numpy reader: over one read block
+        # of bytes and two write blocks of rows, one of them cut short by a
+        # 5000-byte id; blank lines, and no final line end
+        block = cli._ROW_BLOCK
+        lo, hi = demo_run.outcome.support
+        lines, answers = ["role,user_id,vot"], []
+        for k in range(2 * block + 3):
+            user = "L" * 5000 if k == block + 7 else f"u{k % 1000}" + "\u00e9" * (k % 3)
+            role = "subscriber" if k % 3 else "outsider"
+            vot = f"{lo + (hi - lo) * (k % 97) / 96:.6f}" if role == "subscriber" else ""
+            lines += [""] * (k % 500 == 0) + [f"{role},{user},{vot}"]
+            answers.append((user, role, float(vot) if vot else None))
+        text = "\n".join(lines)
+        assert len(text) > cli._READ_BLOCK
+        assert self.plain_assigned(tmp_path, text, 5) == per_user_assignments(
+            demo_run.outcome, demo_run.paths.labels(), answers, 5).encode()
 
     @pytest.mark.parametrize("workload", ["many-classes", "many-paths"])
     def test_benchmark_rosters_match_per_user_answers(self, tmp_path, workload):

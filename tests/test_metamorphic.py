@@ -7,6 +7,12 @@ payments, weighted cost) by exactly 2^k and leaves the flows bit for bit:
 the subscriber master is solved in power-of-two flow and VOT units, so the
 solve is the same one at every k.
 
+Scaling the demand by 2^k, with every linear slope by 2^-k or every BPR
+capacity by 2^k, leaves every link time as it was, so the SO is the same
+solve in flows 2^k times larger: every path's subscriber and outsider flow,
+the demands and the weighted cost scale by exactly 2^k, and every time,
+share, VOT bound and payment stays bit for bit.
+
 Permuting the links' order and ids in the network file leaves the SO and UE
 link flows, mapped back to the old ids, and the weighted cost in place up
 to rounding, and every ``passed`` flag as it was. Path flows and payments
@@ -23,7 +29,7 @@ import numpy as np
 import pytest
 
 import pathpay.scheme
-from _instances import network_document, random_grid
+from _instances import network_document, random_grid, seeded_chain_or_grid
 from conftest import FIXTURE_DIR
 from pathpay import (
     VotDistribution, build_outcome, cost_report, discretize, enumerate_paths,
@@ -121,6 +127,52 @@ def test_grid_scheme_scales_with_the_vot(kind, seed):
         assert np.array_equal(outcome.partition, np.ldexp(base_outcome.partition, k))
         assert np.array_equal(outcome.payments, np.ldexp(base_outcome.payments, k))
         assert flags == base_flags
+
+
+def scaled_demand_document(doc: dict, k: int) -> dict:
+    """The network file ``doc`` with its demands scaled by 2^k, and with
+    them its linear slopes by 2^-k and its BPR capacities by 2^k."""
+    links = []
+    for link in doc["links"]:
+        kind, (t0, scale, *rest) = link["cost"]["kind"], link["cost"]["params"]
+        scale = math.ldexp(scale, -k if kind == "linear" else k)
+        links.append({**link, "cost": {"kind": kind, "params": [t0, scale, *rest]}})
+    demand = doc["demand"]
+    return {**doc, "links": links,
+            "demand": {**demand, "total": scaled(demand["total"], k),
+                       "subscribers": scaled(demand["subscribers"], k)}}
+
+
+def scheme_files(tmp_path, doc: dict, name: str) -> tuple[dict, dict]:
+    """scheme.json and verification.json of ``pathpay scheme`` on the
+    network file ``doc`` under the fixture's VOT."""
+    network = tmp_path / f"{name}.json"
+    network.write_text(json.dumps(doc))
+    out = tmp_path / name
+    with redirect_stdout(io.StringIO()):
+        assert main(["scheme", "--network", str(network), "--vot",
+                     str(FIXTURE_DIR / "vot.json"), "--out", str(out)]) == 0
+    return (json.loads((out / "scheme.json").read_text()),
+            json.loads((out / "verification.json").read_text()))
+
+
+# seeds 0-7 hold chains and grids, each with linear and with BPR costs
+@pytest.mark.parametrize("seed", range(8))
+def test_scheme_scales_with_the_demand(tmp_path, seed):
+    doc = network_document(seeded_chain_or_grid(seed))
+    base, base_checks = scheme_files(tmp_path, doc, "base")
+    for k in (-20, -3, 3, 20):
+        scheme, checks = scheme_files(tmp_path, scaled_demand_document(doc, k), f"k{k}")
+        assert passed_flags(checks) == passed_flags(base_checks)
+        for key in ("subscriber_demand", "outsider_demand", "weighted_cost"):
+            assert scheme[key] == scaled(base[key], k)
+        for key in ("so_relative_gap", "ue_relative_gap", "vot_classes"):
+            assert scheme[key] == base[key]
+        for path, ref in zip(scheme["paths"], base["paths"], strict=True):
+            for key in ("subscribers", "outsiders"):
+                assert path[key] == scaled(ref[key], k)
+            for key in ("label", "time_min", "share", "vot_low", "vot_high", "payment_usd"):
+                assert path[key] == ref[key]
 
 
 def permuted_links(doc: dict, rng: np.random.Generator) -> tuple[dict, dict]:
