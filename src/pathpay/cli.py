@@ -57,13 +57,13 @@ MAX_GRID = 100_000
 # strings of ``lines`` joined per write: a write call per string costs more
 # than the joining, and a larger block only holds more of the file in memory
 _WRITE_BLOCK = 8192
-# assignments.csv rows per write: a block's grid of padded rows, its mask
-# and its gather index take a few hundred KB
-_ROW_BLOCK = 2048
+# assignments.csv rows per write: their fixed-width strings and a bytes
+# object each take a few hundred KB, below the reader's peak at 5000 users
+_ROW_BLOCK = 1536
 # bytes of padded ids per write at most, unless one id is longer
 _ID_GRID = 16 * _ROW_BLOCK
-# roster bytes per step of the plain reader: its masks and positions take
-# a few times this, whatever the roster size
+# roster bytes per step of the plain reader, or an eighth of a larger
+# roster: its masks and positions take a few times a step
 _READ_BLOCK = 1 << 16
 
 
@@ -279,20 +279,15 @@ def cmd_assign(args) -> int:
     """Guidance for every roster user, written to ``assignments.csv``.
 
     The roster is read and checked against the VOT support before the
-    solve, so a bad row fails fast. A roster in the plain grammar is read
-    from its bytes with numpy (:func:`_read_plain_roster`): UTF-8 with no
-    ``"``, CR or NUL byte and no line over ``csv.field_size_limit()``, a
-    header naming ``user_id``, ``role`` and ``vot``, lines of exactly the
-    header's field count, roles exactly ``subscriber`` or ``outsider`` and
-    subscriber VOTs of 1 to 15 plain digits and at most one point, inside
-    the support. Any other roster, each one with an error among them, is
-    read by the ``csv`` module (:func:`_read_roster`), the one source of
-    roster messages. Both give the same ids and VOTs, and so the same
-    output. Guidance needs no user equilibrium, so none is solved.
-    Subscribers get their paths from one :func:`vot_ranks` lookup,
-    outsiders from one seeded draw in file order. Each row is the user's id
-    cell and a tail formatted once per (path, role), copied a block of rows
-    at a time by :func:`_write_rows`.
+    solve, so a bad row fails fast: from its bytes with numpy when it is in
+    the plain grammar of :func:`_read_plain_roster`, or else by the ``csv``
+    module (:func:`_read_roster`), the one source of roster messages. Both
+    give the same ids and VOTs, and so the same output. Guidance needs no
+    user equilibrium, so none is solved. Every row is ranked by one
+    :func:`vot_ranks` lookup, an outsider's NaN last; one seeded draw in
+    file order then puts the outsiders on their paths. Each row is the
+    user's id cell and a tail formatted once per (path, role), joined a
+    block of rows at a time by :func:`_write_rows`.
     """
     if args.seed < 0:
         raise ValueError("--seed must be a non-negative integer")
@@ -301,28 +296,23 @@ def cmd_assign(args) -> int:
     result = run_scheme(net, dist, M, tol=args.tol)
     outcome = result.outcome
 
-    order = np.asarray(outcome.order)
-    is_subscriber = ~np.isnan(vots)
-    user_paths = np.empty(vots.size, dtype=int)
-    user_paths[is_subscriber] = order[vot_ranks(outcome, vots[is_subscriber])]
-    user_paths[~is_subscriber] = assign_outsider(
-        outcome, args.seed, size=vots.size - np.count_nonzero(is_subscriber)
-    )
-
-    # row tails after the user cell, outsiders' for paths 0..n-1 then
-    # subscribers', indexed by original path index; an unused path's is empty
+    # the tail after a user's id cell and comma: tails[p] for a subscriber
+    # on path p, tails[n + p] for an outsider; an unused path's is empty
     n = len(result.paths)
     labels = result.paths.labels()
     times = result.so.path_times
     payment = dict(zip(outcome.order, outcome.payments.tolist()))
     tails = [
-        _csv_line(["", role, labels[p], f"{times[p]:.1f}",
+        _csv_line([role, labels[p], f"{times[p]:.1f}",
                    f"{payment[p]:.2f}" if role == "subscriber" else ""]).encode()
         if p in payment else b""
-        for role in ("outsider", "subscriber")
+        for role in ("subscriber", "outsider")
         for p in range(n)
     ]
-    which = user_paths + n * is_subscriber
+    # an outsider's NaN ranks past the last partition point; the draw overwrites it
+    outsider = np.isnan(vots)
+    which = np.asarray(outcome.order)[vot_ranks(outcome, vots)]
+    which[outsider] = n + assign_outsider(outcome, args.seed, size=np.count_nonzero(outsider))
 
     out = Path(args.out)
     with _new_file(out / "assignments.csv", "wb") as handle:
@@ -333,33 +323,37 @@ def cmd_assign(args) -> int:
 
 
 def _write_rows(handle, cells: bytes, starts, ends, tails: list, which) -> None:
-    """Write row ``i`` as ``cells[starts[i]:ends[i]]`` followed by
-    ``tails[which[i]]``, up to ``_ROW_BLOCK`` rows per write.
+    """Write row ``i`` as ``cells[starts[i]:ends[i]]``, a comma and
+    ``tails[which[i]]``, up to ``_ROW_BLOCK`` rows per write. The spans
+    lie in ``cells`` in row order, and every tail ends in a line end.
 
-    A block is a grid with a row per user: the id's bytes, padded to the
-    widest id in the block, then the tail's, padded to the longest tail.
-    The bytes that are not padding, read row by row, are the block's text.
-    A block ends early where its ids would outgrow ``_ID_GRID`` bytes, so
-    the memory a block takes stays a few times its text.
+    A block's rows are fixed-width byte strings: each id and its comma,
+    NUL-padded to the widest in the block, then its tail (``np.char.add``
+    drops the padding between them). The comma stays with the id, so an id
+    that ends in NUL keeps it. The strings, a bytes object per row less its
+    padding, are joined into the block's one write and then freed. A block
+    ends early where its ids would outgrow ``_ID_GRID`` bytes.
     """
-    lengths = np.array([len(tail) for tail in tails])
-    table = np.zeros((len(tails), lengths.max()), np.uint8)
-    for row, tail in zip(table, tails):
-        row[:len(tail)] = np.frombuffer(tail, np.uint8)
-    unpadded = np.arange(table.shape[1]) < lengths[:, None]
-    source = np.frombuffer(cells, np.uint8)
+    tails = np.array(tails)
     first = 0
     while first < len(starts):
-        width = ends[first:first + _ROW_BLOCK] - starts[first:first + _ROW_BLOCK]
-        grid_size = np.arange(1, width.size + 1) * np.maximum.accumulate(width)
-        count = max(1, np.count_nonzero(grid_size <= _ID_GRID))
-        rows, width = slice(first, first + count), width[:count]
-        place = np.arange(width.max())
-        # bytes past an id's end are padding, so past the last id the gather clips
-        ids = np.take(source, starts[rows, None] + place, mode="clip")
-        grid = np.hstack((ids, table[which[rows]]))
-        handle.write(grid[np.hstack((place < width[:, None], unpadded[which[rows]]))])
-        first += count
+        rows = slice(first, first + _ROW_BLOCK)
+        width = ends[rows] - starts[rows]
+        if width.max() * width.size > _ID_GRID:
+            grid_size = np.arange(1, width.size + 1) * np.maximum.accumulate(width)
+            width = width[:max(1, np.count_nonzero(grid_size <= _ID_GRID))]
+            rows = slice(first, first + width.size)
+        size = int(width.max()) + 1
+        # the block's text and size bytes of slack, read as the size-byte
+        # string at each offset: an id's is followed by bytes to overwrite
+        text = cells[starts[first]:ends[rows][-1]] + bytes(size)
+        heads = np.ndarray(len(text) - size + 1, f"S{size}", text, strides=(1,))
+        heads = heads[starts[rows] - starts[first]].view(np.uint8).reshape(-1, size)
+        heads *= np.arange(size) < width[:, None]
+        heads.reshape(-1)[np.arange(0, heads.size, size) + width] = ord(",")
+        handle.write(b"".join(np.char.add(heads.view(f"S{size}")[:, 0],
+                                          tails[which[rows]]).tolist()))
+        first += width.size
 
 
 def _csv_line(cells) -> str:
@@ -447,9 +441,10 @@ def _read_plain_roster(data: bytes, support):
     exact doubles, since m < 2^53 and k <= 22 (Clinger, PLDI 1990). So
     :func:`_read_roster` would give the same ids and, bit for bit, the same
     VOTs. Every other roster, each one with an error among them, is left to
-    it. The file is scanned ``_READ_BLOCK`` bytes at a time, whole lines
-    each, finding the line ends and commas first and checking the fields
-    from their positions (Langdale & Lemire, VLDB J. 2019).
+    it. The file is scanned in blocks of whole lines, ``_READ_BLOCK``
+    bytes or an eighth of the file if that is more, finding the line ends
+    and commas first and checking the fields from their positions
+    (Langdale & Lemire, VLDB J. 2019).
     """
     if b'"' in data or b"\r" in data or b"\0" in data or not _is_utf8(data):
         return None
@@ -465,19 +460,21 @@ def _read_plain_roster(data: bytes, support):
     at_user, at_role, at_vot = column[b"user_id"], column[b"role"], column[b"vot"]
     lo, hi = support
 
-    size = data.count(b"\n", stop) + 1  # at least the data lines
+    array = np.frombuffer(data, np.uint8)
+    # at least the data lines; numpy counts them faster than bytes.count
+    size = np.count_nonzero(array[stop:] == ord("\n")) + 1
     starts, ends = np.empty(size, np.int64), np.empty(size, np.int64)
     vots = np.empty(size)
-    array = np.frombuffer(data, np.uint8)
     # word i is bytes i to i + 7 as one little-endian integer, so that one
     # gather reads eight bytes of a field
     words = np.ndarray(len(data) - 7, "<u8", data, strides=(1,))
+    block = max(_READ_BLOCK, len(data) // 8)
     rows = 0
     first = stop + 1
     while first < len(data):
         # whole lines, to the last line end in the block or, when a line
         # is longer than the block, to that line's end
-        last = (data.rfind(b"\n", first, first + _READ_BLOCK) + 1
+        last = (data.rfind(b"\n", first, first + block) + 1
                 or data.find(b"\n", first) + 1 or len(data))
         segment = array[first:last]
         line_ends = np.flatnonzero(segment == ord("\n")) + first

@@ -1153,11 +1153,15 @@ class TestAssign:
 
     def test_odd_ids_at_write_block_edges(self, demo_run, tmp_path):
         # row j * block starts write block j, since no id here is wide
-        # enough to cut a block short; each id that csv.writer quotes, and a
-        # row cut short before its id, sits just before, at and just after
-        # some block edge, and the last row is cut short
+        # enough to cut a block short; each id that csv.writer quotes, a row
+        # cut short before its id, an empty id and an id ending in NUL sit
+        # just before, at and just after some block edge, and the last row
+        # is cut short. The writer's fixed-width strings drop trailing NULs,
+        # so the NUL id checks that the writer keeps them; the csv module
+        # reads a NUL from Python 3.11 on
         block = cli._ROW_BLOCK
-        special = ["a,b", 'say "hi"', "cr\rid", "lf\nid", None]
+        special = ["a,b", 'say "hi"', "cr\rid", "lf\nid", None, ""]
+        special += ["nul\0"] if sys.version_info >= (3, 11) else []
         n = len(special) * block + 3
         odd = {j * block + d: special[(j + d) % len(special)]
                for j in range(1, len(special) + 1) for d in (-1, 0, 1)}
@@ -1325,8 +1329,9 @@ class TestAssign:
 
     def test_plain_rows_at_block_edges(self, demo_run, tmp_path):
         # an unquoted roster read by the numpy reader: over one read block
-        # of bytes and two write blocks of rows, one of them cut short by a
-        # 5000-byte id; blank lines, and no final line end
+        # of bytes (_READ_BLOCK, or an eighth of a larger roster) and two
+        # write blocks of rows, one of them cut short by a 5000-byte id;
+        # blank lines, and no final line end
         block = cli._ROW_BLOCK
         lo, hi = demo_run.outcome.support
         lines, answers = ["role,user_id,vot"], []
@@ -1337,7 +1342,8 @@ class TestAssign:
             lines += [""] * (k % 500 == 0) + [f"{role},{user},{vot}"]
             answers.append((user, role, float(vot) if vot else None))
         text = "\n".join(lines)
-        assert len(text) > cli._READ_BLOCK
+        size = len(text.encode())
+        assert size > max(cli._READ_BLOCK, size // 8)
         assert self.plain_assigned(tmp_path, text, 5) == per_user_assignments(
             demo_run.outcome, demo_run.paths.labels(), answers, 5).encode()
 

@@ -18,6 +18,12 @@ link flows, mapped back to the old ids, and the weighted cost in place up
 to rounding, and every ``passed`` flag as it was. Path flows and payments
 are not compared: the paths are enumerated in another order, and an
 optimum's decomposition into them need not be unique.
+
+Adding an origin-destination link that is dear at zero flow leaves every
+existing path's record and every ``passed`` flag in place, and the new path
+carries no one. The records match up to the solver tolerance, not bit for
+bit: the cold start loads the demand in ``links - nodes + 2`` parts, so one
+more link changes the iterates.
 """
 
 import io
@@ -36,6 +42,7 @@ from pathpay import (
     run_verification, solve_so, solve_subscriber_lp, solve_ue,
 )
 from pathpay.cli import DEFAULT_REPORT_GRID, main
+from pathpay.equilibrium import DEFAULT_TOL
 
 # how each VOT parameter scales with the VOT: a density is per $/h
 VOT_POWER = {"knots": 1, "samples": 1, "density": -1}
@@ -226,3 +233,51 @@ def test_permuted_links(tmp_path, instance):
             assert flow == pytest.approx(base["flows"][regime][i], abs=1e-12 * demand)
     assert run["weighted_cost"] == pytest.approx(base["weighted_cost"], rel=1e-12)
     assert run["passed"] == base["passed"]
+
+
+def with_dear_link(doc: dict, cost: float) -> dict:
+    """The network file ``doc`` with one more link, from the origin to the
+    destination at the constant time ``cost``, under an id above the rest:
+    its path is enumerated last and every other path keeps its label."""
+    link = {"id": max(other["id"] for other in doc["links"]) + 1,
+            "from": doc["demand"]["origin"], "to": doc["demand"]["destination"],
+            "cost": {"kind": "linear", "params": [cost, 0.0]}}
+    return {**doc, "links": [*doc["links"], link]}
+
+
+# seeds 0-7 hold chains and grids, each with linear and with BPR costs
+@pytest.mark.parametrize("seed", range(8))
+def test_dear_link_is_left_unused(tmp_path, seed):
+    doc = network_document(seeded_chain_or_grid(seed))
+    base, base_checks = scheme_files(tmp_path, doc, "base")
+    network = tmp_path / "base.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(["equilibria", "--network", str(network), "--out", str(tmp_path / "eq")]) == 0
+    ue_time = json.loads((tmp_path / "eq" / "equilibria.json").read_text())["ue"]["equilibrium_time_min"]
+    top = max(ue_time, *(path["time_min"] for path in base["paths"]))
+    # the SO routes by marginal cost, t + q t'(q): at most 2 t on a linear
+    # link and (1 + power) t = 5 t on these BPR links. So at 10 times every
+    # time the new link is dearer at the margin than every used path; just
+    # above the times, the SO of the seed-0 chain puts 43% of its users on it
+    scheme, checks = scheme_files(tmp_path, with_dear_link(doc, 10 * top), "dear")
+    assert passed_flags(checks) == passed_flags(base_checks)
+    *paths, new = scheme["paths"]
+    assert (new["subscribers"], new["outsiders"], new["share"]) == (0.0, 0.0, 0.0)
+    assert new["payment_usd"] is None
+    # each solve stops at a relative gap of at most DEFAULT_TOL. The SO and
+    # UE objectives are strongly convex in the link flows, so a gap g leaves
+    # the flows and times within O(sqrt(g)) of the optimum, relative to
+    # their scale, and the LP outputs follow them. Measured: 1.8e-8 of the
+    # largest time on the seed-3 BPR grid, rounding on the linear seeds
+    rel = math.sqrt(DEFAULT_TOL)
+    hi = json.loads((FIXTURE_DIR / "vot.json").read_text())["support"][1]
+    scale = {"time_min": top, "subscribers": doc["demand"]["total"],
+             "outsiders": doc["demand"]["total"], "share": 1.0, "vot_low": hi,
+             "vot_high": hi, "payment_usd": hi * top / 60}
+    for path, ref in zip(paths, base["paths"], strict=True):
+        assert (path["label"], path["path"]) == (ref["label"], ref["path"])
+        for key, size in scale.items():
+            if ref[key] is None:
+                assert path[key] is None
+            else:
+                assert path[key] == pytest.approx(ref[key], abs=rel * size)
