@@ -29,12 +29,13 @@ search. The Newton direction's first trial is ``a = 1``: on linear costs,
 where no path is clipped, that is the minimum on the direction's face.
 
 When the Newton direction is not a descent direction, or none of its
-trials passes, the iteration takes the Frank-Wolfe step with away steps
-instead: toward the cheapest path, or away from the costliest path
-carrying flow, whichever gap is larger, from the longest step that keeps
-the flows non-negative. With backtracking that step alone converges
-linearly (Pedregosa, Negiar, Askari & Jaggi 2020), so every iterate is
-covered. A direction whose slope is within rounding of zero
+trials passes, the iteration solves the same KKT system with the identity
+for ``H``. That is the projected gradient on S, ``mean(c_S) - c_S``, the
+scaled gradient projection of Bertsekas & Gafni 1983 at its plainest
+scaling; it descends wherever the costs on S differ, even where ``H`` is
+singular. It is scaled to move at most the demand on a path, and its first
+trial is the longest step that keeps every flow non-negative, or 1 if that
+is shorter. A direction whose slope is within rounding of zero
 (``_SLOPE_RESOLUTION`` of the slope's absolute terms) counts as no
 descent; an iterate where neither direction gives a passing trial stops
 the solve as stalled. Each trial costs one pass over the link costs.
@@ -105,8 +106,8 @@ class FlowSolution:
     pass is the next iterate's) and one per rejected trial step;
     ``gap_history`` holds the relative gap at each iterate, from the start
     to the returned one (so its last entry is ``relative_gap``);
-    ``newton_steps`` counts the iterations that took the Newton direction,
-    not the Frank-Wolfe step.
+    ``newton_steps`` counts the steps on the Hessian-scaled direction, not
+    on the projected gradient.
     """
 
     regime: str
@@ -243,11 +244,10 @@ def _projected_newton(net, paths, regime, tol, start):
         q, value, gradient, curvature = point
         path_costs = incidence.T @ gradient
         cheapest = int(path_costs.argmin())
-        carried = float(path_costs @ f)
-        fw_gap = carried - d * path_costs[cheapest]
-        # a non-finite path cost reaches fw_gap through path_costs @ f,
+        gap = float(path_costs @ f) - d * path_costs[cheapest]
+        # a non-finite path cost reaches gap through path_costs @ f,
         # since 0 * inf is nan
-        if not (math.isfinite(value) and math.isfinite(fw_gap)):
+        if not (math.isfinite(value) and math.isfinite(gap)):
             raise ConvergenceError(
                 f"link costs overflow at demand {d:g} (non-finite path cost or "
                 f"gap at iteration {iteration}); scale the demand or the link "
@@ -255,7 +255,7 @@ def _projected_newton(net, paths, regime, tol, start):
                 achieved_gap=float("nan"),
             )
         scale = max(abs(value), _TINY)
-        gap_rel = float(fw_gap / scale)
+        gap_rel = float(gap / scale)
         history.append(gap_rel)
         if gap_rel <= tol:
             # the optimality certificate: every path carrying more than
@@ -276,7 +276,13 @@ def _projected_newton(net, paths, regime, tol, start):
         direction = _newton_direction(incidence, curvature, path_costs, f, cheapest)
         moved, point = _descend(*at, direction)
         if moved is f:
-            moved, point = _descend(*at, *_toward_or_away(f, path_costs, cheapest, carried, d))
+            # the projected gradient, in flows at any cost scale
+            direction = _newton_direction(incidence, None, path_costs, f, cheapest)
+            direction = direction / max(np.abs(direction).max(), _TINY) * d
+            falling = direction < 0
+            emptied = f[falling] / -direction[falling]
+            step = max(1.0, float(emptied.min())) if emptied.size else 1.0
+            moved, point = _descend(*at, direction, step)
         else:
             newton_steps += 1
         if moved is f:
@@ -298,12 +304,14 @@ def _projected_newton(net, paths, regime, tol, start):
 
 
 def _newton_direction(incidence, curvature, path_costs, f, cheapest):
-    """The Newton direction on the active set, zero off it."""
+    """The Newton direction on the active set, zero off it. With
+    ``curvature`` None the identity stands for the Hessian, which gives the
+    projected gradient on the active set."""
 
     def solve_on(S):
         A = incidence[:, S]
         n = S.size
-        hessian = A.T @ (curvature[:, None] * A)
+        hessian = np.eye(n) if curvature is None else A.T @ (curvature[:, None] * A)
         # scaled to a largest diagonal entry of 1, so that least squares
         # weighs the demand row like the rest however large the curvature
         scale = hessian.diagonal().max()
@@ -358,19 +366,3 @@ def _descend(cost_pass, incidence, d, f, value, path_costs, direction, step=1.0)
         step *= 0.5
     return f, None
 
-
-def _toward_or_away(f, path_costs, cheapest, carried, d):
-    """The Frank-Wolfe direction with the larger gap, toward the cheapest
-    path or away from the costliest path carrying flow, and its first trial
-    step, the largest feasible one: 1, or where the costliest path
-    empties."""
-    active = np.flatnonzero(f > 0)
-    worst = int(active[np.argmax(path_costs[active])])
-    if carried - d * path_costs[cheapest] >= d * path_costs[worst] - carried:
-        direction = -f.copy()
-        direction[cheapest] += d
-        return direction, 1.0
-    direction = f.copy()
-    direction[worst] -= d
-    denom = d - f[worst]
-    return direction, (f[worst] / denom if denom > 0 else 0.0)

@@ -241,6 +241,21 @@ class TestEdgeCases:
         assert stalled is not None
         assert int(stalled.group(1)) < 100
 
+    def test_flow_moves_between_constant_links(self):
+        # links at a constant 10 and 12 min beside 5 + 0.01 q: the Hessian
+        # is 0 on the constant links, so the minimum-norm Newton direction
+        # never moves flow between them, and the solve stalls at iteration 2
+        # without the projected gradient, which empties the 12-min link
+        fns = [LinkCostFn("linear", (10.0, 0.0)), LinkCostFn("linear", (12.0, 0.0)),
+               LinkCostFn("linear", (5.0, 0.01))]
+        net = dataclasses.replace(parallel_network(fns), demand=1000.0, subscriber_demand=500.0)
+        paths = enumerate_paths(net)
+        sol = solve_ue(net, paths, start=[1.0, 1.0, 1.0])
+        TestInvariants()._check_solution(net, paths, sol, 1e-8)
+        expect = frank_wolfe_oracle(net, paths, "UE")
+        assert sol.link_flows == pytest.approx(expect, abs=1e-7 * net.demand)
+        assert sol.iterations > sol.newton_steps
+
 
 def descend(net, regime, f, direction):
     """The solver's step from path flows ``f`` on ``net`` along the path
@@ -543,7 +558,8 @@ class TestInvariants:
             # system: unscaled, least squares dropped that row and the demand
             (1.0, 1e-3, 50.0, 1000.0, 16),
             # curvature overflows to inf, so no Newton direction is formed
-            # and LAPACK must not be called (it printed to stderr and raised)
+            # and LAPACK must not see it (it printed to stderr and raised):
+            # every step takes the projected gradient, an identity KKT
             (1e100, 1e-300, 4.0, 1e-300, 0),
         ],
         ids=["stiff", "overflowing-curvature"],
@@ -561,6 +577,9 @@ class TestInvariants:
         paths = enumerate_paths(net)
         sol = solve_so(net, paths)
         self._check_solution(net, paths, sol, 1e-8)
+        # the check above holds the demand to 1e-6 absolute, which a solve
+        # that lost all of a demand of 1e-300 would pass
+        assert sol.path_flows.sum() == pytest.approx(demand, rel=1e-12, abs=0.0)
         assert sol.newton_steps == newton_steps
         assert capfd.readouterr().err == ""
 

@@ -24,6 +24,11 @@ existing path's record and every ``passed`` flag in place, and the new path
 carries no one. The records match up to the solver tolerance, not bit for
 bit: the cold start loads the demand in ``links - nodes + 2`` parts, so one
 more link changes the iterates.
+
+Splitting a link into two in series through a new node, each half with half
+its constant term, leaves every path's time and record in place up to
+rounding, and every ``passed`` flag as it was; the paths through it gain the
+new link's id after the old one.
 """
 
 import io
@@ -269,15 +274,67 @@ def test_dear_link_is_left_unused(tmp_path, seed):
     # the flows and times within O(sqrt(g)) of the optimum, relative to
     # their scale, and the LP outputs follow them. Measured: 1.8e-8 of the
     # largest time on the seed-3 BPR grid, rounding on the linear seeds
-    rel = math.sqrt(DEFAULT_TOL)
-    hi = json.loads((FIXTURE_DIR / "vot.json").read_text())["support"][1]
-    scale = {"time_min": top, "subscribers": doc["demand"]["total"],
-             "outsiders": doc["demand"]["total"], "share": 1.0, "vot_low": hi,
-             "vot_high": hi, "payment_usd": hi * top / 60}
     for path, ref in zip(paths, base["paths"], strict=True):
         assert (path["label"], path["path"]) == (ref["label"], ref["path"])
-        for key, size in scale.items():
-            if ref[key] is None:
-                assert path[key] is None
-            else:
-                assert path[key] == pytest.approx(ref[key], abs=rel * size)
+        assert_record_near(path, ref, record_scales(doc, top))
+
+
+def record_scales(doc: dict, top: float) -> dict:
+    """The scale of each numeric field of a scheme.json path record on the
+    network file ``doc`` under the fixture's VOT, with ``top`` the largest
+    path time."""
+    hi = json.loads((FIXTURE_DIR / "vot.json").read_text())["support"][1]
+    return {"time_min": top, "subscribers": doc["demand"]["total"],
+            "outsiders": doc["demand"]["total"], "share": 1.0, "vot_low": hi,
+            "vot_high": hi, "payment_usd": hi * top / 60}
+
+
+def assert_record_near(path: dict, ref: dict, scales: dict) -> None:
+    """Each field of ``scales`` in the path record ``path`` is None where
+    ``ref``'s is, and otherwise within sqrt(DEFAULT_TOL) of its scale."""
+    rel = math.sqrt(DEFAULT_TOL)
+    for key, size in scales.items():
+        if ref[key] is None:
+            assert path[key] is None
+        else:
+            assert path[key] == pytest.approx(ref[key], abs=rel * size)
+
+
+def with_split_link(doc: dict) -> tuple[dict, int]:
+    """The network file ``doc`` with its first link split in two in series
+    through a new node, each half with half the constant term: a linear
+    ``(a0/2, a1/2)``, a BPR ``t0/2`` with the rest unchanged. The second half
+    takes an id above the rest, which is returned too."""
+    first, *rest = doc["links"]
+    kind, params = first["cost"]["kind"], first["cost"]["params"]
+    if kind == "linear":
+        half = [params[0] / 2, params[1] / 2]
+    else:
+        half = [params[0] / 2, *params[1:]]
+    new_id = max(link["id"] for link in doc["links"]) + 1
+    cost = {"kind": kind, "params": half}
+    halves = [{**first, "to": "split", "cost": cost},
+              {"id": new_id, "from": "split", "to": first["to"], "cost": cost}]
+    return {**doc, "nodes": [*doc["nodes"], "split"], "links": [*halves, *rest]}, new_id
+
+
+# seeds 0-7 hold chains and grids, each with linear and with BPR costs
+@pytest.mark.parametrize("seed", range(8))
+def test_split_link_leaves_the_scheme(tmp_path, seed):
+    doc = network_document(seeded_chain_or_grid(seed))
+    base, base_checks = scheme_files(tmp_path, doc, "base")
+    split, new_id = with_split_link(doc)
+    scheme, checks = scheme_files(tmp_path, split, "split")
+    assert passed_flags(checks) == passed_flags(base_checks)
+    top = max(path["time_min"] for path in base["paths"])
+    first = doc["links"][0]["id"]
+    # ids keep their order along every path, so the paths keep theirs
+    for path, ref in zip(scheme["paths"], base["paths"], strict=True):
+        ids = [j for i in ref["path"] for j in ((i, new_id) if i == first else (i,))]
+        assert path["path"] == ids
+        # the cold start loads as many parts (one more link and one more
+        # node), so the solves differ by rounding: measured 1.2e-15 of the
+        # largest time, and 1.7e-13 $ on a payment
+        eps = np.finfo(float).eps
+        assert path["time_min"] == pytest.approx(ref["time_min"], abs=16 * eps * top)
+        assert_record_near(path, ref, record_scales(doc, top))
