@@ -430,11 +430,12 @@ def _require(obj: dict, keys, where: str) -> None:
 
 
 def number_field(value, name: str, error=NetworkError) -> float:
-    """A finite JSON number, as a float."""
+    """A finite JSON number, as a float; ``-0.0`` reads as ``0.0``, so that
+    both spellings of zero write the same output files."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             if math.isfinite(value):
-                return float(value)
+                return float(value) + 0.0
         except OverflowError:  # an integer beyond the float range
             pass
     raise error(f"{name} must be a finite number, got {value!r:.40}")

@@ -248,7 +248,9 @@ def solve_subscriber_lp(
         # run with none yet starts from the piece holding its C
         starts = set(runs.tolist())
         cuts = {cut: None for cut in cuts if cut[0] in starts}
-        bare = runs[~np.isin(runs, np.array([s for s, _ in cuts], dtype=int))]
+        # a set difference, not np.isin: on wide runs np.isin sorts through
+        # np.unique, which imports numpy.ma into a short run
+        bare = np.array(sorted(starts.difference(s for s, _ in cuts)), dtype=int)
         cuts.update(dict.fromkeys(zip(bare.tolist(), piece(C[bare]).tolist())))
         cs, cm = np.array(list(cuts), dtype=int).reshape(-1, 2).T
         cj = np.searchsorted(runs, cs)

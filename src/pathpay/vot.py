@@ -209,7 +209,10 @@ def discretize(dist: VotDistribution, subscriber_demand: float, M: int) -> VotCl
         mass = np.diff(dist.cum, prepend=0.0)
         moment = mass * start
     else:
-        cuts = np.union1d(boundaries, dist.knots)
+        # the sorted union of two finite arrays, as np.union1d would give
+        # it: np.unique imports numpy.ma, which a short run would pay for
+        cuts = np.sort(np.concatenate([boundaries, dist.knots]))
+        cuts = cuts[np.r_[True, cuts[1:] != cuts[:-1]]]
         start = cuts[:-1]
         k = np.searchsorted(dist.knots, start, side="right") - 1
         x0, p0, slope = dist.knots[k], dist.density[k], dist.slope[k]

@@ -457,11 +457,12 @@ class TestDiagnostics:
 class TestInvariants:
     def _check_solution(self, net, paths, sol, tol):
         d = net.demand
-        # conservation: path flows reproduce link flows and total demand
+        # conservation: path flows reproduce link flows and total demand,
+        # relative to the demand, so that a solve losing a tiny one fails
         assert paths.incidence @ sol.path_flows == pytest.approx(
-            sol.link_flows, abs=1e-6 * max(d, 1.0)
+            sol.link_flows, rel=0, abs=1e-12 * d
         )
-        assert sol.path_flows.sum() == pytest.approx(d, abs=1e-6 * max(d, 1.0))
+        assert sol.path_flows.sum() == pytest.approx(d, rel=0, abs=1e-12 * d)
         assert sol.path_flows.min(initial=0.0) >= 0.0
         # reported times are exactly the times at the reported flows
         times = net.link_times(sol.link_flows)

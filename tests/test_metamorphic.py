@@ -38,6 +38,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pathpay.scheme
 from _instances import network_document, random_grid, seeded_chain_or_grid
@@ -112,25 +113,24 @@ def test_fixture_scheme_scales_with_the_vot(monkeypatch, tmp_path):
                 assert path[key] == scaled(ref[key], k)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["linear", "bpr"])
-def test_grid_scheme_scales_with_the_vot(kind, seed):
-    # the stages of `pathpay scheme` past the SO and UE, which the VOT does
-    # not enter: at k = 20 and 40 the cut rows once carried raw VOTs, and
-    # the simplex broke on them
-    net = random_grid(np.random.default_rng(seed), 5, kind)
+def assert_scheme_scales_with_the_vot(net, ks):
+    """The stages of `pathpay scheme` past the SO and UE, which the VOT does
+    not enter, on ``net`` under a VOT uniform on [5, 45] * 2^k for each k
+    in ``ks``: every flow, the rounds, the order and every ``passed`` flag
+    bit for bit as at k = 0, and every VOT-valued output 2^k times it."""
     paths = enumerate_paths(net)
     so = solve_so(net, paths)
     ue = solve_ue(net, paths, start=so.path_flows)
     runs = {}
-    for k in (0, -40, -20, 20, 40):
+    for k in (0, *ks):
         dist = VotDistribution.uniform(math.ldexp(5.0, k), math.ldexp(45.0, k))
         assign = solve_subscriber_lp(so, discretize(dist, net.subscriber_demand, 50), net, paths)
         outcome = build_outcome(assign, dist, so.path_times)
         verification = run_verification(outcome, cost_report(outcome, ue, DEFAULT_REPORT_GRID))
         runs[k] = assign, outcome, passed_flags(verification.to_dict())
-    base, base_outcome, base_flags = runs.pop(0)
-    for k, (assign, outcome, flags) in runs.items():
+    base, base_outcome, base_flags = runs[0]
+    for k in ks:
+        assign, outcome, flags = runs[k]
         assert np.array_equal(assign.subscriber_path_flows, base.subscriber_path_flows)
         assert np.array_equal(assign.outsider_path_flows, base.outsider_path_flows)
         assert assign.weighted_cost == math.ldexp(base.weighted_cost, k)
@@ -139,6 +139,28 @@ def test_grid_scheme_scales_with_the_vot(kind, seed):
         assert np.array_equal(outcome.partition, np.ldexp(base_outcome.partition, k))
         assert np.array_equal(outcome.payments, np.ldexp(base_outcome.payments, k))
         assert flags == base_flags
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["linear", "bpr"])
+def test_grid_scheme_scales_with_the_vot(kind, seed):
+    # at k = 20 and 40 the cut rows once carried raw VOTs, and the simplex
+    # broke on them
+    assert_scheme_scales_with_the_vot(
+        random_grid(np.random.default_rng(seed), 5, kind), (-40, -20, 20, 40)
+    )
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**16), grid=st.booleans(), k=st.integers(-40, 40))
+def test_drawn_scheme_scales_with_the_vot(seed, grid, k):
+    # a 5 x 5 grid, whose subscriber master reaches the simplex on most
+    # seeds, or a small chain or grid, of either cost kind
+    if grid:
+        net = random_grid(np.random.default_rng(seed), 5, ("linear", "bpr")[seed % 2])
+    else:
+        net = seeded_chain_or_grid(seed)
+    assert_scheme_scales_with_the_vot(net, (k,))
 
 
 def scaled_demand_document(doc: dict, k: int) -> dict:
