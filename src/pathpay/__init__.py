@@ -20,13 +20,11 @@ from .equilibrium import (
 from .vot import VotClassTable, VotDistribution, VotError, discretize, parse_vot
 from .scheme import (
     CostReport,
-    Guidance,
     PipelineResult,
     SchemeError,
     SchemeOutcome,
     SubscriberAssignment,
     assign_outsider,
-    assign_subscriber,
     build_outcome,
     compute_payments,
     cost_report,
@@ -64,13 +62,11 @@ __all__ = [
     "discretize",
     "parse_vot",
     "CostReport",
-    "Guidance",
     "PipelineResult",
     "SchemeError",
     "SchemeOutcome",
     "SubscriberAssignment",
     "assign_outsider",
-    "assign_subscriber",
     "build_outcome",
     "compute_payments",
     "cost_report",

@@ -23,7 +23,13 @@ Every step takes one rule, Armijo backtracking along the projection arc
 (Bertsekas 1982). A trial is ``max(0, f + a p)`` scaled by ``d / sum``
 back onto the demand ``d``, so one step can empty any number of paths. It
 is taken when its value is at most ``value + 1e-4 * c @ (trial - f)``
-(Armijo's test), and its cost pass is then the next iterate's. Otherwise
+(Armijo's test), and its cost pass is then the next iterate's. Near an
+optimum the predicted decrease ``-c @ (trial - f)`` can drop below the
+objective's rounding, where Armijo's test fails on rounding alone. So a
+trial that fails it is still taken if that decrease is at most ``_FLOOR``
+(16 ulps) of ``|value|``, its value is within as much of ``value``, and
+its gap, from its cost pass, is below the iterate's: such steps strictly
+lower the gap, so they cannot cycle. Otherwise
 ``a`` halves, at most ``_HALVINGS`` times; a trial equal to ``f`` ends the
 search. The Newton direction's first trial is ``a = 1``: on linear costs,
 where no path is clipped, that is the minimum on the direction's face.
@@ -79,6 +85,8 @@ MAX_ITER = 400
 _SLOPE_RESOLUTION = 2.0**-44
 # Armijo's test: a step must give this share of its predicted decrease
 _ARMIJO = 1e-4
+# the objective's rounding floor, relative to its value: 16 ulps
+_FLOOR = 2.0**-48
 # a rejected step halves at most this many times before the direction is
 # given up: 2**-50 of the first step is below double precision
 _HALVINGS = 50
@@ -346,7 +354,8 @@ def _descend(cost_pass, incidence, d, f, value, path_costs, direction, step=1.0)
     ``(q, *cost_pass(q))``, or ``(f, None)`` when the direction does not
     descend or no trial passes. Each trial is the projected arc
     ``max(0, f + a * direction)`` put back on the demand ``d``, from
-    ``a = step``; it is taken if it passes Armijo's test, else ``a`` halves,
+    ``a = step``; it is taken if it passes Armijo's test, or at the rounding
+    floor if its gap is below ``f``'s (module docstring); else ``a`` halves,
     at most ``_HALVINGS`` times, and a trial equal to ``f`` ends the search.
     ``cost_pass(q)`` returns the objective's value, gradient and curvature
     at link flows ``q``."""
@@ -354,6 +363,7 @@ def _descend(cost_pass, incidence, d, f, value, path_costs, direction, step=1.0)
     slope = float(terms.sum())
     if not slope < -_SLOPE_RESOLUTION * float(np.abs(terms).sum()):
         return f, None
+    floor = _FLOOR * abs(value)
     for _ in range(_HALVINGS + 1):
         trial = np.maximum(f + step * direction, 0.0)
         trial *= d / trial.sum()
@@ -361,8 +371,14 @@ def _descend(cost_pass, incidence, d, f, value, path_costs, direction, step=1.0)
             break
         q = incidence @ trial  # trial is clipped at zero, so q is non-negative
         point = (q, *cost_pass(q))
-        if point[1] <= value + _ARMIJO * float(path_costs @ (trial - f)):
+        predicted = float(path_costs @ (trial - f))
+        if point[1] <= value + _ARMIJO * predicted:
             return trial, point
+        if -predicted <= floor and abs(point[1] - value) <= floor:
+            costs = incidence.T @ point[2]
+            gap = float(path_costs @ f) - d * path_costs.min()
+            if float(costs @ trial) - d * costs.min() < gap:
+                return trial, point
         step *= 0.5
     return f, None
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -91,13 +90,6 @@ class SchemeOutcome:
     def support(self) -> tuple[float, float]:
         """(lo, hi) in $/hour: the partition's ends, the VOT support."""
         return float(self.partition[0]), float(self.partition[-1])
-
-
-class Guidance(NamedTuple):
-    rank: int        # position in slow-to-fast order
-    path: int        # original path index
-    time_min: float
-    payment: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,17 +448,12 @@ def check_declared_vot(support: tuple[float, float], declared_vot: float) -> Non
         )
 
 
-def assign_subscriber(outcome: SchemeOutcome, declared_vot: float) -> Guidance:
-    """Path and payment for one declared VOT: the scalar view of
-    :func:`vot_ranks`, after :func:`check_declared_vot`."""
+# kept only for ``benchmarks/tracing.py``, which times one call per
+# subscriber; delete it when the trace stops calling it
+def assign_subscriber(outcome: SchemeOutcome, declared_vot: float) -> int:
+    """:func:`vot_ranks` of one VOT, after :func:`check_declared_vot`."""
     check_declared_vot(outcome.support, declared_vot)
-    rank = int(vot_ranks(outcome, declared_vot))
-    return Guidance(
-        rank=rank,
-        path=outcome.order[rank],
-        time_min=float(outcome.sorted_times[rank]),
-        payment=float(outcome.payments[rank]),
-    )
+    return int(vot_ranks(outcome, declared_vot))
 
 
 def assign_outsider(outcome: SchemeOutcome, rng, size: int | None = None):

@@ -10,11 +10,12 @@ the ranks' lower ends included, and over the partition points one at a
 time, the simplex's artificial drive-out as a scan over basis membership,
 the VOT quantile and class table as per-point and per-class loops,
 Frank-Wolfe with a regula-falsi line search, path enumeration by a
-recursive search without pruning, ``scheme.json``/``scheme.txt`` from
-one dict per path through ``json.dumps``, and ``assignments.csv`` from one
-library call per user through ``csv.writer``. ``cdf``, the VOT cdf, alone
-has no twin in the package: the quantile tests check ``inverse_cdf``
-against it.
+recursive search without pruning, a VOT's rank as a scan of the
+partition, ``scheme.json``/``scheme.txt`` from one dict per path through
+``json.dumps``, and ``assignments.csv`` from that scan per subscriber and
+a single outsider draw per outsider through ``csv.writer``. ``cdf``, the
+VOT cdf, alone has no twin in the package: the quantile tests check
+``inverse_cdf`` against it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 import numpy as np
 
 from pathpay.scheme import (
-    MINUTES_PER_HOUR, _greedy_decomposition, assign_outsider, assign_subscriber, vot_ranks,
+    MINUTES_PER_HOUR, _greedy_decomposition, assign_outsider, vot_ranks,
 )
 from pathpay.simplex import ENTER_TOL, PIVOT_TOL, StandardLp, _pivot, solve_lp
 from pathpay.vot import VotError
@@ -665,19 +666,36 @@ def dict_scheme_files(net, result, ue, verification) -> tuple[str, str]:
     )
 
 
+def reference_ranks(outcome, vots):
+    """Rank ``i`` holds the VOTs in ``(partition[i], partition[i+1]]``, the
+    first also the support minimum: one VOT at a time, the first interval
+    whose upper end is not below it."""
+    uppers = outcome.partition[1:-1].tolist()
+    return np.array(
+        [next((i for i, upper in enumerate(uppers) if v <= upper), len(uppers))
+         for v in vots]
+    )
+
+
 def per_user_assignments(outcome, labels, users, seed: int) -> str:
     """The text of ``assignments.csv`` for ``users``, (id, role, declared
     VOT) triples in roster order, written by ``csv.writer`` a row at a time:
-    one ``assign_subscriber`` call per subscriber and one single
-    ``assign_outsider`` draw per outsider from ``default_rng(seed)``."""
+    each subscriber's path, time and payment at the rank ``reference_ranks``
+    gives the declared VOT, and one single ``assign_outsider`` draw per
+    outsider from ``default_rng(seed)``."""
+    lo, hi = outcome.support
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(["user_id", "role", "path", "time_min", "payment_usd"])
     gen = np.random.default_rng(seed)
     for user, role, vot in users:
         if role == "subscriber":
-            g = assign_subscriber(outcome, vot)
-            writer.writerow([user, role, labels[g.path], f"{g.time_min:.1f}", f"{g.payment:.2f}"])
+            if not lo <= vot <= hi:
+                raise OracleError(f"declared VOT {vot!r} outside [{lo}, {hi}]")
+            rank = int(reference_ranks(outcome, [vot])[0])
+            path = outcome.order[rank]
+            writer.writerow([user, role, labels[path], f"{outcome.sorted_times[rank]:.1f}",
+                             f"{outcome.payments[rank]:.2f}"])
         else:
             path = assign_outsider(outcome, gen)
             rank = outcome.order.index(path)

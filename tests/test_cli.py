@@ -20,6 +20,7 @@ import pathpay.scheme
 import pathpay.simplex
 from _instances import (
     benchmark_module, network_document, parallel_network, random_chain, random_grid,
+    seeded_chain_or_grid,
 )
 from _oracles import dict_scheme_files, per_user_assignments
 from conftest import FIXTURE_DIR
@@ -241,12 +242,32 @@ class TestScheme:
         assert "Payment ($)" in text
         assert "-" in text  # the empty path renders as a dash
 
+    def test_bpr_grid_fixture(self):
+        # the 3x3 BPR grid of seed 6295, whose SO needs steps at the
+        # objective's rounding floor: CI runs the installed script on it,
+        # and TestRoundingFloor solves the network itself
+        network = FIXTURE_DIR / "bpr-grid-6295.json"
+        assert json.loads(network.read_text()) == network_document(seeded_chain_or_grid(6295))
+
     def test_readme_table(self, fixture_outputs):
         readme = (FIXTURE_DIR.parent / "README.md").read_text(encoding="utf-8")
         block = readme.split("For the bundled fixture, `scheme` reproduces:\n\n```\n", 1)[1]
         table = block.split("```", 1)[0].splitlines()
         text = (fixture_outputs / "scheme.txt").read_text(encoding="utf-8")
         assert table == text.splitlines()[:6]
+
+    def test_readme_library_example(self, monkeypatch):
+        # the README's one-user recipe prints its guidance and rejects a VOT
+        # outside the support
+        readme = (FIXTURE_DIR.parent / "README.md").read_text(encoding="utf-8")
+        code = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(FIXTURE_DIR.parent)
+        printed = io.StringIO()
+        with redirect_stdout(printed):
+            exec(code, {})
+        assert printed.getvalue().startswith("(2)+(3) 1.19")
+        with pytest.raises(pathpay.scheme.SchemeError):
+            exec(code.replace("40.0", "45.5"), {})
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

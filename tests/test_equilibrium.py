@@ -11,6 +11,7 @@ from _instances import (
     benchmark_module,
     parallel_network,
     random_chain,
+    random_grid,
     random_network,
     seeded_chain_or_grid,
     stall_grid,
@@ -583,6 +584,50 @@ class TestInvariants:
         assert sol.path_flows.sum() == pytest.approx(demand, rel=1e-12, abs=0.0)
         assert sol.newton_steps == newton_steps
         assert capfd.readouterr().err == ""
+
+
+def seeded_network(family: str, seed: int) -> Network:
+    """``seeded_chain_or_grid(seed)`` ("seeded") or a 5 x 5 ``random_grid``
+    ("grid"), linear on even seeds and BPR on odd ones."""
+    if family == "seeded":
+        return seeded_chain_or_grid(seed)
+    return random_grid(np.random.default_rng(seed), 5, ("linear", "bpr")[seed % 2])
+
+
+class TestRoundingFloor:
+    """Near a BPR optimum a step's predicted decrease can fall below the
+    objective's rounding, where Armijo's test fails on rounding alone. These
+    SO and warm UE solves stopped there without the floor rule, which takes
+    such a trial when it lowers the gap."""
+
+    @staticmethod
+    def solve(net, tol):
+        paths = enumerate_paths(net)
+        so = solve_so(net, paths, tol=tol)
+        TestInvariants()._check_solution(net, paths, so, tol)
+        ue = solve_ue(net, paths, tol=tol, start=so.path_flows)
+        TestInvariants()._check_solution(net, paths, ue, tol)
+
+    @pytest.mark.parametrize(
+        "family, seed",
+        [
+            ("seeded", 711),  # the warm UE ran out of iterations
+            ("seeded", 839),  # the warm UE stalled
+            ("seeded", 1083),  # the SO stalled above tol
+            ("seeded", 6295),
+            ("grid", 109),
+            ("grid", 2031),  # the SO stalled within tol, on the certificate
+            ("grid", 3487),
+        ],
+    )
+    def test_solves_at_default_tol(self, family, seed):
+        self.solve(seeded_network(family, seed), 1e-8)
+
+    def test_tight_tol_sweep(self):
+        # 11 of these 300 networks stopped at this tol without the rule
+        for seed in range(150):
+            for family in ("seeded", "grid"):
+                self.solve(seeded_network(family, seed), 1e-10)
 
 
 class TestWarmStart:

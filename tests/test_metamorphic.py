@@ -177,15 +177,15 @@ def scaled_demand_document(doc: dict, k: int) -> dict:
                        "subscribers": scaled(demand["subscribers"], k)}}
 
 
-def scheme_files(tmp_path, doc: dict, name: str) -> tuple[dict, dict]:
-    """scheme.json and verification.json of ``pathpay scheme`` on the
-    network file ``doc`` under the fixture's VOT."""
+def scheme_files(tmp_path, doc: dict, name: str, *options: str) -> tuple[dict, dict]:
+    """scheme.json and verification.json of ``pathpay scheme`` with the
+    flags ``options`` on the network file ``doc`` under the fixture's VOT."""
     network = tmp_path / f"{name}.json"
     network.write_text(json.dumps(doc))
     out = tmp_path / name
     with redirect_stdout(io.StringIO()):
         assert main(["scheme", "--network", str(network), "--vot",
-                     str(FIXTURE_DIR / "vot.json"), "--out", str(out)]) == 0
+                     str(FIXTURE_DIR / "vot.json"), "--out", str(out), *options]) == 0
     return (json.loads((out / "scheme.json").read_text()),
             json.loads((out / "verification.json").read_text()))
 
@@ -299,6 +299,21 @@ def test_dear_link_is_left_unused(tmp_path, seed):
     for path, ref in zip(paths, base["paths"], strict=True):
         assert (path["label"], path["path"]) == (ref["label"], ref["path"])
         assert_record_near(path, ref, record_scales(doc, top))
+
+
+def test_dear_link_solves_at_a_tight_tol(tmp_path):
+    # the seed-7 network of the test above, a 3x3 BPR grid, with its dear
+    # link: one more part in the cold start's loading, after which the SO
+    # needs steps at the objective's rounding floor to reach --tol 1e-10
+    net = seeded_chain_or_grid(7)
+    paths = enumerate_paths(net)
+    so = solve_so(net, paths)
+    top = max(solve_ue(net, paths, start=so.path_flows).ue_time, so.path_times.max())
+    doc = with_dear_link(network_document(net), 10 * top)
+    scheme, checks = scheme_files(tmp_path, doc, "dear", "--tol", "1e-10")
+    assert scheme["so_relative_gap"] <= 1e-10
+    assert all(passed_flags(checks).values())
+    assert scheme["paths"][-1]["subscribers"] == 0.0
 
 
 def record_scales(doc: dict, top: float) -> dict:

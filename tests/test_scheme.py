@@ -13,6 +13,7 @@ from _instances import (
 )
 from _oracles import (
     cdf, class_path_lp, first_master_lp, full_path_master, greedy_weighted_cost,
+    reference_ranks,
 )
 from conftest import FIXTURE_DIR
 from pathpay import (
@@ -24,7 +25,6 @@ from pathpay import (
     SchemeOutcome,
     VotDistribution,
     assign_outsider,
-    assign_subscriber,
     build_outcome,
     compute_payments,
     cost_report,
@@ -38,7 +38,7 @@ from pathpay import (
     solve_ue,
     vot_ranks,
 )
-from pathpay.scheme import _greedy_decomposition
+from pathpay.scheme import _greedy_decomposition, check_declared_vot
 from pathpay.simplex import solve_lp
 
 # hand-computed payments for the reference scenario: sorted times
@@ -687,40 +687,40 @@ class TestPayments:
 
 
 class TestAssignSubscriber:
+    """One user's guidance: the path and payment at the rank ``vot_ranks``
+    gives the declared VOT, which ``check_declared_vot`` holds to the
+    support."""
+
+    def guidance(self, run, vot):
+        rank = int(vot_ranks(run.outcome, vot))
+        return run.paths.paths[run.outcome.order[rank]], float(run.outcome.payments[rank])
+
     def test_low_vot_rides_slow_path(self, demo_run):
-        g = assign_subscriber(demo_run.outcome, 10.0)
-        assert demo_run.paths.paths[g.path] == (1, 4)
-        assert g.payment == pytest.approx(-1.367, abs=1e-3)
+        path, payment = self.guidance(demo_run, 10.0)
+        assert path == (1, 4)
+        assert payment == pytest.approx(-1.367, abs=1e-3)
 
     def test_boundary_is_right_closed(self, demo_run):
-        g = assign_subscriber(demo_run.outcome, demo_run.outcome.partition[1])
-        assert demo_run.paths.paths[g.path] == (1, 4)
+        path, _ = self.guidance(demo_run, demo_run.outcome.partition[1])
+        assert path == (1, 4)
 
     def test_high_vot_rides_fast_path(self, demo_run):
-        g = assign_subscriber(demo_run.outcome, 40.0)
-        assert demo_run.paths.paths[g.path] == (2, 3)
-        assert g.payment == pytest.approx(1.193, abs=1e-3)
+        path, payment = self.guidance(demo_run, 40.0)
+        assert path == (2, 3)
+        assert payment == pytest.approx(1.193, abs=1e-3)
 
     def test_support_minimum_maps_to_first_nonempty(self, demo_run):
-        g = assign_subscriber(demo_run.outcome, 5.0)
-        assert demo_run.paths.paths[g.path] == (1, 4)
+        path, _ = self.guidance(demo_run, 5.0)
+        assert path == (1, 4)
 
     def test_outside_support_rejected(self, demo_run):
+        support = demo_run.outcome.support
+        for vot in support:
+            check_declared_vot(support, vot)
         with pytest.raises(SchemeError):
-            assign_subscriber(demo_run.outcome, 45.5)
+            check_declared_vot(support, 45.5)
         with pytest.raises(SchemeError):
-            assign_subscriber(demo_run.outcome, 4.9)
-
-
-def reference_ranks(outcome, vots):
-    """Rank ``i`` holds the VOTs in ``(partition[i], partition[i+1]]``, the
-    first also the support minimum: one VOT at a time, the first interval
-    whose upper end is not below it."""
-    uppers = outcome.partition[1:-1].tolist()
-    return np.array(
-        [next((i for i, upper in enumerate(uppers) if v <= upper), len(uppers))
-         for v in vots]
-    )
+            check_declared_vot(support, 4.9)
 
 
 class TestVotRanks:
@@ -739,7 +739,7 @@ class TestVotRanks:
             for vots in (report_grid, lattice):
                 ranks = vot_ranks(o, vots)
                 assert np.array_equal(ranks, reference_ranks(o, vots))
-                assert [assign_subscriber(o, v).rank for v in vots] == ranks.tolist()
+                assert [pathpay.scheme.assign_subscriber(o, v) for v in vots] == ranks.tolist()
 
 
 class TestAssignOutsider:
